@@ -148,37 +148,40 @@ class _Section:
             "a comma-separated integer list",
         )
 
+    def parsed(self, key, default, parser, kind):
+        """A value run through parser; an empty or 'none' value keeps the default."""
+        value = self._typed(key, None, parser, kind)
+        return default if value is None else value
+
     def finish(self):
         for key, (_, lineno) in self.values.items():
             raise ConfigError(f"line {lineno}: unknown key {key!r} in [{self.name}]")
 
 
-def _parse_hidden(value: str):
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise ValueError(text)
+    return value
+
+
+def _parse_groups(value: str, parse_item):
+    """';'-separated groups of ','-separated items; an empty or 'none' group is ()."""
     groups = []
     for group in value.split(";"):
         group = group.strip()
         if not group or group.lower() == "none":
             groups.append(())
-            continue
-        groups.append(tuple(int(p.strip()) for p in group.split(",") if p.strip()))
-    return tuple(groups) if groups else ((),)
+        else:
+            groups.append(tuple(parse_item(p.strip()) for p in group.split(",") if p.strip()))
+    return tuple(groups)
 
 
-def _parse_conv(value: str):
-    groups = []
-    for group in value.split(";"):
-        group = group.strip()
-        if not group or group.lower() == "none":
-            groups.append(())
-            continue
-        layers = []
-        for layer in group.split(","):
-            dims = [p.strip() for p in layer.strip().split("x")]
-            if len(dims) != 3:
-                raise ValueError(layer)
-            layers.append(tuple(int(d) for d in dims))
-        groups.append(tuple(layers))
-    return tuple(groups) if groups else ((),)
+def _parse_conv_layer(text: str) -> tuple[int, int, int]:
+    dims = text.split("x")
+    if len(dims) != 3:
+        raise ValueError(text)
+    return tuple(_positive_int(d.strip()) for d in dims)
 
 
 def config_from_text(text: str, base_dir: Path | None = None) -> ExperimentConfig:
@@ -231,16 +234,19 @@ def config_from_text(text: str, base_dir: Path | None = None) -> ExperimentConfi
     sp.finish()
 
     lrn = section("learner")
-    hidden_raw = lrn.str("hidden", None)
-    conv_raw = lrn.str("conv", None)
+    hidden_specs = lrn.parsed(
+        "hidden",
+        ((64,),),
+        lambda v: _parse_groups(v, _positive_int),
+        "';'-separated groups of ','-separated positive widths",
+    )
+    conv_specs = lrn.parsed(
+        "conv",
+        ((),),
+        lambda v: _parse_groups(v, _parse_conv_layer),
+        "';'-separated groups of ','-separated 'channels x kernel x stride' layers",
+    )
     lrn.finish()
-    hidden_specs = _parse_hidden(hidden_raw) if hidden_raw is not None else ((64,),)
-    try:
-        conv_specs = _parse_conv(conv_raw) if conv_raw is not None else ((),)
-    except ValueError as exc:
-        raise ConfigError(
-            f"[learner] conv layers must look like 'channels x kernel x stride', got {exc}"
-        )
 
     synthetic = None
     if source == "synthetic":

@@ -63,7 +63,6 @@ class StftConfig:
     n_fft: int = 1024
     hop: int = 64
     win_length: int = 512
-    window: str = "hann"
 
     def __post_init__(self):
         if self.n_fft < 1 or (self.n_fft & (self.n_fft - 1)) != 0:
@@ -73,8 +72,6 @@ class StftConfig:
                 f"need 1 <= hop <= win_length <= n_fft, got hop={self.hop}, "
                 f"win_length={self.win_length}, n_fft={self.n_fft}"
             )
-        if self.window != "hann":
-            raise ValueError(f"unsupported window kind: {self.window!r}")
 
     @property
     def n_bins(self) -> int:

@@ -424,14 +424,12 @@ def load_round(checkpoint_dir: str | Path, j: int, members: bool = True):
 
 
 def latest_complete_round(checkpoint_dir: str | Path) -> int | None:
-    """Highest round index whose record file exists, or None."""
-    root = Path(checkpoint_dir)
-    if not root.is_dir():
-        return None
-    best = None
-    for entry in root.iterdir():
-        if entry.is_dir() and entry.name.startswith("round_"):
-            if (entry / "round.json").exists():
-                idx = int(entry.name.split("_")[1])
-                best = idx if best is None else max(best, idx)
-    return best
+    """Last round of the unbroken run of complete rounds 0, 1, 2, ..., or None.
+
+    A round counts once its record file exists; rounds after a gap, and
+    directories that are not round directories, are ignored.
+    """
+    j = 0
+    while (_round_dir(checkpoint_dir, j) / "round.json").exists():
+        j += 1
+    return j - 1 if j else None

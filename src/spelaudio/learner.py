@@ -4,10 +4,11 @@ A learner is a feed-forward network with an optional strided 2-D
 convolutional stem, a rectified-linear body, and either a softmax
 (multi-class) or per-output sigmoid (multi-label) head. Forward, loss,
 and gradients are implemented directly on numpy arrays in double
-precision; training is plain shuffled mini-batch Adam. All routines are
-pure functions of their arguments: they never mutate parameters or
-optimizer state in place, which is what makes seeded runs bitwise
-reproducible.
+precision; training is plain shuffled mini-batch Adam. ``adam_step``
+updates parameters and optimizer state in place; ``train`` steps private
+copies, so its caller's objects never change. Seeded runs are bitwise
+reproducible because the data order is a pure function of the seed and
+every step runs the same arithmetic in the same order.
 """
 
 from __future__ import annotations
@@ -40,6 +41,10 @@ HEADS = ("multiclass", "multilabel")
 
 FORMAT_VERSION = 1
 
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-8
+
 
 @dataclass(frozen=True)
 class LearnerSpec:
@@ -49,7 +54,6 @@ class LearnerSpec:
     n_outputs: int
     hidden_layers: tuple[int, ...] = (64,)
     conv_stem: tuple[tuple[int, int, int], ...] = ()
-    activation: str = "relu"
     head: str = "multiclass"
 
     def __post_init__(self):
@@ -72,8 +76,6 @@ class LearnerSpec:
         )
         if any(w < 1 for w in self.hidden_layers):
             raise ValueError("hidden layer widths must be positive")
-        if self.activation != "relu":
-            raise ValueError(f"unsupported activation: {self.activation!r}")
         if self.head not in HEADS:
             raise ValueError(f"head must be one of {HEADS}, got {self.head!r}")
         minimum = 2 if self.head == "multiclass" else 1
@@ -168,15 +170,10 @@ class OptimizerState:
     m: dict[str, np.ndarray]
     v: dict[str, np.ndarray]
     learning_rate: float
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
     def __post_init__(self):
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be positive")
-        if not (0 < self.beta1 < 1 and 0 < self.beta2 < 1):
-            raise ValueError("beta1 and beta2 must lie in (0, 1)")
 
 
 @dataclass(frozen=True)
@@ -204,21 +201,12 @@ def init_params(spec: LearnerSpec, seed: int) -> LearnerParams:
     return LearnerParams(spec=spec, tensors=tensors, step=0)
 
 
-def init_adam(
-    params: LearnerParams,
-    learning_rate: float,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
-) -> OptimizerState:
+def init_adam(params: LearnerParams, learning_rate: float) -> OptimizerState:
     zeros = {name: np.zeros_like(arr) for name, arr in params.tensors.items()}
     return OptimizerState(
         m=zeros,
         v={name: np.zeros_like(arr) for name, arr in params.tensors.items()},
         learning_rate=learning_rate,
-        beta1=beta1,
-        beta2=beta2,
-        eps=eps,
     )
 
 
@@ -377,33 +365,20 @@ def loss_and_grad(params: LearnerParams, batch: MiniBatch):
 
 def adam_step(
     state: OptimizerState, params: LearnerParams, grads: dict[str, np.ndarray]
-):
-    """One bias-corrected Adam update; returns new params and state, t incremented."""
-    if list(grads) != list(params.tensors):
-        raise ValueError("gradient names do not match parameter names")
+) -> None:
+    """One bias-corrected Adam update of params and state, in place; increments the step."""
     t = params.step + 1
-    bc1 = 1.0 - state.beta1 ** t
-    bc2 = 1.0 - state.beta2 ** t
-    new_tensors, new_m, new_v = {}, {}, {}
+    bc1 = 1.0 - BETA1 ** t
+    bc2 = 1.0 - BETA2 ** t
     for name, theta in params.tensors.items():
         g = grads[name]
-        m = state.beta1 * state.m[name] + (1.0 - state.beta1) * g
-        v = state.beta2 * state.v[name] + (1.0 - state.beta2) * (g * g)
-        m_hat = m / bc1
-        v_hat = v / bc2
-        new_tensors[name] = theta - state.learning_rate * m_hat / (np.sqrt(v_hat) + state.eps)
-        new_m[name] = m
-        new_v[name] = v
-    new_params = LearnerParams(spec=params.spec, tensors=new_tensors, step=t)
-    new_state = OptimizerState(
-        m=new_m,
-        v=new_v,
-        learning_rate=state.learning_rate,
-        beta1=state.beta1,
-        beta2=state.beta2,
-        eps=state.eps,
-    )
-    return new_params, new_state
+        m, v = state.m[name], state.v[name]
+        m *= BETA1
+        m += (1.0 - BETA1) * g
+        v *= BETA2
+        v += (1.0 - BETA2) * (g * g)
+        theta -= state.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + EPS)
+    params.step = t
 
 
 def train(
@@ -418,9 +393,11 @@ def train(
 ):
     """Shuffled mini-batch Adam for a fixed number of full passes.
 
-    The shuffle order is a pure function of the seed, and the optimizer
-    state is threaded through and returned so a later call can continue
-    training where this one stopped.
+    Returns trained copies of params and state; the arguments themselves
+    are left unchanged. The shuffle order is a pure function of the seed,
+    and the returned state lets a later call continue training where this
+    one stopped. Raises ValueError naming the tensor and step if a
+    parameter is non-finite at the end of an epoch.
     """
     n = len(inputs)
     if n == 0:
@@ -429,14 +406,25 @@ def train(
         raise ValueError("batch_size must be positive")
     if epochs < 0:
         raise ValueError("epochs must be non-negative")
+    params = LearnerParams(params.spec, _float64_copies(params.tensors), params.step)
+    state = OptimizerState(_float64_copies(state.m), _float64_copies(state.v), state.learning_rate)
     rng = np.random.default_rng(seed)
     for _ in range(epochs):
         order = rng.permutation(n)
         for start in range(0, n, batch_size):
             sel = order[start : start + batch_size]
             _, grads = loss_and_grad(params, MiniBatch(inputs[sel], targets[sel]))
-            params, state = adam_step(state, params, grads)
+            adam_step(state, params, grads)
+        for name, arr in params.tensors.items():
+            if not np.all(np.isfinite(arr)):
+                raise ValueError(f"{name} became non-finite by step {params.step}")
     return params, state
+
+
+def _float64_copies(arrays: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+    # Fresh float64 buffers: in-place steps must neither reach the caller's
+    # arrays nor round into a narrower dtype.
+    return {name: np.array(arr, dtype=np.float64) for name, arr in arrays.items()}
 
 
 def n_parameters(obj: LearnerParams | LearnerSpec) -> int:
@@ -453,21 +441,22 @@ def _spec_to_json(spec: LearnerSpec) -> str:
             "n_outputs": spec.n_outputs,
             "hidden_layers": list(spec.hidden_layers),
             "conv_stem": [list(layer) for layer in spec.conv_stem],
-            "activation": spec.activation,
+            "activation": "relu",
             "head": spec.head,
         }
     )
 
 
-def _spec_from_json(text: str) -> LearnerSpec:
+def _spec_from_json(text: str, path) -> LearnerSpec:
     raw = json.loads(text)
+    if raw["activation"] != "relu":
+        raise ValueError(f"{path}: unsupported activation {raw['activation']!r}")
     shape = raw["input_shape"]
     return LearnerSpec(
         input_shape=tuple(shape) if isinstance(shape, list) else shape,
         n_outputs=raw["n_outputs"],
         hidden_layers=tuple(raw["hidden_layers"]),
         conv_stem=tuple(tuple(layer) for layer in raw["conv_stem"]),
-        activation=raw["activation"],
         head=raw["head"],
     )
 
@@ -482,9 +471,7 @@ def save_params(path, params: LearnerParams, state: OptimizerState | None = None
     for name, arr in params.tensors.items():
         payload[f"param/{name}"] = arr
     if state is not None:
-        payload["adam/hyper"] = np.array(
-            [state.learning_rate, state.beta1, state.beta2, state.eps]
-        )
+        payload["adam/hyper"] = np.array([state.learning_rate, BETA1, BETA2, EPS])
         for name in params.tensors:
             payload[f"adam/m/{name}"] = state.m[name]
             payload[f"adam/v/{name}"] = state.v[name]
@@ -498,20 +485,21 @@ def load_params(path):
         version = int(archive["format_version"])
         if version != FORMAT_VERSION:
             raise ValueError(f"unsupported checkpoint format version {version}")
-        spec = _spec_from_json(str(archive["spec_json"]))
+        spec = _spec_from_json(str(archive["spec_json"]), path)
         tensors = {
             name: archive[f"param/{name}"] for name in param_shapes(spec)
         }
         params = LearnerParams(spec=spec, tensors=tensors, step=int(archive["step"]))
         state = None
         if "adam/hyper" in archive.files:
-            lr, b1, b2, eps = archive["adam/hyper"]
+            lr, *hyper = archive["adam/hyper"].tolist()
+            if hyper != [BETA1, BETA2, EPS]:
+                raise ValueError(
+                    f"{path}: Adam beta1, beta2, eps {hyper} differ from {BETA1}, {BETA2}, {EPS}"
+                )
             state = OptimizerState(
                 m={name: archive[f"adam/m/{name}"] for name in tensors},
                 v={name: archive[f"adam/v/{name}"] for name in tensors},
-                learning_rate=float(lr),
-                beta1=float(b1),
-                beta2=float(b2),
-                eps=float(eps),
+                learning_rate=lr,
             )
     return params, state

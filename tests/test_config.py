@@ -169,6 +169,15 @@ class TestErrors:
         with pytest.raises(ConfigError, match="channels x kernel x stride"):
             config_from_text("[experiment]\ntask = multiclass\n[learner]\nconv = 4x3\n")
 
+    @pytest.mark.parametrize(
+        "line", ["hidden = a,b", "hidden = 0", "hidden = 16;-2", "conv = 4x8"]
+    )
+    def test_bad_learner_layers_report_line(self, line):
+        text = f"[experiment]\ntask = multiclass\n[learner]\n{line}\n"
+        key = line.split()[0]
+        with pytest.raises(ConfigError, match=rf"line 4: \[learner\] {key} must be"):
+            config_from_text(text)
+
     def test_comments_and_blanks_ignored(self):
         text = "# top comment\n\n[experiment]\n# inner\ntask = multiclass\n"
         assert config_from_text(text).task == "multiclass"

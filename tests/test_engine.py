@@ -254,6 +254,23 @@ class TestRunSpel:
 
 
 class TestCheckpoints:
+    @staticmethod
+    def _mark_complete(root, *names):
+        for name in names:
+            (root / name).mkdir(parents=True)
+            (root / name / "round.json").write_text("{}")
+
+    def test_latest_round_ignores_non_numeric_directories(self, tmp_path):
+        self._mark_complete(tmp_path, "round_000", "round_001", "round_old")
+        assert latest_complete_round(tmp_path) == 1
+
+    def test_latest_round_stops_at_first_gap(self, tmp_path):
+        assert latest_complete_round(tmp_path / "missing") is None
+        self._mark_complete(tmp_path / "a", "round_001")
+        assert latest_complete_round(tmp_path / "a") is None
+        self._mark_complete(tmp_path / "b", "round_000", "round_002")
+        assert latest_complete_round(tmp_path / "b") == 0
+
     def test_round_trip_and_selection_dominance(self, mini_bundle, tmp_path):
         spec = mini_learner_spec(mini_bundle)
         config = mini_spel_config(n_steps=2, per_step=20)

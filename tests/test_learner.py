@@ -1,9 +1,12 @@
+import copy
+import json
 import math
 
 import numpy as np
 import pytest
 
 from spelaudio.learner import (
+    EPS,
     LearnerParams,
     LearnerSpec,
     MiniBatch,
@@ -219,7 +222,8 @@ class TestAdam:
     def test_zero_gradient_is_noop(self):
         _, params, state = self._scalar_setup()
         zero = {name: np.zeros_like(a) for name, a in params.tensors.items()}
-        new_params, _ = adam_step(state, params, zero)
+        new_params = copy.deepcopy(params)
+        adam_step(state, new_params, zero)
         for name in params.tensors:
             assert np.array_equal(new_params.tensors[name], params.tensors[name])
         assert new_params.step == 1
@@ -229,8 +233,9 @@ class TestAdam:
         _, params, state = self._scalar_setup()
         g = 0.37
         grads = {name: np.full_like(a, g) for name, a in params.tensors.items()}
-        new_params, _ = adam_step(state, params, grads)
-        expected = -state.learning_rate * g / (abs(g) + state.eps)
+        new_params = copy.deepcopy(params)
+        adam_step(state, new_params, grads)
+        expected = -state.learning_rate * g / (abs(g) + EPS)
         for name in params.tensors:
             delta = new_params.tensors[name] - params.tensors[name]
             assert np.allclose(delta, expected, atol=1e-15)
@@ -240,8 +245,10 @@ class TestAdam:
         _, params, state = self._scalar_setup()
         rng = np.random.default_rng(0)
         grads = {name: rng.normal(size=a.shape) for name, a in params.tensors.items()}
-        p1, s1 = adam_step(state, params, grads)
-        p2, s2 = adam_step(state, params, grads)
+        p1, s1 = copy.deepcopy((params, state))
+        adam_step(s1, p1, grads)
+        p2, s2 = copy.deepcopy((params, state))
+        adam_step(s2, p2, grads)
         for name in params.tensors:
             assert np.array_equal(p1.tensors[name], p2.tensors[name])
             assert np.array_equal(s1.m[name], s2.m[name])
@@ -257,7 +264,7 @@ class TestAdam:
             initial, _ = loss_and_grad(params, batch)
             for _ in range(20):
                 _, grads = loss_and_grad(params, batch)
-                params, state = adam_step(state, params, grads)
+                adam_step(state, params, grads)
             final, _ = loss_and_grad(params, batch)
             if final < initial:
                 improved += 1
@@ -342,6 +349,111 @@ class TestTrain:
         assert p2.step == 3 * 4
 
 
+def reference_train(params, inputs, targets, *, epochs, batch_size, state, seed):
+    """Textbook copy-on-step Adam: every step builds new arrays from the old."""
+    spec, step, lr = params.spec, params.step, state.learning_rate
+    tensors, m, v = dict(params.tensors), dict(state.m), dict(state.v)
+    rng = np.random.default_rng(seed)
+    for _ in range(epochs):
+        order = rng.permutation(len(inputs))
+        for start in range(0, len(inputs), batch_size):
+            sel = order[start : start + batch_size]
+            current = LearnerParams(spec=spec, tensors=tensors, step=step)
+            _, grads = loss_and_grad(current, MiniBatch(inputs[sel], targets[sel]))
+            step += 1
+            bc1, bc2 = 1.0 - 0.9**step, 1.0 - 0.999**step
+            for name, g in grads.items():
+                m[name] = 0.9 * m[name] + (1.0 - 0.9) * g
+                v[name] = 0.999 * v[name] + (1.0 - 0.999) * (g * g)
+                m_hat, v_hat = m[name] / bc1, v[name] / bc2
+                tensors[name] = tensors[name] - lr * m_hat / (np.sqrt(v_hat) + 1e-8)
+    return LearnerParams(spec=spec, tensors=tensors, step=step), m, v
+
+
+TRAIN_SPECS = [
+    LearnerSpec(input_shape=6, n_outputs=3, hidden_layers=(8, 5)),
+    LearnerSpec(input_shape=(8, 7), n_outputs=3, hidden_layers=(6,), conv_stem=((3, 3, 2),)),
+]
+
+
+def _train_data(spec, n=23, seed=4):
+    rng = np.random.default_rng(seed)
+    shape = spec.input_shape if isinstance(spec.input_shape, tuple) else (spec.input_shape,)
+    return rng.normal(size=(n, *shape)), rng.integers(0, spec.n_outputs, size=n)
+
+
+class TestTrainContract:
+    @pytest.mark.parametrize("idx", range(len(TRAIN_SPECS)))
+    def test_bitwise_equal_to_copy_on_step_reference(self, idx):
+        spec = TRAIN_SPECS[idx]
+        inputs, targets = _train_data(spec)
+        params = init_params(spec, seed=idx)
+        state = init_adam(params, learning_rate=3e-3)
+        got, got_state = train(
+            params, inputs, targets, epochs=3, batch_size=5, state=state, seed=7
+        )
+        want, want_m, want_v = reference_train(
+            params, inputs, targets, epochs=3, batch_size=5, state=state, seed=7
+        )
+        assert got.step == want.step == 3 * 5
+        for name in params.tensors:
+            assert np.array_equal(got.tensors[name], want.tensors[name])
+            assert np.array_equal(got_state.m[name], want_m[name])
+            assert np.array_equal(got_state.v[name], want_v[name])
+
+    def test_arguments_left_unchanged(self):
+        spec = TRAIN_SPECS[1]
+        inputs, targets = _train_data(spec)
+        params = init_params(spec, seed=1)
+        state = init_adam(params, learning_rate=3e-3)
+        params, state = train(params, inputs, targets, epochs=1, batch_size=5, state=state, seed=1)
+        before_params, before_state = copy.deepcopy((params, state))
+        out, out_state = train(
+            params, inputs, targets, epochs=2, batch_size=5, state=state, seed=2
+        )
+        assert out is not params and out_state is not state
+        assert params.step == before_params.step
+        assert state.learning_rate == before_state.learning_rate
+        for name in params.tensors:
+            assert np.array_equal(params.tensors[name], before_params.tensors[name])
+            assert np.array_equal(state.m[name], before_state.m[name])
+            assert np.array_equal(state.v[name], before_state.v[name])
+
+    def test_nan_inputs_raise_naming_tensor_and_step(self):
+        spec = TRAIN_SPECS[0]
+        inputs, targets = _train_data(spec)
+        inputs[3, 2] = np.nan
+        params = init_params(spec, seed=0)
+        state = init_adam(params, learning_rate=1e-3)
+        with pytest.raises(ValueError, match=r"dense0_w .*non-finite.* step 5\b"):
+            train(params, inputs, targets, epochs=2, batch_size=5, state=state, seed=0)
+
+    def test_params_validated_once_per_call_not_per_step(self, monkeypatch):
+        spec = TRAIN_SPECS[0]
+        inputs, targets = _train_data(spec)
+        params = init_params(spec, seed=0)
+        state = init_adam(params, learning_rate=1e-3)
+        checks = []
+        validate = LearnerParams.__post_init__
+
+        def counting_validate(self):
+            checks.append(self.step)
+            validate(self)
+
+        monkeypatch.setattr(LearnerParams, "__post_init__", counting_validate)
+        out, _ = train(params, inputs, targets, epochs=4, batch_size=2, state=state, seed=0)
+        assert out.step == 4 * 12
+        assert len(checks) == 1
+
+
+def _rewrite_checkpoint(path, **replace):
+    with np.load(path, allow_pickle=False) as archive:
+        payload = {key: archive[key] for key in archive.files}
+    payload.update(replace)
+    with open(path, "wb") as fh:
+        np.savez(fh, **payload)
+
+
 class TestSerialization:
     def test_round_trip_params_and_state(self, tmp_path):
         spec = LearnerSpec(
@@ -355,7 +467,7 @@ class TestSerialization:
         state = init_adam(params, learning_rate=2e-3)
         rng = np.random.default_rng(0)
         grads = {name: rng.normal(size=a.shape) for name, a in params.tensors.items()}
-        params, state = adam_step(state, params, grads)
+        adam_step(state, params, grads)
 
         path = tmp_path / "member.npz"
         save_params(path, params, state)
@@ -377,6 +489,28 @@ class TestSerialization:
         loaded, state = load_params(path)
         assert state is None
         assert np.array_equal(loaded.tensors["out_w"], params.tensors["out_w"])
+
+    def test_stored_adam_constants_must_match(self, tmp_path):
+        spec = LearnerSpec(input_shape=4, n_outputs=2, hidden_layers=(3,))
+        params = init_params(spec, seed=1)
+        path = tmp_path / "member.npz"
+        save_params(path, params, init_adam(params, learning_rate=1e-3))
+        assert load_params(path)[1].learning_rate == 1e-3
+        _rewrite_checkpoint(path, **{"adam/hyper": np.array([1e-3, 0.8, 0.999, 1e-8])})
+        with pytest.raises(ValueError, match="member.npz.*beta1"):
+            load_params(path)
+
+    def test_stored_activation_must_be_relu(self, tmp_path):
+        spec = LearnerSpec(input_shape=4, n_outputs=2, hidden_layers=(3,))
+        path = tmp_path / "member.npz"
+        save_params(path, init_params(spec, seed=1))
+        with np.load(path, allow_pickle=False) as archive:
+            raw = json.loads(str(archive["spec_json"]))
+        assert raw["activation"] == "relu"
+        raw["activation"] = "tanh"
+        _rewrite_checkpoint(path, spec_json=np.array(json.dumps(raw)))
+        with pytest.raises(ValueError, match="member.npz.*activation 'tanh'"):
+            load_params(path)
 
     def test_version_check(self, tmp_path):
         path = tmp_path / "bad.npz"
