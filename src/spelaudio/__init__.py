@@ -57,7 +57,7 @@ from .learner import (
     save_params,
     train,
 )
-from .metrics import McNemarResult, accuracy, lrap, mcnemar, uar, wlrap
+from .metrics import TASK_METRICS, McNemarResult, accuracy, lrap, mcnemar, task_metrics, uar, wlrap
 from .synthetic import SyntheticBundle, SyntheticSpec, gen_synthetic
 from .wavio import UnsupportedWavError, WavFormatError, load_wav, write_wav
 

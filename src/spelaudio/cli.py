@@ -19,7 +19,7 @@ import numpy as np
 from .config import ConfigError
 from .dsp import StftConfig, mel_filterbank, preprocess
 from .experiment import run_experiment, sweep
-from .metrics import accuracy, lrap, mcnemar, uar, wlrap
+from .metrics import TASK_METRICS, mcnemar, score
 from .wavio import WavFormatError, load_wav
 
 __all__ = ["main"]
@@ -103,17 +103,11 @@ def _cmd_sweep(args) -> int:
 def _cmd_evaluate(args) -> int:
     pred = _read_csv_matrix(args.predictions)
     truth = _read_csv_matrix(args.truth)
-    if args.metric in ("accuracy", "uar"):
-        truth_labels = _as_labels(truth)
-        pred_labels = _as_labels(pred)
-        if args.metric == "accuracy":
-            value = accuracy(pred_labels, truth_labels)
-        else:
-            n_classes = args.classes or int(truth_labels.max()) + 1
-            value = uar(pred_labels, truth_labels, n_classes)
+    if args.metric in TASK_METRICS["multiclass"]:
+        labels, truth = _as_labels(pred), _as_labels(truth)
+        value = score(args.metric, labels, None, truth, args.classes or int(truth.max()) + 1)
     else:
-        indicator = truth.astype(np.int64)
-        value = lrap(pred, indicator) if args.metric == "lrap" else wlrap(pred, indicator)
+        value = score(args.metric, None, pred, truth.astype(np.int64), 0)
     print(f"{args.metric} {value:.6f}")
     return 0
 
@@ -158,7 +152,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("evaluate", help="score predictions CSV against truth CSV")
     p.add_argument("predictions")
     p.add_argument("truth")
-    p.add_argument("--metric", required=True, choices=("accuracy", "uar", "lrap", "wlrap"))
+    metric_names = dict.fromkeys(name for names in TASK_METRICS.values() for name in names)
+    p.add_argument("--metric", required=True, choices=tuple(metric_names))
     p.add_argument("--classes", type=int, default=None)
     p.set_defaults(func=_cmd_evaluate)
 

@@ -15,13 +15,12 @@ from pathlib import Path
 
 from .dsp import StftConfig
 from .engine import SpelConfig
+from .metrics import DEFAULT_METRIC, TASK_METRICS
 from .synthetic import SyntheticSpec
 
 __all__ = ["ConfigError", "ExperimentConfig", "load_config", "config_from_text"]
 
-TASKS = ("multiclass", "multilabel")
 SOURCES = ("synthetic", "wav-dir")
-METRICS = ("accuracy", "uar", "lrap", "wlrap")
 
 
 class ConfigError(ValueError):
@@ -62,16 +61,15 @@ class ExperimentConfig:
     raw_text: str = ""
 
     def __post_init__(self):
-        if self.task not in TASKS:
-            raise ConfigError(f"task must be one of {TASKS}, got {self.task!r}")
+        if self.task not in TASK_METRICS:
+            raise ConfigError(f"task must be one of {tuple(TASK_METRICS)}, got {self.task!r}")
         if self.source not in SOURCES:
             raise ConfigError(f"source must be one of {SOURCES}, got {self.source!r}")
-        if self.metric not in METRICS:
-            raise ConfigError(f"metric must be one of {METRICS}, got {self.metric!r}")
-        if self.task == "multiclass" and self.metric in ("lrap", "wlrap"):
-            raise ConfigError(f"metric {self.metric} needs a multilabel task")
-        if self.task == "multilabel" and self.metric == "uar":
-            raise ConfigError("uar needs a multiclass task")
+        if self.metric not in TASK_METRICS[self.task]:
+            tasks = [task for task, names in TASK_METRICS.items() if self.metric in names]
+            if not tasks:
+                raise ConfigError(f"unknown metric {self.metric!r}; per task: {TASK_METRICS}")
+            raise ConfigError(f"metric {self.metric} needs a {' or '.join(tasks)} task")
         total = self.train_fraction + self.val_fraction + self.test_fraction
         if abs(total - 1.0) > 1e-9:
             raise ConfigError(f"train/val/test fractions sum to {total}, expected 1")
@@ -120,42 +118,44 @@ class _Section:
         self.name = name
         self.values = dict(values)
 
-    def _typed(self, key, default, caster, kind):
+    def parsed(self, key, default, parser, kind):
+        """The value run through parser. An empty or 'none' value means None
+        where the default is None; elsewhere the parser judges it."""
         if key not in self.values:
             return default
         value, lineno = self.values.pop(key)
-        if value.lower() in ("", "none"):
+        if default is None and value.lower() in ("", "none"):
             return None
         try:
-            return caster(value)
+            return parser(value)
         except (ValueError, TypeError):
             raise ConfigError(f"line {lineno}: [{self.name}] {key} must be {kind}, got {value!r}")
 
     def str(self, key, default=None):
-        return self._typed(key, default, str, "a string")
+        return self.parsed(key, default, _text, "a string")
 
     def int(self, key, default=None):
-        return self._typed(key, default, int, "an integer")
+        return self.parsed(key, default, int, "an integer")
 
     def float(self, key, default=None):
-        return self._typed(key, default, float, "a number")
-
-    def int_list(self, key, default=None):
-        return self._typed(
-            key,
-            default,
-            lambda v: tuple(int(p.strip()) for p in v.split(",") if p.strip()),
-            "a comma-separated integer list",
-        )
-
-    def parsed(self, key, default, parser, kind):
-        """A value run through parser; an empty or 'none' value keeps the default."""
-        value = self._typed(key, None, parser, kind)
-        return default if value is None else value
+        return self.parsed(key, default, float, "a number")
 
     def finish(self):
         for key, (_, lineno) in self.values.items():
             raise ConfigError(f"line {lineno}: unknown key {key!r} in [{self.name}]")
+
+
+def _text(text: str) -> str:
+    if text.lower() in ("", "none"):
+        raise ValueError(text)
+    return text
+
+
+def _int_list(text: str) -> tuple[int, ...]:
+    values = tuple(int(p.strip()) for p in text.split(",") if p.strip())
+    if not values:
+        raise ValueError(text)
+    return values
 
 
 def _positive_int(text: str) -> int:
@@ -205,7 +205,7 @@ def config_from_text(text: str, base_dir: Path | None = None) -> ExperimentConfi
     output_dir = exp.str("output_dir", None)
     exp.finish()
     if metric is None:
-        metric = "accuracy" if task == "multiclass" else "wlrap"
+        metric = DEFAULT_METRIC.get(task)
 
     dsp = section("dsp")
     stft = StftConfig(
@@ -303,7 +303,9 @@ def config_from_text(text: str, base_dir: Path | None = None) -> ExperimentConfi
                 raise ConfigError(f"[data] {label} does not exist: {path}")
 
     sweep = section("sweep")
-    sweep_m_grid = sweep.int_list("m_grid", (50, 100, 150, 200))
+    sweep_m_grid = sweep.parsed(
+        "m_grid", (50, 100, 150, 200), _int_list, "a comma-separated integer list"
+    )
     sweep_budget = sweep.int("budget", 1000)
     sweep_k_max = sweep.int("k_max", None)
     sweep.finish()

@@ -33,7 +33,8 @@ from .learner import (
     save_params,
     train,
 )
-from .metrics import accuracy, lrap, uar, wlrap
+from .metrics import task_metrics
+from .metrics import accuracy, uar  # noqa: F401  wrapped by perfbench/spans.py's tracer
 
 __all__ = [
     "SpelConfig",
@@ -169,16 +170,9 @@ def _evaluate(ensemble: Ensemble, validation: LabeledSet | None) -> dict[str, fl
     if validation is None:
         return {}
     pred = avg_predict(ensemble, validation.inputs)
-    if ensemble.task == "multiclass":
-        return {
-            "accuracy": accuracy(pred.labels, validation.targets),
-            "uar": uar(pred.labels, validation.targets, ensemble.n_outputs),
-        }
-    return {
-        "accuracy": accuracy(pred.labels, validation.targets),
-        "lrap": lrap(pred.probabilities, validation.targets),
-        "wlrap": wlrap(pred.probabilities, validation.targets),
-    }
+    return task_metrics(
+        ensemble.task, pred.labels, pred.probabilities, validation.targets, ensemble.n_outputs
+    )
 
 
 def pretrain(config: SpelConfig, labeled: LabeledSet, specs: list[LearnerSpec]):
@@ -355,9 +349,10 @@ def _round_dir(checkpoint_dir: Path, j: int) -> Path:
     return Path(checkpoint_dir) / f"round_{j:03d}"
 
 
-def _write_json_atomic(path: Path, payload) -> None:
-    tmp = path.with_suffix(".tmp")
-    tmp.write_text(json.dumps(payload, indent=2, sort_keys=True))
+def write_text_atomic(path: Path, text: str) -> None:
+    """Write through a sibling temporary file, so readers see old or new text."""
+    tmp = path.with_name(path.name + ".tmp")
+    tmp.write_text(text)
     os.replace(tmp, path)
 
 
@@ -370,9 +365,11 @@ def save_round(
     pseudo: PseudoSet | None,
 ) -> None:
     """Persist one round: member checkpoints, then the round record last
-    (its presence marks the round complete)."""
+    (its presence marks the round complete). An earlier record of the round
+    is removed first, so a rewrite cut short leaves the round incomplete."""
     rdir = _round_dir(Path(checkpoint_dir), j)
     rdir.mkdir(parents=True, exist_ok=True)
+    (rdir / "round.json").unlink(missing_ok=True)
     for i, (member, state) in enumerate(zip(ensemble.members, states)):
         save_params(rdir / f"member_{i:02d}.npz", member, state)
     payload = {
@@ -389,7 +386,7 @@ def save_round(
             "confidences": pseudo.confidences.tolist(),
         },
     }
-    _write_json_atomic(rdir / "round.json", payload)
+    write_text_atomic(rdir / "round.json", json.dumps(payload, indent=2, sort_keys=True))
 
 
 def load_round(checkpoint_dir: str | Path, j: int, members: bool = True):

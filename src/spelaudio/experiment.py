@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import os
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -20,10 +19,11 @@ import numpy as np
 
 from .config import ConfigError, ExperimentConfig, load_config
 from .dsp import MelFilterbank, Signal, StftConfig, mel_filterbank, preprocess
-from .engine import LabeledSet, RoundReport, UnlabeledSet, run_spel
+from .engine import LabeledSet, RoundReport, UnlabeledSet, run_spel, write_text_atomic
 from .ensemble import Ensemble, avg_predict
 from .learner import LearnerSpec
-from .metrics import McNemarResult, accuracy, lrap, mcnemar, uar, wlrap
+from .metrics import TASK_METRICS, McNemarResult, mcnemar, task_metrics
+from .metrics import accuracy, uar  # noqa: F401  wrapped by perfbench/spans.py's tracer
 from .synthetic import gen_synthetic
 from .wavio import load_wav
 
@@ -48,6 +48,7 @@ class ExperimentData:
     unlabeled: UnlabeledSet
     test_inputs: np.ndarray
     test_truth: np.ndarray | None
+    n_classes: int
 
 
 @dataclass(frozen=True)
@@ -81,10 +82,6 @@ def _scan_wav_classes(root: Path):
             files.append(wav)
             labels.append(idx)
     return classes, files, np.asarray(labels, dtype=np.int64)
-
-
-def _scan_flat_wavs(root: Path):
-    return sorted(root.glob("*.wav"))
 
 
 def _preprocess_files(files, config: ExperimentConfig, fb_cache: dict):
@@ -136,13 +133,17 @@ def _build_wav_data(config: ExperimentConfig) -> ExperimentData:
         validation = LabeledSet(inputs=src_images[val_rows], targets=src_labels[val_rows])
 
     target_classes, tgt_files, tgt_labels = _scan_wav_classes(config.target_dir)
+    if target_classes and target_classes != classes:
+        raise ConfigError(
+            f"{config.target_dir}: class subdirectories {target_classes} do not "
+            f"match the source classes {classes}"
+        )
+    if not target_classes:
+        tgt_files = sorted(config.target_dir.glob("*.wav"))
+    if not tgt_files:
+        raise ConfigError(f"[data] target_dir {config.target_dir}: no .wav files found")
+    tgt_images, _ = _preprocess_files(tgt_files, config, fb_cache)
     if target_classes:
-        if target_classes != classes:
-            raise ConfigError(
-                f"{config.target_dir}: class subdirectories {target_classes} do not "
-                f"match the source classes {classes}"
-            )
-        tgt_images, _ = _preprocess_files(tgt_files, config, fb_cache)
         tgt_order = rng.permutation(len(tgt_files))
         n_unl = int(round(config.unlabeled_fraction * len(tgt_order)))
         unl_rows = tgt_order[:n_unl]
@@ -157,19 +158,16 @@ def _build_wav_data(config: ExperimentConfig) -> ExperimentData:
                 unlabeled,
                 tgt_images[test_tgt_rows],
                 tgt_labels[test_tgt_rows],
+                len(classes),
             )
         # whole target pool unlabeled: fall back to the source test split
     else:
-        flat = _scan_flat_wavs(config.target_dir)
-        if not flat:
-            raise ConfigError(f"{config.target_dir}: no .wav files found")
-        tgt_images, _ = _preprocess_files(flat, config, fb_cache)
-        unlabeled = UnlabeledSet(inputs=tgt_images, ids=np.arange(len(flat)))
+        unlabeled = UnlabeledSet(inputs=tgt_images, ids=np.arange(len(tgt_files)))
 
     if len(test_rows) == 0:
         raise ConfigError("no labeled test data: test fraction is 0 and the target is unlabeled")
     return ExperimentData(
-        labeled, validation, unlabeled, src_images[test_rows], src_labels[test_rows]
+        labeled, validation, unlabeled, src_images[test_rows], src_labels[test_rows], len(classes)
     )
 
 
@@ -191,6 +189,7 @@ def build_data(config: ExperimentConfig) -> ExperimentData:
             unlabeled=bundle.unlabeled,
             test_inputs=bundle.test_inputs,
             test_truth=bundle.test_truth,
+            n_classes=config.synthetic.n_classes,
         )
     return _build_wav_data(config)
 
@@ -198,16 +197,12 @@ def build_data(config: ExperimentConfig) -> ExperimentData:
 def build_learner_specs(config: ExperimentConfig, data: ExperimentData) -> list[LearnerSpec]:
     """Per-member architectures; hidden/conv groups cycle over the members."""
     input_shape = tuple(data.labeled.inputs.shape[1:])
-    if config.task == "multiclass":
-        n_outputs = int(data.labeled.targets.max()) + 1
-    else:
-        n_outputs = data.labeled.targets.shape[1]
     specs = []
     for i in range(config.spel.n_members):
         specs.append(
             LearnerSpec(
                 input_shape=input_shape,
-                n_outputs=n_outputs,
+                n_outputs=data.n_classes,
                 hidden_layers=config.hidden_specs[i % len(config.hidden_specs)],
                 conv_stem=config.conv_specs[i % len(config.conv_specs)],
                 head=config.task,
@@ -216,38 +211,14 @@ def build_learner_specs(config: ExperimentConfig, data: ExperimentData) -> list[
     return specs
 
 
-def _test_metrics(task, prediction, truth, n_classes) -> dict[str, float]:
-    if truth is None:
-        return {}
-    if task == "multiclass":
-        return {
-            "accuracy": accuracy(prediction.labels, truth),
-            "uar": uar(prediction.labels, truth, n_classes),
-        }
-    return {
-        "accuracy": accuracy(prediction.labels, truth),
-        "lrap": lrap(prediction.probabilities, truth),
-        "wlrap": wlrap(prediction.probabilities, truth),
-    }
-
-
-def _atomic_write_text(path: Path, text: str) -> None:
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text)
-    os.replace(tmp, path)
-
-
 def _fmt(value) -> str:
     if value is None:
         return ""
     return f"{value:.6f}"
 
 
-_CSV_METRICS = {"multiclass": ("accuracy", "uar"), "multilabel": ("accuracy", "lrap", "wlrap")}
-
-
 def round_csv_text(record: ResultsRecord) -> str:
-    metric_names = _CSV_METRICS[record.task]
+    metric_names = TASK_METRICS[record.task]
     header = ["round", "pseudo_count", "min_selected_confidence", *metric_names, "improvement"]
     lines = [",".join(header)]
     improvements = record.improvements()
@@ -287,8 +258,8 @@ def _summary_payload(record: ResultsRecord) -> dict:
 
 def write_results(record: ResultsRecord, output_dir: Path) -> None:
     output_dir.mkdir(parents=True, exist_ok=True)
-    _atomic_write_text(output_dir / "results.csv", round_csv_text(record))
-    _atomic_write_text(
+    write_text_atomic(output_dir / "results.csv", round_csv_text(record))
+    write_text_atomic(
         output_dir / "summary.json",
         json.dumps(_summary_payload(record), indent=2, sort_keys=True) + "\n",
     )
@@ -322,13 +293,12 @@ def run_experiment(config: ExperimentConfig | str | Path) -> ResultsRecord:
     )
     timings["train_seconds"] = time.perf_counter() - t1
 
-    n_classes = specs[0].n_outputs
-    final_metrics = _test_metrics(config.task, result.prediction, data.test_truth, n_classes)
-    baseline_metrics = _test_metrics(
-        config.task, result.baseline_prediction, data.test_truth, n_classes
-    )
-    mc = None
+    final_metrics, baseline_metrics, mc = {}, {}, None
     if data.test_truth is not None:
+        final_metrics, baseline_metrics = (
+            task_metrics(config.task, p.labels, p.probabilities, data.test_truth, data.n_classes)
+            for p in (result.prediction, result.baseline_prediction)
+        )
         mc = mcnemar(result.prediction.labels, result.baseline_prediction.labels, data.test_truth)
     timings["total_seconds"] = time.perf_counter() - t0
 
@@ -385,7 +355,7 @@ def sweep(config: ExperimentConfig | str | Path) -> list[tuple[int, int, Results
     for m, k, record in results:
         final = record.final_metrics.get(config.metric)
         lines.append(f"{m},{k},{_fmt(final)},{_fmt(record.improvements()[-1])}")
-    _atomic_write_text(config.output_dir / "sweep.csv", "\n".join(lines) + "\n")
+    write_text_atomic(config.output_dir / "sweep.csv", "\n".join(lines) + "\n")
     return results
 
 
@@ -401,9 +371,11 @@ def sliding_window_predict(
     ensemble on each window, then keep the per-class maximum."""
     rate = long_signal.sample_rate
     window_n = int(round(window_seconds * rate))
-    hop_n = max(1, int(round(hop_seconds * rate)))
+    hop_n = int(round(hop_seconds * rate))
     if window_n < 1:
         raise ValueError("window must cover at least one sample")
+    if hop_n < 1:
+        raise ValueError(f"hop of {hop_seconds} s covers no sample at {rate} Hz")
     if len(long_signal) < window_n:
         raise ValueError(
             f"signal of {len(long_signal)} samples is shorter than one "

@@ -20,6 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from .metrics import TASK_METRICS
+
 __all__ = [
     "LearnerSpec",
     "LearnerParams",
@@ -36,8 +38,6 @@ __all__ = [
     "save_params",
     "load_params",
 ]
-
-HEADS = ("multiclass", "multilabel")
 
 FORMAT_VERSION = 1
 
@@ -76,8 +76,8 @@ class LearnerSpec:
         )
         if any(w < 1 for w in self.hidden_layers):
             raise ValueError("hidden layer widths must be positive")
-        if self.head not in HEADS:
-            raise ValueError(f"head must be one of {HEADS}, got {self.head!r}")
+        if self.head not in TASK_METRICS:
+            raise ValueError(f"head must be one of {tuple(TASK_METRICS)}, got {self.head!r}")
         minimum = 2 if self.head == "multiclass" else 1
         if self.n_outputs < minimum:
             raise ValueError(f"{self.head} head needs n_outputs >= {minimum}")

@@ -1,5 +1,6 @@
 """Performance measures: accuracy, unweighted average recall, (weighted)
-label-ranking average precision, and the paired McNemar test.
+label-ranking average precision, and the paired McNemar test, plus the
+table of which of them score each task kind.
 
 All functions are pure and operate on numpy arrays. For 2-D label arrays
 (multi-label predictions), "correct" means per-sample exact match.
@@ -12,6 +13,10 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
+    "TASK_METRICS",
+    "DEFAULT_METRIC",
+    "task_metrics",
+    "score",
     "accuracy",
     "uar",
     "lrap",
@@ -20,6 +25,12 @@ __all__ = [
     "McNemarResult",
     "CHI2_CRITICAL_P01",
 ]
+
+# The metrics of each task kind, in results.csv column order; the keys are
+# the task kinds.
+TASK_METRICS = {"multiclass": ("accuracy", "uar"), "multilabel": ("accuracy", "lrap", "wlrap")}
+# The primary metric of a task kind when a config names none.
+DEFAULT_METRIC = {"multiclass": "accuracy", "multilabel": "wlrap"}
 
 # Chi-square critical value, 1 degree of freedom, significance 0.01.
 CHI2_CRITICAL_P01 = 6.635
@@ -116,6 +127,28 @@ def lrap(scores, truth, weighted: bool = False) -> float:
 def wlrap(scores, truth) -> float:
     """Sample-weighted label-ranking average precision."""
     return lrap(scores, truth, weighted=True)
+
+
+def score(metric: str, labels, probabilities, truth, n_classes: int) -> float:
+    """One named metric: accuracy and UAR score hard labels, LRAP and wLRAP
+    score probabilities."""
+    if metric == "accuracy":
+        return accuracy(labels, truth)
+    if metric == "uar":
+        return uar(labels, truth, n_classes)
+    if metric == "lrap":
+        return lrap(probabilities, truth)
+    if metric == "wlrap":
+        return wlrap(probabilities, truth)
+    raise ValueError(f"unknown metric {metric!r}")
+
+
+def task_metrics(task: str, labels, probabilities, truth, n_classes: int) -> dict[str, float]:
+    """Every metric of the task kind, in TASK_METRICS order."""
+    return {
+        name: score(name, labels, probabilities, truth, n_classes)
+        for name in TASK_METRICS[task]
+    }
 
 
 @dataclass(frozen=True)

@@ -14,8 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dsp import MelFilterbank, Signal, StftConfig, mel_filterbank, preprocess
+from .dsp import Signal, StftConfig, frame_count, mel_filterbank, preprocess
 from .engine import LabeledSet, UnlabeledSet
+from .metrics import TASK_METRICS
 
 __all__ = ["SyntheticSpec", "SyntheticBundle", "gen_synthetic"]
 
@@ -57,7 +58,7 @@ class SyntheticSpec:
             raise ValueError("need 0 < amp_min <= amp_max")
         if self.n_harmonics < 1:
             raise ValueError("need at least the fundamental")
-        if self.task not in ("multiclass", "multilabel"):
+        if self.task not in TASK_METRICS:
             raise ValueError(f"unknown task {self.task!r}")
         if self.val_domain not in ("source", "target"):
             raise ValueError(f"val_domain must be source or target, got {self.val_domain!r}")
@@ -138,16 +139,12 @@ def _render_split(rng, spec, stft_config, fb, n, domain):
     else:
         targets = _multilabel_targets(rng, n, spec)
         actives = [np.nonzero(row)[0] for row in targets]
-    images = np.empty((n,) + _image_shape(spec, stft_config, fb), dtype=np.float64)
+    shape = (n, frame_count(spec.clip_samples, stft_config), fb.n_mels)
+    images = np.empty(shape, dtype=np.float64)
     for i in range(n):
         clip = Signal(_tone(rng, spec, actives[i], domain), spec.sample_rate)
         images[i] = preprocess(clip, stft_config, fb, spec.clip_samples).values
     return images, targets
-
-
-def _image_shape(spec: SyntheticSpec, stft_config: StftConfig, fb: MelFilterbank):
-    frames = (spec.clip_samples - stft_config.win_length) // stft_config.hop + 1
-    return (frames, fb.n_mels)
 
 
 def gen_synthetic(

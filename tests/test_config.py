@@ -170,13 +170,44 @@ class TestErrors:
             config_from_text("[experiment]\ntask = multiclass\n[learner]\nconv = 4x3\n")
 
     @pytest.mark.parametrize(
-        "line", ["hidden = a,b", "hidden = 0", "hidden = 16;-2", "conv = 4x8"]
+        "line",
+        [
+            "hidden = a,b",
+            "hidden = 0",
+            "hidden = 16;-2",
+            "conv = 4x8",
+            "[dsp] n_fft = none",
+            "[dsp] hop =",
+            "[spel] members = none",
+            "[synthetic] freq_jitter = none",
+            "[experiment] seed = none",
+            "[sweep] m_grid =",
+        ],
     )
     def test_bad_learner_layers_report_line(self, line):
-        text = f"[experiment]\ntask = multiclass\n[learner]\n{line}\n"
-        key = line.split()[0]
-        with pytest.raises(ConfigError, match=rf"line 4: \[learner\] {key} must be"):
+        """A bad value, or none/empty where the default is a value, names its
+        line; the section is [learner] unless the case names another."""
+        section, _, assignment = line.rpartition("] ")
+        section = section.lstrip("[") or "learner"
+        text = f"[experiment]\ntask = multiclass\n[{section}]\n{assignment}\n"
+        key = assignment.split()[0]
+        with pytest.raises(ConfigError, match=rf"line 4: \[{section}\] {key} must be"):
             config_from_text(text)
+
+    def test_optional_keys_accept_none(self):
+        text = (
+            "[experiment]\nmetric = none\noutput_dir = none\n"
+            "[dsp]\nfmax = none\n[spel]\nspel_epochs = none\n"
+            "[data]\nsource_dir = none\ntarget_dir =\n[sweep]\nk_max = none\n"
+        )
+        cfg = config_from_text(text)
+        assert cfg.metric == "accuracy"
+        assert cfg.output_dir is None and cfg.fmax is None and cfg.spel.spel_epochs is None
+        assert cfg.source_dir is None and cfg.target_dir is None and cfg.sweep_k_max is None
+
+    def test_none_hidden_group_is_a_linear_member(self):
+        cfg = config_from_text("[learner]\nhidden = none\n")
+        assert cfg.hidden_specs == ((),)
 
     def test_comments_and_blanks_ignored(self):
         text = "# top comment\n\n[experiment]\n# inner\ntask = multiclass\n"

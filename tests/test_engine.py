@@ -4,6 +4,7 @@ import shutil
 import numpy as np
 import pytest
 
+from spelaudio import engine
 from spelaudio.engine import (
     LabeledSet,
     PseudoSet,
@@ -14,11 +15,12 @@ from spelaudio.engine import (
     load_round,
     pretrain,
     run_spel,
+    save_round,
     select_pseudo,
     spel_round,
 )
 from spelaudio.ensemble import Ensemble, avg_predict
-from spelaudio.learner import LearnerSpec, init_adam, init_params, train
+from spelaudio.learner import LearnerSpec, init_adam, init_params, save_params, train
 
 from conftest import mini_learner_spec, mini_spel_config
 
@@ -323,6 +325,35 @@ class TestCheckpoints:
         assert report.pseudo_count == result.reports[1].pseudo_count
         assert report.metrics == pytest.approx(result.reports[1].metrics)
         assert np.array_equal(pseudo.ids, result.pseudo_sets[0].ids)
+
+    def test_interrupted_rewrite_leaves_the_round_incomplete(
+        self, mini_bundle, tmp_path, monkeypatch
+    ):
+        spec = mini_learner_spec(mini_bundle)
+        ckpt = tmp_path / "ckpt"
+        run_spel(
+            mini_bundle.source,
+            mini_bundle.unlabeled,
+            mini_bundle.test_inputs,
+            mini_spel_config(n_steps=1),
+            [spec, spec],
+            checkpoint_dir=ckpt,
+        )
+        assert latest_complete_round(ckpt) == 1
+        ensemble, states, report, pseudo = load_round(ckpt, 1)
+        written = []
+
+        def save_one_then_fail(path, params, state=None):
+            if written:
+                raise OSError("disk full")
+            written.append(path)
+            save_params(path, params, state)
+
+        monkeypatch.setattr(engine, "save_params", save_one_then_fail)
+        with pytest.raises(OSError, match="disk full"):
+            save_round(ckpt, 1, ensemble, states, report, pseudo)
+        assert len(written) == 1
+        assert latest_complete_round(ckpt) == 0
 
     def test_resume_matches_uninterrupted_run(self, mini_bundle, tmp_path):
         spec = mini_learner_spec(mini_bundle)

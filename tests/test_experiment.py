@@ -3,7 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from spelaudio.config import config_from_text
+from spelaudio import experiment
+from spelaudio.config import ConfigError, config_from_text
 from spelaudio.dsp import Signal, StftConfig, mel_filterbank, preprocess
 from spelaudio.engine import pretrain
 from spelaudio.ensemble import avg_predict
@@ -210,6 +211,23 @@ class TestSlidingWindow:
         )
         assert np.allclose(scores, probs.max(axis=0), atol=1e-15)
 
+    @pytest.mark.parametrize("hop_seconds", [0.0, -0.075])
+    def test_non_positive_hop_rejected_before_the_frontend(
+        self, mini_bundle, monkeypatch, hop_seconds
+    ):
+        ensemble = self._ensemble(mini_bundle)
+        stft_config = StftConfig(n_fft=128, hop=64, win_length=128)
+        fb = mel_filterbank(12, 128, 4000)
+
+        def no_frontend(*args, **kwargs):
+            raise AssertionError("the frontend ran")
+
+        monkeypatch.setattr(experiment, "preprocess", no_frontend)
+        with pytest.raises(ValueError, match="hop"):
+            sliding_window_predict(
+                ensemble, Signal(np.zeros(2400), 4000), 0.15, hop_seconds, stft_config, fb
+            )
+
     def test_short_signal_rejected(self, mini_bundle):
         ensemble = self._ensemble(mini_bundle)
         stft_config = StftConfig(n_fft=128, hop=64, win_length=128)
@@ -221,7 +239,7 @@ class TestSlidingWindow:
 
 
 def make_wav_corpus(root, rng, n_per_class, classes=("low", "mid"), rates=(4000,), offset=0.0):
-    freqs = {"low": 400.0, "mid": 900.0}
+    freqs = {"low": 400.0, "mid": 900.0, "top": 1400.0}
     for name in classes:
         (root / name).mkdir(parents=True)
         for i in range(n_per_class):
@@ -275,15 +293,19 @@ unlabeled_fraction = 0.6
         assert record.final_metrics["accuracy"] >= 0.0
         assert (tmp_path / "out" / "results.csv").exists()
 
-    def test_flat_target_uses_source_test_split(self, tmp_path):
-        rng = np.random.default_rng(1)
-        make_wav_corpus(tmp_path / "source", rng, 12)
-        flat = tmp_path / "target_flat"
-        flat.mkdir()
+    @staticmethod
+    def _flat_target(root):
+        root.mkdir()
         for i in range(8):
             t = np.arange(800) / 4000
             x = 0.7 * np.sin(2 * np.pi * 640.0 * t)
-            write_wav(flat / f"u{i}.wav", Signal(x, 4000))
+            write_wav(root / f"u{i}.wav", Signal(x, 4000))
+        return root
+
+    def test_flat_target_uses_source_test_split(self, tmp_path):
+        rng = np.random.default_rng(1)
+        make_wav_corpus(tmp_path / "source", rng, 12)
+        flat = self._flat_target(tmp_path / "target_flat")
         record = run_experiment(
             config_from_text(self._config_text(tmp_path / "source", flat, tmp_path / "out2"))
         )
@@ -302,6 +324,33 @@ unlabeled_fraction = 0.6
         assert data.test_inputs.shape[0] == total_target - n_unl
         specs = build_learner_specs(cfg, data)
         assert specs[0].n_outputs == 2
+
+    def test_class_count_comes_from_the_subdirectories(self, tmp_path):
+        # The lone "top" clip lands in the source test split under seed 12,
+        # so the training labels alone would count two classes.
+        rng = np.random.default_rng(0)
+        make_wav_corpus(tmp_path / "source", rng, 6)
+        make_wav_corpus(tmp_path / "source", rng, 1, classes=("top",))
+        flat = self._flat_target(tmp_path / "target_flat")
+        text = self._config_text(tmp_path / "source", flat, tmp_path / "out")
+        cfg = config_from_text(text.replace("seed = 3", "seed = 12"))
+        data = build_data(cfg)
+        assert data.n_classes == 3
+        assert 2 not in data.labeled.targets and 2 in data.test_truth
+        assert build_learner_specs(cfg, data)[0].n_outputs == 3
+        record = run_experiment(cfg)
+        assert set(record.final_metrics) == {"accuracy", "uar"}
+
+    def test_target_class_directories_without_wavs_rejected(self, tmp_path):
+        rng = np.random.default_rng(0)
+        make_wav_corpus(tmp_path / "source", rng, 6)
+        for name in ("low", "mid"):
+            (tmp_path / "target" / name).mkdir(parents=True)
+        cfg = config_from_text(
+            self._config_text(tmp_path / "source", tmp_path / "target", tmp_path / "out")
+        )
+        with pytest.raises(ConfigError, match="target_dir"):
+            build_data(cfg)
 
 
 class TestSourceSanityBound:

@@ -3,9 +3,13 @@ import pytest
 
 from spelaudio.metrics import (
     CHI2_CRITICAL_P01,
+    DEFAULT_METRIC,
+    TASK_METRICS,
     accuracy,
     lrap,
     mcnemar,
+    score,
+    task_metrics,
     uar,
     wlrap,
 )
@@ -203,3 +207,32 @@ class TestMcnemar:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             mcnemar([0, 1], [0, 1], [0, 1, 2])
+
+
+class TestTaskMetrics:
+    def test_multiclass_computes_its_table_row(self):
+        truth = np.array([0, 1, 2, 2, 1])
+        labels = np.array([0, 1, 1, 2, 1])
+        got = task_metrics("multiclass", labels, None, truth, 3)
+        assert tuple(got) == TASK_METRICS["multiclass"]
+        assert got == {"accuracy": accuracy(labels, truth), "uar": uar(labels, truth, 3)}
+
+    def test_multilabel_computes_its_table_row(self):
+        scores, truth = random_multilabel_case(np.random.default_rng(4), n_samples=20, n_labels=5)
+        labels = (scores > 0).astype(int)
+        got = task_metrics("multilabel", labels, scores, truth, 5)
+        assert tuple(got) == TASK_METRICS["multilabel"]
+        assert got == {
+            "accuracy": accuracy(labels, truth),
+            "lrap": lrap(scores, truth),
+            "wlrap": wlrap(scores, truth),
+        }
+
+    def test_default_metric_belongs_to_its_task(self):
+        assert set(DEFAULT_METRIC) == set(TASK_METRICS)
+        for task, metric in DEFAULT_METRIC.items():
+            assert metric in TASK_METRICS[task]
+
+    def test_unknown_metric_rejected(self):
+        with pytest.raises(ValueError, match="unknown metric"):
+            score("f1", np.array([0]), None, np.array([0]), 2)
