@@ -355,39 +355,53 @@ class TestCheckpoints:
         assert len(written) == 1
         assert latest_complete_round(ckpt) == 0
 
-    def test_resume_matches_uninterrupted_run(self, mini_bundle, tmp_path):
+    @pytest.mark.parametrize(
+        "checkpoint_steps, kept_rounds, expected_last",
+        [
+            (2, 1, 0),  # cut after round 0
+            (2, 2, 1),  # cut after round 1
+            (2, 3, 2),  # every round complete
+            (2, 0, None),  # empty checkpoint directory
+            (3, 4, 3),  # checkpoint deeper than the resumed run
+        ],
+        ids=["after-round-0", "after-round-1", "after-last-round", "empty", "deeper"],
+    )
+    def test_resume_matches_uninterrupted_run(
+        self, mini_bundle, tmp_path, checkpoint_steps, kept_rounds, expected_last
+    ):
         spec = mini_learner_spec(mini_bundle)
-        config = mini_spel_config(n_steps=2)
-        full_dir = tmp_path / "full"
-        full = run_spel(
-            mini_bundle.source,
-            mini_bundle.unlabeled,
-            mini_bundle.test_inputs,
-            config,
-            [spec, spec],
-            validation=mini_bundle.validation,
-            checkpoint_dir=full_dir,
-        )
-        # Truncate the checkpoint to round 1 and resume.
-        shutil.rmtree(full_dir / "round_002")
-        assert latest_complete_round(full_dir) == 1
-        resumed = run_spel(
-            mini_bundle.source,
-            mini_bundle.unlabeled,
-            mini_bundle.test_inputs,
-            config,
-            [spec, spec],
-            validation=mini_bundle.validation,
-            checkpoint_dir=full_dir,
-            resume=True,
-        )
-        assert np.array_equal(
-            resumed.prediction.probabilities, full.prediction.probabilities
-        )
-        assert np.array_equal(
-            resumed.baseline_prediction.probabilities,
-            full.baseline_prediction.probabilities,
-        )
-        assert [r.pseudo_count for r in resumed.reports] == [
-            r.pseudo_count for r in full.reports
-        ]
+
+        def go(n_steps, checkpoint_dir, resume=False):
+            return run_spel(
+                mini_bundle.source,
+                mini_bundle.unlabeled,
+                mini_bundle.test_inputs,
+                mini_spel_config(n_steps=n_steps),
+                [spec, spec],
+                validation=mini_bundle.validation,
+                checkpoint_dir=checkpoint_dir,
+                resume=resume,
+            )
+
+        full = go(2, tmp_path / "full")
+        ckpt = tmp_path / "ckpt"
+        go(checkpoint_steps, ckpt)
+        for j in range(kept_rounds, checkpoint_steps + 1):
+            shutil.rmtree(ckpt / f"round_{j:03d}")
+        assert latest_complete_round(ckpt) == expected_last
+        resumed = go(2, ckpt, resume=True)
+
+        for got, want in (
+            (resumed.prediction, full.prediction),
+            (resumed.baseline_prediction, full.baseline_prediction),
+        ):
+            assert np.array_equal(got.probabilities, want.probabilities)
+            assert np.array_equal(got.labels, want.labels)
+        assert resumed.reports == full.reports
+        assert len(resumed.pseudo_sets) == len(full.pseudo_sets) == 2
+        for got, want in zip(resumed.pseudo_sets, full.pseudo_sets):
+            assert np.array_equal(got.ids, want.ids)
+            assert np.array_equal(got.labels, want.labels)
+            assert np.array_equal(got.confidences, want.confidences)
+        for a, b in zip(resumed.ensemble.members, full.ensemble.members):
+            assert all(np.array_equal(a.tensors[k], b.tensors[k]) for k in a.tensors)
