@@ -53,7 +53,6 @@ from .learner import (
     init_params,
     load_params,
     loss_and_grad,
-    predict_proba,
     save_params,
     train,
 )

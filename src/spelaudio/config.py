@@ -16,7 +16,7 @@ from pathlib import Path
 from .dsp import StftConfig
 from .engine import SpelConfig
 from .metrics import DEFAULT_METRIC, TASK_METRICS
-from .synthetic import SyntheticSpec
+from .synthetic import DOMAINS, SyntheticSpec
 
 __all__ = ["ConfigError", "ExperimentConfig", "load_config", "config_from_text"]
 
@@ -34,7 +34,6 @@ class ExperimentConfig:
     output_dir: Path | None = None
     seed: int = 0
     metric: str = "accuracy"
-    val_domain: str = "target"
 
     stft: StftConfig = field(default_factory=StftConfig)
     n_mels: int = 256
@@ -61,10 +60,6 @@ class ExperimentConfig:
     raw_text: str = ""
 
     def __post_init__(self):
-        if self.task not in TASK_METRICS:
-            raise ConfigError(f"task must be one of {tuple(TASK_METRICS)}, got {self.task!r}")
-        if self.source not in SOURCES:
-            raise ConfigError(f"source must be one of {SOURCES}, got {self.source!r}")
         if self.metric not in TASK_METRICS[self.task]:
             tasks = [task for task, names in TASK_METRICS.items() if self.metric in names]
             if not tasks:
@@ -128,7 +123,7 @@ class _Section:
             return None
         try:
             return parser(value)
-        except (ValueError, TypeError):
+        except (ValueError, TypeError, KeyError):
             raise ConfigError(f"line {lineno}: [{self.name}] {key} must be {kind}, got {value!r}")
 
     def str(self, key, default=None):
@@ -139,6 +134,10 @@ class _Section:
 
     def float(self, key, default=None):
         return self.parsed(key, default, float, "a number")
+
+    def choice(self, key, default, choices, kind=None):
+        lookup = {choice: choice for choice in choices}
+        return self.parsed(key, default, lookup.__getitem__, kind or f"one of {tuple(choices)}")
 
     def finish(self):
         for key, (_, lineno) in self.values.items():
@@ -197,15 +196,17 @@ def config_from_text(text: str, base_dir: Path | None = None) -> ExperimentConfi
         return _Section(name, sections.get(name, {}))
 
     exp = section("experiment")
-    task = exp.str("task", "multiclass")
-    source = exp.str("source", "synthetic")
+    task = exp.choice("task", "multiclass", TASK_METRICS)
+    source = exp.choice("source", "synthetic", SOURCES)
     seed = exp.int("seed", 0)
-    metric = exp.str("metric", None)
-    val_domain = exp.str("val_domain", "target")
+    metric = exp.str("metric", None) or DEFAULT_METRIC[task]
+    # Only the synthetic generator renders validation clips of either domain.
+    if source == "synthetic":
+        val_domain = exp.choice("val_domain", "target", DOMAINS)
+    else:
+        exp.choice("val_domain", "target", (), kind=f"unset with source = {source}")
     output_dir = exp.str("output_dir", None)
     exp.finish()
-    if metric is None:
-        metric = DEFAULT_METRIC.get(task)
 
     dsp = section("dsp")
     stft = StftConfig(
@@ -316,7 +317,6 @@ def config_from_text(text: str, base_dir: Path | None = None) -> ExperimentConfi
         output_dir=resolve(output_dir),
         seed=seed,
         metric=metric,
-        val_domain=val_domain,
         stft=stft,
         n_mels=n_mels,
         fmin=fmin,

@@ -19,6 +19,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, field
+from itertools import zip_longest
 from pathlib import Path
 
 import numpy as np
@@ -175,28 +176,29 @@ def _evaluate(ensemble: Ensemble, validation: LabeledSet | None) -> dict[str, fl
     )
 
 
+def _train_members(members, states, inputs, targets, epochs, config, stage, *j):
+    """Continue every member; member i shuffles from the seed of (run seed, stage, i, *j)."""
+    trained = [
+        train(params, inputs, targets, epochs=epochs, batch_size=config.batch_size,
+              state=state, seed=_derive_seed(config.seed, stage, i, *j))
+        for i, (params, state) in enumerate(zip(members, states))
+    ]
+    return Ensemble(tuple(params for params, _ in trained)), [state for _, state in trained]
+
+
 def pretrain(config: SpelConfig, labeled: LabeledSet, specs: list[LearnerSpec]):
     """Stage 1: train each member independently from its own derived seed."""
     if len(specs) != config.n_members:
         raise ValueError(
             f"got {len(specs)} specs for an ensemble of {config.n_members} members"
         )
-    members, states = [], []
-    for i, spec in enumerate(specs):
-        params = init_params(spec, seed=_derive_seed(config.seed, 0, i))
-        state = init_adam(params, learning_rate=config.learning_rate)
-        params, state = train(
-            params,
-            labeled.inputs,
-            labeled.targets,
-            epochs=config.pretrain_epochs,
-            batch_size=config.batch_size,
-            state=state,
-            seed=_derive_seed(config.seed, 1, i),
-        )
-        members.append(params)
-        states.append(state)
-    return Ensemble(tuple(members)), states
+    members = [
+        init_params(spec, seed=_derive_seed(config.seed, 0, i)) for i, spec in enumerate(specs)
+    ]
+    states = [init_adam(params, learning_rate=config.learning_rate) for params in members]
+    return _train_members(
+        members, states, labeled.inputs, labeled.targets, config.pretrain_epochs, config, 1
+    )
 
 
 def select_pseudo(
@@ -218,11 +220,6 @@ def select_pseudo(
     )
 
 
-def _positions(all_ids: np.ndarray, wanted: np.ndarray) -> np.ndarray:
-    sorter = np.argsort(all_ids)
-    return sorter[np.searchsorted(all_ids, wanted, sorter=sorter)]
-
-
 def spel_round(
     ensemble: Ensemble,
     states: list[OptimizerState],
@@ -242,25 +239,14 @@ def spel_round(
         raise ValueError("round index starts at 1")
     count = min(config.per_step * j, len(unlabeled))
     pseudo = select_pseudo(ensemble, unlabeled, count, round_index=j)
-    rows = _positions(unlabeled.ids, pseudo.ids)
+    sorter = np.argsort(unlabeled.ids)
+    rows = sorter[np.searchsorted(unlabeled.ids, pseudo.ids, sorter=sorter)]
     pool_inputs = np.concatenate([labeled.inputs, unlabeled.inputs[rows]], axis=0)
     pool_targets = np.concatenate([labeled.targets, pseudo.labels], axis=0)
-
-    new_members, new_states = [], []
-    for i, (params, state) in enumerate(zip(ensemble.members, states)):
-        params, state = train(
-            params,
-            pool_inputs,
-            pool_targets,
-            epochs=config.spel_epochs_effective,
-            batch_size=config.batch_size,
-            state=state,
-            seed=_derive_seed(config.seed, 2, i, j),
-        )
-        new_members.append(params)
-        new_states.append(state)
-
-    new_ensemble = Ensemble(tuple(new_members))
+    new_ensemble, new_states = _train_members(
+        ensemble.members, states, pool_inputs, pool_targets, config.spel_epochs_effective,
+        config, 2, j,
+    )
     report = RoundReport(
         round_index=j,
         pseudo_count=count,
@@ -283,58 +269,41 @@ def run_spel(
     """Full pipeline: pre-train, self-paced rounds, final averaged prediction.
 
     Emits one report per round including round 0 (the pre-trained
-    baseline). With a checkpoint directory, every round is persisted and
-    `resume=True` continues from the latest complete round, reproducing
-    the uninterrupted run exactly. The caller is responsible for passing
-    the same data and config when resuming.
+    baseline). With a checkpoint directory, every computed round is
+    persisted; `resume=True` loads the rounds up to the latest complete one
+    instead, reproducing the uninterrupted run exactly, and refuses a
+    checkpoint of other run settings or member specs. The data is not
+    checked: the caller must pass the same data.
     """
     if config.n_steps > 0 and (unlabeled is None or len(unlabeled) == 0):
         raise ValueError("self-paced rounds need a nonempty unlabeled set")
 
-    ckpt = Path(checkpoint_dir) if checkpoint_dir is not None else None
+    last = latest_complete_round(checkpoint_dir) if resume and checkpoint_dir is not None else None
+    last = -1 if last is None else min(last, config.n_steps)
     reports: list[RoundReport] = []
     pseudo_sets: list[PseudoSet] = []
-    start_round = 0
-
-    resumed = None
-    if resume and ckpt is not None:
-        last = latest_complete_round(ckpt)
-        if last is not None:
-            last = min(last, config.n_steps)
-            for jj in range(1, last + 1):
-                _, _, rep, pse = load_round(ckpt, jj, members=False)
-                reports.append(rep)
-                if pse is not None:
-                    pseudo_sets.append(pse)
-            base_ensemble, base_states, report0, _ = load_round(ckpt, 0)
-            reports.insert(0, report0)
-            if last == 0:
-                resumed = (base_ensemble, base_states)
-            else:
-                ens, sts, _, _ = load_round(ckpt, last)
-                resumed = (ens, sts)
-            baseline_prediction = avg_predict(base_ensemble, test_inputs)
-            ensemble, states = resumed
-            start_round = last + 1
-
-    if resumed is None:
-        ensemble, states = pretrain(config, labeled, specs)
-        baseline_prediction = avg_predict(ensemble, test_inputs)
-        reports.append(
-            RoundReport(round_index=0, pseudo_count=0, metrics=_evaluate(ensemble, validation))
-        )
-        if ckpt is not None:
-            save_round(ckpt, 0, ensemble, states, reports[0], None)
-        start_round = 1
-
-    for j in range(start_round, config.n_steps + 1):
-        ensemble, states, report, pseudo = spel_round(
-            ensemble, states, labeled, unlabeled, j, config, validation
-        )
+    for j in range(config.n_steps + 1):
+        if j <= last:
+            # Members are read only where the run needs them: the baseline
+            # and the round the run continues from.
+            ensemble, states, report, pseudo = load_round(
+                checkpoint_dir, j, members=j in (0, last), config=config, specs=specs
+            )
+        elif j == 0:
+            ensemble, states = pretrain(config, labeled, specs)
+            metrics = _evaluate(ensemble, validation)
+            report, pseudo = RoundReport(round_index=0, pseudo_count=0, metrics=metrics), None
+        else:
+            ensemble, states, report, pseudo = spel_round(
+                ensemble, states, labeled, unlabeled, j, config, validation
+            )
+        if j == 0:
+            baseline_prediction = avg_predict(ensemble, test_inputs)
+        if j > last and checkpoint_dir is not None:
+            save_round(checkpoint_dir, j, ensemble, states, report, pseudo, config)
         reports.append(report)
-        pseudo_sets.append(pseudo)
-        if ckpt is not None:
-            save_round(ckpt, j, ensemble, states, report, pseudo)
+        if pseudo is not None:
+            pseudo_sets.append(pseudo)
 
     return SpelResult(
         prediction=avg_predict(ensemble, test_inputs),
@@ -356,6 +325,15 @@ def write_text_atomic(path: Path, text: str) -> None:
     os.replace(tmp, path)
 
 
+# The run settings that decide what a round computes, stamped on every round
+# record. The round count is left out, so a resumed run may stop earlier or
+# go further.
+_STAMPED_SETTINGS = (
+    "n_members", "per_step", "learning_rate", "pretrain_epochs", "spel_epochs_effective",
+    "batch_size", "seed",
+)
+
+
 def save_round(
     checkpoint_dir: str | Path,
     j: int,
@@ -363,10 +341,12 @@ def save_round(
     states: list[OptimizerState],
     report: RoundReport,
     pseudo: PseudoSet | None,
+    config: SpelConfig,
 ) -> None:
     """Persist one round: member checkpoints, then the round record last
-    (its presence marks the round complete). An earlier record of the round
-    is removed first, so a rewrite cut short leaves the round incomplete."""
+    (its presence marks the round complete), stamped with the run settings.
+    An earlier record of the round is removed first, so a rewrite cut short
+    leaves the round incomplete."""
     rdir = _round_dir(Path(checkpoint_dir), j)
     rdir.mkdir(parents=True, exist_ok=True)
     (rdir / "round.json").unlink(missing_ok=True)
@@ -378,6 +358,7 @@ def save_round(
         "metrics": report.metrics,
         "min_selected_confidence": report.min_selected_confidence,
         "n_members": ensemble.n,
+        "config": {name: getattr(config, name) for name in _STAMPED_SETTINGS},
         "pseudo": None
         if pseudo is None
         else {
@@ -389,14 +370,30 @@ def save_round(
     write_text_atomic(rdir / "round.json", json.dumps(payload, indent=2, sort_keys=True))
 
 
-def load_round(checkpoint_dir: str | Path, j: int, members: bool = True):
+def load_round(
+    checkpoint_dir: str | Path,
+    j: int,
+    members: bool = True,
+    config: SpelConfig | None = None,
+    specs: list[LearnerSpec] | None = None,
+):
     """Load one persisted round; returns (ensemble, states, report, pseudo).
 
     With members=False only the record is read and the first two entries
-    are None.
+    are None. Given the run's config (and specs), a record stamped with
+    other settings (an unstamped record records None) or members of other
+    specs raise ValueError naming the round and the first difference.
     """
     rdir = _round_dir(Path(checkpoint_dir), j)
     record = json.loads((rdir / "round.json").read_text())
+    if config is not None:
+        stamp = record.get("config", {})
+        for name in _STAMPED_SETTINGS:
+            if stamp.get(name) != getattr(config, name):
+                raise ValueError(
+                    f"round {j} checkpoint records {name} = {stamp.get(name)!r}, "
+                    f"this run has {name} = {getattr(config, name)!r}"
+                )
     report = RoundReport(
         round_index=record["round"],
         pseudo_count=record["pseudo_count"],
@@ -417,6 +414,11 @@ def load_round(checkpoint_dir: str | Path, j: int, members: bool = True):
     loaded = [load_params(rdir / f"member_{i:02d}.npz") for i in range(record["n_members"])]
     ensemble = Ensemble(tuple(params for params, _ in loaded))
     states = [state for _, state in loaded]
+    if specs is not None:
+        loaded_specs = (member.spec for member in ensemble.members)
+        for i, (have, want) in enumerate(zip_longest(loaded_specs, specs)):
+            if have != want:
+                raise ValueError(f"round {j} checkpoint member {i} is {have}, this run has {want}")
     return ensemble, states, report, pseudo
 
 

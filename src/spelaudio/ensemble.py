@@ -13,14 +13,14 @@ from typing import Sequence
 
 import numpy as np
 
-from .learner import LearnerParams, predict_proba
+from . import learner
 
 __all__ = ["Ensemble", "EnsemblePrediction", "avg_predict", "permute_members"]
 
 
 @dataclass(frozen=True)
 class Ensemble:
-    members: tuple[LearnerParams, ...]
+    members: tuple[learner.LearnerParams, ...]
 
     def __post_init__(self):
         object.__setattr__(self, "members", tuple(self.members))
@@ -61,10 +61,11 @@ def avg_predict(ensemble: Ensemble, inputs: np.ndarray) -> EnsemblePrediction:
     threshold at 0.5 and the confidence is the mean per-label decisiveness
     |2p - 1|. The mean is accumulated incrementally in fixed member order,
     which keeps n identical members reproducing their common output exactly.
+    Members run through `learner.forward`, where perfbench's tracer wraps it.
     """
-    probs = predict_proba(ensemble.members[0], inputs)
+    probs = learner.forward(ensemble.members[0], inputs)
     for i, member in enumerate(ensemble.members[1:], start=2):
-        probs = probs + (predict_proba(member, inputs) - probs) / i
+        probs = probs + (learner.forward(member, inputs) - probs) / i
 
     if ensemble.task == "multiclass":
         labels = probs.argmax(axis=1)

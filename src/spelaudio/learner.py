@@ -30,7 +30,6 @@ __all__ = [
     "init_params",
     "init_adam",
     "forward",
-    "predict_proba",
     "loss_and_grad",
     "adam_step",
     "train",
@@ -300,11 +299,6 @@ def forward(params: LearnerParams, inputs: np.ndarray) -> np.ndarray:
     if params.spec.head == "multiclass":
         return _softmax(logits)
     return _sigmoid(logits)
-
-
-def predict_proba(params: LearnerParams, inputs: np.ndarray) -> np.ndarray:
-    """Inference-mode alias of forward."""
-    return forward(params, inputs)
 
 
 def _loss_and_dlogits(spec: LearnerSpec, logits: np.ndarray, targets: np.ndarray):

@@ -20,6 +20,8 @@ from .metrics import TASK_METRICS
 
 __all__ = ["SyntheticSpec", "SyntheticBundle", "gen_synthetic"]
 
+DOMAINS = ("source", "target")
+
 
 @dataclass(frozen=True)
 class SyntheticSpec:
@@ -60,7 +62,7 @@ class SyntheticSpec:
             raise ValueError("need at least the fundamental")
         if self.task not in TASK_METRICS:
             raise ValueError(f"unknown task {self.task!r}")
-        if self.val_domain not in ("source", "target"):
+        if self.val_domain not in DOMAINS:
             raise ValueError(f"val_domain must be source or target, got {self.val_domain!r}")
         if not 0 < self.label_density <= 1:
             raise ValueError("label_density must lie in (0, 1]")

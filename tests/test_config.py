@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import pytest
 
 from spelaudio.config import ConfigError, config_from_text, load_config
@@ -83,6 +85,16 @@ class TestParsing:
         assert a.config_hash == b.config_hash
         c = config_from_text(FULL.replace("output_dir = out\n", "").replace("seed = 11", "seed = 12"))
         assert c.config_hash != a.config_hash
+
+    def test_readme_example_parses(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+        cfg = config_from_text(block)
+        assert cfg.spel.spel_epochs == 4 and cfg.spel.per_step == 50
+        assert cfg.hidden_specs == ((64, 32),)
+        assert cfg.conv_specs == (((8, 3, 2), (16, 3, 2)),)
+        assert cfg.synthetic.val_domain == "target"
+        assert cfg.sweep_m_grid == (50, 100, 150, 200)
 
     def test_benchmark_template_parses(self):
         cfg = config_from_text(benchmark_config_text(3))
@@ -182,14 +194,19 @@ class TestErrors:
             "[synthetic] freq_jitter = none",
             "[experiment] seed = none",
             "[sweep] m_grid =",
+            "[experiment] task = bogus",
+            "[experiment] source = bogus",
+            "[experiment] val_domain = bogus",
+            "[experiment] val_domain = target\nsource = wav-dir",
         ],
     )
     def test_bad_learner_layers_report_line(self, line):
         """A bad value, or none/empty where the default is a value, names its
-        line; the section is [learner] unless the case names another."""
+        line; the section is [learner] unless the case names another, and
+        lines after the first follow the bad one."""
         section, _, assignment = line.rpartition("] ")
         section = section.lstrip("[") or "learner"
-        text = f"[experiment]\ntask = multiclass\n[{section}]\n{assignment}\n"
+        text = f"# the bad value is on line 4\n\n[{section}]\n{assignment}\n"
         key = assignment.split()[0]
         with pytest.raises(ConfigError, match=rf"line 4: \[{section}\] {key} must be"):
             config_from_text(text)

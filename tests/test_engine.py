@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import shutil
 
 import numpy as np
@@ -351,9 +352,23 @@ class TestCheckpoints:
 
         monkeypatch.setattr(engine, "save_params", save_one_then_fail)
         with pytest.raises(OSError, match="disk full"):
-            save_round(ckpt, 1, ensemble, states, report, pseudo)
+            save_round(ckpt, 1, ensemble, states, report, pseudo, mini_spel_config(n_steps=1))
         assert len(written) == 1
         assert latest_complete_round(ckpt) == 0
+
+    @staticmethod
+    def _run(mini_bundle, ckpt, config, specs=None, resume=False):
+        spec = mini_learner_spec(mini_bundle)
+        return run_spel(
+            mini_bundle.source,
+            mini_bundle.unlabeled,
+            mini_bundle.test_inputs,
+            config,
+            specs or [spec, spec],
+            validation=mini_bundle.validation,
+            checkpoint_dir=ckpt,
+            resume=resume,
+        )
 
     @pytest.mark.parametrize(
         "checkpoint_steps, kept_rounds, expected_last",
@@ -369,27 +384,13 @@ class TestCheckpoints:
     def test_resume_matches_uninterrupted_run(
         self, mini_bundle, tmp_path, checkpoint_steps, kept_rounds, expected_last
     ):
-        spec = mini_learner_spec(mini_bundle)
-
-        def go(n_steps, checkpoint_dir, resume=False):
-            return run_spel(
-                mini_bundle.source,
-                mini_bundle.unlabeled,
-                mini_bundle.test_inputs,
-                mini_spel_config(n_steps=n_steps),
-                [spec, spec],
-                validation=mini_bundle.validation,
-                checkpoint_dir=checkpoint_dir,
-                resume=resume,
-            )
-
-        full = go(2, tmp_path / "full")
+        full = self._run(mini_bundle, tmp_path / "full", mini_spel_config(n_steps=2))
         ckpt = tmp_path / "ckpt"
-        go(checkpoint_steps, ckpt)
+        self._run(mini_bundle, ckpt, mini_spel_config(n_steps=checkpoint_steps))
         for j in range(kept_rounds, checkpoint_steps + 1):
             shutil.rmtree(ckpt / f"round_{j:03d}")
         assert latest_complete_round(ckpt) == expected_last
-        resumed = go(2, ckpt, resume=True)
+        resumed = self._run(mini_bundle, ckpt, mini_spel_config(n_steps=2), resume=True)
 
         for got, want in (
             (resumed.prediction, full.prediction),
@@ -405,3 +406,30 @@ class TestCheckpoints:
             assert np.array_equal(got.confidences, want.confidences)
         for a, b in zip(resumed.ensemble.members, full.ensemble.members):
             assert all(np.array_equal(a.tensors[k], b.tensors[k]) for k in a.tensors)
+
+    def test_resume_refuses_other_run_settings(self, mini_bundle, tmp_path):
+        ckpt = tmp_path / "ckpt"
+        self._run(mini_bundle, ckpt, mini_spel_config(per_step=15))
+        resumed = mini_spel_config(per_step=25, learning_rate=1e-2)
+        with pytest.raises(ValueError, match="round 0 .*per_step = 15.*per_step = 25"):
+            self._run(mini_bundle, ckpt, resumed, resume=True)
+
+    def test_resume_refuses_an_unstamped_record(self, mini_bundle, tmp_path):
+        ckpt = tmp_path / "ckpt"
+        config = mini_spel_config(n_steps=0)
+        self._run(mini_bundle, ckpt, config)
+        record = ckpt / "round_000" / "round.json"
+        raw = json.loads(record.read_text())
+        del raw["config"]
+        record.write_text(json.dumps(raw))
+        with pytest.raises(ValueError, match="round 0 checkpoint records n_members = None"):
+            self._run(mini_bundle, ckpt, config, resume=True)
+
+    def test_resume_refuses_other_member_specs(self, mini_bundle, tmp_path):
+        ckpt = tmp_path / "ckpt"
+        spec = mini_learner_spec(mini_bundle)
+        config = mini_spel_config(n_steps=1)
+        self._run(mini_bundle, ckpt, config)
+        wider = dataclasses.replace(spec, hidden_layers=(24,))
+        with pytest.raises(ValueError, match="round 0 checkpoint member 1"):
+            self._run(mini_bundle, ckpt, config, specs=[spec, wider], resume=True)

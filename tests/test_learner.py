@@ -18,7 +18,6 @@ from spelaudio.learner import (
     load_params,
     loss_and_grad,
     n_parameters,
-    predict_proba,
     save_params,
     train,
 )
@@ -178,12 +177,6 @@ class TestForward:
         params = init_params(spec, seed=0)
         with pytest.raises(ValueError):
             forward(params, np.zeros((2, 8)))
-
-    def test_predict_proba_is_forward(self):
-        spec = LearnerSpec(input_shape=7, n_outputs=3, hidden_layers=(5,))
-        params = init_params(spec, seed=9)
-        x = np.random.default_rng(1).normal(size=(4, 7))
-        assert np.array_equal(predict_proba(params, x), forward(params, x))
 
 
 class TestLoss:
