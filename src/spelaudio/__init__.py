@@ -22,7 +22,7 @@ from .dsp import (
     stft,
 )
 from .engine import (
-    LabeledSet,
+    ExperimentData,
     PseudoSet,
     RoundReport,
     SpelConfig,
@@ -44,8 +44,8 @@ from .experiment import (
 )
 from .learner import (
     LearnerParams,
+    LabeledSet,
     LearnerSpec,
-    MiniBatch,
     OptimizerState,
     adam_step,
     forward,
@@ -57,7 +57,7 @@ from .learner import (
     train,
 )
 from .metrics import TASK_METRICS, McNemarResult, accuracy, lrap, mcnemar, task_metrics, uar, wlrap
-from .synthetic import SyntheticBundle, SyntheticSpec, gen_synthetic
+from .synthetic import SyntheticSpec, gen_synthetic
 from .wavio import UnsupportedWavError, WavFormatError, load_wav, write_wav
 
 __version__ = "0.1.0"

@@ -9,6 +9,12 @@ training on source + pseudo data with its optimizer state carried over.
 Stage 3 averages the final members over the test inputs. With zero
 rounds the result falls back to the plain pre-trained ensemble.
 
+Both data sources, synthetic and WAV directories, hand the run one
+``ExperimentData``: the labeled source (``LabeledSet``), optional
+validation, the label-free ``UnlabeledSet`` pool and the test inputs,
+plus the test and pool truths where the source knows them, which only
+evaluation reads.
+
 All randomness is derived from the run seed, member index, and round
 index, so runs are bitwise reproducible and a resumed run matches an
 uninterrupted one.
@@ -26,6 +32,7 @@ import numpy as np
 
 from .ensemble import Ensemble, EnsemblePrediction, avg_predict
 from .learner import (
+    LabeledSet,
     LearnerSpec,
     OptimizerState,
     init_adam,
@@ -39,8 +46,8 @@ from .metrics import accuracy, uar  # noqa: F401  wrapped by perfbench/spans.py'
 
 __all__ = [
     "SpelConfig",
-    "LabeledSet",
     "UnlabeledSet",
+    "ExperimentData",
     "PseudoSet",
     "RoundReport",
     "SpelResult",
@@ -97,21 +104,6 @@ class SpelConfig:
 
 
 @dataclass(frozen=True)
-class LabeledSet:
-    inputs: np.ndarray
-    targets: np.ndarray
-
-    def __post_init__(self):
-        if len(self.inputs) != len(self.targets):
-            raise ValueError("inputs and targets differ in length")
-        if len(self.inputs) == 0:
-            raise ValueError("labeled set is empty")
-
-    def __len__(self) -> int:
-        return len(self.inputs)
-
-
-@dataclass(frozen=True)
 class UnlabeledSet:
     """Target-domain samples plus stable identifiers. Carries no labels."""
 
@@ -128,6 +120,21 @@ class UnlabeledSet:
 
     def __len__(self) -> int:
         return len(self.ids)
+
+
+@dataclass(frozen=True)
+class ExperimentData:
+    """A run's inputs from either data source. The truths are for evaluation
+    only: test_truth is None without labeled test data, unlabeled_truth is
+    None where the pool's labels are unknown, and training never reads it."""
+
+    labeled: LabeledSet
+    validation: LabeledSet | None
+    unlabeled: UnlabeledSet
+    test_inputs: np.ndarray
+    test_truth: np.ndarray | None
+    n_classes: int
+    unlabeled_truth: np.ndarray | None = None
 
 
 @dataclass(frozen=True)

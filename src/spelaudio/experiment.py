@@ -19,16 +19,15 @@ import numpy as np
 
 from .config import ConfigError, ExperimentConfig, load_config
 from .dsp import MelFilterbank, Signal, StftConfig, mel_filterbank, preprocess
-from .engine import LabeledSet, RoundReport, UnlabeledSet, run_spel, write_text_atomic
+from .engine import ExperimentData, RoundReport, UnlabeledSet, run_spel, write_text_atomic
 from .ensemble import Ensemble, avg_predict
-from .learner import LearnerSpec
+from .learner import LabeledSet, LearnerSpec
 from .metrics import TASK_METRICS, McNemarResult, mcnemar, task_metrics
 from .metrics import accuracy, uar  # noqa: F401  wrapped by perfbench/spans.py's tracer
 from .synthetic import gen_synthetic
 from .wavio import load_wav
 
 __all__ = [
-    "ExperimentData",
     "ResultsRecord",
     "build_data",
     "build_learner_specs",
@@ -39,16 +38,6 @@ __all__ = [
     "benchmark_config_text",
     "benchmark_config",
 ]
-
-
-@dataclass(frozen=True)
-class ExperimentData:
-    labeled: LabeledSet
-    validation: LabeledSet | None
-    unlabeled: UnlabeledSet
-    test_inputs: np.ndarray
-    test_truth: np.ndarray | None
-    n_classes: int
 
 
 @dataclass(frozen=True)
@@ -74,100 +63,92 @@ class ResultsRecord:
         return out
 
 
-def _scan_wav_classes(root: Path):
+def _scan_wavs(root: Path):
+    """Class names, .wav files and their class indices under root: one
+    subdirectory per class, or a flat directory whose labels are None."""
     classes = sorted(d.name for d in root.iterdir() if d.is_dir())
+    if not classes:
+        return classes, sorted(root.glob("*.wav")), None
     files, labels = [], []
     for idx, name in enumerate(classes):
-        for wav in sorted((root / name).glob("*.wav")):
-            files.append(wav)
-            labels.append(idx)
+        wavs = sorted((root / name).glob("*.wav"))
+        files += wavs
+        labels += [idx] * len(wavs)
     return classes, files, np.asarray(labels, dtype=np.int64)
 
 
-def _preprocess_files(files, config: ExperimentConfig, fb_cache: dict):
-    images = []
-    rate = None
-    for path in files:
+def _mel_images(files, config: ExperimentConfig) -> np.ndarray:
+    """Decode and preprocess every file at the first file's sample rate."""
+    images = rate = fb = None
+    for i, path in enumerate(files):
         signal = load_wav(path)
         if rate is None:
             rate = signal.sample_rate
+            fb = mel_filterbank(config.n_mels, config.stft.n_fft, rate, config.fmin, config.fmax)
         elif signal.sample_rate != rate:
             raise ConfigError(
                 f"{path}: sample rate {signal.sample_rate} differs from {rate}; "
-                "a corpus must share one rate"
+                "source and target must share one rate"
             )
-        if rate not in fb_cache:
-            fb_cache[rate] = mel_filterbank(
-                config.n_mels, config.stft.n_fft, rate, config.fmin, config.fmax
-            )
-        target = config.clip_samples(rate)
-        images.append(preprocess(signal, config.stft, fb_cache[rate], target).values)
-    return np.stack(images), rate
+        image = preprocess(signal, config.stft, fb, config.clip_samples(rate)).values
+        if images is None:
+            images = np.empty((len(files), *image.shape))
+        images[i] = image
+    return images
 
 
 def _build_wav_data(config: ExperimentConfig) -> ExperimentData:
     if config.task != "multiclass":
         raise ConfigError("wav-dir mode labels clips by class subdirectory (multiclass only)")
-    classes, src_files, src_labels = _scan_wav_classes(config.source_dir)
+    classes, src_files, src_labels = _scan_wavs(config.source_dir)
     if len(classes) < 2:
         raise ConfigError(f"{config.source_dir}: need class subdirectories (found {len(classes)})")
     if not src_files:
         raise ConfigError(f"{config.source_dir}: no .wav files found")
-
-    fb_cache: dict = {}
-    src_images, _ = _preprocess_files(src_files, config, fb_cache)
-
-    rng = np.random.default_rng(config.seed)
-    order = rng.permutation(len(src_files))
-    n_train = int(round(config.train_fraction * len(order)))
-    n_val = int(round(config.val_fraction * len(order)))
-    train_rows = order[:n_train]
-    val_rows = order[n_train : n_train + n_val]
-    test_rows = order[n_train + n_val :]
-    if len(train_rows) == 0:
-        raise ConfigError("train fraction leaves no source training samples")
-
-    labeled = LabeledSet(inputs=src_images[train_rows], targets=src_labels[train_rows])
-    validation = None
-    if len(val_rows):
-        validation = LabeledSet(inputs=src_images[val_rows], targets=src_labels[val_rows])
-
-    target_classes, tgt_files, tgt_labels = _scan_wav_classes(config.target_dir)
+    target_classes, tgt_files, tgt_labels = _scan_wavs(config.target_dir)
     if target_classes and target_classes != classes:
         raise ConfigError(
             f"{config.target_dir}: class subdirectories {target_classes} do not "
             f"match the source classes {classes}"
         )
-    if not target_classes:
-        tgt_files = sorted(config.target_dir.glob("*.wav"))
     if not tgt_files:
         raise ConfigError(f"[data] target_dir {config.target_dir}: no .wav files found")
-    tgt_images, _ = _preprocess_files(tgt_files, config, fb_cache)
-    if target_classes:
+
+    rng = np.random.default_rng(config.seed)
+    order = rng.permutation(len(src_files))
+    n_train = int(round(config.train_fraction * len(order)))
+    n_val = int(round(config.val_fraction * len(order)))
+    train_rows, val_rows, test_rows = np.split(order, [n_train, n_train + n_val])
+    if len(train_rows) == 0:
+        raise ConfigError("train fraction leaves no source training samples")
+    if tgt_labels is None:
+        unl_rows, tgt_test_rows = np.arange(len(tgt_files)), []
+    else:
         tgt_order = rng.permutation(len(tgt_files))
         n_unl = int(round(config.unlabeled_fraction * len(tgt_order)))
-        unl_rows = tgt_order[:n_unl]
-        test_tgt_rows = tgt_order[n_unl:]
+        unl_rows, tgt_test_rows = np.split(tgt_order, [n_unl])
         if len(unl_rows) == 0:
             raise ConfigError("unlabeled fraction leaves no unlabeled target samples")
-        unlabeled = UnlabeledSet(inputs=tgt_images[unl_rows], ids=np.arange(len(unl_rows)))
-        if len(test_tgt_rows):
-            return ExperimentData(
-                labeled,
-                validation,
-                unlabeled,
-                tgt_images[test_tgt_rows],
-                tgt_labels[test_tgt_rows],
-                len(classes),
-            )
-        # whole target pool unlabeled: fall back to the source test split
-    else:
-        unlabeled = UnlabeledSet(inputs=tgt_images, ids=np.arange(len(tgt_files)))
-
-    if len(test_rows) == 0:
+    if len(tgt_test_rows) == 0 and len(test_rows) == 0:
         raise ConfigError("no labeled test data: test fraction is 0 and the target is unlabeled")
+
+    images = _mel_images(src_files + tgt_files, config)
+    src_images, tgt_images = np.split(images, [len(src_files)])
+    if len(tgt_test_rows):
+        test_inputs, test_truth = tgt_images[tgt_test_rows], tgt_labels[tgt_test_rows]
+    else:  # no labeled target clips: fall back to the source test split
+        test_inputs, test_truth = src_images[test_rows], src_labels[test_rows]
+    validation = None
+    if len(val_rows):
+        validation = LabeledSet(inputs=src_images[val_rows], targets=src_labels[val_rows])
     return ExperimentData(
-        labeled, validation, unlabeled, src_images[test_rows], src_labels[test_rows], len(classes)
+        labeled=LabeledSet(inputs=src_images[train_rows], targets=src_labels[train_rows]),
+        validation=validation,
+        unlabeled=UnlabeledSet(inputs=tgt_images[unl_rows], ids=np.arange(len(unl_rows))),
+        test_inputs=test_inputs,
+        test_truth=test_truth,
+        n_classes=len(classes),
+        unlabeled_truth=None if tgt_labels is None else tgt_labels[unl_rows],
     )
 
 
@@ -175,21 +156,13 @@ def build_data(config: ExperimentConfig) -> ExperimentData:
     if config.source == "synthetic":
         if config.synthetic is None:
             raise ConfigError("synthetic mode needs a synthetic data spec")
-        bundle = gen_synthetic(
+        return gen_synthetic(
             config.synthetic,
             config.stft,
             config.n_mels,
             seed=config.seed,
             fmin=config.fmin,
             fmax=config.fmax,
-        )
-        return ExperimentData(
-            labeled=bundle.source,
-            validation=bundle.validation,
-            unlabeled=bundle.unlabeled,
-            test_inputs=bundle.test_inputs,
-            test_truth=bundle.test_truth,
-            n_classes=config.synthetic.n_classes,
         )
     return _build_wav_data(config)
 

@@ -26,7 +26,7 @@ __all__ = [
     "LearnerSpec",
     "LearnerParams",
     "OptimizerState",
-    "MiniBatch",
+    "LabeledSet",
     "init_params",
     "init_adam",
     "forward",
@@ -176,15 +176,20 @@ class OptimizerState:
 
 
 @dataclass(frozen=True)
-class MiniBatch:
+class LabeledSet:
+    """Inputs with their targets: a labeled split, or one training mini-batch."""
+
     inputs: np.ndarray
     targets: np.ndarray
 
     def __post_init__(self):
-        if len(self.inputs) < 1:
-            raise ValueError("mini-batch must contain at least one sample")
         if len(self.inputs) != len(self.targets):
             raise ValueError("inputs and targets differ in length")
+        if len(self.inputs) == 0:
+            raise ValueError("labeled set is empty")
+
+    def __len__(self) -> int:
+        return len(self.inputs)
 
 
 def init_params(spec: LearnerSpec, seed: int) -> LearnerParams:
@@ -324,7 +329,7 @@ def _loss_and_dlogits(spec: LearnerSpec, logits: np.ndarray, targets: np.ndarray
     return loss, (_sigmoid(logits) - t) / batch
 
 
-def loss_and_grad(params: LearnerParams, batch: MiniBatch):
+def loss_and_grad(params: LearnerParams, batch: LabeledSet):
     """Mean loss over the batch and gradients matching the parameter map."""
     spec = params.spec
     t = params.tensors
@@ -407,7 +412,7 @@ def train(
         order = rng.permutation(n)
         for start in range(0, n, batch_size):
             sel = order[start : start + batch_size]
-            _, grads = loss_and_grad(params, MiniBatch(inputs[sel], targets[sel]))
+            _, grads = loss_and_grad(params, LabeledSet(inputs[sel], targets[sel]))
             adam_step(state, params, grads)
         for name, arr in params.tensors.items():
             if not np.all(np.isfinite(arr)):
@@ -497,3 +502,4 @@ def load_params(path):
                 learning_rate=lr,
             )
     return params, state
+

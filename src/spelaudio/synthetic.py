@@ -3,9 +3,11 @@
 Each class is a harmonic tone at its own base frequency; target-domain
 clips shift every class frequency by a fixed offset and carry heavier
 additive noise. This exercises the full audio frontend and produces a
-genuine adaptation gap between the domains. Ground truth for the
-unlabeled target pool is returned separately so the training path never
-sees it.
+genuine adaptation gap between the domains. ``gen_synthetic`` returns
+the splits as one ``ExperimentData``, the type the WAV-directory source
+builds too; the unlabeled pool's ground truth rides in its
+``unlabeled_truth`` field, beside the pool rather than in it, so the
+training path never sees it.
 """
 
 from __future__ import annotations
@@ -15,10 +17,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dsp import Signal, StftConfig, frame_count, mel_filterbank, preprocess
-from .engine import LabeledSet, UnlabeledSet
+from .engine import ExperimentData, UnlabeledSet
+from .learner import LabeledSet
 from .metrics import TASK_METRICS
 
-__all__ = ["SyntheticSpec", "SyntheticBundle", "gen_synthetic"]
+__all__ = ["SyntheticSpec", "gen_synthetic"]
 
 DOMAINS = ("source", "target")
 
@@ -86,19 +89,6 @@ class SyntheticSpec:
         return f
 
 
-@dataclass(frozen=True)
-class SyntheticBundle:
-    """Generated splits. unlabeled_truth and test_truth exist for evaluation
-    only; the unlabeled set itself carries no labels."""
-
-    source: LabeledSet
-    validation: LabeledSet | None
-    unlabeled: UnlabeledSet
-    unlabeled_truth: np.ndarray
-    test_inputs: np.ndarray
-    test_truth: np.ndarray
-
-
 def _tone(rng, spec: SyntheticSpec, classes, domain: str) -> np.ndarray:
     n = spec.clip_samples
     t = np.arange(n) / spec.sample_rate
@@ -156,7 +146,7 @@ def gen_synthetic(
     seed: int,
     fmin: float = 0.0,
     fmax: float | None = None,
-) -> SyntheticBundle:
+) -> ExperimentData:
     """Deterministically generate all splits as preprocessed mel images."""
     if spec.clip_samples < stft_config.win_length:
         raise ValueError("clip shorter than the analysis window")
@@ -171,11 +161,12 @@ def gen_synthetic(
     unl_x, unl_y = _render_split(rng, spec, stft_config, fb, spec.n_unlabeled, "target")
     test_x, test_y = _render_split(rng, spec, stft_config, fb, spec.n_test, "target")
 
-    return SyntheticBundle(
-        source=LabeledSet(inputs=src_x, targets=src_y),
+    return ExperimentData(
+        labeled=LabeledSet(inputs=src_x, targets=src_y),
         validation=validation,
         unlabeled=UnlabeledSet(inputs=unl_x, ids=np.arange(spec.n_unlabeled)),
-        unlabeled_truth=unl_y,
         test_inputs=test_x,
         test_truth=test_y,
+        n_classes=spec.n_classes,
+        unlabeled_truth=unl_y,
     )

@@ -33,7 +33,7 @@ def mini_synthetic_spec(**overrides):
 
 
 def mini_learner_spec(bundle, n_outputs=3, head="multiclass"):
-    shape = bundle.source.inputs.shape[1:]
+    shape = bundle.labeled.inputs.shape[1:]
     return LearnerSpec(input_shape=shape, n_outputs=n_outputs, hidden_layers=(16,), head=head)
 
 

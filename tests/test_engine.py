@@ -75,14 +75,14 @@ class TestPretrain:
     def test_single_member_equals_direct_train(self, mini_bundle):
         spec = mini_learner_spec(mini_bundle)
         config = mini_spel_config(n_members=1)
-        ensemble, _ = pretrain(config, mini_bundle.source, [spec])
+        ensemble, _ = pretrain(config, mini_bundle.labeled, [spec])
 
         params = init_params(spec, seed=_derive_seed(config.seed, 0, 0))
         state = init_adam(params, learning_rate=config.learning_rate)
         params, _ = train(
             params,
-            mini_bundle.source.inputs,
-            mini_bundle.source.targets,
+            mini_bundle.labeled.inputs,
+            mini_bundle.labeled.targets,
             epochs=config.pretrain_epochs,
             batch_size=config.batch_size,
             state=state,
@@ -94,7 +94,7 @@ class TestPretrain:
     def test_identical_specs_distinct_members(self, mini_bundle):
         spec = mini_learner_spec(mini_bundle)
         config = mini_spel_config(n_members=2)
-        ensemble, _ = pretrain(config, mini_bundle.source, [spec, spec])
+        ensemble, _ = pretrain(config, mini_bundle.labeled, [spec, spec])
         distance = sum(
             np.abs(a - b).sum()
             for a, b in zip(
@@ -106,7 +106,7 @@ class TestPretrain:
     def test_spec_count_mismatch(self, mini_bundle):
         spec = mini_learner_spec(mini_bundle)
         with pytest.raises(ValueError):
-            pretrain(mini_spel_config(n_members=2), mini_bundle.source, [spec])
+            pretrain(mini_spel_config(n_members=2), mini_bundle.labeled, [spec])
 
 
 def controlled_confidence_ensemble():
@@ -152,7 +152,7 @@ class TestSelectPseudo:
     def test_labels_match_ensemble_predictions(self, mini_bundle):
         spec = mini_learner_spec(mini_bundle)
         config = mini_spel_config()
-        ensemble, _ = pretrain(config, mini_bundle.source, [spec, spec])
+        ensemble, _ = pretrain(config, mini_bundle.labeled, [spec, spec])
         pseudo = select_pseudo(ensemble, mini_bundle.unlabeled, count=20)
         pred = avg_predict(ensemble, mini_bundle.unlabeled.inputs)
         for pid, label in zip(pseudo.ids, pseudo.labels):
@@ -164,30 +164,30 @@ class TestSpelRound:
     def test_pseudo_count_law_and_saturation(self, mini_bundle):
         spec = mini_learner_spec(mini_bundle)
         config = mini_spel_config(per_step=50)  # pool has 60 unlabeled samples
-        ensemble, states = pretrain(config, mini_bundle.source, [spec, spec])
+        ensemble, states = pretrain(config, mini_bundle.labeled, [spec, spec])
         ensemble, states, report1, pseudo1 = spel_round(
-            ensemble, states, mini_bundle.source, mini_bundle.unlabeled, 1, config
+            ensemble, states, mini_bundle.labeled, mini_bundle.unlabeled, 1, config
         )
         assert report1.pseudo_count == 50 and len(pseudo1.ids) == 50
         _, _, report2, pseudo2 = spel_round(
-            ensemble, states, mini_bundle.source, mini_bundle.unlabeled, 2, config
+            ensemble, states, mini_bundle.labeled, mini_bundle.unlabeled, 2, config
         )
         assert report2.pseudo_count == 60 and len(pseudo2.ids) == 60
 
     def test_source_labels_untouched(self, mini_bundle):
         spec = mini_learner_spec(mini_bundle)
         config = mini_spel_config()
-        before = mini_bundle.source.targets.copy()
-        ensemble, states = pretrain(config, mini_bundle.source, [spec, spec])
-        spel_round(ensemble, states, mini_bundle.source, mini_bundle.unlabeled, 1, config)
-        assert np.array_equal(mini_bundle.source.targets, before)
+        before = mini_bundle.labeled.targets.copy()
+        ensemble, states = pretrain(config, mini_bundle.labeled, [spec, spec])
+        spel_round(ensemble, states, mini_bundle.labeled, mini_bundle.unlabeled, 1, config)
+        assert np.array_equal(mini_bundle.labeled.targets, before)
 
     def test_round_index_starts_at_one(self, mini_bundle):
         spec = mini_learner_spec(mini_bundle)
         config = mini_spel_config()
-        ensemble, states = pretrain(config, mini_bundle.source, [spec, spec])
+        ensemble, states = pretrain(config, mini_bundle.labeled, [spec, spec])
         with pytest.raises(ValueError):
-            spel_round(ensemble, states, mini_bundle.source, mini_bundle.unlabeled, 0, config)
+            spel_round(ensemble, states, mini_bundle.labeled, mini_bundle.unlabeled, 0, config)
 
 
 class TestRunSpel:
@@ -195,7 +195,7 @@ class TestRunSpel:
         spec = mini_learner_spec(mini_bundle)
         config = mini_spel_config(n_steps=2)
         result = run_spel(
-            mini_bundle.source,
+            mini_bundle.labeled,
             mini_bundle.unlabeled,
             mini_bundle.test_inputs,
             config,
@@ -212,7 +212,7 @@ class TestRunSpel:
         spec = mini_learner_spec(mini_bundle)
         config = mini_spel_config(n_steps=0)
         result = run_spel(
-            mini_bundle.source,
+            mini_bundle.labeled,
             mini_bundle.unlabeled,
             mini_bundle.test_inputs,
             config,
@@ -230,7 +230,7 @@ class TestRunSpel:
 
         def go():
             return run_spel(
-                mini_bundle.source,
+                mini_bundle.labeled,
                 mini_bundle.unlabeled,
                 mini_bundle.test_inputs,
                 config,
@@ -245,7 +245,7 @@ class TestRunSpel:
         spec = mini_learner_spec(mini_bundle)
         config = mini_spel_config(n_steps=2)
         result = run_spel(
-            mini_bundle.source,
+            mini_bundle.labeled,
             mini_bundle.unlabeled,
             mini_bundle.test_inputs,
             config,
@@ -279,7 +279,7 @@ class TestCheckpoints:
         config = mini_spel_config(n_steps=2, per_step=20)
         ckpt = tmp_path / "ckpt"
         result = run_spel(
-            mini_bundle.source,
+            mini_bundle.labeled,
             mini_bundle.unlabeled,
             mini_bundle.test_inputs,
             config,
@@ -314,7 +314,7 @@ class TestCheckpoints:
         config = mini_spel_config(n_steps=1)
         ckpt = tmp_path / "ckpt"
         result = run_spel(
-            mini_bundle.source,
+            mini_bundle.labeled,
             mini_bundle.unlabeled,
             mini_bundle.test_inputs,
             config,
@@ -333,7 +333,7 @@ class TestCheckpoints:
         spec = mini_learner_spec(mini_bundle)
         ckpt = tmp_path / "ckpt"
         run_spel(
-            mini_bundle.source,
+            mini_bundle.labeled,
             mini_bundle.unlabeled,
             mini_bundle.test_inputs,
             mini_spel_config(n_steps=1),
@@ -360,7 +360,7 @@ class TestCheckpoints:
     def _run(mini_bundle, ckpt, config, specs=None, resume=False):
         spec = mini_learner_spec(mini_bundle)
         return run_spel(
-            mini_bundle.source,
+            mini_bundle.labeled,
             mini_bundle.unlabeled,
             mini_bundle.test_inputs,
             config,

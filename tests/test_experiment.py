@@ -16,7 +16,7 @@ from spelaudio.experiment import (
     sliding_window_predict,
     sweep,
 )
-from spelaudio.wavio import write_wav
+from spelaudio.wavio import load_wav, write_wav
 
 from conftest import mini_spel_config
 
@@ -164,7 +164,7 @@ class TestSlidingWindow:
 
         spec = mini_learner_spec(mini_bundle)
         config = mini_spel_config(n_members=1)
-        ensemble, _ = pretrain(config, mini_bundle.source, [spec])
+        ensemble, _ = pretrain(config, mini_bundle.labeled, [spec])
         return ensemble
 
     def test_single_window_equals_plain_prediction(self, mini_bundle):
@@ -341,6 +341,39 @@ unlabeled_fraction = 0.6
         record = run_experiment(cfg)
         assert set(record.final_metrics) == {"accuracy", "uar"}
 
+    def test_target_at_another_sample_rate_rejected_naming_the_file(self, tmp_path):
+        rng = np.random.default_rng(0)
+        make_wav_corpus(tmp_path / "source", rng, 6, rates=(8000,))
+        make_wav_corpus(tmp_path / "target", rng, 4, rates=(4000,))
+        cfg = config_from_text(
+            self._config_text(tmp_path / "source", tmp_path / "target", tmp_path / "out")
+        )
+        with pytest.raises(ConfigError, match=r"target[/\\]low[/\\]clip_00\.wav: sample rate 4000"):
+            build_data(cfg)
+
+    def test_pool_truth_is_each_clips_class_directory(self, tmp_path):
+        rng = np.random.default_rng(4)
+        make_wav_corpus(tmp_path / "source", rng, 6)
+        make_wav_corpus(tmp_path / "target", rng, 5, offset=30.0)
+        cfg = config_from_text(
+            self._config_text(tmp_path / "source", tmp_path / "target", tmp_path / "out")
+        )
+        data = build_data(cfg)
+        fb = mel_filterbank(cfg.n_mels, cfg.stft.n_fft, 4000)
+        truth = {}
+        for label, name in enumerate(("low", "mid")):
+            for path in sorted((tmp_path / "target" / name).glob("*.wav")):
+                image = preprocess(load_wav(path), cfg.stft, fb, cfg.clip_samples(4000)).values
+                truth[image.tobytes()] = label
+        pool_labels = [truth[image.tobytes()] for image in data.unlabeled.inputs]
+        assert np.array_equal(data.unlabeled_truth, pool_labels)
+
+    def test_flat_target_has_no_pool_truth(self, tmp_path):
+        make_wav_corpus(tmp_path / "source", np.random.default_rng(1), 6)
+        flat = self._flat_target(tmp_path / "target_flat")
+        cfg = config_from_text(self._config_text(tmp_path / "source", flat, tmp_path / "out"))
+        assert build_data(cfg).unlabeled_truth is None
+
     def test_target_class_directories_without_wavs_rejected(self, tmp_path):
         rng = np.random.default_rng(0)
         make_wav_corpus(tmp_path / "source", rng, 6)
@@ -371,7 +404,7 @@ class TestSourceSanityBound:
         bundle = gen_synthetic(spec, cfg.stft, cfg.n_mels, seed=0)
         learner_spec = build_learner_specs(cfg, build_data(cfg))[0]
         single, _ = pretrain(
-            dataclasses.replace(cfg.spel, n_members=1), bundle.source, [learner_spec]
+            dataclasses.replace(cfg.spel, n_members=1), bundle.labeled, [learner_spec]
         )
         score = accuracy(
             avg_predict(single, bundle.validation.inputs).labels, bundle.validation.targets

@@ -7,9 +7,9 @@ import pytest
 
 from spelaudio.learner import (
     EPS,
+    LabeledSet,
     LearnerParams,
     LearnerSpec,
-    MiniBatch,
     OptimizerState,
     adam_step,
     forward,
@@ -60,7 +60,7 @@ def random_batch(rng, spec, batch_size=4):
         targets = rng.integers(0, spec.n_outputs, size=batch_size)
     else:
         targets = (rng.uniform(size=(batch_size, spec.n_outputs)) < 0.5).astype(np.float64)
-    return MiniBatch(inputs, targets)
+    return LabeledSet(inputs, targets)
 
 
 def _min_preactivation_magnitude(params, inputs):
@@ -185,7 +185,7 @@ class TestLoss:
         params = init_params(spec, seed=0)
         params.tensors["out_w"][...] = 0.0
         params.tensors["out_b"][...] = [30.0, -30.0]
-        loss, _ = loss_and_grad(params, MiniBatch(np.zeros((3, 2)), np.zeros(3, dtype=int)))
+        loss, _ = loss_and_grad(params, LabeledSet(np.zeros((3, 2)), np.zeros(3, dtype=int)))
         assert loss < 1e-9
 
     def test_uniform_prediction_log_c(self):
@@ -194,7 +194,7 @@ class TestLoss:
         for arr in params.tensors.values():
             arr[...] = 0.0
         loss, _ = loss_and_grad(
-            params, MiniBatch(np.ones((8, 4)), np.arange(8, dtype=int) % 5)
+            params, LabeledSet(np.ones((8, 4)), np.arange(8, dtype=int) % 5)
         )
         assert loss == pytest.approx(math.log(5.0), abs=1e-12)
 
@@ -202,7 +202,7 @@ class TestLoss:
         spec = LearnerSpec(input_shape=4, n_outputs=3, hidden_layers=())
         params = init_params(spec, seed=0)
         with pytest.raises(ValueError):
-            loss_and_grad(params, MiniBatch(np.ones((2, 4)), np.array([0, 3])))
+            loss_and_grad(params, LabeledSet(np.ones((2, 4)), np.array([0, 3])))
 
 
 class TestAdam:
@@ -249,7 +249,7 @@ class TestAdam:
     def test_repeated_steps_decrease_loss(self):
         spec = LearnerSpec(input_shape=6, n_outputs=3, hidden_layers=(8,))
         rng = np.random.default_rng(77)
-        batch = MiniBatch(rng.normal(size=(16, 6)), rng.integers(0, 3, size=16))
+        batch = LabeledSet(rng.normal(size=(16, 6)), rng.integers(0, 3, size=16))
         improved = 0
         for trial in range(20):
             params = init_params(spec, seed=trial)
@@ -352,7 +352,7 @@ def reference_train(params, inputs, targets, *, epochs, batch_size, state, seed)
         for start in range(0, len(inputs), batch_size):
             sel = order[start : start + batch_size]
             current = LearnerParams(spec=spec, tensors=tensors, step=step)
-            _, grads = loss_and_grad(current, MiniBatch(inputs[sel], targets[sel]))
+            _, grads = loss_and_grad(current, LabeledSet(inputs[sel], targets[sel]))
             step += 1
             bc1, bc2 = 1.0 - 0.9**step, 1.0 - 0.999**step
             for name, g in grads.items():

@@ -43,33 +43,33 @@ class TestGenSynthetic:
         spec = mini_synthetic_spec()
         a = gen_synthetic(spec, MINI_STFT, MINI_MELS, seed=9)
         b = gen_synthetic(spec, MINI_STFT, MINI_MELS, seed=9)
-        assert np.array_equal(a.source.inputs, b.source.inputs)
-        assert np.array_equal(a.source.targets, b.source.targets)
+        assert np.array_equal(a.labeled.inputs, b.labeled.inputs)
+        assert np.array_equal(a.labeled.targets, b.labeled.targets)
         assert np.array_equal(a.unlabeled.inputs, b.unlabeled.inputs)
         assert np.array_equal(a.test_truth, b.test_truth)
 
     def test_split_sizes_and_shapes(self, mini_bundle):
         spec = mini_synthetic_spec()
         frames = (spec.clip_samples - MINI_STFT.win_length) // MINI_STFT.hop + 1
-        assert mini_bundle.source.inputs.shape == (spec.n_source, frames, MINI_MELS)
+        assert mini_bundle.labeled.inputs.shape == (spec.n_source, frames, MINI_MELS)
         assert len(mini_bundle.validation) == spec.n_val
         assert len(mini_bundle.unlabeled) == spec.n_unlabeled
         assert mini_bundle.test_inputs.shape[0] == spec.n_test
         assert mini_bundle.unlabeled_truth.shape == (spec.n_unlabeled,)
 
     def test_balanced_multiclass_labels(self, mini_bundle):
-        counts = np.bincount(mini_bundle.source.targets, minlength=3)
+        counts = np.bincount(mini_bundle.labeled.targets, minlength=3)
         assert counts.max() - counts.min() <= 1
 
     def test_images_normalized(self, mini_bundle):
-        assert mini_bundle.source.inputs.min() >= -1.0
-        assert mini_bundle.source.inputs.max() <= 1.0
+        assert mini_bundle.labeled.inputs.min() >= -1.0
+        assert mini_bundle.labeled.inputs.max() <= 1.0
 
     def test_multilabel_rows_nonempty(self):
         spec = mini_synthetic_spec(task="multilabel", label_density=0.25)
         bundle = gen_synthetic(spec, MINI_STFT, MINI_MELS, seed=3)
-        assert bundle.source.targets.shape == (spec.n_source, spec.n_classes)
-        assert bundle.source.targets.sum(axis=1).min() >= 1
+        assert bundle.labeled.targets.shape == (spec.n_source, spec.n_classes)
+        assert bundle.labeled.targets.sum(axis=1).min() >= 1
         assert bundle.test_truth.sum(axis=1).min() >= 1
 
     def test_val_domain_source(self):
