@@ -135,6 +135,12 @@ class _Section:
     def float(self, key, default=None):
         return self.parsed(key, default, float, "a number")
 
+    def positive_int(self, key, default=None):
+        return self.parsed(key, default, _positive_int, "a positive integer")
+
+    def positive_float(self, key, default=None):
+        return self.parsed(key, default, _positive_float, "a positive number")
+
     def choice(self, key, default, choices, kind=None):
         lookup = {choice: choice for choice in choices}
         return self.parsed(key, default, lookup.__getitem__, kind or f"one of {tuple(choices)}")
@@ -160,6 +166,13 @@ def _int_list(text: str) -> tuple[int, ...]:
 def _positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
+        raise ValueError(text)
+    return value
+
+
+def _positive_float(text: str) -> float:
+    value = float(text)
+    if not 0 < value < float("inf"):
         raise ValueError(text)
     return value
 
@@ -210,25 +223,25 @@ def config_from_text(text: str, base_dir: Path | None = None) -> ExperimentConfi
 
     dsp = section("dsp")
     stft = StftConfig(
-        n_fft=dsp.int("n_fft", 1024),
-        hop=dsp.int("hop", 64),
-        win_length=dsp.int("win_length", 512),
+        n_fft=dsp.positive_int("n_fft", 1024),
+        hop=dsp.positive_int("hop", 64),
+        win_length=dsp.positive_int("win_length", 512),
     )
-    n_mels = dsp.int("n_mels", 256)
+    n_mels = dsp.positive_int("n_mels", 256)
     fmin = dsp.float("fmin", 0.0)
     fmax = dsp.float("fmax", None)
-    clip_seconds = dsp.float("clip_seconds", 4.0)
+    clip_seconds = dsp.positive_float("clip_seconds", 4.0)
     dsp.finish()
 
     sp = section("spel")
     spel = SpelConfig(
-        n_members=sp.int("members", 5),
+        n_members=sp.positive_int("members", 5),
         n_steps=sp.int("steps", 3),
-        per_step=sp.int("per_step", 50),
-        learning_rate=sp.float("learning_rate", 5e-4),
-        pretrain_epochs=sp.int("pretrain_epochs", 10),
-        spel_epochs=sp.int("spel_epochs", None),
-        batch_size=sp.int("batch_size", 16),
+        per_step=sp.positive_int("per_step", 50),
+        learning_rate=sp.positive_float("learning_rate", 5e-4),
+        pretrain_epochs=sp.positive_int("pretrain_epochs", 10),
+        spel_epochs=sp.positive_int("spel_epochs", None),
+        batch_size=sp.positive_int("batch_size", 16),
         seed=seed,
         pseudo_budget=sp.int("pseudo_budget", 1000),
     )

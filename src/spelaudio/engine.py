@@ -82,6 +82,8 @@ class SpelConfig:
             raise ValueError("round count must be >= 0")
         if self.per_step < 1:
             raise ValueError("per-step sample count must be >= 1")
+        if not self.learning_rate > 0:
+            raise ValueError("learning_rate must be positive")
         if self.per_step * self.n_steps > self.pseudo_budget:
             raise ValueError(
                 f"per_step * n_steps = {self.per_step * self.n_steps} exceeds the "

@@ -15,7 +15,9 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -474,8 +476,16 @@ def save_params(path, params: LearnerParams, state: OptimizerState | None = None
         for name in params.tensors:
             payload[f"adam/m/{name}"] = state.m[name]
             payload[f"adam/v/{name}"] = state.v[name]
-    with open(path, "wb") as fh:
-        np.savez(fh, **payload)
+    # Through a sibling temporary file, so a write cut short leaves the old
+    # checkpoint in place.
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            np.savez(fh, **payload)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def load_params(path):
@@ -497,9 +507,26 @@ def load_params(path):
                     f"{path}: Adam beta1, beta2, eps {hyper} differ from {BETA1}, {BETA2}, {EPS}"
                 )
             state = OptimizerState(
-                m={name: archive[f"adam/m/{name}"] for name in tensors},
-                v={name: archive[f"adam/v/{name}"] for name in tensors},
+                m=_load_moments(archive, "adam/m/", tensors, path),
+                v=_load_moments(archive, "adam/v/", tensors, path),
                 learning_rate=lr,
             )
     return params, state
 
+
+def _load_moments(archive, prefix: str, tensors: dict[str, np.ndarray], path):
+    """One Adam moment per parameter, of its shape and finite, or ValueError."""
+    names = [key[len(prefix):] for key in archive.files if key.startswith(prefix)]
+    if sorted(names) != sorted(tensors):
+        raise ValueError(
+            f"{path}: {prefix}* names {names} differ from the parameters {list(tensors)}"
+        )
+    moments = {name: archive[prefix + name] for name in tensors}
+    for name, arr in moments.items():
+        if arr.shape != tensors[name].shape:
+            raise ValueError(
+                f"{path}: {prefix}{name} has shape {arr.shape}, expected {tensors[name].shape}"
+            )
+        if not np.all(np.isfinite(arr)):
+            raise ValueError(f"{path}: {prefix}{name} contains non-finite values")
+    return moments

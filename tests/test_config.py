@@ -198,6 +198,11 @@ class TestErrors:
             "[experiment] source = bogus",
             "[experiment] val_domain = bogus",
             "[experiment] val_domain = target\nsource = wav-dir",
+            "[spel] learning_rate = -1",
+            "[dsp] n_mels = 0",
+            "[dsp] clip_seconds = -1",
+            "[dsp] hop = 0",
+            "[spel] members = 0",
         ],
     )
     def test_bad_learner_layers_report_line(self, line):

@@ -47,6 +47,11 @@ class TestSpelConfig:
         with pytest.raises(ValueError):
             SpelConfig(seed=-1)
 
+    @pytest.mark.parametrize("rate", [0.0, -1.0, float("nan")])
+    def test_non_positive_learning_rate_rejected(self, rate):
+        with pytest.raises(ValueError, match="learning_rate must be positive"):
+            SpelConfig(learning_rate=rate)
+
 
 class TestDatasets:
     def test_unlabeled_has_no_label_field(self):

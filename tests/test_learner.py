@@ -505,6 +505,41 @@ class TestSerialization:
         with pytest.raises(ValueError, match="member.npz.*activation 'tanh'"):
             load_params(path)
 
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("adam/m/out_w", np.zeros((1, 2)), r"adam/m/out_w has shape \(1, 2\), expected"),
+            ("adam/v/dense0_b", np.array([0, np.nan, 0]), "adam/v/dense0_b contains non-finite"),
+            ("adam/m/extra", np.zeros(2), r"adam/m/\* names .* differ from the parameters"),
+        ],
+    )
+    def test_adam_moments_checked_at_load(self, tmp_path, key, value, message):
+        spec = LearnerSpec(input_shape=4, n_outputs=2, hidden_layers=(3,))
+        params = init_params(spec, seed=1)
+        path = tmp_path / "member.npz"
+        save_params(path, params, init_adam(params, learning_rate=1e-3))
+        _rewrite_checkpoint(path, **{key: value})
+        with pytest.raises(ValueError, match=rf"member\.npz: {message}"):
+            load_params(path)
+
+    def test_failed_write_keeps_the_old_checkpoint(self, tmp_path, monkeypatch):
+        spec = LearnerSpec(input_shape=4, n_outputs=2, hidden_layers=(3,))
+        old, new = init_params(spec, seed=1), init_params(spec, seed=2)
+        path = tmp_path / "member.npz"
+        save_params(path, old)
+
+        def savez_cut_short(fh, **payload):
+            fh.write(b"PK\x03\x04 cut short")
+            raise OSError("disk full")
+
+        monkeypatch.setattr(np, "savez", savez_cut_short)
+        with pytest.raises(OSError, match="disk full"):
+            save_params(path, new)
+        monkeypatch.undo()
+        loaded, _ = load_params(path)
+        assert np.array_equal(loaded.tensors["out_w"], old.tensors["out_w"])
+        assert [p.name for p in tmp_path.iterdir()] == ["member.npz"]
+
     def test_version_check(self, tmp_path):
         path = tmp_path / "bad.npz"
         np.savez(path, format_version=np.array(999))
