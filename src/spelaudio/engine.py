@@ -127,8 +127,8 @@ class UnlabeledSet:
 @dataclass(frozen=True)
 class ExperimentData:
     """A run's inputs from either data source. The truths are for evaluation
-    only: test_truth is None without labeled test data, unlabeled_truth is
-    None where the pool's labels are unknown, and training never reads it."""
+    only and training reads neither: test_truth is None without labeled test
+    data, unlabeled_truth is None where the pool's labels are unknown."""
 
     labeled: LabeledSet
     validation: LabeledSet | None
