@@ -100,6 +100,16 @@ GRADCHECK_SPECS = [
         conv_stem=((2, 3, 1),),
         head="multilabel",
     ),
+    # Stride equal to kernel, the geometry of the conv workloads: windows
+    # tile the input without overlap and the last row and column are cropped.
+    LearnerSpec(input_shape=(10, 11), n_outputs=3, hidden_layers=(5,), conv_stem=((2, 3, 3),)),
+    # A second layer with stride equal to kernel, so its input gradient is checked.
+    LearnerSpec(
+        input_shape=(11, 11),
+        n_outputs=3,
+        hidden_layers=(6,),
+        conv_stem=((3, 3, 1), (2, 2, 2)),
+    ),
 ]
 
 
