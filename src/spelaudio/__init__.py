@@ -43,6 +43,7 @@ from .experiment import (
     sweep,
 )
 from .learner import (
+    DivergenceError,
     LearnerParams,
     LabeledSet,
     LearnerSpec,

@@ -32,6 +32,7 @@ import numpy as np
 
 from .ensemble import Ensemble, EnsemblePrediction, avg_predict
 from .learner import (
+    DivergenceError,
     LabeledSet,
     LearnerSpec,
     OptimizerState,
@@ -186,12 +187,19 @@ def _evaluate(ensemble: Ensemble, validation: LabeledSet | None) -> dict[str, fl
 
 
 def _train_members(members, states, inputs, targets, epochs, config, stage, *j):
-    """Continue every member; member i shuffles from the seed of (run seed, stage, i, *j)."""
-    trained = [
-        train(params, inputs, targets, epochs=epochs, batch_size=config.batch_size,
-              state=state, seed=_derive_seed(config.seed, stage, i, *j))
-        for i, (params, state) in enumerate(zip(members, states))
-    ]
+    """Continue every member; member i shuffles from the seed of (run seed, stage, i, *j).
+
+    A member that diverges raises DivergenceError naming it and the round.
+    """
+    trained = []
+    for i, (params, state) in enumerate(zip(members, states)):
+        try:
+            trained.append(
+                train(params, inputs, targets, epochs=epochs, batch_size=config.batch_size,
+                      state=state, seed=_derive_seed(config.seed, stage, i, *j))
+            )
+        except DivergenceError as err:
+            raise DivergenceError(err.tensor, err.step, i, j[0] if j else 0) from err
     return Ensemble(tuple(params for params, _ in trained)), [state for _, state in trained]
 
 

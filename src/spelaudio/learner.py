@@ -4,11 +4,14 @@ A learner is a feed-forward network with an optional strided 2-D
 convolutional stem, a rectified-linear body, and either a softmax
 (multi-class) or per-output sigmoid (multi-label) head. Forward, loss,
 and gradients are implemented directly on numpy arrays in double
-precision; training is plain shuffled mini-batch Adam. ``adam_step``
-updates parameters and optimizer state in place; ``train`` steps private
-copies, so its caller's objects never change. Seeded runs are bitwise
-reproducible because the data order is a pure function of the seed and
-every step runs the same arithmetic in the same order.
+precision; training is plain shuffled mini-batch Adam. Each conv layer
+is one matrix product over its unfolded windows (im2col), cached from the
+forward pass for the weight gradient; the gradient with respect to the
+input images is never formed. ``adam_step`` updates parameters and
+optimizer state in place; ``train`` steps private copies, so its
+caller's objects never change. Seeded runs are bitwise reproducible
+because the data order is a pure function of the seed and every step
+runs the same arithmetic in the same order.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ __all__ = [
     "LearnerParams",
     "OptimizerState",
     "LabeledSet",
+    "DivergenceError",
     "init_params",
     "init_adam",
     "forward",
@@ -194,6 +198,19 @@ class LabeledSet:
         return len(self.inputs)
 
 
+class DivergenceError(ValueError):
+    """A parameter became non-finite in training: which tensor, by which step,
+    and, once the engine has seen it, which member in which round."""
+
+    def __init__(
+        self, tensor: str, step: int, member: int | None = None, round_index: int | None = None
+    ):
+        self.tensor, self.step = tensor, step
+        self.member, self.round_index = member, round_index
+        where = "" if member is None else f"member {member}, round {round_index}: "
+        super().__init__(f"{where}{tensor} became non-finite by step {step}")
+
+
 def init_params(spec: LearnerSpec, seed: int) -> LearnerParams:
     """Fan-in-scaled Gaussian weights (std sqrt(2/fan_in)), zero biases."""
     rng = np.random.default_rng(seed)
@@ -236,23 +253,29 @@ def _sigmoid(z):
 
 
 def _conv_forward(x, w, b, stride):
+    # im2col: one copy of the strided windows, a row per output position.
     kernel = w.shape[2]
     windows = sliding_window_view(x, (kernel, kernel), axis=(2, 3))[:, :, ::stride, ::stride]
-    out = np.einsum("bchwij,ocij->bohw", windows, w, optimize=True)
-    return out + b[None, :, None, None], windows
+    h_out, w_out = windows.shape[2:4]
+    cols = windows.transpose(0, 2, 3, 1, 4, 5).reshape(-1, w[0].size)
+    z = (cols @ w.reshape(len(w), -1).T).reshape(len(x), h_out, w_out, len(w))
+    return z.transpose(0, 3, 1, 2) + b[None, :, None, None], cols
 
 
-def _conv_backward(x_shape, windows, w, stride, dout):
-    kernel = w.shape[2]
+def _conv_backward(x_shape, cols, w, stride, dout, need_dx):
+    """Gradients of one conv layer; dx is None unless need_dx."""
     db = dout.sum(axis=(0, 2, 3))
-    dw = np.einsum("bchwij,bohw->ocij", windows, dout, optimize=True)
+    dout2d = dout.transpose(0, 2, 3, 1).reshape(-1, len(w))
+    dw = (dout2d.T @ cols).reshape(w.shape)
+    if not need_dx:
+        return None, dw, db
+    batch, _, h_out, w_out = dout.shape
+    spread = (dout2d @ w.reshape(len(w), -1)).reshape(batch, h_out, w_out, *w.shape[1:])
     dx = np.zeros(x_shape, dtype=np.float64)
-    spread = np.einsum("bohw,ocij->bchwij", dout, w, optimize=True)
-    h_out, w_out = dout.shape[2], dout.shape[3]
-    for i in range(kernel):
-        for j in range(kernel):
+    for i in range(w.shape[2]):
+        for j in range(w.shape[3]):
             dx[:, :, i : i + stride * h_out : stride, j : j + stride * w_out : stride] += (
-                spread[..., i, j]
+                spread[..., i, j].transpose(0, 3, 1, 2)
             )
     return dx, dw, db
 
@@ -282,9 +305,9 @@ def _forward_cached(params: LearnerParams, inputs: np.ndarray):
     if spec.conv_stem:
         a = x[:, None, :, :]
         for i, (_, _, stride) in enumerate(spec.conv_stem):
-            z, windows = _conv_forward(a, t[f"conv{i}_w"], t[f"conv{i}_b"], stride)
+            z, cols = _conv_forward(a, t[f"conv{i}_w"], t[f"conv{i}_b"], stride)
             a_next = _relu(z)
-            caches["conv"].append((a.shape, windows, z, stride))
+            caches["conv"].append((a.shape, cols, z, stride))
             a = a_next
         a = a.reshape(len(a), -1)
     else:
@@ -355,9 +378,10 @@ def loss_and_grad(params: LearnerParams, batch: LabeledSet):
         c, h, w = spec._stem_geometry()[-1]
         da = da.reshape(len(da), c, h, w)
         for i in reversed(range(len(spec.conv_stem))):
-            x_shape, windows, z, stride = caches["conv"][i]
+            x_shape, cols, z, stride = caches["conv"][i]
             dz = da * (z > 0)
-            da, dw, db = _conv_backward(x_shape, windows, t[f"conv{i}_w"], stride, dz)
+            # Nothing reads the gradient with respect to the input images.
+            da, dw, db = _conv_backward(x_shape, cols, t[f"conv{i}_w"], stride, dz, i > 0)
             grads[f"conv{i}_w"] = dw
             grads[f"conv{i}_b"] = db
 
@@ -397,7 +421,7 @@ def train(
     Returns trained copies of params and state; the arguments themselves
     are left unchanged. The shuffle order is a pure function of the seed,
     and the returned state lets a later call continue training where this
-    one stopped. Raises ValueError naming the tensor and step if a
+    one stopped. Raises DivergenceError naming the tensor and step if a
     parameter is non-finite at the end of an epoch.
     """
     n = len(inputs)
@@ -418,7 +442,7 @@ def train(
             adam_step(state, params, grads)
         for name, arr in params.tensors.items():
             if not np.all(np.isfinite(arr)):
-                raise ValueError(f"{name} became non-finite by step {params.step}")
+                raise DivergenceError(name, params.step)
     return params, state
 
 
@@ -495,9 +519,8 @@ def load_params(path):
         if version != FORMAT_VERSION:
             raise ValueError(f"unsupported checkpoint format version {version}")
         spec = _spec_from_json(str(archive["spec_json"]), path)
-        tensors = {
-            name: archive[f"param/{name}"] for name in param_shapes(spec)
-        }
+        shapes = param_shapes(spec)
+        tensors = _load_tensors(archive, "param/", shapes, path)
         params = LearnerParams(spec=spec, tensors=tensors, step=int(archive["step"]))
         state = None
         if "adam/hyper" in archive.files:
@@ -507,26 +530,26 @@ def load_params(path):
                     f"{path}: Adam beta1, beta2, eps {hyper} differ from {BETA1}, {BETA2}, {EPS}"
                 )
             state = OptimizerState(
-                m=_load_moments(archive, "adam/m/", tensors, path),
-                v=_load_moments(archive, "adam/v/", tensors, path),
+                m=_load_tensors(archive, "adam/m/", shapes, path),
+                v=_load_tensors(archive, "adam/v/", shapes, path),
                 learning_rate=lr,
             )
     return params, state
 
 
-def _load_moments(archive, prefix: str, tensors: dict[str, np.ndarray], path):
-    """One Adam moment per parameter, of its shape and finite, or ValueError."""
+def _load_tensors(archive, prefix: str, shapes: dict[str, tuple[int, ...]], path):
+    """One tensor per parameter under prefix, of its shape and finite, or ValueError."""
     names = [key[len(prefix):] for key in archive.files if key.startswith(prefix)]
-    if sorted(names) != sorted(tensors):
+    if sorted(names) != sorted(shapes):
         raise ValueError(
-            f"{path}: {prefix}* names {names} differ from the parameters {list(tensors)}"
+            f"{path}: {prefix}* names {names} differ from the parameters {list(shapes)}"
         )
-    moments = {name: archive[prefix + name] for name in tensors}
-    for name, arr in moments.items():
-        if arr.shape != tensors[name].shape:
+    tensors = {name: archive[prefix + name] for name in shapes}
+    for name, arr in tensors.items():
+        if arr.shape != shapes[name]:
             raise ValueError(
-                f"{path}: {prefix}{name} has shape {arr.shape}, expected {tensors[name].shape}"
+                f"{path}: {prefix}{name} has shape {arr.shape}, expected {shapes[name]}"
             )
         if not np.all(np.isfinite(arr)):
             raise ValueError(f"{path}: {prefix}{name} contains non-finite values")
-    return moments
+    return tensors

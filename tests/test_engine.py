@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 import shutil
 
 import numpy as np
@@ -21,7 +22,14 @@ from spelaudio.engine import (
     spel_round,
 )
 from spelaudio.ensemble import Ensemble, avg_predict
-from spelaudio.learner import LearnerSpec, init_adam, init_params, save_params, train
+from spelaudio.learner import (
+    DivergenceError,
+    LearnerSpec,
+    init_adam,
+    init_params,
+    save_params,
+    train,
+)
 
 from conftest import mini_learner_spec, mini_spel_config
 
@@ -113,6 +121,14 @@ class TestPretrain:
         with pytest.raises(ValueError):
             pretrain(mini_spel_config(n_members=2), mini_bundle.labeled, [spec])
 
+    def test_divergence_names_member_and_round_zero(self, mini_bundle):
+        inputs = mini_bundle.labeled.inputs.copy()
+        inputs[0, 0, 0] = np.nan
+        labeled = LabeledSet(inputs, mini_bundle.labeled.targets)
+        spec = mini_learner_spec(mini_bundle)
+        with pytest.raises(DivergenceError, match=r"^member 0, round 0: dense0_w .* by step 6$"):
+            pretrain(mini_spel_config(pretrain_epochs=1), labeled, [spec, spec])
+
 
 def controlled_confidence_ensemble():
     """Single linear member: confidence grows with |first input feature|."""
@@ -193,6 +209,23 @@ class TestSpelRound:
         ensemble, states = pretrain(config, mini_bundle.labeled, [spec, spec])
         with pytest.raises(ValueError):
             spel_round(ensemble, states, mini_bundle.labeled, mini_bundle.unlabeled, 0, config)
+
+    def test_divergence_names_member_and_round(self, mini_bundle):
+        spec = mini_learner_spec(mini_bundle)
+        config = mini_spel_config(pretrain_epochs=1)
+        ensemble, states = pretrain(config, mini_bundle.labeled, [spec, spec])
+        states[1].m["out_b"][0] = np.nan
+        # NaN moments poison out_b at the round's first step and every tensor
+        # after it; the first non-finite one in parameter order is reported.
+        with pytest.raises(DivergenceError, match=r"^member 1, round 2: dense0_w became") as info:
+            spel_round(ensemble, states, mini_bundle.labeled, mini_bundle.unlabeled, 2, config)
+        err = info.value
+        assert isinstance(err, ValueError)
+        assert (err.member, err.round_index, err.tensor) == (1, 2, "dense0_w")
+        pool = len(mini_bundle.labeled) + min(2 * config.per_step, len(mini_bundle.unlabeled))
+        assert config.spel_epochs_effective == 1
+        assert err.step == ensemble.members[1].step + math.ceil(pool / config.batch_size)
+        assert isinstance(err.__cause__, DivergenceError) and err.__cause__.member is None
 
 
 class TestRunSpel:

@@ -532,6 +532,22 @@ class TestSerialization:
         with pytest.raises(ValueError, match=rf"member\.npz: {message}"):
             load_params(path)
 
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("param/out_w", np.array([[0.0, np.nan]] * 3), "param/out_w contains non-finite"),
+            ("param/dense0_b", np.zeros(4), r"param/dense0_b has shape \(4,\), expected \(3,\)"),
+            ("param/extra", np.zeros(2), r"param/\* names .* differ from the parameters"),
+        ],
+    )
+    def test_param_tensors_checked_at_load(self, tmp_path, key, value, message):
+        spec = LearnerSpec(input_shape=4, n_outputs=2, hidden_layers=(3,))
+        path = tmp_path / "member.npz"
+        save_params(path, init_params(spec, seed=1))
+        _rewrite_checkpoint(path, **{key: value})
+        with pytest.raises(ValueError, match=rf"member\.npz: {message}"):
+            load_params(path)
+
     def test_failed_write_keeps_the_old_checkpoint(self, tmp_path, monkeypatch):
         spec = LearnerSpec(input_shape=4, n_outputs=2, hidden_layers=(3,))
         old, new = init_params(spec, seed=1), init_params(spec, seed=2)

@@ -2,6 +2,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spelaudio.dsp import Signal
 from spelaudio.wavio import UnsupportedWavError, WavFormatError, load_wav, write_wav
@@ -149,3 +151,68 @@ class TestWriteWav:
         path = tmp_path / "pad.wav"
         write_wav(path, Signal(np.array([0.5, -0.5, 0.25]), 8000))
         assert len(load_wav(path)) == 3
+
+
+# Fuzzing: whatever the bytes, the parser returns a Signal or raises
+# WavFormatError (UnsupportedWavError included), never another exception.
+FUZZ = settings(max_examples=300, deadline=None, derandomize=True, database=None)
+VALID = build_wav(
+    struct.pack("<4h", 1, -2, 3, -4), extra_chunks=b"LIST" + struct.pack("<I", 3) + b"abc\x00"
+)
+
+
+@pytest.fixture(scope="module")
+def fuzz_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "fuzz.wav"
+
+
+def _parse_or_reject(path, raw):
+    path.write_bytes(raw)
+    try:
+        signal = load_wav(path)
+    except WavFormatError:
+        return
+    assert isinstance(signal, Signal)
+    assert np.all(np.abs(signal.samples) <= 1.0)
+
+
+class TestFuzzLoadWav:
+    @FUZZ
+    @given(raw=st.binary(max_size=96))
+    def test_random_bytes(self, fuzz_path, raw):
+        _parse_or_reject(fuzz_path, raw)
+
+    @FUZZ
+    @given(body=st.binary(max_size=96))
+    def test_random_chunks_after_a_valid_header(self, fuzz_path, body):
+        _parse_or_reject(fuzz_path, b"RIFF" + struct.pack("<I", 4 + len(body)) + b"WAVE" + body)
+
+    @FUZZ
+    @given(
+        edits=st.lists(
+            st.tuples(st.integers(0, len(VALID) - 1), st.integers(0, 255)), max_size=6
+        ),
+        cut=st.integers(0, len(VALID)),
+    )
+    def test_mutated_valid_file(self, fuzz_path, edits, cut):
+        raw = bytearray(VALID)
+        for index, value in edits:
+            raw[index] = value
+        _parse_or_reject(fuzz_path, bytes(raw[: len(VALID) - cut]))
+
+    @FUZZ
+    @given(
+        fields=st.tuples(
+            st.integers(0, 0xFFFF),
+            st.integers(0, 0xFFFF),
+            st.integers(0, 0xFFFFFFFF),
+            st.integers(0, 0xFFFF),
+        ),
+        data_size=st.integers(0, 0xFFFFFFFF),
+        data=st.binary(max_size=16),
+    )
+    def test_random_header_fields(self, fuzz_path, fields, data_size, data):
+        audio_format, channels, sample_rate, bits = fields
+        fmt = struct.pack("<HHIIHH", audio_format, channels, sample_rate, 0, 0, bits)
+        body = b"fmt " + struct.pack("<I", 16) + fmt + b"data" + struct.pack("<I", data_size) + data
+        _parse_or_reject(fuzz_path, b"RIFF" + struct.pack("<I", 4 + len(body)) + b"WAVE" + body)
