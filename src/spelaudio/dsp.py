@@ -4,13 +4,20 @@ Pipeline: fix the clip length, short-time Fourier transform, squared
 magnitude, projection onto triangular mel filters, decibel scaling, and
 min-max normalization onto [-1, 1]. Everything here is a pure function of
 its inputs, so the whole chain is deterministic and thread-safe.
+
+The transform's clip-independent constants (the Hann window and the
+absolute-time phase rotation) depend only on the geometry and the frame
+count, so they are computed once per geometry and reused. The cache holds
+one geometry: one rotation, the size of one spectrum.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 __all__ = [
     "Signal",
@@ -102,22 +109,36 @@ class ComplexSpectrum:
 
 @dataclass(frozen=True)
 class MelFilterbank:
-    """Triangular mel filters as a (n_mels, n_fft//2 + 1) weight matrix."""
+    """Triangular mel filters as a (n_mels, n_fft//2 + 1) weight matrix, with
+    the sample rate and transform length their bin frequencies assume."""
 
     weights: np.ndarray
     n_mels: int
     fmin: float
     fmax: float
+    sample_rate: int
+    n_fft: int
 
     def __post_init__(self):
         weights = np.asarray(self.weights, dtype=np.float64)
         object.__setattr__(self, "weights", weights)
-        if weights.ndim != 2 or weights.shape[0] != self.n_mels:
-            raise ValueError("weights must be a (n_mels, n_bins) matrix")
+        if weights.shape != (self.n_mels, self.n_fft // 2 + 1):
+            raise ValueError("weights must be a (n_mels, n_fft//2 + 1) matrix")
         if np.any(weights < 0):
             raise ValueError("filter weights must be non-negative")
         if np.any(weights.max(axis=1) == 0):
             raise ValueError("every filter must have at least one nonzero weight")
+
+    def check_input(self, sample_rate: int, n_fft: int) -> None:
+        """Raise ValueError unless audio at sample_rate, transformed at n_fft,
+        has the bins these filters were laid out for."""
+        if sample_rate != self.sample_rate:
+            raise ValueError(
+                f"signal sample rate {sample_rate} Hz differs from the filterbank's "
+                f"{self.sample_rate} Hz"
+            )
+        if n_fft != self.n_fft:
+            raise ValueError(f"n_fft {n_fft} differs from the filterbank's n_fft {self.n_fft}")
 
 
 @dataclass(frozen=True)
@@ -173,6 +194,18 @@ def _hann_periodic(length: int) -> np.ndarray:
     return 0.5 * (1.0 - np.cos(2.0 * np.pi * np.arange(length) / length))
 
 
+@lru_cache(maxsize=1)
+def _frame_constants(n_frames: int, config: StftConfig) -> tuple[np.ndarray, np.ndarray]:
+    """The window and the (frames, bins) phase rotation of one geometry, read-only."""
+    window = _hann_periodic(config.win_length)
+    starts = config.hop * np.arange(n_frames)
+    bins = np.arange(config.n_bins)
+    rotation = np.exp(-2j * np.pi * np.outer(starts, bins) / config.n_fft)
+    window.flags.writeable = False
+    rotation.flags.writeable = False
+    return window, rotation
+
+
 def stft(signal: Signal, config: StftConfig) -> ComplexSpectrum:
     """Short-time Fourier transform with an absolute-time phase reference.
 
@@ -180,17 +213,15 @@ def stft(signal: Signal, config: StftConfig) -> ComplexSpectrum:
     is zero-padded to n_fft and transformed. The phase exponential runs over
     absolute sample indices, so frame m's rfft output is rotated by
     exp(-2j*pi*k*m*hop/n_fft). Only the n_fft//2 + 1 non-negative-frequency
-    bins are kept (the input is real).
+    bins are kept (the input is real). The window and the rotation are
+    computed once per geometry and frame count; the cache holds one
+    rotation, so alternating geometries recompute it.
     """
     x = signal.samples
     n_frames = frame_count(x.size, config)
-    window = _hann_periodic(config.win_length)
-    starts = config.hop * np.arange(n_frames)
-    idx = starts[:, None] + np.arange(config.win_length)[None, :]
-    frames = x[idx] * window
+    window, rotation = _frame_constants(n_frames, config)
+    frames = sliding_window_view(x, config.win_length)[:: config.hop] * window
     spec = np.fft.rfft(frames, n=config.n_fft, axis=1)
-    bins = np.arange(config.n_bins)
-    rotation = np.exp(-2j * np.pi * np.outer(starts, bins) / config.n_fft)
     return ComplexSpectrum(values=spec * rotation, config=config)
 
 
@@ -256,7 +287,14 @@ def mel_filterbank(
         weights[np.nonzero(empty)[0], nearest] = 1.0
     weights /= weights.max(axis=1, keepdims=True)
 
-    return MelFilterbank(weights=weights, n_mels=n_mels, fmin=float(fmin), fmax=float(fmax))
+    return MelFilterbank(
+        weights=weights,
+        n_mels=n_mels,
+        fmin=float(fmin),
+        fmax=float(fmax),
+        sample_rate=sample_rate,
+        n_fft=n_fft,
+    )
 
 
 def normalize_minmax(matrix: np.ndarray) -> np.ndarray:
@@ -277,7 +315,12 @@ def preprocess(
     fb: MelFilterbank,
     target_samples: int,
 ) -> MelImage:
-    """Full frontend: fixed-length clip to normalized mel image of shape (L, n_mels)."""
+    """Full frontend: fixed-length clip to normalized mel image of shape (L, n_mels).
+
+    Raises ValueError when the signal's rate or the config's n_fft differs
+    from the filterbank's.
+    """
+    fb.check_input(signal.sample_rate, config.n_fft)
     clip = fix_length(signal, target_samples)
     spectrum = stft(clip, config)
     power = np.abs(spectrum.values) ** 2

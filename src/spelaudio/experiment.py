@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import ConfigError, ExperimentConfig, load_config
-from .dsp import MelFilterbank, Signal, StftConfig, mel_filterbank, preprocess
+from .dsp import MelFilterbank, Signal, StftConfig, frame_count, mel_filterbank, preprocess
 from .engine import ExperimentData, RoundReport, UnlabeledSet, run_spel, write_text_atomic
 from .ensemble import Ensemble, avg_predict
 from .learner import LabeledSet, LearnerSpec
@@ -341,8 +341,11 @@ def sliding_window_predict(
     fb: MelFilterbank,
 ) -> np.ndarray:
     """Per-class scores for a long clip: run the frontend and the averaged
-    ensemble on each window, then keep the per-class maximum."""
+    ensemble on each window, then keep the per-class maximum. A recording
+    whose rate, or a geometry whose n_fft, differs from the filterbank's is
+    rejected before any frontend work."""
     rate = long_signal.sample_rate
+    fb.check_input(rate, stft_config.n_fft)
     window_n = int(round(window_seconds * rate))
     hop_n = int(round(hop_seconds * rate))
     if window_n < 1:
@@ -355,17 +358,10 @@ def sliding_window_predict(
             f"{window_n}-sample window"
         )
     starts = range(0, len(long_signal) - window_n + 1, hop_n)
-    images = np.stack(
-        [
-            preprocess(
-                Signal(long_signal.samples[s : s + window_n], rate),
-                stft_config,
-                fb,
-                window_n,
-            ).values
-            for s in starts
-        ]
-    )
+    images = np.empty((len(starts), frame_count(window_n, stft_config), fb.n_mels))
+    for i, s in enumerate(starts):
+        window = Signal(long_signal.samples[s : s + window_n], rate)
+        images[i] = preprocess(window, stft_config, fb, window_n).values
     prediction = avg_predict(ensemble, images)
     return prediction.probabilities.max(axis=0)
 

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from spelaudio import dsp
 from spelaudio.dsp import (
     ComplexSpectrum,
     MelImage,
@@ -140,6 +141,32 @@ class TestStft:
         with pytest.raises(ValueError):
             ComplexSpectrum(np.zeros((4, 10), dtype=complex), cfg)
 
+    def test_cached_constants_are_read_only(self):
+        cfg = StftConfig(n_fft=256, hop=64, win_length=128)
+        stft(Signal(np.ones(1000), 8000), cfg)
+        window, rotation = dsp._frame_constants(frame_count(1000, cfg), cfg)
+        assert rotation.shape == (frame_count(1000, cfg), cfg.n_bins)
+        with pytest.raises(ValueError, match="read-only"):
+            window[0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            rotation[0, 0] = 1.0
+
+    def test_alternating_geometries_and_lengths_match_cold_calls(self):
+        rng = np.random.default_rng(13)
+        a = StftConfig(n_fft=256, hop=64, win_length=128)
+        b = StftConfig(n_fft=512, hop=32, win_length=256)
+        # A, B, A at another length, then A at the first length again.
+        calls = [
+            (a, rng.normal(size=1500)),
+            (b, rng.normal(size=2200)),
+            (a, rng.normal(size=900)),
+            (a, rng.normal(size=1500)),
+        ]
+        warm = [stft(Signal(x, 8000), cfg).values.tobytes() for cfg, x in calls]
+        for (cfg, x), got in zip(calls, warm):
+            dsp._frame_constants.cache_clear()
+            assert stft(Signal(x, 8000), cfg).values.tobytes() == got
+
 
 class TestPowerToDb:
     def test_unit_power_is_zero_db(self):
@@ -246,3 +273,17 @@ class TestPreprocess:
         cfg, _ = self._defaults()
         with pytest.raises(ValueError):
             MelImage(np.full((4, 8), 1.5), cfg, 8)
+
+    @pytest.mark.parametrize(
+        "rate, n_fft, match",
+        [
+            (8000, 1024, "8000 Hz differs from the filterbank's 16000 Hz"),
+            (16000, 512, "n_fft 512 differs from the filterbank's n_fft 1024"),
+        ],
+    )
+    def test_filterbank_mismatch_rejected(self, rate, n_fft, match):
+        _, fb = self._defaults()
+        assert (fb.sample_rate, fb.n_fft) == (16000, 1024)
+        cfg = StftConfig(n_fft=n_fft, hop=64, win_length=512)
+        with pytest.raises(ValueError, match=match):
+            preprocess(Signal(np.ones(rate), rate), cfg, fb, rate)

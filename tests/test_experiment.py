@@ -228,6 +228,20 @@ class TestSlidingWindow:
                 ensemble, Signal(np.zeros(2400), 4000), 0.15, hop_seconds, stft_config, fb
             )
 
+    def test_filterbank_rate_mismatch_rejected_before_the_frontend(self, mini_bundle, monkeypatch):
+        ensemble = self._ensemble(mini_bundle)
+        stft_config = StftConfig(n_fft=128, hop=64, win_length=128)
+        fb = mel_filterbank(12, 128, 8000)
+
+        def no_frontend(*args, **kwargs):
+            raise AssertionError("the frontend ran")
+
+        monkeypatch.setattr(experiment, "preprocess", no_frontend)
+        with pytest.raises(ValueError, match="4000 Hz differs from the filterbank's 8000 Hz"):
+            sliding_window_predict(
+                ensemble, Signal(np.zeros(2400), 4000), 0.15, 0.075, stft_config, fb
+            )
+
     def test_short_signal_rejected(self, mini_bundle):
         ensemble = self._ensemble(mini_bundle)
         stft_config = StftConfig(n_fft=128, hop=64, win_length=128)
