@@ -3,8 +3,8 @@
 parsing. Full-line comments start with ``#``; unknown sections, unknown
 keys, duplicates, and malformed values are all reported with their line
 number. Defaults are the library's standard settings (batch 16,
-learning rate 5e-4, transform 1024/64/512, 256 mel bands, pseudo-label
-budget 1000).
+learning rate 5e-4, transform 1024/64/512, 256 mel bands, sweep budget
+1000). A key that the chosen source or task does not read is rejected.
 """
 
 from __future__ import annotations
@@ -20,7 +20,8 @@ from .synthetic import DOMAINS, SyntheticSpec
 
 __all__ = ["ConfigError", "ExperimentConfig", "load_config", "config_from_text"]
 
-SOURCES = ("synthetic", "wav-dir")
+# The section each data source reads; the other sources' sections are rejected.
+SOURCE_SECTIONS = {"synthetic": "synthetic", "wav-dir": "data"}
 
 
 class ConfigError(ValueError):
@@ -60,16 +61,13 @@ class ExperimentConfig:
     raw_text: str = ""
 
     def __post_init__(self):
-        if self.metric not in TASK_METRICS[self.task]:
-            tasks = [task for task, names in TASK_METRICS.items() if self.metric in names]
-            if not tasks:
-                raise ConfigError(f"unknown metric {self.metric!r}; per task: {TASK_METRICS}")
-            raise ConfigError(f"metric {self.metric} needs a {' or '.join(tasks)} task")
         total = self.train_fraction + self.val_fraction + self.test_fraction
         if abs(total - 1.0) > 1e-9:
-            raise ConfigError(f"train/val/test fractions sum to {total}, expected 1")
+            raise ValueError(f"train/val/test fractions sum to {total}, expected 1")
         if not 0 < self.unlabeled_fraction <= 1:
-            raise ConfigError("unlabeled_fraction must lie in (0, 1]")
+            raise ValueError("unlabeled_fraction must lie in (0, 1]")
+        if self.synthetic is not None and self.synthetic.duration != self.clip_seconds:
+            raise ValueError(f"synthetic duration {self.synthetic.duration} != clip_seconds")
 
     @property
     def config_hash(self) -> str:
@@ -112,6 +110,7 @@ class _Section:
     def __init__(self, name: str, values: dict[str, tuple[str, int]]):
         self.name = name
         self.values = dict(values)
+        self.lines = {key: lineno for key, (_, lineno) in values.items()}
 
     def parsed(self, key, default, parser, kind):
         """The value run through parser. An empty or 'none' value means None
@@ -127,7 +126,7 @@ class _Section:
             raise ConfigError(f"line {lineno}: [{self.name}] {key} must be {kind}, got {value!r}")
 
     def str(self, key, default=None):
-        return self.parsed(key, default, _text, "a string")
+        return self.parsed(key, default, str, "a string")
 
     def int(self, key, default=None):
         return self.parsed(key, default, int, "an integer")
@@ -135,46 +134,70 @@ class _Section:
     def float(self, key, default=None):
         return self.parsed(key, default, float, "a number")
 
+    def count(self, key, default=None):
+        return self.parsed(key, default, _count, "a non-negative integer")
+
     def positive_int(self, key, default=None):
         return self.parsed(key, default, _positive_int, "a positive integer")
 
     def positive_float(self, key, default=None):
         return self.parsed(key, default, _positive_float, "a positive number")
 
+    def fraction(self, key, default=None):
+        return self.parsed(key, default, _fraction, "a number in [0, 1]")
+
     def choice(self, key, default, choices, kind=None):
         lookup = {choice: choice for choice in choices}
         return self.parsed(key, default, lookup.__getitem__, kind or f"one of {tuple(choices)}")
+
+    def unset(self, why, *keys):
+        """Reject the named keys, or every key left, as not read; why says what rules them out."""
+        for key in keys or list(self.values):
+            self.choice(key, "", (), kind=f"unset {why}")
+
+    def setting(self, key, value) -> str:
+        """'key = value', with its line when this config set it."""
+        lineno = self.lines.get(key)
+        return f"{key} = {value}" + ("" if lineno is None else f" (line {lineno})")
+
+    def build(self, factory, **kwargs):
+        """factory(**kwargs), its ValueError re-raised naming this section and
+        the lines of the keys it set."""
+        try:
+            return factory(**kwargs)
+        except ValueError as err:
+            lines = sorted(self.lines.values())
+            where = f"line{'s' * (len(lines) > 1)} {', '.join(map(str, lines))}: " if lines else ""
+            raise ConfigError(f"{where}[{self.name}] {err}") from err
 
     def finish(self):
         for key, (_, lineno) in self.values.items():
             raise ConfigError(f"line {lineno}: unknown key {key!r} in [{self.name}]")
 
 
-def _text(text: str) -> str:
-    if text.lower() in ("", "none"):
-        raise ValueError(text)
-    return text
+def _in_range(cast, ok):
+    """A parser of cast values for which ok holds."""
+
+    def parse(text: str):
+        value = cast(text)
+        if not ok(value):
+            raise ValueError(text)
+        return value
+
+    return parse
 
 
-def _int_list(text: str) -> tuple[int, ...]:
-    values = tuple(int(p.strip()) for p in text.split(",") if p.strip())
+_count = _in_range(int, lambda v: v >= 0)
+_positive_int = _in_range(int, lambda v: v >= 1)
+_positive_float = _in_range(float, lambda v: 0 < v < float("inf"))
+_fraction = _in_range(float, lambda v: 0 <= v <= 1)
+
+
+def _positive_int_list(text: str) -> tuple[int, ...]:
+    values = tuple(_positive_int(p.strip()) for p in text.split(",") if p.strip())
     if not values:
         raise ValueError(text)
     return values
-
-
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise ValueError(text)
-    return value
-
-
-def _positive_float(text: str) -> float:
-    value = float(text)
-    if not 0 < value < float("inf"):
-        raise ValueError(text)
-    return value
 
 
 def _parse_groups(value: str, parse_item):
@@ -200,7 +223,7 @@ def config_from_text(text: str, base_dir: Path | None = None) -> ExperimentConfi
     """Build an ExperimentConfig from config text; relative paths resolve
     against base_dir and referenced directories must exist."""
     sections = _parse_lines(text)
-    known = {"experiment", "dsp", "spel", "learner", "synthetic", "data", "sweep"}
+    known = {"experiment", "dsp", "spel", "learner", "sweep", *SOURCE_SECTIONS.values()}
     for name in sections:
         if name not in known:
             raise ConfigError(f"unknown section [{name}]")
@@ -209,20 +232,28 @@ def config_from_text(text: str, base_dir: Path | None = None) -> ExperimentConfi
         return _Section(name, sections.get(name, {}))
 
     exp = section("experiment")
-    task = exp.choice("task", "multiclass", TASK_METRICS)
-    source = exp.choice("source", "synthetic", SOURCES)
-    seed = exp.int("seed", 0)
-    metric = exp.str("metric", None) or DEFAULT_METRIC[task]
+    source = exp.choice("source", "synthetic", SOURCE_SECTIONS)
+    with_source = f"with {exp.setting('source', source)}"
+    # wav-dir labels each clip by its class subdirectory.
+    tasks = tuple(TASK_METRICS) if source == "synthetic" else ("multiclass",)
+    task = exp.choice("task", "multiclass", tasks, kind=f"one of {tasks} {with_source}")
+    with_task = f"with {exp.setting('task', task)}"
+    seed = exp.count("seed", 0)
+    metrics = TASK_METRICS[task]
+    kind = f"one of {metrics} {with_task}; per task: {TASK_METRICS}"
+    metric = exp.choice("metric", None, metrics, kind=kind) or DEFAULT_METRIC[task]
     # Only the synthetic generator renders validation clips of either domain.
-    if source == "synthetic":
-        val_domain = exp.choice("val_domain", "target", DOMAINS)
-    else:
-        exp.choice("val_domain", "target", (), kind=f"unset with source = {source}")
+    if source != "synthetic":
+        exp.unset(with_source, "val_domain")
+    val_domain = exp.choice("val_domain", "target", DOMAINS)
     output_dir = exp.str("output_dir", None)
     exp.finish()
+    for name in set(SOURCE_SECTIONS.values()) - {SOURCE_SECTIONS[source]}:
+        section(name).unset(with_source)
 
     dsp = section("dsp")
-    stft = StftConfig(
+    stft = dsp.build(
+        StftConfig,
         n_fft=dsp.positive_int("n_fft", 1024),
         hop=dsp.positive_int("hop", 64),
         win_length=dsp.positive_int("win_length", 512),
@@ -236,14 +267,13 @@ def config_from_text(text: str, base_dir: Path | None = None) -> ExperimentConfi
     sp = section("spel")
     spel = SpelConfig(
         n_members=sp.positive_int("members", 5),
-        n_steps=sp.int("steps", 3),
+        n_steps=sp.count("steps", 3),
         per_step=sp.positive_int("per_step", 50),
         learning_rate=sp.positive_float("learning_rate", 5e-4),
         pretrain_epochs=sp.positive_int("pretrain_epochs", 10),
         spel_epochs=sp.positive_int("spel_epochs", None),
         batch_size=sp.positive_int("batch_size", 16),
         seed=seed,
-        pseudo_budget=sp.int("pseudo_budget", 1000),
     )
     sp.finish()
 
@@ -265,7 +295,10 @@ def config_from_text(text: str, base_dir: Path | None = None) -> ExperimentConfi
     synthetic = None
     if source == "synthetic":
         syn = section("synthetic")
-        synthetic = SyntheticSpec(
+        if task != "multilabel":
+            syn.unset(with_task, "label_density")
+        synthetic = syn.build(
+            SyntheticSpec,
             n_classes=syn.int("classes", 6),
             n_source=syn.int("source_samples", 1200),
             n_val=syn.int("val_samples", 300),
@@ -281,22 +314,20 @@ def config_from_text(text: str, base_dir: Path | None = None) -> ExperimentConfi
             amp_min=syn.float("amp_min", 0.85),
             amp_max=syn.float("amp_max", 1.0),
             sample_rate=syn.int("sample_rate", 8000),
-            duration=syn.float("duration", 0.3),
+            duration=clip_seconds,
             task=task,
             label_density=syn.float("label_density", 0.3),
             val_domain=val_domain,
         )
         syn.finish()
-    elif "synthetic" in sections:
-        raise ConfigError("[synthetic] section given but source is not 'synthetic'")
 
     data = section("data")
     source_dir = data.str("source_dir", None)
     target_dir = data.str("target_dir", None)
-    train_fraction = data.float("train_fraction", 0.7)
-    val_fraction = data.float("val_fraction", 0.15)
-    test_fraction = data.float("test_fraction", 0.15)
-    unlabeled_fraction = data.float("unlabeled_fraction", 0.7)
+    train_fraction = data.fraction("train_fraction", 0.7)
+    val_fraction = data.fraction("val_fraction", 0.15)
+    test_fraction = data.fraction("test_fraction", 0.15)
+    unlabeled_fraction = data.fraction("unlabeled_fraction", 0.7)
     data.finish()
 
     def resolve(p):
@@ -318,13 +349,14 @@ def config_from_text(text: str, base_dir: Path | None = None) -> ExperimentConfi
 
     sweep = section("sweep")
     sweep_m_grid = sweep.parsed(
-        "m_grid", (50, 100, 150, 200), _int_list, "a comma-separated integer list"
+        "m_grid", (50, 100, 150, 200), _positive_int_list, "comma-separated positive integers"
     )
-    sweep_budget = sweep.int("budget", 1000)
-    sweep_k_max = sweep.int("k_max", None)
+    sweep_budget = sweep.positive_int("budget", 1000)
+    sweep_k_max = sweep.positive_int("k_max", None)
     sweep.finish()
 
-    return ExperimentConfig(
+    return data.build(
+        ExperimentConfig,
         task=task,
         source=source,
         output_dir=resolve(output_dir),

@@ -74,7 +74,6 @@ class SpelConfig:
     spel_epochs: int | None = None
     batch_size: int = 16
     seed: int = 0
-    pseudo_budget: int = 1000
 
     def __post_init__(self):
         if self.n_members < 1:
@@ -85,11 +84,6 @@ class SpelConfig:
             raise ValueError("per-step sample count must be >= 1")
         if not self.learning_rate > 0:
             raise ValueError("learning_rate must be positive")
-        if self.per_step * self.n_steps > self.pseudo_budget:
-            raise ValueError(
-                f"per_step * n_steps = {self.per_step * self.n_steps} exceeds the "
-                f"pseudo-label budget {self.pseudo_budget}"
-            )
         if self.pretrain_epochs < 1:
             raise ValueError("pretrain_epochs must be >= 1")
         if self.spel_epochs is not None and self.spel_epochs < 1:

@@ -98,8 +98,6 @@ def _mel_images(files, config: ExperimentConfig) -> np.ndarray:
 
 
 def _build_wav_data(config: ExperimentConfig) -> ExperimentData:
-    if config.task != "multiclass":
-        raise ConfigError("wav-dir mode labels clips by class subdirectory (multiclass only)")
     classes, src_files, src_labels = _scan_wavs(config.source_dir)
     if len(classes) < 2:
         raise ConfigError(f"{config.source_dir}: need class subdirectories (found {len(classes)})")
@@ -316,9 +314,7 @@ def sweep(config: ExperimentConfig | str | Path) -> list[tuple[int, int, Results
     for m, k in pairs:
         sub = dataclasses.replace(
             config,
-            spel=dataclasses.replace(
-                config.spel, per_step=m, n_steps=k, pseudo_budget=config.sweep_budget
-            ),
+            spel=dataclasses.replace(config.spel, per_step=m, n_steps=k),
             output_dir=config.output_dir / f"m{m:03d}_k{k:02d}",
             raw_text=config.raw_text + f"\n# sweep point: per_step={m} steps={k}\n",
         )
@@ -406,7 +402,6 @@ val_samples = 300
 unlabeled_samples = 600
 test_samples = 600
 sample_rate = 8000
-duration = 0.3
 base_freq = 400
 freq_step = 180
 freq_jitter = 55

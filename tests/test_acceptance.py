@@ -171,7 +171,6 @@ val_samples = 0
 unlabeled_samples = 60
 test_samples = 45
 sample_rate = 4000
-duration = 0.15
 base_freq = 300
 freq_step = 250
 harmonics = 1
@@ -361,7 +360,6 @@ val_samples = 90
 unlabeled_samples = 90
 test_samples = 30
 sample_rate = 4000
-duration = 0.15
 base_freq = 300
 freq_step = 250
 freq_jitter = 60

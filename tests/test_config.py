@@ -1,9 +1,23 @@
+import dataclasses
+import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from spelaudio import config
 from spelaudio.config import ConfigError, config_from_text, load_config
-from spelaudio.experiment import benchmark_config_text
+from spelaudio.dsp import Signal
+from spelaudio.engine import _STAMPED_SETTINGS
+from spelaudio.experiment import (
+    benchmark_config_text,
+    build_data,
+    build_learner_specs,
+    enumerate_grid,
+)
+from spelaudio.wavio import write_wav
+
+from test_data_golden import _digests
 
 FULL = """\
 [experiment]
@@ -38,7 +52,6 @@ val_samples = 20
 unlabeled_samples = 40
 test_samples = 40
 sample_rate = 4000
-duration = 0.5
 base_freq = 300
 freq_step = 220
 harmonics = 1
@@ -70,7 +83,6 @@ class TestParsing:
         assert cfg.n_mels == 256
         assert cfg.spel.batch_size == 16
         assert cfg.spel.learning_rate == 5e-4
-        assert cfg.spel.pseudo_budget == 1000
         assert cfg.sweep_m_grid == (50, 100, 150, 200)
         assert cfg.sweep_budget == 1000
 
@@ -86,15 +98,21 @@ class TestParsing:
         c = config_from_text(FULL.replace("output_dir = out\n", "").replace("seed = 11", "seed = 12"))
         assert c.config_hash != a.config_hash
 
-    def test_readme_example_parses(self):
+    def test_readme_example_parses(self, tmp_path):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-        block = readme.split("```ini\n", 1)[1].split("```", 1)[0]
-        cfg = config_from_text(block)
+        synthetic, wav = (block.split("```", 1)[0] for block in readme.split("```ini\n")[1:])
+        cfg = config_from_text(synthetic)
         assert cfg.spel.spel_epochs == 4 and cfg.spel.per_step == 50
         assert cfg.hidden_specs == ((64, 32),)
         assert cfg.conv_specs == (((8, 3, 2), (16, 3, 2)),)
         assert cfg.synthetic.val_domain == "target"
+        assert cfg.synthetic.duration == cfg.clip_seconds == 0.3
         assert cfg.sweep_m_grid == (50, 100, 150, 200)
+        for name in ("source", "target"):
+            (tmp_path / "corpora" / name).mkdir(parents=True)
+        cfg = config_from_text(wav, base_dir=tmp_path)
+        assert cfg.source == "wav-dir" and cfg.synthetic is None
+        assert cfg.target_dir == tmp_path / "corpora" / "target"
 
     def test_benchmark_template_parses(self):
         cfg = config_from_text(benchmark_config_text(3))
@@ -203,6 +221,14 @@ class TestErrors:
             "[dsp] clip_seconds = -1",
             "[dsp] hop = 0",
             "[spel] members = 0",
+            "[spel] steps = -1",
+            "[experiment] seed = -1",
+            "[experiment] metric = wlrap",
+            "[sweep] budget = 0",
+            "[sweep] k_max = 0",
+            "[sweep] m_grid = 10,0",
+            "[synthetic] label_density = 0.5",
+            "[data] source_dir = nowhere",
         ],
     )
     def test_bad_learner_layers_report_line(self, line):
@@ -219,13 +245,12 @@ class TestErrors:
     def test_optional_keys_accept_none(self):
         text = (
             "[experiment]\nmetric = none\noutput_dir = none\n"
-            "[dsp]\nfmax = none\n[spel]\nspel_epochs = none\n"
-            "[data]\nsource_dir = none\ntarget_dir =\n[sweep]\nk_max = none\n"
+            "[dsp]\nfmax = none\n[spel]\nspel_epochs = none\n[sweep]\nk_max = none\n"
         )
         cfg = config_from_text(text)
         assert cfg.metric == "accuracy"
         assert cfg.output_dir is None and cfg.fmax is None and cfg.spel.spel_epochs is None
-        assert cfg.source_dir is None and cfg.target_dir is None and cfg.sweep_k_max is None
+        assert cfg.sweep_k_max is None
 
     def test_none_hidden_group_is_a_linear_member(self):
         cfg = config_from_text("[learner]\nhidden = none\n")
@@ -234,3 +259,217 @@ class TestErrors:
     def test_comments_and_blanks_ignored(self):
         text = "# top comment\n\n[experiment]\n# inner\ntask = multiclass\n"
         assert config_from_text(text).task == "multiclass"
+
+
+def _wav_dirs(tmp_path):
+    for name in ("src", "tgt"):
+        (tmp_path / name).mkdir()
+    return "[experiment]\nsource = wav-dir\n[data]\nsource_dir = src\ntarget_dir = tgt\n"
+
+
+class TestDataclassErrors:
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "[dsp] n_fft = 1000",
+            "[dsp] hop = 600",
+            "[synthetic] classes = 1",
+            "[synthetic] source_noise = -1",
+        ],
+    )
+    def test_dataclass_errors_report_section_and_line(self, line):
+        section, _, assignment = line.partition(" ")
+        text = f"# the bad value is on line 4\n\n{section}\n{assignment}\n"
+        with pytest.raises(ConfigError, match=rf"^line 4: {re.escape(section)} ") as err:
+            config_from_text(text)
+        assert isinstance(err.value.__cause__, ValueError)
+
+    @pytest.mark.parametrize(
+        "fractions, message",
+        [
+            (
+                "train_fraction = 0.5\nval_fraction = 0.2",
+                r"lines 4, 5, 6, 7: \[data\] train/val/test fractions sum to 0.85",
+            ),
+            ("unlabeled_fraction = 0", r"lines 4, 5, 6: \[data\] unlabeled_fraction must lie in"),
+        ],
+    )
+    def test_experiment_config_errors_report_data_lines(self, tmp_path, fractions, message):
+        with pytest.raises(ConfigError, match=message):
+            config_from_text(_wav_dirs(tmp_path) + fractions + "\n", base_dir=tmp_path)
+
+    def test_fractions_outside_unit_interval_report_line(self, tmp_path):
+        """-0.2 + 0.6 + 0.6 sums to 1, and used to give overlapping splits."""
+        text = "train_fraction = -0.2\nval_fraction = 0.6\ntest_fraction = 0.6\n"
+        message = r"line 6: \[data\] train_fraction must be a number in \[0, 1\]"
+        with pytest.raises(ConfigError, match=message):
+            config_from_text(_wav_dirs(tmp_path) + text, base_dir=tmp_path)
+
+    def test_synthetic_clips_last_clip_seconds(self):
+        cfg = config_from_text("[dsp]\nclip_seconds = 0.2\n")
+        assert cfg.synthetic.duration == 0.2
+        with pytest.raises(ValueError, match="clip_seconds"):
+            dataclasses.replace(cfg, clip_seconds=0.3)
+        with pytest.raises(ConfigError, match="line 2: unknown key 'duration'"):
+            config_from_text("[synthetic]\nduration = 0.2\n")
+
+
+# --- every key is live or rejected with its line ---------------------------
+
+# A key is live when changing it changes what a run receives: the arrays
+# build_data returns, the learner specs, the stamped run settings and round
+# count, the output directory, the metric, or the sweep grid. Each config key
+# with the value it is changed to; where the first value is the base's own,
+# the second is used.
+CHANGES = {
+    ("experiment", "task"): ("multilabel", "multiclass"),
+    ("experiment", "source"): ("wav-dir", "synthetic"),
+    ("experiment", "seed"): ("9",),
+    ("experiment", "metric"): ("uar",),
+    ("experiment", "val_domain"): ("source",),
+    ("experiment", "output_dir"): ("elsewhere",),
+    ("dsp", "n_fft"): ("256",),
+    ("dsp", "hop"): ("32",),
+    ("dsp", "win_length"): ("64",),
+    ("dsp", "n_mels"): ("6",),
+    ("dsp", "fmin"): ("100",),
+    ("dsp", "fmax"): ("1500",),
+    ("dsp", "clip_seconds"): ("0.2",),
+    ("spel", "members"): ("2",),
+    ("spel", "steps"): ("1",),
+    ("spel", "per_step"): ("7",),
+    ("spel", "learning_rate"): ("0.01",),
+    ("spel", "pretrain_epochs"): ("3",),
+    ("spel", "spel_epochs"): ("2",),
+    ("spel", "batch_size"): ("4",),
+    ("learner", "hidden"): ("8",),
+    ("learner", "conv"): ("2x3x2",),
+    ("synthetic", "classes"): ("4",),
+    ("synthetic", "source_samples"): ("7",),
+    ("synthetic", "val_samples"): ("4",),
+    ("synthetic", "unlabeled_samples"): ("4",),
+    ("synthetic", "test_samples"): ("4",),
+    ("synthetic", "base_freq"): ("350",),
+    ("synthetic", "freq_step"): ("200",),
+    ("synthetic", "freq_jitter"): ("30",),
+    ("synthetic", "harmonics"): ("2",),
+    ("synthetic", "source_noise"): ("0.2",),
+    ("synthetic", "target_offset"): ("90",),
+    ("synthetic", "target_noise"): ("0.5",),
+    ("synthetic", "amp_min"): ("0.5",),
+    ("synthetic", "amp_max"): ("0.9",),
+    ("synthetic", "sample_rate"): ("5000",),
+    ("synthetic", "label_density"): ("0.6",),
+    ("data", "source_dir"): ("source_b",),
+    ("data", "target_dir"): ("target_b",),
+    ("data", "train_fraction"): ("0.5",),
+    ("data", "val_fraction"): ("0.3",),
+    ("data", "test_fraction"): ("0.3",),
+    ("data", "unlabeled_fraction"): ("0.5",),
+    ("sweep", "m_grid"): ("10,20",),
+    ("sweep", "budget"): ("500",),
+    ("sweep", "k_max"): ("2",),
+}
+
+_TINY_DSP = {
+    "n_fft": "128", "hop": "64", "win_length": "128", "n_mels": "8", "clip_seconds": "0.15",
+}
+_TINY_SYNTHETIC = {
+    "classes": "3", "source_samples": "6", "val_samples": "3", "unlabeled_samples": "3",
+    "test_samples": "3", "sample_rate": "4000", "base_freq": "300", "freq_step": "250",
+    "harmonics": "1",
+}
+CONTEXTS = {
+    "synthetic": {"dsp": _TINY_DSP, "synthetic": _TINY_SYNTHETIC},
+    "multilabel": {
+        "experiment": {"task": "multilabel"},
+        "dsp": _TINY_DSP,
+        "synthetic": _TINY_SYNTHETIC,
+    },
+    "wav-dir": {
+        "experiment": {"source": "wav-dir"},
+        "dsp": _TINY_DSP,
+        "data": {"source_dir": "source", "target_dir": "target"},
+    },
+}
+
+
+@pytest.fixture(scope="module")
+def corpora(tmp_path_factory):
+    """Two-class WAV corpora of 0.175 s tones; the _b variants differ."""
+    root = tmp_path_factory.mktemp("corpora")
+    rng = np.random.default_rng(3)
+    t = np.arange(700) / 4000
+    corpora = (("source", 5, 0), ("target", 4, 40), ("source_b", 5, 90), ("target_b", 4, 130))
+    for name, n, shift in corpora:
+        for cls, freq in (("a", 400.0), ("b", 900.0)):
+            (root / name / cls).mkdir(parents=True)
+            for i in range(n):
+                x = 0.7 * np.sin(2 * np.pi * (freq + shift) * t) + rng.normal(0, 0.05, size=700)
+                write_wav(root / name / cls / f"{i}.wav", Signal(np.clip(x, -1, 1), 4000))
+    return root
+
+
+def _config_text(sections):
+    """The config text and the line of each (section, key)."""
+    lines, where = [], {}
+    for name, keys in sections.items():
+        lines.append(f"[{name}]")
+        for key, value in keys.items():
+            lines.append(f"{key} = {value}")
+            where[name, key] = len(lines)
+    return "\n".join(lines) + "\n", where
+
+
+def _computed(cfg):
+    data = build_data(cfg)
+    return (
+        _digests(data),
+        build_learner_specs(cfg, data),
+        [getattr(cfg.spel, name) for name in _STAMPED_SETTINGS],
+        cfg.spel.n_steps,
+        cfg.output_dir,
+        cfg.metric,
+        enumerate_grid(cfg.sweep_m_grid, cfg.sweep_budget, cfg.sweep_k_max),
+    )
+
+
+def _lines_named(message):
+    groups = re.findall(r"\blines? ((?:\d+, )*\d+)", message)
+    return {int(n) for group in groups for n in group.split(", ")}
+
+
+@pytest.fixture(scope="module")
+def base_computed(corpora):
+    return {
+        name: _computed(config_from_text(_config_text(sections)[0], base_dir=corpora))
+        for name, sections in CONTEXTS.items()
+    }
+
+
+@pytest.mark.parametrize("context", sorted(CONTEXTS))
+@pytest.mark.parametrize("section, key", sorted(CHANGES))
+def test_every_key_is_live_or_rejected_with_its_line(section, key, context, corpora, base_computed):
+    base = CONTEXTS[context]
+    value = next(v for v in CHANGES[section, key] if v != base.get(section, {}).get(key))
+    text, where = _config_text({**base, section: {**base.get(section, {}), key: value}})
+    try:
+        cfg = config_from_text(text, base_dir=corpora)
+    except ConfigError as err:
+        assert where[section, key] in _lines_named(str(err)), str(err)
+        return
+    assert _computed(cfg) != base_computed[context], f"[{section}] {key} = {value} changes nothing"
+
+
+def test_liveness_table_lists_every_key_the_parser_reads(monkeypatch, corpora):
+    asked = set()
+    parsed = config._Section.parsed
+
+    def recording(self, key, *args):
+        asked.add((self.name, key))
+        return parsed(self, key, *args)
+
+    monkeypatch.setattr(config._Section, "parsed", recording)
+    for sections in CONTEXTS.values():
+        config_from_text(_config_text(sections)[0], base_dir=corpora)
+    assert asked == set(CHANGES)

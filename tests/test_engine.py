@@ -35,14 +35,6 @@ from conftest import mini_learner_spec, mini_spel_config
 
 
 class TestSpelConfig:
-    def test_budget_enforced(self):
-        with pytest.raises(ValueError):
-            SpelConfig(per_step=300, n_steps=4, pseudo_budget=1000)
-
-    def test_budget_boundary_accepted(self):
-        cfg = SpelConfig(per_step=150, n_steps=4, pseudo_budget=1000)
-        assert cfg.per_step * cfg.n_steps == 600
-
     def test_spel_epochs_default_derivation(self):
         assert SpelConfig(pretrain_epochs=10, n_steps=3).spel_epochs_effective == 3
         assert SpelConfig(pretrain_epochs=2, n_steps=5, per_step=10).spel_epochs_effective == 1

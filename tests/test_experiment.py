@@ -54,7 +54,6 @@ val_samples = 30
 unlabeled_samples = 60
 test_samples = 45
 sample_rate = 4000
-duration = 0.15
 base_freq = 300
 freq_step = 250
 harmonics = 1
