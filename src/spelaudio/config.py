@@ -13,8 +13,9 @@ import hashlib
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .dsp import StftConfig
+from .dsp import StftConfig, frame_count
 from .engine import SpelConfig
+from .learner import LearnerSpec
 from .metrics import DEFAULT_METRIC, TASK_METRICS
 from .synthetic import DOMAINS, SyntheticSpec
 
@@ -33,7 +34,6 @@ class ExperimentConfig:
     task: str = "multiclass"
     source: str = "synthetic"
     output_dir: Path | None = None
-    seed: int = 0
     metric: str = "accuracy"
 
     stft: StftConfig = field(default_factory=StftConfig)
@@ -68,6 +68,12 @@ class ExperimentConfig:
             raise ValueError("unlabeled_fraction must lie in (0, 1]")
         if self.synthetic is not None and self.synthetic.duration != self.clip_seconds:
             raise ValueError(f"synthetic duration {self.synthetic.duration} != clip_seconds")
+        if self.synthetic is not None and self.synthetic.task != self.task:
+            raise ValueError(f"synthetic task {self.synthetic.task!r} != task {self.task!r}")
+
+    @property
+    def seed(self) -> int:
+        return self.spel.seed
 
     @property
     def config_hash(self) -> str:
@@ -75,6 +81,19 @@ class ExperimentConfig:
 
     def clip_samples(self, sample_rate: int) -> int:
         return int(round(self.clip_seconds * sample_rate))
+
+    def learner_specs(self, input_shape, n_classes: int) -> list[LearnerSpec]:
+        """Per-member architectures; hidden/conv groups cycle over the members."""
+        return [
+            LearnerSpec(
+                input_shape=input_shape,
+                n_outputs=n_classes,
+                hidden_layers=self.hidden_specs[i % len(self.hidden_specs)],
+                conv_stem=self.conv_specs[i % len(self.conv_specs)],
+                head=self.task,
+            )
+            for i in range(self.spel.n_members)
+        ]
 
 
 def _parse_lines(text: str):
@@ -160,15 +179,19 @@ class _Section:
         lineno = self.lines.get(key)
         return f"{key} = {value}" + ("" if lineno is None else f" (line {lineno})")
 
+    def where(self, *keys) -> str:
+        """'line N: ' or 'lines N, M: ' for the named keys, or every key, this
+        config set; empty when it set none of them."""
+        lines = sorted(self.lines[key] for key in keys or self.lines if key in self.lines)
+        return f"line{'s' * (len(lines) > 1)} {', '.join(map(str, lines))}: " if lines else ""
+
     def build(self, factory, **kwargs):
         """factory(**kwargs), its ValueError re-raised naming this section and
         the lines of the keys it set."""
         try:
             return factory(**kwargs)
         except ValueError as err:
-            lines = sorted(self.lines.values())
-            where = f"line{'s' * (len(lines) > 1)} {', '.join(map(str, lines))}: " if lines else ""
-            raise ConfigError(f"{where}[{self.name}] {err}") from err
+            raise ConfigError(f"{self.where()}[{self.name}] {err}") from err
 
     def finish(self):
         for key, (_, lineno) in self.values.items():
@@ -190,6 +213,7 @@ def _in_range(cast, ok):
 _count = _in_range(int, lambda v: v >= 0)
 _positive_int = _in_range(int, lambda v: v >= 1)
 _positive_float = _in_range(float, lambda v: 0 < v < float("inf"))
+_non_negative_float = _in_range(float, lambda v: 0 <= v < float("inf"))
 _fraction = _in_range(float, lambda v: 0 <= v <= 1)
 
 
@@ -259,10 +283,13 @@ def config_from_text(text: str, base_dir: Path | None = None) -> ExperimentConfi
         win_length=dsp.positive_int("win_length", 512),
     )
     n_mels = dsp.positive_int("n_mels", 256)
-    fmin = dsp.float("fmin", 0.0)
+    fmin = dsp.parsed("fmin", 0.0, _non_negative_float, "a non-negative number")
     fmax = dsp.float("fmax", None)
     clip_seconds = dsp.positive_float("clip_seconds", 4.0)
     dsp.finish()
+    if fmax is not None and not fmin < fmax:
+        where = dsp.where("fmin", "fmax")
+        raise ConfigError(f"{where}[dsp] need fmin < fmax, got fmin = {fmin}, fmax = {fmax}")
 
     sp = section("spel")
     spel = SpelConfig(
@@ -271,7 +298,7 @@ def config_from_text(text: str, base_dir: Path | None = None) -> ExperimentConfi
         per_step=sp.positive_int("per_step", 50),
         learning_rate=sp.positive_float("learning_rate", 5e-4),
         pretrain_epochs=sp.positive_int("pretrain_epochs", 10),
-        spel_epochs=sp.positive_int("spel_epochs", None),
+        spel_epochs=sp.positive_int("spel_epochs", 3),
         batch_size=sp.positive_int("batch_size", 16),
         seed=seed,
     )
@@ -320,6 +347,21 @@ def config_from_text(text: str, base_dir: Path | None = None) -> ExperimentConfi
             val_domain=val_domain,
         )
         syn.finish()
+        # The mel band ends at fmax, or at the Nyquist frequency when fmax is unset.
+        rate = syn.setting("sample_rate", synthetic.sample_rate)
+        nyquist = synthetic.sample_rate / 2
+        if fmax is not None and fmax > nyquist:
+            raise ConfigError(
+                f"{dsp.where('fmax')}[dsp] fmax = {fmax} exceeds the Nyquist frequency "
+                f"{nyquist} of [synthetic] {rate}"
+            )
+        if fmax is None and fmin >= nyquist:
+            raise ConfigError(
+                f"{dsp.where('fmin')}[dsp] fmin = {fmin} is not below the Nyquist frequency "
+                f"{nyquist} of [synthetic] {rate}"
+            )
+        # Member input geometry, known before any clip is rendered.
+        n_frames = dsp.build(frame_count, n_samples=synthetic.clip_samples, config=stft)
 
     data = section("data")
     source_dir = data.str("source_dir", None)
@@ -355,12 +397,11 @@ def config_from_text(text: str, base_dir: Path | None = None) -> ExperimentConfi
     sweep_k_max = sweep.positive_int("k_max", None)
     sweep.finish()
 
-    return data.build(
+    cfg = data.build(
         ExperimentConfig,
         task=task,
         source=source,
         output_dir=resolve(output_dir),
-        seed=seed,
         metric=metric,
         stft=stft,
         n_mels=n_mels,
@@ -382,6 +423,9 @@ def config_from_text(text: str, base_dir: Path | None = None) -> ExperimentConfi
         sweep_k_max=sweep_k_max,
         raw_text=text,
     )
+    if synthetic is not None:
+        lrn.build(cfg.learner_specs, input_shape=(n_frames, n_mels), n_classes=synthetic.n_classes)
+    return cfg
 
 
 def load_config(path) -> ExperimentConfig:

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from itertools import zip_longest
 from pathlib import Path
 
@@ -71,7 +71,7 @@ class SpelConfig:
     per_step: int = 50
     learning_rate: float = 5e-4
     pretrain_epochs: int = 10
-    spel_epochs: int | None = None
+    spel_epochs: int = 3
     batch_size: int = 16
     seed: int = 0
 
@@ -86,18 +86,12 @@ class SpelConfig:
             raise ValueError("learning_rate must be positive")
         if self.pretrain_epochs < 1:
             raise ValueError("pretrain_epochs must be >= 1")
-        if self.spel_epochs is not None and self.spel_epochs < 1:
-            raise ValueError("spel_epochs must be >= 1 when given")
+        if self.spel_epochs < 1:
+            raise ValueError("spel_epochs must be >= 1")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
-
-    @property
-    def spel_epochs_effective(self) -> int:
-        if self.spel_epochs is not None:
-            return self.spel_epochs
-        return max(1, self.pretrain_epochs // max(self.n_steps, 1))
 
 
 @dataclass(frozen=True)
@@ -255,8 +249,7 @@ def spel_round(
     pool_inputs = np.concatenate([labeled.inputs, unlabeled.inputs[rows]], axis=0)
     pool_targets = np.concatenate([labeled.targets, pseudo.labels], axis=0)
     new_ensemble, new_states = _train_members(
-        ensemble.members, states, pool_inputs, pool_targets, config.spel_epochs_effective,
-        config, 2, j,
+        ensemble.members, states, pool_inputs, pool_targets, config.spel_epochs, config, 2, j
     )
     report = RoundReport(
         round_index=j,
@@ -283,8 +276,10 @@ def run_spel(
     baseline). With a checkpoint directory, every computed round is
     persisted; `resume=True` loads the rounds up to the latest complete one
     instead, reproducing the uninterrupted run exactly, and refuses a
-    checkpoint of other run settings or member specs. The data is not
-    checked: the caller must pass the same data.
+    checkpoint of other run settings or member specs. No round reads the
+    round count, so the resumed run may have fewer or more rounds than the
+    checkpointed one. The data is not checked: the caller must pass the
+    same data.
     """
     if config.n_steps > 0 and (unlabeled is None or len(unlabeled) == 0):
         raise ValueError("self-paced rounds need a nonempty unlabeled set")
@@ -336,13 +331,10 @@ def write_text_atomic(path: Path, text: str) -> None:
     os.replace(tmp, path)
 
 
-# The run settings that decide what a round computes, stamped on every round
-# record. The round count is left out, so a resumed run may stop earlier or
+# The run settings stamped on every round record: every SpelConfig field but
+# the round count, which no round reads, so a resumed run may stop earlier or
 # go further.
-_STAMPED_SETTINGS = (
-    "n_members", "per_step", "learning_rate", "pretrain_epochs", "spel_epochs_effective",
-    "batch_size", "seed",
-)
+_STAMPED_SETTINGS = tuple(f.name for f in fields(SpelConfig) if f.name != "n_steps")
 
 
 def save_round(

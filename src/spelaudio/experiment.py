@@ -166,20 +166,8 @@ def build_data(config: ExperimentConfig) -> ExperimentData:
 
 
 def build_learner_specs(config: ExperimentConfig, data: ExperimentData) -> list[LearnerSpec]:
-    """Per-member architectures; hidden/conv groups cycle over the members."""
-    input_shape = tuple(data.labeled.inputs.shape[1:])
-    specs = []
-    for i in range(config.spel.n_members):
-        specs.append(
-            LearnerSpec(
-                input_shape=input_shape,
-                n_outputs=data.n_classes,
-                hidden_layers=config.hidden_specs[i % len(config.hidden_specs)],
-                conv_stem=config.conv_specs[i % len(config.conv_specs)],
-                head=config.task,
-            )
-        )
-    return specs
+    """Per-member architectures for the data's input geometry and classes."""
+    return config.learner_specs(tuple(data.labeled.inputs.shape[1:]), data.n_classes)
 
 
 def _fmt(value) -> str:

@@ -63,7 +63,7 @@ class TestParsing:
         path = tmp_path / "exp.cfg"
         path.write_text(FULL)
         cfg = load_config(path)
-        assert cfg.seed == 11
+        assert cfg.seed == cfg.spel.seed == 11
         assert cfg.stft.n_fft == 256 and cfg.stft.hop == 64
         assert cfg.n_mels == 24
         assert cfg.spel.n_members == 3
@@ -83,6 +83,7 @@ class TestParsing:
         assert cfg.n_mels == 256
         assert cfg.spel.batch_size == 16
         assert cfg.spel.learning_rate == 5e-4
+        assert cfg.spel.spel_epochs == 3
         assert cfg.sweep_m_grid == (50, 100, 150, 200)
         assert cfg.sweep_budget == 1000
 
@@ -97,6 +98,15 @@ class TestParsing:
         assert a.config_hash == b.config_hash
         c = config_from_text(FULL.replace("output_dir = out\n", "").replace("seed = 11", "seed = 12"))
         assert c.config_hash != a.config_hash
+
+    def test_the_seed_has_one_owner(self):
+        """The data and the training read one seed, the [spel] run seed."""
+        cfg = config_from_text(FULL)
+        assert "seed" not in {f.name for f in dataclasses.fields(cfg)}
+        moved = dataclasses.replace(cfg, spel=dataclasses.replace(cfg.spel, seed=5))
+        assert moved.seed == 5
+        with pytest.raises(TypeError):
+            dataclasses.replace(cfg, seed=5)
 
     def test_readme_example_parses(self, tmp_path):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
@@ -219,6 +229,7 @@ class TestErrors:
             "[spel] learning_rate = -1",
             "[dsp] n_mels = 0",
             "[dsp] clip_seconds = -1",
+            "[dsp] fmin = -1",
             "[dsp] hop = 0",
             "[spel] members = 0",
             "[spel] steps = -1",
@@ -245,12 +256,16 @@ class TestErrors:
     def test_optional_keys_accept_none(self):
         text = (
             "[experiment]\nmetric = none\noutput_dir = none\n"
-            "[dsp]\nfmax = none\n[spel]\nspel_epochs = none\n[sweep]\nk_max = none\n"
+            "[dsp]\nfmax = none\n[sweep]\nk_max = none\n"
         )
         cfg = config_from_text(text)
         assert cfg.metric == "accuracy"
-        assert cfg.output_dir is None and cfg.fmax is None and cfg.spel.spel_epochs is None
+        assert cfg.output_dir is None and cfg.fmax is None
         assert cfg.sweep_k_max is None
+        # spel_epochs has a plain default and no 'none'.
+        message = r"line 9: \[spel\] spel_epochs must be a positive integer, got 'none'"
+        with pytest.raises(ConfigError, match=message):
+            config_from_text(text + "[spel]\nspel_epochs = none\n")
 
     def test_none_hidden_group_is_a_linear_member(self):
         cfg = config_from_text("[learner]\nhidden = none\n")
@@ -312,6 +327,74 @@ class TestDataclassErrors:
             dataclasses.replace(cfg, clip_seconds=0.3)
         with pytest.raises(ConfigError, match="line 2: unknown key 'duration'"):
             config_from_text("[synthetic]\nduration = 0.2\n")
+
+    @pytest.mark.parametrize(
+        "task, other", [("multiclass", "multilabel"), ("multilabel", "multiclass")]
+    )
+    def test_synthetic_task_follows_task(self, task, other):
+        cfg = config_from_text(f"[experiment]\ntask = {task}\n")
+        with pytest.raises(ValueError, match=f"synthetic task '{task}' != task '{other}'"):
+            dataclasses.replace(cfg, task=other)
+
+
+# Lines 1-6 set [dsp]; {dsp} adds lines from 7 on, then [synthetic] and {rest}.
+_TINY_TEXT = (
+    "[dsp]\nn_fft = 128\nhop = 64\nwin_length = 128\nn_mels = 8\nclip_seconds = 0.15\n{dsp}"
+    "[synthetic]\nsample_rate = 4000\nclasses = 3\nbase_freq = 300\nfreq_step = 250\n"
+    "harmonics = 1\n{rest}"
+)
+
+
+class TestParseTimeSignalChecks:
+    """What build_data and build_learner_specs would refuse is refused at
+    parse, with its lines, wherever the parse knows the rate and clip length."""
+
+    @pytest.mark.parametrize("source", ["synthetic", "wav-dir"])
+    @pytest.mark.parametrize("fmin", ["1500", "1000"])
+    def test_fmin_not_below_fmax_names_both_lines(self, tmp_path, source, fmin):
+        band = f"fmin = {fmin}\nfmax = 1000\n"
+        if source == "synthetic":
+            text = _TINY_TEXT.format(dsp=band, rest="")
+        else:  # five lines of [experiment] and [data], then [dsp] on line 6
+            text = _wav_dirs(tmp_path) + "[dsp]\n" + band
+        message = rf"^lines 7, 8: \[dsp\] need fmin < fmax, got fmin = {fmin}.0, fmax = 1000.0$"
+        with pytest.raises(ConfigError, match=message):
+            config_from_text(text, base_dir=tmp_path)
+
+    def test_fmax_above_nyquist_names_fmax_and_sample_rate(self):
+        text = _TINY_TEXT.format(dsp="fmax = 2500\n", rest="")
+        message = (
+            r"^line 7: \[dsp\] fmax = 2500.0 exceeds the Nyquist frequency 2000.0 "
+            r"of \[synthetic\] sample_rate = 4000 \(line 9\)$"
+        )
+        with pytest.raises(ConfigError, match=message):
+            config_from_text(text)
+        assert config_from_text(text.replace("2500", "2000")).fmax == 2000.0
+
+    def test_fmin_at_nyquist_without_fmax_names_fmin_and_sample_rate(self):
+        text = _TINY_TEXT.format(dsp="fmin = 2000\n", rest="")
+        message = (
+            r"^line 7: \[dsp\] fmin = 2000.0 is not below the Nyquist frequency 2000.0 "
+            r"of \[synthetic\] sample_rate = 4000 \(line 9\)$"
+        )
+        with pytest.raises(ConfigError, match=message):
+            config_from_text(text)
+
+    def test_clip_shorter_than_the_window_names_the_dsp_lines(self):
+        text = _TINY_TEXT.format(dsp="", rest="").replace("= 0.15", "= 0.02")
+        message = r"^lines 2, 3, 4, 5, 6: \[dsp\] signal of 80 samples is shorter than the 128-"
+        with pytest.raises(ConfigError, match=message):
+            config_from_text(text)
+
+    def test_conv_kernel_beyond_the_feature_map_names_the_learner_lines(self):
+        """The 0.15 s clips give 8 frames of 8 mel bands; member 1 of 5 gets the 9x9 kernel."""
+        rest = "[learner]\nhidden = 8\nconv = 4x3x1; 4x9x1\n"
+        text = _TINY_TEXT.format(dsp="", rest=rest)
+        message = r"^lines 14, 15: \[learner\] conv layer 0: kernel 9 exceeds feature map 8x8$"
+        with pytest.raises(ConfigError, match=message):
+            config_from_text(text)
+        one_member = config_from_text(text + "[spel]\nmembers = 1\n")
+        assert one_member.conv_specs == (((4, 3, 1),), ((4, 9, 1),))
 
 
 # --- every key is live or rejected with its line ---------------------------

@@ -35,10 +35,16 @@ from conftest import mini_learner_spec, mini_spel_config
 
 
 class TestSpelConfig:
-    def test_spel_epochs_default_derivation(self):
-        assert SpelConfig(pretrain_epochs=10, n_steps=3).spel_epochs_effective == 3
-        assert SpelConfig(pretrain_epochs=2, n_steps=5, per_step=10).spel_epochs_effective == 1
-        assert SpelConfig(pretrain_epochs=10, n_steps=3, spel_epochs=7).spel_epochs_effective == 7
+    def test_spel_epochs_default_ignores_the_round_count(self):
+        assert SpelConfig().spel_epochs == 3
+        assert SpelConfig(pretrain_epochs=2, n_steps=5, per_step=10).spel_epochs == 3
+        assert SpelConfig(pretrain_epochs=10, n_steps=3, spel_epochs=7).spel_epochs == 7
+        with pytest.raises(ValueError, match="spel_epochs must be >= 1"):
+            SpelConfig(spel_epochs=0)
+
+    def test_every_setting_but_the_round_count_is_stamped(self):
+        names = [f.name for f in dataclasses.fields(SpelConfig)]
+        assert engine._STAMPED_SETTINGS == tuple(n for n in names if n != "n_steps")
 
     def test_zero_steps_allowed(self):
         assert SpelConfig(n_steps=0).n_steps == 0
@@ -215,7 +221,7 @@ class TestSpelRound:
         assert isinstance(err, ValueError)
         assert (err.member, err.round_index, err.tensor) == (1, 2, "dense0_w")
         pool = len(mini_bundle.labeled) + min(2 * config.per_step, len(mini_bundle.unlabeled))
-        assert config.spel_epochs_effective == 1
+        # Parameters are checked at the end of each epoch, so the first one reports.
         assert err.step == ensemble.members[1].step + math.ceil(pool / config.batch_size)
         assert isinstance(err.__cause__, DivergenceError) and err.__cause__.member is None
 
@@ -421,20 +427,34 @@ class TestCheckpoints:
             shutil.rmtree(ckpt / f"round_{j:03d}")
         assert latest_complete_round(ckpt) == expected_last
         resumed = self._run(mini_bundle, ckpt, mini_spel_config(n_steps=2), resume=True)
+        self._assert_same_run(resumed, full, rounds=2)
 
+    def test_resume_with_more_rounds_matches_uninterrupted_run(self, mini_bundle, tmp_path):
+        """Rounds 1-2 of a 2-round run are those of the 3-round run with
+        spel_epochs left at its default, so a resume may go further."""
+        config = mini_spel_config(n_steps=3, pretrain_epochs=4)
+        full = self._run(mini_bundle, tmp_path / "full", config)
+        ckpt = tmp_path / "ckpt"
+        self._run(mini_bundle, ckpt, dataclasses.replace(config, n_steps=2))
+        resumed = self._run(mini_bundle, ckpt, config, resume=True)
+        self._assert_same_run(resumed, full, rounds=3)
+        assert latest_complete_round(ckpt) == 3
+
+    @staticmethod
+    def _assert_same_run(got_run, want_run, rounds):
         for got, want in (
-            (resumed.prediction, full.prediction),
-            (resumed.baseline_prediction, full.baseline_prediction),
+            (got_run.prediction, want_run.prediction),
+            (got_run.baseline_prediction, want_run.baseline_prediction),
         ):
             assert np.array_equal(got.probabilities, want.probabilities)
             assert np.array_equal(got.labels, want.labels)
-        assert resumed.reports == full.reports
-        assert len(resumed.pseudo_sets) == len(full.pseudo_sets) == 2
-        for got, want in zip(resumed.pseudo_sets, full.pseudo_sets):
+        assert got_run.reports == want_run.reports
+        assert len(got_run.pseudo_sets) == len(want_run.pseudo_sets) == rounds
+        for got, want in zip(got_run.pseudo_sets, want_run.pseudo_sets):
             assert np.array_equal(got.ids, want.ids)
             assert np.array_equal(got.labels, want.labels)
             assert np.array_equal(got.confidences, want.confidences)
-        for a, b in zip(resumed.ensemble.members, full.ensemble.members):
+        for a, b in zip(got_run.ensemble.members, want_run.ensemble.members):
             assert all(np.array_equal(a.tensors[k], b.tensors[k]) for k in a.tensors)
 
     def test_resume_refuses_other_run_settings(self, mini_bundle, tmp_path):
