@@ -33,7 +33,7 @@ from .engine import (
     select_pseudo,
     spel_round,
 )
-from .ensemble import Ensemble, EnsemblePrediction, avg_predict, permute_members
+from .ensemble import Ensemble, EnsemblePrediction, avg_predict
 from .experiment import (
     ResultsRecord,
     benchmark_config,

@@ -293,7 +293,7 @@ def run_spel(
             # Members are read only where the run needs them: the baseline
             # and the round the run continues from.
             ensemble, states, report, pseudo = load_round(
-                checkpoint_dir, j, members=j in (0, last), config=config, specs=specs
+                checkpoint_dir, j, config, specs, members=j in (0, last)
             )
         elif j == 0:
             ensemble, states = pretrain(config, labeled, specs)
@@ -376,27 +376,27 @@ def save_round(
 def load_round(
     checkpoint_dir: str | Path,
     j: int,
+    config: SpelConfig,
+    specs: list[LearnerSpec],
     members: bool = True,
-    config: SpelConfig | None = None,
-    specs: list[LearnerSpec] | None = None,
 ):
-    """Load one persisted round; returns (ensemble, states, report, pseudo).
+    """Load one persisted round of the run of config and specs; returns
+    (ensemble, states, report, pseudo).
 
     With members=False only the record is read and the first two entries
-    are None. Given the run's config (and specs), a record stamped with
-    other settings (an unstamped record records None) or members of other
-    specs raise ValueError naming the round and the first difference.
+    are None. A record stamped with other settings (an unstamped record
+    records None) or members of other specs raise ValueError naming the
+    round and the first difference.
     """
     rdir = _round_dir(Path(checkpoint_dir), j)
     record = json.loads((rdir / "round.json").read_text())
-    if config is not None:
-        stamp = record.get("config", {})
-        for name in _STAMPED_SETTINGS:
-            if stamp.get(name) != getattr(config, name):
-                raise ValueError(
-                    f"round {j} checkpoint records {name} = {stamp.get(name)!r}, "
-                    f"this run has {name} = {getattr(config, name)!r}"
-                )
+    stamp = record.get("config", {})
+    for name in _STAMPED_SETTINGS:
+        if stamp.get(name) != getattr(config, name):
+            raise ValueError(
+                f"round {j} checkpoint records {name} = {stamp.get(name)!r}, "
+                f"this run has {name} = {getattr(config, name)!r}"
+            )
     report = RoundReport(
         round_index=record["round"],
         pseudo_count=record["pseudo_count"],
@@ -417,11 +417,10 @@ def load_round(
     loaded = [load_params(rdir / f"member_{i:02d}.npz") for i in range(record["n_members"])]
     ensemble = Ensemble(tuple(params for params, _ in loaded))
     states = [state for _, state in loaded]
-    if specs is not None:
-        loaded_specs = (member.spec for member in ensemble.members)
-        for i, (have, want) in enumerate(zip_longest(loaded_specs, specs)):
-            if have != want:
-                raise ValueError(f"round {j} checkpoint member {i} is {have}, this run has {want}")
+    loaded_specs = (member.spec for member in ensemble.members)
+    for i, (have, want) in enumerate(zip_longest(loaded_specs, specs)):
+        if have != want:
+            raise ValueError(f"round {j} checkpoint member {i} is {have}, this run has {want}")
     return ensemble, states, report, pseudo
 
 

@@ -9,13 +9,11 @@ count and task kind.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
-
 import numpy as np
 
 from . import learner
 
-__all__ = ["Ensemble", "EnsemblePrediction", "avg_predict", "permute_members"]
+__all__ = ["Ensemble", "EnsemblePrediction", "avg_predict"]
 
 
 @dataclass(frozen=True)
@@ -74,11 +72,3 @@ def avg_predict(ensemble: Ensemble, inputs: np.ndarray) -> EnsemblePrediction:
         labels = (probs > 0.5).astype(np.int64)
         confidence = np.abs(2.0 * probs - 1.0).mean(axis=1)
     return EnsemblePrediction(probabilities=probs, labels=labels, confidence=confidence)
-
-
-def permute_members(ensemble: Ensemble, permutation: Sequence[int]) -> Ensemble:
-    """Reorder members; averaging makes predictions order-insensitive."""
-    perm = list(permutation)
-    if sorted(perm) != list(range(ensemble.n)):
-        raise ValueError(f"not a permutation of 0..{ensemble.n - 1}: {permutation!r}")
-    return Ensemble(members=tuple(ensemble.members[i] for i in perm))

@@ -53,24 +53,24 @@ EPS = 1e-8
 
 @dataclass(frozen=True)
 class LearnerSpec:
-    """Architecture description: input geometry, stem, hidden widths, head."""
+    """Architecture description: input image (frames, mels), stem, hidden widths, head."""
 
-    input_shape: tuple[int, int] | int
+    input_shape: tuple[int, int]
     n_outputs: int
     hidden_layers: tuple[int, ...] = (64,)
     conv_stem: tuple[tuple[int, int, int], ...] = ()
     head: str = "multiclass"
 
     def __post_init__(self):
-        if isinstance(self.input_shape, (list, tuple)):
+        try:
             shape = tuple(int(v) for v in self.input_shape)
-            if len(shape) != 2 or min(shape) < 1:
-                raise ValueError(f"2-D input_shape must be two positive ints, got {shape}")
-            object.__setattr__(self, "input_shape", shape)
-        else:
-            if int(self.input_shape) < 1:
-                raise ValueError("flat input dimension must be positive")
-            object.__setattr__(self, "input_shape", int(self.input_shape))
+        except (TypeError, ValueError):
+            shape = ()
+        if len(shape) != 2 or min(shape) < 1:
+            raise ValueError(
+                f"input_shape must be (frames, mels), two positive ints, got {self.input_shape!r}"
+            )
+        object.__setattr__(self, "input_shape", shape)
         object.__setattr__(
             self, "hidden_layers", tuple(int(w) for w in self.hidden_layers)
         )
@@ -86,15 +86,11 @@ class LearnerSpec:
         minimum = 2 if self.head == "multiclass" else 1
         if self.n_outputs < minimum:
             raise ValueError(f"{self.head} head needs n_outputs >= {minimum}")
-        if self.conv_stem and not isinstance(self.input_shape, tuple):
-            raise ValueError("a conv stem requires a 2-D input_shape")
         self._stem_geometry()  # validates kernel/stride fit
 
     def _stem_geometry(self):
         """Channel/height/width after each stem layer; raises if a kernel no longer fits."""
-        if not isinstance(self.input_shape, tuple):
-            return []
-        c, h, w = 1, self.input_shape[0], self.input_shape[1]
+        c, (h, w) = 1, self.input_shape
         shapes = []
         for idx, (out_c, kernel, stride) in enumerate(self.conv_stem):
             if out_c < 1 or kernel < 1 or stride < 1:
@@ -112,8 +108,6 @@ class LearnerSpec:
     @property
     def feature_dim(self) -> int:
         """Flattened width entering the dense body."""
-        if isinstance(self.input_shape, int):
-            return self.input_shape
         shapes = self._stem_geometry()
         if shapes:
             c, h, w = shapes[-1]
@@ -282,17 +276,9 @@ def _conv_backward(x_shape, cols, w, stride, dout, need_dx):
 
 def _check_input_shape(spec: LearnerSpec, inputs: np.ndarray) -> np.ndarray:
     x = np.asarray(inputs, dtype=np.float64)
-    if isinstance(spec.input_shape, int):
-        if x.ndim != 2 or x.shape[1] != spec.input_shape:
-            raise ValueError(
-                f"expected inputs of shape (batch, {spec.input_shape}), got {x.shape}"
-            )
-    else:
-        if x.ndim != 3 or x.shape[1:] != spec.input_shape:
-            raise ValueError(
-                f"expected inputs of shape (batch, {spec.input_shape[0]}, "
-                f"{spec.input_shape[1]}), got {x.shape}"
-            )
+    if x.ndim != 3 or x.shape[1:] != spec.input_shape:
+        frames, mels = spec.input_shape
+        raise ValueError(f"expected inputs of shape (batch, {frames}, {mels}), got {x.shape}")
     return x
 
 
@@ -460,9 +446,7 @@ def n_parameters(obj: LearnerParams | LearnerSpec) -> int:
 def _spec_to_json(spec: LearnerSpec) -> str:
     return json.dumps(
         {
-            "input_shape": list(spec.input_shape)
-            if isinstance(spec.input_shape, tuple)
-            else spec.input_shape,
+            "input_shape": list(spec.input_shape),
             "n_outputs": spec.n_outputs,
             "hidden_layers": list(spec.hidden_layers),
             "conv_stem": [list(layer) for layer in spec.conv_stem],
@@ -476,9 +460,8 @@ def _spec_from_json(text: str, path) -> LearnerSpec:
     raw = json.loads(text)
     if raw["activation"] != "relu":
         raise ValueError(f"{path}: unsupported activation {raw['activation']!r}")
-    shape = raw["input_shape"]
     return LearnerSpec(
-        input_shape=tuple(shape) if isinstance(shape, list) else shape,
+        input_shape=raw["input_shape"],
         n_outputs=raw["n_outputs"],
         hidden_layers=tuple(raw["hidden_layers"]),
         conv_stem=tuple(tuple(layer) for layer in raw["conv_stem"]),

@@ -84,7 +84,7 @@ def test_criterion_2_gradient_correctness():
             )
         else:
             spec = LearnerSpec(
-                input_shape=int(rng.integers(6, 14)),
+                input_shape=(1, int(rng.integers(6, 14))),
                 n_outputs=int(rng.integers(2, 6)),
                 hidden_layers=tuple(
                     int(rng.integers(4, 10)) for _ in range(int(rng.integers(1, 3)))
@@ -213,9 +213,10 @@ def test_criterion_4_structural_invariants(tmp_path):
     dominance_ok = True
     for per_step in (10, 50):
         ckpt = tmp_path / f"ckpt_{per_step}"
-        _, data, result = _structural_run(per_step, 5, checkpoint_dir=ckpt)
+        cfg, data, result = _structural_run(per_step, 5, checkpoint_dir=ckpt)
+        specs = build_learner_specs(cfg, data)
         for j in range(1, 6):
-            prev_ensemble, _, _, _ = load_round(ckpt, j - 1)
+            prev_ensemble, _, _, _ = load_round(ckpt, j - 1, cfg.spel, specs)
             pred = avg_predict(prev_ensemble, data.unlabeled.inputs)
             recorded = result.pseudo_sets[j - 1]
             fresh = select_pseudo(

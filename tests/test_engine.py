@@ -130,7 +130,7 @@ class TestPretrain:
 
 def controlled_confidence_ensemble():
     """Single linear member: confidence grows with |first input feature|."""
-    spec = LearnerSpec(input_shape=2, n_outputs=2, hidden_layers=())
+    spec = LearnerSpec(input_shape=(1, 2), n_outputs=2, hidden_layers=())
     params = init_params(spec, seed=0)
     params.tensors["out_w"][...] = [[1.0, -1.0], [0.0, 0.0]]
     params.tensors["out_b"][...] = 0.0
@@ -141,7 +141,7 @@ class TestSelectPseudo:
     def test_top_k_by_confidence(self):
         ensemble = controlled_confidence_ensemble()
         # confidences: sigmoid(2*|x0|) -> x0=3 highest, x0=0 lowest, x0=1 middle
-        inputs = np.array([[3.0, 0.0], [0.0, 0.0], [1.0, 0.0]])
+        inputs = np.array([[3.0, 0.0], [0.0, 0.0], [1.0, 0.0]])[:, None, :]
         unlabeled = UnlabeledSet(inputs=inputs, ids=np.arange(3))
         pseudo = select_pseudo(ensemble, unlabeled, count=2)
         assert pseudo.ids.tolist() == [0, 2]
@@ -149,14 +149,14 @@ class TestSelectPseudo:
 
     def test_count_saturates(self):
         ensemble = controlled_confidence_ensemble()
-        inputs = np.array([[3.0, 0.0], [0.0, 0.0], [1.0, 0.0]])
+        inputs = np.array([[3.0, 0.0], [0.0, 0.0], [1.0, 0.0]])[:, None, :]
         unlabeled = UnlabeledSet(inputs=inputs, ids=np.arange(3))
         pseudo = select_pseudo(ensemble, unlabeled, count=50)
         assert len(pseudo.ids) == 3
 
     def test_ties_break_to_lower_id(self):
         ensemble = controlled_confidence_ensemble()
-        inputs = np.zeros((3, 2))  # all equal confidence 0.5
+        inputs = np.zeros((3, 1, 2))  # all equal confidence 0.5
         unlabeled = UnlabeledSet(inputs=inputs, ids=np.arange(3))
         pseudo = select_pseudo(ensemble, unlabeled, count=2)
         assert pseudo.ids.tolist() == [0, 1]
@@ -165,7 +165,7 @@ class TestSelectPseudo:
         ensemble = controlled_confidence_ensemble()
         with pytest.raises(ValueError):
             select_pseudo(
-                ensemble, UnlabeledSet(inputs=np.zeros((0, 2)), ids=np.zeros(0)), count=1
+                ensemble, UnlabeledSet(inputs=np.zeros((0, 1, 2)), ids=np.zeros(0)), count=1
             )
 
     def test_labels_match_ensemble_predictions(self, mini_bundle):
@@ -329,7 +329,7 @@ class TestCheckpoints:
             # Regeneration: the recorded selection must equal a fresh
             # selection by the pre-round ensemble, and its confidences must
             # dominate every unselected sample's.
-            prev_ensemble, _, _, _ = load_round(ckpt, j - 1)
+            prev_ensemble, _, _, _ = load_round(ckpt, j - 1, config, [spec, spec])
             expected = select_pseudo(
                 prev_ensemble,
                 mini_bundle.unlabeled,
@@ -358,7 +358,7 @@ class TestCheckpoints:
             validation=mini_bundle.validation,
             checkpoint_dir=ckpt,
         )
-        _, _, report, pseudo = load_round(ckpt, 1)
+        _, _, report, pseudo = load_round(ckpt, 1, config, [spec, spec])
         assert report.pseudo_count == result.reports[1].pseudo_count
         assert report.metrics == pytest.approx(result.reports[1].metrics)
         assert np.array_equal(pseudo.ids, result.pseudo_sets[0].ids)
@@ -367,17 +367,18 @@ class TestCheckpoints:
         self, mini_bundle, tmp_path, monkeypatch
     ):
         spec = mini_learner_spec(mini_bundle)
+        config = mini_spel_config(n_steps=1)
         ckpt = tmp_path / "ckpt"
         run_spel(
             mini_bundle.labeled,
             mini_bundle.unlabeled,
             mini_bundle.test_inputs,
-            mini_spel_config(n_steps=1),
+            config,
             [spec, spec],
             checkpoint_dir=ckpt,
         )
         assert latest_complete_round(ckpt) == 1
-        ensemble, states, report, pseudo = load_round(ckpt, 1)
+        ensemble, states, report, pseudo = load_round(ckpt, 1, config, [spec, spec])
         written = []
 
         def save_one_then_fail(path, params, state=None):
@@ -388,7 +389,7 @@ class TestCheckpoints:
 
         monkeypatch.setattr(engine, "save_params", save_one_then_fail)
         with pytest.raises(OSError, match="disk full"):
-            save_round(ckpt, 1, ensemble, states, report, pseudo, mini_spel_config(n_steps=1))
+            save_round(ckpt, 1, ensemble, states, report, pseudo, config)
         assert len(written) == 1
         assert latest_complete_round(ckpt) == 0
 

@@ -52,10 +52,7 @@ def assert_gradients_match(params, batch, rtol=1e-4):
 
 
 def random_batch(rng, spec, batch_size=4):
-    if isinstance(spec.input_shape, int):
-        inputs = rng.normal(size=(batch_size, spec.input_shape))
-    else:
-        inputs = rng.normal(size=(batch_size, *spec.input_shape))
+    inputs = rng.normal(size=(batch_size, *spec.input_shape))
     if spec.head == "multiclass":
         targets = rng.integers(0, spec.n_outputs, size=batch_size)
     else:
@@ -84,9 +81,9 @@ def smooth_random_batch(rng, spec, params, batch_size=4, margin=1e-3, attempts=1
 
 
 GRADCHECK_SPECS = [
-    LearnerSpec(input_shape=10, n_outputs=3, hidden_layers=(8,)),
-    LearnerSpec(input_shape=12, n_outputs=4, hidden_layers=(9, 5)),
-    LearnerSpec(input_shape=10, n_outputs=5, hidden_layers=(7,), head="multilabel"),
+    LearnerSpec(input_shape=(1, 10), n_outputs=3, hidden_layers=(8,)),
+    LearnerSpec(input_shape=(1, 12), n_outputs=4, hidden_layers=(9, 5)),
+    LearnerSpec(input_shape=(1, 10), n_outputs=5, hidden_layers=(7,), head="multilabel"),
     LearnerSpec(
         input_shape=(8, 8),
         n_outputs=3,
@@ -125,14 +122,14 @@ class TestGradients:
 
 class TestInit:
     def test_deterministic_given_seed(self):
-        spec = LearnerSpec(input_shape=20, n_outputs=3, hidden_layers=(16,))
+        spec = LearnerSpec(input_shape=(1, 20), n_outputs=3, hidden_layers=(16,))
         a = init_params(spec, seed=42)
         b = init_params(spec, seed=42)
         for name in a.tensors:
             assert np.array_equal(a.tensors[name], b.tensors[name])
 
     def test_weight_std_tracks_fan_in(self):
-        spec = LearnerSpec(input_shape=200, n_outputs=2, hidden_layers=(64,))
+        spec = LearnerSpec(input_shape=(1, 200), n_outputs=2, hidden_layers=(64,))
         params = init_params(spec, seed=0)
         w = params.tensors["dense0_w"]  # fan_in 200, 12800 draws
         assert w.size >= 10_000
@@ -149,7 +146,7 @@ class TestInit:
                 assert np.all(arr == 0.0)
 
     def test_shape_validation(self):
-        spec = LearnerSpec(input_shape=4, n_outputs=2, hidden_layers=(3,))
+        spec = LearnerSpec(input_shape=(1, 4), n_outputs=2, hidden_layers=(3,))
         good = init_params(spec, seed=0)
         bad = dict(good.tensors)
         bad["dense0_w"] = np.zeros((4, 7))
@@ -159,65 +156,65 @@ class TestInit:
 
 class TestForward:
     def test_zero_weights_uniform_softmax(self):
-        spec = LearnerSpec(input_shape=5, n_outputs=4, hidden_layers=(3,))
+        spec = LearnerSpec(input_shape=(1, 5), n_outputs=4, hidden_layers=(3,))
         params = init_params(spec, seed=0)
         for arr in params.tensors.values():
             arr[...] = 0.0
-        probs = forward(params, np.random.default_rng(0).normal(size=(6, 5)))
+        probs = forward(params, np.random.default_rng(0).normal(size=(6, 1, 5)))
         assert np.allclose(probs, 0.25)
 
     def test_zero_weights_sigmoid_half(self):
-        spec = LearnerSpec(input_shape=5, n_outputs=3, hidden_layers=(3,), head="multilabel")
+        spec = LearnerSpec(input_shape=(1, 5), n_outputs=3, hidden_layers=(3,), head="multilabel")
         params = init_params(spec, seed=0)
         for arr in params.tensors.values():
             arr[...] = 0.0
-        probs = forward(params, np.random.default_rng(0).normal(size=(6, 5)))
+        probs = forward(params, np.random.default_rng(0).normal(size=(6, 1, 5)))
         assert np.all(probs == 0.5)
 
     def test_rows_sum_to_one(self):
-        spec = LearnerSpec(input_shape=9, n_outputs=6, hidden_layers=(12,))
+        spec = LearnerSpec(input_shape=(1, 9), n_outputs=6, hidden_layers=(12,))
         params = init_params(spec, seed=3)
-        probs = forward(params, np.random.default_rng(3).normal(size=(50, 9)))
+        probs = forward(params, np.random.default_rng(3).normal(size=(50, 1, 9)))
         assert np.all(np.isfinite(probs))
         assert np.all(probs > 0) and np.all(probs < 1)
         assert np.max(np.abs(probs.sum(axis=1) - 1.0)) <= 1e-12
 
     def test_shape_mismatch_raises(self):
-        spec = LearnerSpec(input_shape=9, n_outputs=3, hidden_layers=(4,))
+        spec = LearnerSpec(input_shape=(1, 9), n_outputs=3, hidden_layers=(4,))
         params = init_params(spec, seed=0)
         with pytest.raises(ValueError):
-            forward(params, np.zeros((2, 8)))
+            forward(params, np.zeros((2, 1, 8)))
 
 
 class TestLoss:
     def test_confident_correct_prediction_near_zero_loss(self):
-        spec = LearnerSpec(input_shape=2, n_outputs=2, hidden_layers=())
+        spec = LearnerSpec(input_shape=(1, 2), n_outputs=2, hidden_layers=())
         params = init_params(spec, seed=0)
         params.tensors["out_w"][...] = 0.0
         params.tensors["out_b"][...] = [30.0, -30.0]
-        loss, _ = loss_and_grad(params, LabeledSet(np.zeros((3, 2)), np.zeros(3, dtype=int)))
+        loss, _ = loss_and_grad(params, LabeledSet(np.zeros((3, 1, 2)), np.zeros(3, dtype=int)))
         assert loss < 1e-9
 
     def test_uniform_prediction_log_c(self):
-        spec = LearnerSpec(input_shape=4, n_outputs=5, hidden_layers=(3,))
+        spec = LearnerSpec(input_shape=(1, 4), n_outputs=5, hidden_layers=(3,))
         params = init_params(spec, seed=0)
         for arr in params.tensors.values():
             arr[...] = 0.0
         loss, _ = loss_and_grad(
-            params, LabeledSet(np.ones((8, 4)), np.arange(8, dtype=int) % 5)
+            params, LabeledSet(np.ones((8, 1, 4)), np.arange(8, dtype=int) % 5)
         )
         assert loss == pytest.approx(math.log(5.0), abs=1e-12)
 
     def test_target_out_of_range_rejected(self):
-        spec = LearnerSpec(input_shape=4, n_outputs=3, hidden_layers=())
+        spec = LearnerSpec(input_shape=(1, 4), n_outputs=3, hidden_layers=())
         params = init_params(spec, seed=0)
         with pytest.raises(ValueError):
-            loss_and_grad(params, LabeledSet(np.ones((2, 4)), np.array([0, 3])))
+            loss_and_grad(params, LabeledSet(np.ones((2, 1, 4)), np.array([0, 3])))
 
 
 class TestAdam:
     def _scalar_setup(self):
-        spec = LearnerSpec(input_shape=2, n_outputs=2, hidden_layers=())
+        spec = LearnerSpec(input_shape=(1, 2), n_outputs=2, hidden_layers=())
         params = init_params(spec, seed=0)
         state = init_adam(params, learning_rate=0.01)
         return spec, params, state
@@ -257,9 +254,9 @@ class TestAdam:
             assert np.array_equal(s1.m[name], s2.m[name])
 
     def test_repeated_steps_decrease_loss(self):
-        spec = LearnerSpec(input_shape=6, n_outputs=3, hidden_layers=(8,))
+        spec = LearnerSpec(input_shape=(1, 6), n_outputs=3, hidden_layers=(8,))
         rng = np.random.default_rng(77)
-        batch = LabeledSet(rng.normal(size=(16, 6)), rng.integers(0, 3, size=16))
+        batch = LabeledSet(rng.normal(size=(16, 1, 6)), rng.integers(0, 3, size=16))
         improved = 0
         for trial in range(20):
             params = init_params(spec, seed=trial)
@@ -276,12 +273,12 @@ class TestAdam:
 
 class TestTrain:
     def test_zero_epochs_noop(self):
-        spec = LearnerSpec(input_shape=3, n_outputs=2, hidden_layers=(4,))
+        spec = LearnerSpec(input_shape=(1, 3), n_outputs=2, hidden_layers=(4,))
         params = init_params(spec, seed=0)
         state = init_adam(params, learning_rate=0.01)
         out, _ = train(
             params,
-            np.ones((5, 3)),
+            np.ones((5, 1, 3)),
             np.zeros(5, dtype=int),
             epochs=0,
             batch_size=2,
@@ -296,9 +293,9 @@ class TestTrain:
         n = 80
         x0 = rng.normal(loc=[-2.0, -2.0], scale=0.4, size=(n, 2))
         x1 = rng.normal(loc=[2.0, 2.0], scale=0.4, size=(n, 2))
-        inputs = np.vstack([x0, x1])
+        inputs = np.vstack([x0, x1])[:, None, :]
         targets = np.array([0] * n + [1] * n)
-        spec = LearnerSpec(input_shape=2, n_outputs=2, hidden_layers=(8,))
+        spec = LearnerSpec(input_shape=(1, 2), n_outputs=2, hidden_layers=(8,))
         params = init_params(spec, seed=5)
         state = init_adam(params, learning_rate=0.01)
         params, _ = train(
@@ -309,9 +306,9 @@ class TestTrain:
 
     def test_deterministic_given_seed(self):
         rng = np.random.default_rng(8)
-        inputs = rng.normal(size=(30, 4))
+        inputs = rng.normal(size=(30, 1, 4))
         targets = rng.integers(0, 3, size=30)
-        spec = LearnerSpec(input_shape=4, n_outputs=3, hidden_layers=(6,))
+        spec = LearnerSpec(input_shape=(1, 4), n_outputs=3, hidden_layers=(6,))
 
         def run():
             params = init_params(spec, seed=11)
@@ -325,13 +322,13 @@ class TestTrain:
             assert np.array_equal(a.tensors[name], b.tensors[name])
 
     def test_empty_dataset_rejected(self):
-        spec = LearnerSpec(input_shape=4, n_outputs=2, hidden_layers=())
+        spec = LearnerSpec(input_shape=(1, 4), n_outputs=2, hidden_layers=())
         params = init_params(spec, seed=0)
         state = init_adam(params, learning_rate=1e-3)
         with pytest.raises(ValueError):
             train(
                 params,
-                np.zeros((0, 4)),
+                np.zeros((0, 1, 4)),
                 np.zeros(0, dtype=int),
                 epochs=1,
                 batch_size=4,
@@ -341,9 +338,9 @@ class TestTrain:
 
     def test_optimizer_state_continues_across_calls(self):
         rng = np.random.default_rng(2)
-        inputs = rng.normal(size=(20, 3))
+        inputs = rng.normal(size=(20, 1, 3))
         targets = rng.integers(0, 2, size=20)
-        spec = LearnerSpec(input_shape=3, n_outputs=2, hidden_layers=(4,))
+        spec = LearnerSpec(input_shape=(1, 3), n_outputs=2, hidden_layers=(4,))
         params = init_params(spec, seed=0)
         state = init_adam(params, learning_rate=1e-3)
         p1, s1 = train(params, inputs, targets, epochs=2, batch_size=5, state=state, seed=9)
@@ -374,15 +371,14 @@ def reference_train(params, inputs, targets, *, epochs, batch_size, state, seed)
 
 
 TRAIN_SPECS = [
-    LearnerSpec(input_shape=6, n_outputs=3, hidden_layers=(8, 5)),
+    LearnerSpec(input_shape=(1, 6), n_outputs=3, hidden_layers=(8, 5)),
     LearnerSpec(input_shape=(8, 7), n_outputs=3, hidden_layers=(6,), conv_stem=((3, 3, 2),)),
 ]
 
 
 def _train_data(spec, n=23, seed=4):
     rng = np.random.default_rng(seed)
-    shape = spec.input_shape if isinstance(spec.input_shape, tuple) else (spec.input_shape,)
-    return rng.normal(size=(n, *shape)), rng.integers(0, spec.n_outputs, size=n)
+    return rng.normal(size=(n, *spec.input_shape)), rng.integers(0, spec.n_outputs, size=n)
 
 
 class TestTrainContract:
@@ -425,7 +421,7 @@ class TestTrainContract:
     def test_nan_inputs_raise_naming_tensor_and_step(self):
         spec = TRAIN_SPECS[0]
         inputs, targets = _train_data(spec)
-        inputs[3, 2] = np.nan
+        inputs[3, 0, 2] = np.nan
         params = init_params(spec, seed=0)
         state = init_adam(params, learning_rate=1e-3)
         with pytest.raises(ValueError, match=r"dense0_w .*non-finite.* step 5\b"):
@@ -485,7 +481,7 @@ class TestSerialization:
         assert loaded_state.learning_rate == state.learning_rate
 
     def test_params_only_round_trip(self, tmp_path):
-        spec = LearnerSpec(input_shape=4, n_outputs=2, hidden_layers=())
+        spec = LearnerSpec(input_shape=(1, 4), n_outputs=2, hidden_layers=())
         params = init_params(spec, seed=1)
         path = tmp_path / "weights.npz"
         save_params(path, params)
@@ -494,7 +490,7 @@ class TestSerialization:
         assert np.array_equal(loaded.tensors["out_w"], params.tensors["out_w"])
 
     def test_stored_adam_constants_must_match(self, tmp_path):
-        spec = LearnerSpec(input_shape=4, n_outputs=2, hidden_layers=(3,))
+        spec = LearnerSpec(input_shape=(1, 4), n_outputs=2, hidden_layers=(3,))
         params = init_params(spec, seed=1)
         path = tmp_path / "member.npz"
         save_params(path, params, init_adam(params, learning_rate=1e-3))
@@ -504,7 +500,7 @@ class TestSerialization:
             load_params(path)
 
     def test_stored_activation_must_be_relu(self, tmp_path):
-        spec = LearnerSpec(input_shape=4, n_outputs=2, hidden_layers=(3,))
+        spec = LearnerSpec(input_shape=(1, 4), n_outputs=2, hidden_layers=(3,))
         path = tmp_path / "member.npz"
         save_params(path, init_params(spec, seed=1))
         with np.load(path, allow_pickle=False) as archive:
@@ -524,7 +520,7 @@ class TestSerialization:
         ],
     )
     def test_adam_moments_checked_at_load(self, tmp_path, key, value, message):
-        spec = LearnerSpec(input_shape=4, n_outputs=2, hidden_layers=(3,))
+        spec = LearnerSpec(input_shape=(1, 4), n_outputs=2, hidden_layers=(3,))
         params = init_params(spec, seed=1)
         path = tmp_path / "member.npz"
         save_params(path, params, init_adam(params, learning_rate=1e-3))
@@ -541,7 +537,7 @@ class TestSerialization:
         ],
     )
     def test_param_tensors_checked_at_load(self, tmp_path, key, value, message):
-        spec = LearnerSpec(input_shape=4, n_outputs=2, hidden_layers=(3,))
+        spec = LearnerSpec(input_shape=(1, 4), n_outputs=2, hidden_layers=(3,))
         path = tmp_path / "member.npz"
         save_params(path, init_params(spec, seed=1))
         _rewrite_checkpoint(path, **{key: value})
@@ -549,7 +545,7 @@ class TestSerialization:
             load_params(path)
 
     def test_failed_write_keeps_the_old_checkpoint(self, tmp_path, monkeypatch):
-        spec = LearnerSpec(input_shape=4, n_outputs=2, hidden_layers=(3,))
+        spec = LearnerSpec(input_shape=(1, 4), n_outputs=2, hidden_layers=(3,))
         old, new = init_params(spec, seed=1), init_params(spec, seed=2)
         path = tmp_path / "member.npz"
         save_params(path, old)
@@ -576,15 +572,17 @@ class TestSerialization:
 class TestSpecValidation:
     def test_multiclass_needs_two_outputs(self):
         with pytest.raises(ValueError):
-            LearnerSpec(input_shape=4, n_outputs=1)
+            LearnerSpec(input_shape=(1, 4), n_outputs=1)
 
     def test_multilabel_allows_one_output(self):
-        spec = LearnerSpec(input_shape=4, n_outputs=1, head="multilabel")
+        spec = LearnerSpec(input_shape=(1, 4), n_outputs=1, head="multilabel")
         assert spec.n_outputs == 1
 
-    def test_conv_needs_2d_input(self):
-        with pytest.raises(ValueError):
-            LearnerSpec(input_shape=16, n_outputs=2, conv_stem=((2, 3, 1),))
+    def test_flat_input_shape_rejected(self):
+        # Members take (frames, mels) images; a flat vector is a (1, d) image.
+        for shape in (16, (16,), (4, 4, 1), (0, 4)):
+            with pytest.raises(ValueError, match=r"input_shape must be \(frames, mels\)"):
+                LearnerSpec(input_shape=shape, n_outputs=2)
 
     def test_kernel_too_large_rejected(self):
         with pytest.raises(ValueError):
