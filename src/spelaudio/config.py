@@ -31,10 +31,13 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """A run's settings. The data source follows from them: synthetic when a
+    synthetic spec is given, else WAV directories, which need both paths.
+    The metric defaults to the task's DEFAULT_METRIC."""
+
     task: str = "multiclass"
-    source: str = "synthetic"
     output_dir: Path | None = None
-    metric: str = "accuracy"
+    metric: str | None = None
 
     stft: StftConfig = field(default_factory=StftConfig)
     n_mels: int = 256
@@ -70,6 +73,20 @@ class ExperimentConfig:
             raise ValueError(f"synthetic duration {self.synthetic.duration} != clip_seconds")
         if self.synthetic is not None and self.synthetic.task != self.task:
             raise ValueError(f"synthetic task {self.synthetic.task!r} != task {self.task!r}")
+        if self.synthetic is None and (self.source_dir is None or self.target_dir is None):
+            raise ValueError("wav-dir data (no synthetic spec) needs source_dir and target_dir")
+        if self.task not in TASK_METRICS:
+            raise ValueError(f"task must be one of {tuple(TASK_METRICS)}, got {self.task!r}")
+        if self.metric is None:
+            object.__setattr__(self, "metric", DEFAULT_METRIC[self.task])
+        if self.metric not in TASK_METRICS[self.task]:
+            raise ValueError(
+                f"task {self.task!r} scores {TASK_METRICS[self.task]}, not metric {self.metric!r}"
+            )
+
+    @property
+    def source(self) -> str:
+        return "synthetic" if self.synthetic is not None else "wav-dir"
 
     @property
     def seed(self) -> int:
@@ -265,7 +282,7 @@ def config_from_text(text: str, base_dir: Path | None = None) -> ExperimentConfi
     seed = exp.count("seed", 0)
     metrics = TASK_METRICS[task]
     kind = f"one of {metrics} {with_task}; per task: {TASK_METRICS}"
-    metric = exp.choice("metric", None, metrics, kind=kind) or DEFAULT_METRIC[task]
+    metric = exp.choice("metric", None, metrics, kind=kind)
     # Only the synthetic generator renders validation clips of either domain.
     if source != "synthetic":
         exp.unset(with_source, "val_domain")
@@ -382,12 +399,9 @@ def config_from_text(text: str, base_dir: Path | None = None) -> ExperimentConfi
 
     source_dir = resolve(source_dir)
     target_dir = resolve(target_dir)
-    if source == "wav-dir":
-        if source_dir is None or target_dir is None:
-            raise ConfigError("wav-dir mode needs [data] source_dir and target_dir")
-        for label, path in (("source_dir", source_dir), ("target_dir", target_dir)):
-            if not path.is_dir():
-                raise ConfigError(f"[data] {label} does not exist: {path}")
+    for label, path in (("source_dir", source_dir), ("target_dir", target_dir)):
+        if path is not None and not path.is_dir():
+            raise ConfigError(f"{data.where(label)}[data] {label} does not exist: {path}")
 
     sweep = section("sweep")
     sweep_m_grid = sweep.parsed(
@@ -400,7 +414,6 @@ def config_from_text(text: str, base_dir: Path | None = None) -> ExperimentConfi
     cfg = data.build(
         ExperimentConfig,
         task=task,
-        source=source,
         output_dir=resolve(output_dir),
         metric=metric,
         stft=stft,

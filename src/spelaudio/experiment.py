@@ -152,8 +152,6 @@ def _build_wav_data(config: ExperimentConfig) -> ExperimentData:
 
 def build_data(config: ExperimentConfig) -> ExperimentData:
     if config.source == "synthetic":
-        if config.synthetic is None:
-            raise ConfigError("synthetic mode needs a synthetic data spec")
         return gen_synthetic(
             config.synthetic,
             config.stft,

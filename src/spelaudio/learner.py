@@ -456,10 +456,10 @@ def _spec_to_json(spec: LearnerSpec) -> str:
     )
 
 
-def _spec_from_json(text: str, path) -> LearnerSpec:
+def _spec_from_json(text: str) -> LearnerSpec:
     raw = json.loads(text)
     if raw["activation"] != "relu":
-        raise ValueError(f"{path}: unsupported activation {raw['activation']!r}")
+        raise ValueError(f"unsupported activation {raw['activation']!r}")
     return LearnerSpec(
         input_shape=raw["input_shape"],
         n_outputs=raw["n_outputs"],
@@ -496,43 +496,46 @@ def save_params(path, params: LearnerParams, state: OptimizerState | None = None
 
 
 def load_params(path):
-    """Inverse of save_params; returns (params, state-or-None)."""
+    """Inverse of save_params; returns (params, state-or-None). A checkpoint
+    that is malformed or fails a check raises ValueError naming the path."""
     with np.load(path, allow_pickle=False) as archive:
-        version = int(archive["format_version"])
-        if version != FORMAT_VERSION:
-            raise ValueError(f"unsupported checkpoint format version {version}")
-        spec = _spec_from_json(str(archive["spec_json"]), path)
-        shapes = param_shapes(spec)
-        tensors = _load_tensors(archive, "param/", shapes, path)
-        params = LearnerParams(spec=spec, tensors=tensors, step=int(archive["step"]))
-        state = None
-        if "adam/hyper" in archive.files:
-            lr, *hyper = archive["adam/hyper"].tolist()
-            if hyper != [BETA1, BETA2, EPS]:
-                raise ValueError(
-                    f"{path}: Adam beta1, beta2, eps {hyper} differ from {BETA1}, {BETA2}, {EPS}"
-                )
-            state = OptimizerState(
-                m=_load_tensors(archive, "adam/m/", shapes, path),
-                v=_load_tensors(archive, "adam/v/", shapes, path),
-                learning_rate=lr,
-            )
+        try:
+            return _read_checkpoint(archive)
+        except (KeyError, TypeError, ValueError) as err:
+            what = err if type(err) is ValueError else f"malformed, {type(err).__name__}: {err}"
+            raise ValueError(f"{path}: {what}") from err
+
+
+def _read_checkpoint(archive):
+    version = int(archive["format_version"])
+    if version != FORMAT_VERSION:
+        raise ValueError(f"unsupported checkpoint format version {version}")
+    spec = _spec_from_json(str(archive["spec_json"]))
+    shapes = param_shapes(spec)
+    tensors = _load_tensors(archive, "param/", shapes)
+    params = LearnerParams(spec=spec, tensors=tensors, step=int(archive["step"]))
+    if "adam/hyper" not in archive.files:
+        return params, None
+    lr, *hyper = archive["adam/hyper"].tolist()
+    if hyper != [BETA1, BETA2, EPS]:
+        raise ValueError(f"Adam beta1, beta2, eps {hyper} differ from {BETA1}, {BETA2}, {EPS}")
+    state = OptimizerState(
+        m=_load_tensors(archive, "adam/m/", shapes),
+        v=_load_tensors(archive, "adam/v/", shapes),
+        learning_rate=lr,
+    )
     return params, state
 
 
-def _load_tensors(archive, prefix: str, shapes: dict[str, tuple[int, ...]], path):
+def _load_tensors(archive, prefix: str, shapes: dict[str, tuple[int, ...]]):
     """One tensor per parameter under prefix, of its shape and finite, or ValueError."""
     names = [key[len(prefix):] for key in archive.files if key.startswith(prefix)]
     if sorted(names) != sorted(shapes):
-        raise ValueError(
-            f"{path}: {prefix}* names {names} differ from the parameters {list(shapes)}"
-        )
+        raise ValueError(f"{prefix}* names {names} differ from the parameters {list(shapes)}")
     tensors = {name: archive[prefix + name] for name in shapes}
     for name, arr in tensors.items():
         if arr.shape != shapes[name]:
-            raise ValueError(
-                f"{path}: {prefix}{name} has shape {arr.shape}, expected {shapes[name]}"
-            )
+            raise ValueError(f"{prefix}{name} has shape {arr.shape}, expected {shapes[name]}")
         if not np.all(np.isfinite(arr)):
-            raise ValueError(f"{path}: {prefix}{name} contains non-finite values")
+            raise ValueError(f"{prefix}{name} contains non-finite values")
     return tensors

@@ -10,11 +10,13 @@ from spelaudio.config import ConfigError, config_from_text, load_config
 from spelaudio.dsp import Signal
 from spelaudio.engine import _STAMPED_SETTINGS
 from spelaudio.experiment import (
+    benchmark_config,
     benchmark_config_text,
     build_data,
     build_learner_specs,
     enumerate_grid,
 )
+from spelaudio.metrics import DEFAULT_METRIC
 from spelaudio.wavio import write_wav
 
 from test_data_golden import _digests
@@ -335,6 +337,29 @@ class TestDataclassErrors:
         cfg = config_from_text(f"[experiment]\ntask = {task}\n")
         with pytest.raises(ValueError, match=f"synthetic task '{task}' != task '{other}'"):
             dataclasses.replace(cfg, task=other)
+
+    def test_the_source_follows_the_synthetic_spec(self, tmp_path):
+        """A synthetic spec makes the source synthetic; without one, both
+        directories must be given. The source is not a settable field."""
+        cfg = benchmark_config(0)
+        assert cfg.source == "synthetic"
+        assert "source" not in {f.name for f in dataclasses.fields(cfg)}
+        with pytest.raises(TypeError):
+            dataclasses.replace(cfg, source="wav-dir")
+        with pytest.raises(ValueError, match="needs source_dir and target_dir"):
+            dataclasses.replace(cfg, synthetic=None)
+        with pytest.raises(ValueError, match="needs source_dir and target_dir"):
+            dataclasses.replace(cfg, synthetic=None, source_dir=tmp_path)
+        wav = dataclasses.replace(cfg, synthetic=None, source_dir=tmp_path, target_dir=tmp_path)
+        assert wav.source == "wav-dir"
+
+    @pytest.mark.parametrize("task, unscored", [("multiclass", "lrap"), ("multilabel", "uar")])
+    def test_metric_must_be_scored_by_the_task(self, task, unscored):
+        cfg = config_from_text(f"[experiment]\ntask = {task}\n")
+        assert cfg.metric == DEFAULT_METRIC[task]
+        assert dataclasses.replace(cfg, metric=None).metric == DEFAULT_METRIC[task]
+        with pytest.raises(ValueError, match=f"task '{task}' scores .*, not metric '{unscored}'"):
+            dataclasses.replace(cfg, metric=unscored)
 
 
 # Lines 1-6 set [dsp]; {dsp} adds lines from 7 on, then [synthetic] and {rest}.

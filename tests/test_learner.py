@@ -445,9 +445,9 @@ class TestTrainContract:
         assert len(checks) == 1
 
 
-def _rewrite_checkpoint(path, **replace):
+def _rewrite_checkpoint(path, drop=(), **replace):
     with np.load(path, allow_pickle=False) as archive:
-        payload = {key: archive[key] for key in archive.files}
+        payload = {key: archive[key] for key in archive.files if key not in drop}
     payload.update(replace)
     with open(path, "wb") as fh:
         np.savez(fh, **payload)
@@ -561,6 +561,46 @@ class TestSerialization:
         loaded, _ = load_params(path)
         assert np.array_equal(loaded.tensors["out_w"], old.tensors["out_w"])
         assert [p.name for p in tmp_path.iterdir()] == ["member.npz"]
+
+    @pytest.mark.parametrize(
+        "rewrite, message",
+        [
+            pytest.param(
+                lambda raw: json.dumps({k: v for k, v in raw.items() if k != "activation"}),
+                "malformed, KeyError: 'activation'",
+                id="no-activation",
+            ),
+            pytest.param(lambda raw: "{not json", "malformed, JSONDecodeError: ", id="not-json"),
+            pytest.param(
+                lambda raw: json.dumps({**raw, "n_outputs": 1}),
+                "multiclass head needs n_outputs >= 2",
+                id="invalid-spec",
+            ),
+            # A checkpoint of a flat-input learner, a form members no longer take.
+            pytest.param(
+                lambda raw: json.dumps({**raw, "input_shape": 4}),
+                r"input_shape must be \(frames, mels\)",
+                id="flat-input",
+            ),
+        ],
+    )
+    def test_malformed_spec_rejected_naming_the_path(self, tmp_path, rewrite, message):
+        spec = LearnerSpec(input_shape=(1, 4), n_outputs=2, hidden_layers=(3,))
+        path = tmp_path / "member.npz"
+        save_params(path, init_params(spec, seed=1))
+        with np.load(path, allow_pickle=False) as archive:
+            raw = json.loads(str(archive["spec_json"]))
+        _rewrite_checkpoint(path, spec_json=np.array(rewrite(raw)))
+        with pytest.raises(ValueError, match=rf"member\.npz: {message}"):
+            load_params(path)
+
+    def test_missing_step_rejected_naming_the_path(self, tmp_path):
+        spec = LearnerSpec(input_shape=(1, 4), n_outputs=2, hidden_layers=(3,))
+        path = tmp_path / "member.npz"
+        save_params(path, init_params(spec, seed=1))
+        _rewrite_checkpoint(path, drop=("step",))
+        with pytest.raises(ValueError, match=r"member\.npz: malformed, KeyError: 'step is not"):
+            load_params(path)
 
     def test_version_check(self, tmp_path):
         path = tmp_path / "bad.npz"
