@@ -9,6 +9,7 @@ count and task kind.
 from __future__ import annotations
 
 from dataclasses import dataclass
+
 import numpy as np
 
 from . import learner

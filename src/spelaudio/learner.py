@@ -21,6 +21,7 @@ import math
 import os
 from dataclasses import dataclass
 from pathlib import Path
+from zipfile import BadZipFile
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -497,13 +498,14 @@ def save_params(path, params: LearnerParams, state: OptimizerState | None = None
 
 def load_params(path):
     """Inverse of save_params; returns (params, state-or-None). A checkpoint
-    that is malformed or fails a check raises ValueError naming the path."""
-    with np.load(path, allow_pickle=False) as archive:
-        try:
+    that is malformed, cut short or fails a check raises ValueError naming
+    the path."""
+    try:
+        with np.load(path, allow_pickle=False) as archive:
             return _read_checkpoint(archive)
-        except (KeyError, TypeError, ValueError) as err:
-            what = err if type(err) is ValueError else f"malformed, {type(err).__name__}: {err}"
-            raise ValueError(f"{path}: {what}") from err
+    except (KeyError, TypeError, ValueError, EOFError, BadZipFile) as err:
+        what = err if type(err) is ValueError else f"malformed, {type(err).__name__}: {err}"
+        raise ValueError(f"{path}: {what}") from err
 
 
 def _read_checkpoint(archive):

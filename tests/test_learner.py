@@ -602,6 +602,16 @@ class TestSerialization:
         with pytest.raises(ValueError, match=r"member\.npz: malformed, KeyError: 'step is not"):
             load_params(path)
 
+    @pytest.mark.parametrize("keep", [0.5, 0.0])
+    def test_cut_short_checkpoint_rejected_naming_the_path(self, tmp_path, keep):
+        spec = LearnerSpec(input_shape=(1, 4), n_outputs=2, hidden_layers=(3,))
+        path = tmp_path / "member.npz"
+        save_params(path, init_params(spec, seed=1))
+        data = path.read_bytes()
+        path.write_bytes(data[: int(len(data) * keep)])
+        with pytest.raises(ValueError, match=r"member\.npz: malformed, (BadZipFile|EOFError)"):
+            load_params(path)
+
     def test_version_check(self, tmp_path):
         path = tmp_path / "bad.npz"
         np.savez(path, format_version=np.array(999))
