@@ -74,14 +74,12 @@ def _print_record(record) -> None:
             parts.append(f"{name} {value:.4f}")
         print("  " + "  ".join(parts))
     for label, metrics in (("baseline", record.baseline_metrics), ("final", record.final_metrics)):
-        if metrics:
-            print(f"{label}: " + "  ".join(f"{k} {v:.4f}" for k, v in metrics.items()))
+        print(f"{label}: " + "  ".join(f"{k} {v:.4f}" for k, v in metrics.items()))
     mc = record.mcnemar_vs_baseline
-    if mc is not None:
-        verdict = "significant" if mc.significant else "not significant"
-        print(f"mcnemar vs baseline: statistic {mc.statistic:.4f} (b={mc.b}, c={mc.c}) {verdict} at 0.01")
-    if record.output_dir is not None:
-        print(f"results written to {record.output_dir}")
+    verdict = "significant" if mc.significant else "not significant"
+    print(f"mcnemar vs baseline: statistic {mc.statistic:.4f} (b={mc.b}, c={mc.c}) {verdict} at 0.01")
+    if record.config.output_dir is not None:
+        print(f"results written to {record.config.output_dir}")
 
 
 def _cmd_run(args) -> int:
@@ -93,9 +91,8 @@ def _cmd_run(args) -> int:
 def _cmd_sweep(args) -> int:
     results = sweep(args.config)
     for m, k, record in results:
-        final = record.final_metrics.get(record.metric)
-        shown = "n/a" if final is None else f"{final:.4f}"
-        print(f"per_step {m:4d}  steps {k:2d}  final {record.metric} {shown}")
+        metric = record.config.metric
+        print(f"per_step {m:4d}  steps {k:2d}  final {metric} {record.final_metrics[metric]:.4f}")
     print(f"{len(results)} grid points")
     return 0
 

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from itertools import zip_longest
 from pathlib import Path
 
@@ -116,26 +116,30 @@ class UnlabeledSet:
 @dataclass(frozen=True)
 class ExperimentData:
     """A run's inputs from either data source. The truths are for evaluation
-    only and training reads neither: test_truth is None without labeled test
-    data, unlabeled_truth is None where the pool's labels are unknown."""
+    only and training reads neither: every source labels its test split,
+    unlabeled_truth is None where the pool's labels are unknown."""
 
     labeled: LabeledSet
     validation: LabeledSet | None
     unlabeled: UnlabeledSet
     test_inputs: np.ndarray
-    test_truth: np.ndarray | None
+    test_truth: np.ndarray
     n_classes: int
     unlabeled_truth: np.ndarray | None = None
 
 
+# A pseudo set's arrays, with the dtypes a round record restores them to.
+_PSEUDO_DTYPES = {"ids": np.int64, "labels": np.int64, "confidences": np.float64}
+
+
 @dataclass(frozen=True)
 class PseudoSet:
-    """Selected identifiers with their ensemble labels, highest confidence first."""
+    """Selected identifiers with their ensemble labels, highest confidence
+    first. Two sets are equal when their arrays are."""
 
     ids: np.ndarray
     labels: np.ndarray
     confidences: np.ndarray
-    round_index: int
 
     def __post_init__(self):
         if not (len(self.ids) == len(self.labels) == len(self.confidences)):
@@ -143,13 +147,28 @@ class PseudoSet:
         if np.any(np.diff(self.confidences) > 0):
             raise ValueError("confidences must be non-increasing")
 
+    def __eq__(self, other):
+        return isinstance(other, PseudoSet) and all(
+            np.array_equal(getattr(self, name), getattr(other, name)) for name in _PSEUDO_DTYPES
+        )
+
 
 @dataclass(frozen=True)
 class RoundReport:
+    """One round's validation metrics and, from round 1 on, the pseudo set
+    its members trained on."""
+
     round_index: int
-    pseudo_count: int
-    metrics: dict[str, float] = field(default_factory=dict)
-    min_selected_confidence: float | None = None
+    metrics: dict[str, float]
+    pseudo: PseudoSet | None = None
+
+    @property
+    def pseudo_count(self) -> int:
+        return 0 if self.pseudo is None else len(self.pseudo.ids)
+
+    @property
+    def min_selected_confidence(self) -> float | None:
+        return None if self.pseudo is None else float(self.pseudo.confidences[-1])
 
 
 @dataclass(frozen=True)
@@ -158,7 +177,6 @@ class SpelResult:
     baseline_prediction: EnsemblePrediction
     ensemble: Ensemble
     reports: tuple[RoundReport, ...]
-    pseudo_sets: tuple[PseudoSet, ...]
 
 
 def _derive_seed(base: int, *key: int) -> int:
@@ -206,9 +224,7 @@ def pretrain(config: SpelConfig, labeled: LabeledSet, specs: list[LearnerSpec]):
     )
 
 
-def select_pseudo(
-    ensemble: Ensemble, unlabeled: UnlabeledSet, count: int, round_index: int = 0
-) -> PseudoSet:
+def select_pseudo(ensemble: Ensemble, unlabeled: UnlabeledSet, count: int) -> PseudoSet:
     """Top-count unlabeled samples by ensemble confidence, ties to the lower id."""
     if len(unlabeled) == 0:
         raise ValueError("unlabeled set is empty")
@@ -221,7 +237,6 @@ def select_pseudo(
         ids=unlabeled.ids[take],
         labels=pred.labels[take],
         confidences=pred.confidence[take],
-        round_index=round_index,
     )
 
 
@@ -234,7 +249,8 @@ def spel_round(
     config: SpelConfig,
     validation: LabeledSet | None = None,
 ):
-    """One self-paced round: regenerate the pseudo set, continue every member.
+    """One self-paced round: regenerate the pseudo set, continue every
+    member; returns (ensemble, states, report).
 
     The pseudo set is rebuilt from scratch with the current ensemble (size
     min(per_step * j, pool)); the source-labeled data is never relabeled,
@@ -243,7 +259,7 @@ def spel_round(
     if j < 1:
         raise ValueError("round index starts at 1")
     count = min(config.per_step * j, len(unlabeled))
-    pseudo = select_pseudo(ensemble, unlabeled, count, round_index=j)
+    pseudo = select_pseudo(ensemble, unlabeled, count)
     sorter = np.argsort(unlabeled.ids)
     rows = sorter[np.searchsorted(unlabeled.ids, pseudo.ids, sorter=sorter)]
     pool_inputs = np.concatenate([labeled.inputs, unlabeled.inputs[rows]], axis=0)
@@ -251,18 +267,12 @@ def spel_round(
     new_ensemble, new_states = _train_members(
         ensemble.members, states, pool_inputs, pool_targets, config.spel_epochs, config, 2, j
     )
-    report = RoundReport(
-        round_index=j,
-        pseudo_count=count,
-        metrics=_evaluate(new_ensemble, validation),
-        min_selected_confidence=float(pseudo.confidences[-1]),
-    )
-    return new_ensemble, new_states, report, pseudo
+    return new_ensemble, new_states, RoundReport(j, _evaluate(new_ensemble, validation), pseudo)
 
 
 def run_spel(
     labeled: LabeledSet,
-    unlabeled: UnlabeledSet | None,
+    unlabeled: UnlabeledSet,
     test_inputs: np.ndarray,
     config: SpelConfig,
     specs: list[LearnerSpec],
@@ -281,42 +291,37 @@ def run_spel(
     checkpointed one. The data is not checked: the caller must pass the
     same data.
     """
-    if config.n_steps > 0 and (unlabeled is None or len(unlabeled) == 0):
+    if config.n_steps > 0 and len(unlabeled) == 0:
         raise ValueError("self-paced rounds need a nonempty unlabeled set")
 
     last = latest_complete_round(checkpoint_dir) if resume and checkpoint_dir is not None else None
     last = -1 if last is None else min(last, config.n_steps)
     reports: list[RoundReport] = []
-    pseudo_sets: list[PseudoSet] = []
     for j in range(config.n_steps + 1):
         if j <= last:
             # Members are read only where the run needs them: the baseline
             # and the round the run continues from.
-            ensemble, states, report, pseudo = load_round(
+            ensemble, states, report = load_round(
                 checkpoint_dir, j, config, specs, members=j in (0, last)
             )
         elif j == 0:
             ensemble, states = pretrain(config, labeled, specs)
-            metrics = _evaluate(ensemble, validation)
-            report, pseudo = RoundReport(round_index=0, pseudo_count=0, metrics=metrics), None
+            report = RoundReport(0, _evaluate(ensemble, validation))
         else:
-            ensemble, states, report, pseudo = spel_round(
+            ensemble, states, report = spel_round(
                 ensemble, states, labeled, unlabeled, j, config, validation
             )
         if j == 0:
             baseline_prediction = avg_predict(ensemble, test_inputs)
         if j > last and checkpoint_dir is not None:
-            save_round(checkpoint_dir, j, ensemble, states, report, pseudo, config)
+            save_round(checkpoint_dir, j, ensemble, states, report, config)
         reports.append(report)
-        if pseudo is not None:
-            pseudo_sets.append(pseudo)
 
     return SpelResult(
         prediction=avg_predict(ensemble, test_inputs),
         baseline_prediction=baseline_prediction,
         ensemble=ensemble,
         reports=tuple(reports),
-        pseudo_sets=tuple(pseudo_sets),
     )
 
 
@@ -343,7 +348,6 @@ def save_round(
     ensemble: Ensemble,
     states: list[OptimizerState],
     report: RoundReport,
-    pseudo: PseudoSet | None,
     config: SpelConfig,
 ) -> None:
     """Persist one round: member checkpoints, then the round record last
@@ -357,18 +361,12 @@ def save_round(
         save_params(rdir / f"member_{i:02d}.npz", member, state)
     payload = {
         "round": report.round_index,
-        "pseudo_count": report.pseudo_count,
         "metrics": report.metrics,
-        "min_selected_confidence": report.min_selected_confidence,
         "n_members": ensemble.n,
         "config": {name: getattr(config, name) for name in _STAMPED_SETTINGS},
         "pseudo": None
-        if pseudo is None
-        else {
-            "ids": pseudo.ids.tolist(),
-            "labels": pseudo.labels.tolist(),
-            "confidences": pseudo.confidences.tolist(),
-        },
+        if report.pseudo is None
+        else {name: getattr(report.pseudo, name).tolist() for name in _PSEUDO_DTYPES},
     }
     write_text_atomic(rdir / "round.json", json.dumps(payload, indent=2, sort_keys=True))
 
@@ -381,7 +379,7 @@ def load_round(
     members: bool = True,
 ):
     """Load one persisted round of the run of config and specs; returns
-    (ensemble, states, report, pseudo).
+    (ensemble, states, report).
 
     With members=False only the record is read and the first two entries
     are None. A record stamped with other settings (an unstamped record
@@ -397,23 +395,13 @@ def load_round(
                 f"round {j} checkpoint records {name} = {stamp.get(name)!r}, "
                 f"this run has {name} = {getattr(config, name)!r}"
             )
-    report = RoundReport(
-        round_index=record["round"],
-        pseudo_count=record["pseudo_count"],
-        metrics=record["metrics"],
-        min_selected_confidence=record["min_selected_confidence"],
+    raw = record["pseudo"]
+    pseudo = None if raw is None else PseudoSet(
+        **{name: np.asarray(raw[name], dtype=dtype) for name, dtype in _PSEUDO_DTYPES.items()}
     )
-    pseudo = None
-    if record["pseudo"] is not None:
-        raw = record["pseudo"]
-        pseudo = PseudoSet(
-            ids=np.asarray(raw["ids"], dtype=np.int64),
-            labels=np.asarray(raw["labels"], dtype=np.int64),
-            confidences=np.asarray(raw["confidences"], dtype=np.float64),
-            round_index=record["round"],
-        )
+    report = RoundReport(record["round"], record["metrics"], pseudo)
     if not members:
-        return None, None, report, pseudo
+        return None, None, report
     loaded = [load_params(rdir / f"member_{i:02d}.npz") for i in range(record["n_members"])]
     ensemble = Ensemble(tuple(params for params, _ in loaded))
     states = [state for _, state in loaded]
@@ -421,7 +409,7 @@ def load_round(
     for i, (have, want) in enumerate(zip_longest(loaded_specs, specs)):
         if have != want:
             raise ValueError(f"round {j} checkpoint member {i} is {have}, this run has {want}")
-    return ensemble, states, report, pseudo
+    return ensemble, states, report
 
 
 def latest_complete_round(checkpoint_dir: str | Path) -> int | None:

@@ -42,22 +42,23 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ResultsRecord:
-    config_hash: str
-    task: str
-    metric: str
+    """One experiment: its config, per-round reports and the test-split
+    evaluation of the final ensemble against the round-0 baseline."""
+
+    config: ExperimentConfig
     reports: tuple[RoundReport, ...]
     final_metrics: dict[str, float]
     baseline_metrics: dict[str, float]
-    mcnemar_vs_baseline: McNemarResult | None
+    mcnemar_vs_baseline: McNemarResult
     timings: dict[str, float]
-    output_dir: Path | None
 
     def improvements(self) -> list[float | None]:
         """Per-round absolute improvement of the primary metric over round 0."""
+        metric = self.config.metric
         out = []
         for report in self.reports:
-            if self.metric in report.metrics and self.metric in self.reports[0].metrics:
-                out.append(report.metrics[self.metric] - self.reports[0].metrics[self.metric])
+            if metric in report.metrics and metric in self.reports[0].metrics:
+                out.append(report.metrics[metric] - self.reports[0].metrics[metric])
             else:
                 out.append(None)
         return out
@@ -175,7 +176,7 @@ def _fmt(value) -> str:
 
 
 def round_csv_text(record: ResultsRecord) -> str:
-    metric_names = TASK_METRICS[record.task]
+    metric_names = TASK_METRICS[record.config.task]
     header = ["round", "pseudo_count", "min_selected_confidence", *metric_names, "improvement"]
     lines = [",".join(header)]
     improvements = record.improvements()
@@ -192,18 +193,16 @@ def round_csv_text(record: ResultsRecord) -> str:
 
 
 def _summary_payload(record: ResultsRecord) -> dict:
-    mc = record.mcnemar_vs_baseline
+    config, mc = record.config, record.mcnemar_vs_baseline
     return {
-        "config_hash": record.config_hash,
-        "task": record.task,
-        "metric": record.metric,
+        "config_hash": config.config_hash,
+        "task": config.task,
+        "metric": config.metric,
         "rounds": len(record.reports) - 1,
         "final": record.final_metrics,
         "baseline": record.baseline_metrics,
         "improvement_final": record.improvements()[-1],
-        "mcnemar_vs_baseline": None
-        if mc is None
-        else {
+        "mcnemar_vs_baseline": {
             "statistic": mc.statistic,
             "significant_at_0.01": mc.significant,
             "b": mc.b,
@@ -250,25 +249,20 @@ def run_experiment(config: ExperimentConfig | str | Path) -> ResultsRecord:
     )
     timings["train_seconds"] = time.perf_counter() - t1
 
-    final_metrics, baseline_metrics, mc = {}, {}, None
-    if data.test_truth is not None:
-        final_metrics, baseline_metrics = (
-            task_metrics(config.task, p.labels, p.probabilities, data.test_truth, data.n_classes)
-            for p in (result.prediction, result.baseline_prediction)
-        )
-        mc = mcnemar(result.prediction.labels, result.baseline_prediction.labels, data.test_truth)
+    final_metrics, baseline_metrics = (
+        task_metrics(config.task, p.labels, p.probabilities, data.test_truth, data.n_classes)
+        for p in (result.prediction, result.baseline_prediction)
+    )
+    mc = mcnemar(result.prediction.labels, result.baseline_prediction.labels, data.test_truth)
     timings["total_seconds"] = time.perf_counter() - t0
 
     record = ResultsRecord(
-        config_hash=config.config_hash,
-        task=config.task,
-        metric=config.metric,
+        config=config,
         reports=result.reports,
         final_metrics=final_metrics,
         baseline_metrics=baseline_metrics,
         mcnemar_vs_baseline=mc,
         timings=timings,
-        output_dir=config.output_dir,
     )
     if config.output_dir is not None:
         write_results(record, config.output_dir)
@@ -308,7 +302,7 @@ def sweep(config: ExperimentConfig | str | Path) -> list[tuple[int, int, Results
 
     lines = [f"per_step,steps,final_{config.metric},improvement"]
     for m, k, record in results:
-        final = record.final_metrics.get(config.metric)
+        final = record.final_metrics[config.metric]
         lines.append(f"{m},{k},{_fmt(final)},{_fmt(record.improvements()[-1])}")
     write_text_atomic(config.output_dir / "sweep.csv", "\n".join(lines) + "\n")
     return results

@@ -207,7 +207,7 @@ def test_criterion_4_structural_invariants(tmp_path):
                 expected = min(per_step * j, pool)
                 if result.reports[j].pseudo_count != expected:
                     size_law_ok = False
-                if len(result.pseudo_sets[j - 1].ids) != expected:
+                if len(result.reports[j].pseudo.ids) != expected:
                     size_law_ok = False
 
     dominance_ok = True
@@ -216,12 +216,10 @@ def test_criterion_4_structural_invariants(tmp_path):
         cfg, data, result = _structural_run(per_step, 5, checkpoint_dir=ckpt)
         specs = build_learner_specs(cfg, data)
         for j in range(1, 6):
-            prev_ensemble, _, _, _ = load_round(ckpt, j - 1, cfg.spel, specs)
+            prev_ensemble, _, _ = load_round(ckpt, j - 1, cfg.spel, specs)
             pred = avg_predict(prev_ensemble, data.unlabeled.inputs)
-            recorded = result.pseudo_sets[j - 1]
-            fresh = select_pseudo(
-                prev_ensemble, data.unlabeled, min(per_step * j, pool), round_index=j
-            )
+            recorded = result.reports[j].pseudo
+            fresh = select_pseudo(prev_ensemble, data.unlabeled, min(per_step * j, pool))
             if not np.array_equal(fresh.ids, recorded.ids):
                 dominance_ok = False
             selected = np.isin(data.unlabeled.ids, recorded.ids)

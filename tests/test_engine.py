@@ -78,7 +78,6 @@ class TestDatasets:
                 ids=np.array([0, 1]),
                 labels=np.array([0, 1]),
                 confidences=np.array([0.5, 0.9]),
-                round_index=1,
             )
 
 
@@ -184,14 +183,14 @@ class TestSpelRound:
         spec = mini_learner_spec(mini_bundle)
         config = mini_spel_config(per_step=50)  # pool has 60 unlabeled samples
         ensemble, states = pretrain(config, mini_bundle.labeled, [spec, spec])
-        ensemble, states, report1, pseudo1 = spel_round(
+        ensemble, states, report1 = spel_round(
             ensemble, states, mini_bundle.labeled, mini_bundle.unlabeled, 1, config
         )
-        assert report1.pseudo_count == 50 and len(pseudo1.ids) == 50
-        _, _, report2, pseudo2 = spel_round(
+        assert report1.pseudo_count == 50 and len(report1.pseudo.ids) == 50
+        _, _, report2 = spel_round(
             ensemble, states, mini_bundle.labeled, mini_bundle.unlabeled, 2, config
         )
-        assert report2.pseudo_count == 60 and len(pseudo2.ids) == 60
+        assert report2.pseudo_count == 60 and len(report2.pseudo.ids) == 60
 
     def test_source_labels_untouched(self, mini_bundle):
         spec = mini_learner_spec(mini_bundle)
@@ -243,6 +242,8 @@ class TestRunSpel:
         assert result.reports[0].pseudo_count == 0
         assert "accuracy" in result.reports[0].metrics
         assert result.reports[0].min_selected_confidence is None
+        for report in result.reports[1:]:
+            assert report.min_selected_confidence == float(report.pseudo.confidences[-1])
 
     def test_zero_steps_is_baseline(self, mini_bundle):
         spec = mini_learner_spec(mini_bundle)
@@ -287,7 +288,7 @@ class TestRunSpel:
             config,
             [spec, spec],
         )
-        for pseudo in result.pseudo_sets:
+        for pseudo in (report.pseudo for report in result.reports[1:]):
             assert len(np.unique(pseudo.ids)) == len(pseudo.ids)
             assert np.isin(pseudo.ids, mini_bundle.unlabeled.ids).all()
 
@@ -329,14 +330,13 @@ class TestCheckpoints:
             # Regeneration: the recorded selection must equal a fresh
             # selection by the pre-round ensemble, and its confidences must
             # dominate every unselected sample's.
-            prev_ensemble, _, _, _ = load_round(ckpt, j - 1, config, [spec, spec])
+            prev_ensemble, _, _ = load_round(ckpt, j - 1, config, [spec, spec])
             expected = select_pseudo(
                 prev_ensemble,
                 mini_bundle.unlabeled,
                 min(config.per_step * j, len(mini_bundle.unlabeled)),
-                round_index=j,
             )
-            recorded = result.pseudo_sets[j - 1]
+            recorded = result.reports[j].pseudo
             assert np.array_equal(recorded.ids, expected.ids)
             assert np.array_equal(recorded.labels, expected.labels)
 
@@ -358,10 +358,8 @@ class TestCheckpoints:
             validation=mini_bundle.validation,
             checkpoint_dir=ckpt,
         )
-        _, _, report, pseudo = load_round(ckpt, 1, config, [spec, spec])
-        assert report.pseudo_count == result.reports[1].pseudo_count
-        assert report.metrics == pytest.approx(result.reports[1].metrics)
-        assert np.array_equal(pseudo.ids, result.pseudo_sets[0].ids)
+        _, _, report = load_round(ckpt, 1, config, [spec, spec])
+        assert report == result.reports[1]
 
     def test_interrupted_rewrite_leaves_the_round_incomplete(
         self, mini_bundle, tmp_path, monkeypatch
@@ -378,7 +376,7 @@ class TestCheckpoints:
             checkpoint_dir=ckpt,
         )
         assert latest_complete_round(ckpt) == 1
-        ensemble, states, report, pseudo = load_round(ckpt, 1, config, [spec, spec])
+        ensemble, states, report = load_round(ckpt, 1, config, [spec, spec])
         written = []
 
         def save_one_then_fail(path, params, state=None):
@@ -389,7 +387,7 @@ class TestCheckpoints:
 
         monkeypatch.setattr(engine, "save_params", save_one_then_fail)
         with pytest.raises(OSError, match="disk full"):
-            save_round(ckpt, 1, ensemble, states, report, pseudo, config)
+            save_round(ckpt, 1, ensemble, states, report, config)
         assert len(written) == 1
         assert latest_complete_round(ckpt) == 0
 
@@ -449,12 +447,9 @@ class TestCheckpoints:
         ):
             assert np.array_equal(got.probabilities, want.probabilities)
             assert np.array_equal(got.labels, want.labels)
+        # Reports compare their pseudo sets array by array.
         assert got_run.reports == want_run.reports
-        assert len(got_run.pseudo_sets) == len(want_run.pseudo_sets) == rounds
-        for got, want in zip(got_run.pseudo_sets, want_run.pseudo_sets):
-            assert np.array_equal(got.ids, want.ids)
-            assert np.array_equal(got.labels, want.labels)
-            assert np.array_equal(got.confidences, want.confidences)
+        assert len(got_run.reports) == rounds + 1
         for a, b in zip(got_run.ensemble.members, want_run.ensemble.members):
             assert all(np.array_equal(a.tensors[k], b.tensors[k]) for k in a.tensors)
 

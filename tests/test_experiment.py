@@ -122,7 +122,7 @@ class TestRunExperiment:
         record = run_experiment(
             config_from_text(mini_config_text(tmp_path / "run", task="multilabel", steps=1))
         )
-        assert record.metric == "wlrap"
+        assert record.config.metric == "wlrap"
         assert "wlrap" in record.reports[0].metrics
         assert "lrap" in record.final_metrics
         header = (tmp_path / "run" / "results.csv").read_text().splitlines()[0]

@@ -52,7 +52,8 @@ def _run_digests(bundle, kind, ckpt):
         "final": _digest(result.prediction.probabilities),
     }
     for j in range(config.n_steps + 1):
-        ensemble, _, _, pseudo = load_round(ckpt, j, config=config, specs=specs)
+        ensemble, _, report = load_round(ckpt, j, config=config, specs=specs)
+        pseudo = report.pseudo
         h = hashlib.sha256()
         for member in ensemble.members:
             for name in sorted(member.tensors):
