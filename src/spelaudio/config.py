@@ -73,10 +73,16 @@ class ExperimentConfig:
             raise ValueError(f"synthetic duration {self.synthetic.duration} != clip_seconds")
         if self.synthetic is not None and self.synthetic.task != self.task:
             raise ValueError(f"synthetic task {self.synthetic.task!r} != task {self.task!r}")
+        if self.synthetic is not None and (
+            self.source_dir is not None or self.target_dir is not None
+        ):
+            raise ValueError("synthetic data reads no source_dir or target_dir")
         if self.synthetic is None and (self.source_dir is None or self.target_dir is None):
             raise ValueError("wav-dir data (no synthetic spec) needs source_dir and target_dir")
         if self.task not in TASK_METRICS:
             raise ValueError(f"task must be one of {tuple(TASK_METRICS)}, got {self.task!r}")
+        if self.synthetic is None and self.task != "multiclass":
+            raise ValueError(f"wav-dir data is multiclass only, not task {self.task!r}")
         if self.metric is None:
             object.__setattr__(self, "metric", DEFAULT_METRIC[self.task])
         if self.metric not in TASK_METRICS[self.task]:

@@ -12,8 +12,8 @@ rounds the result falls back to the plain pre-trained ensemble.
 Both data sources, synthetic and WAV directories, hand the run one
 ``ExperimentData``: the labeled source (``LabeledSet``), optional
 validation, the label-free ``UnlabeledSet`` pool and the test inputs,
-plus the test and pool truths where the source knows them, which only
-evaluation reads.
+plus the test truth and, where the source knows it, the pool truth,
+which only evaluation reads.
 
 All randomness is derived from the run seed, member index, and round
 index, so runs are bitwise reproducible and a resumed run matches an
@@ -286,15 +286,17 @@ def run_spel(
     baseline). With a checkpoint directory, every computed round is
     persisted; `resume=True` loads the rounds up to the latest complete one
     instead, reproducing the uninterrupted run exactly, and refuses a
-    checkpoint of other run settings or member specs. No round reads the
-    round count, so the resumed run may have fewer or more rounds than the
-    checkpointed one. The data is not checked: the caller must pass the
-    same data.
+    checkpoint of other run settings or member specs, or no checkpoint
+    directory. No round reads the round count, so the resumed run may have
+    fewer or more rounds than the checkpointed one. The data is not
+    checked: the caller must pass the same data.
     """
     if config.n_steps > 0 and len(unlabeled) == 0:
         raise ValueError("self-paced rounds need a nonempty unlabeled set")
+    if resume and checkpoint_dir is None:
+        raise ValueError("resume needs a checkpoint_dir")
 
-    last = latest_complete_round(checkpoint_dir) if resume and checkpoint_dir is not None else None
+    last = latest_complete_round(checkpoint_dir) if resume else None
     last = -1 if last is None else min(last, config.n_steps)
     reports: list[RoundReport] = []
     for j in range(config.n_steps + 1):
@@ -382,27 +384,36 @@ def load_round(
     (ensemble, states, report).
 
     With members=False only the record is read and the first two entries
-    are None. A record stamped with other settings (an unstamped record
+    are None. A malformed record raises ValueError naming its path and
+    round; a record stamped with other settings (an unstamped record
     records None) or members of other specs raise ValueError naming the
-    round and the first difference.
+    round and the first difference. Keys the record does not read, such
+    as the pseudo count older records carry, are ignored.
     """
     rdir = _round_dir(Path(checkpoint_dir), j)
-    record = json.loads((rdir / "round.json").read_text())
-    stamp = record.get("config", {})
+    path = rdir / "round.json"
+    try:
+        record = json.loads(path.read_text())
+        raw = record["pseudo"]
+        pseudo = None if raw is None else PseudoSet(
+            **{name: np.asarray(raw[name], dtype=dtype) for name, dtype in _PSEUDO_DTYPES.items()}
+        )
+        report = RoundReport(record["round"], record["metrics"], pseudo)
+        n_members = record["n_members"]
+        stamp = record.get("config", {})
+    except (KeyError, TypeError, ValueError) as err:
+        raise ValueError(
+            f"{path}: round {j} record is malformed, {type(err).__name__}: {err}"
+        ) from err
     for name in _STAMPED_SETTINGS:
         if stamp.get(name) != getattr(config, name):
             raise ValueError(
                 f"round {j} checkpoint records {name} = {stamp.get(name)!r}, "
                 f"this run has {name} = {getattr(config, name)!r}"
             )
-    raw = record["pseudo"]
-    pseudo = None if raw is None else PseudoSet(
-        **{name: np.asarray(raw[name], dtype=dtype) for name, dtype in _PSEUDO_DTYPES.items()}
-    )
-    report = RoundReport(record["round"], record["metrics"], pseudo)
     if not members:
         return None, None, report
-    loaded = [load_params(rdir / f"member_{i:02d}.npz") for i in range(record["n_members"])]
+    loaded = [load_params(rdir / f"member_{i:02d}.npz") for i in range(n_members)]
     ensemble = Ensemble(tuple(params for params, _ in loaded))
     states = [state for _, state in loaded]
     loaded_specs = (member.spec for member in ensemble.members)

@@ -497,12 +497,18 @@ def save_params(path, params: LearnerParams, state: OptimizerState | None = None
 
 
 def load_params(path):
-    """Inverse of save_params; returns (params, state-or-None). A checkpoint
-    that is malformed, cut short or fails a check raises ValueError naming
-    the path."""
+    """Inverse of save_params; returns (params, state-or-None). A file that
+    is not a zip archive, or a checkpoint that is malformed, cut short or
+    fails a check, raises ValueError naming the path."""
     try:
-        with np.load(path, allow_pickle=False) as archive:
-            return _read_checkpoint(archive)
+        with open(path, "rb") as fh:
+            # np.load would read any other file as a pickle and refuse that;
+            # an empty file fails in np.load as cut short.
+            if fh.read(4) not in (b"", b"PK\x03\x04", b"PK\x05\x06"):
+                raise ValueError("not a zip archive")
+            fh.seek(0)
+            with np.load(fh, allow_pickle=False) as archive:
+                return _read_checkpoint(archive)
     except (KeyError, TypeError, ValueError, EOFError, BadZipFile) as err:
         what = err if type(err) is ValueError else f"malformed, {type(err).__name__}: {err}"
         raise ValueError(f"{path}: {what}") from err

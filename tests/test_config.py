@@ -353,6 +353,16 @@ class TestDataclassErrors:
         wav = dataclasses.replace(cfg, synthetic=None, source_dir=tmp_path, target_dir=tmp_path)
         assert wav.source == "wav-dir"
 
+    def test_wav_dir_data_is_multiclass_only(self, tmp_path):
+        cfg = config_from_text("[experiment]\ntask = multilabel\n")
+        with pytest.raises(ValueError, match="wav-dir data is multiclass only, not task 'multilabel'"):
+            dataclasses.replace(cfg, synthetic=None, source_dir=tmp_path, target_dir=tmp_path)
+
+    @pytest.mark.parametrize("field", ["source_dir", "target_dir"])
+    def test_synthetic_data_rejects_data_directories(self, tmp_path, field):
+        with pytest.raises(ValueError, match="synthetic data reads no source_dir or target_dir"):
+            dataclasses.replace(benchmark_config(0), **{field: tmp_path})
+
     @pytest.mark.parametrize("task, unscored", [("multiclass", "lrap"), ("multilabel", "uar")])
     def test_metric_must_be_scored_by_the_task(self, task, unscored):
         cfg = config_from_text(f"[experiment]\ntask = {task}\n")

@@ -453,6 +453,62 @@ class TestCheckpoints:
         for a, b in zip(got_run.ensemble.members, want_run.ensemble.members):
             assert all(np.array_equal(a.tensors[k], b.tensors[k]) for k in a.tensors)
 
+    def test_resume_from_records_that_store_the_derived_fields(self, mini_bundle, tmp_path):
+        """Records written with pseudo_count and min_selected_confidence
+        beside the pseudo set, the earlier layout, resume to the same run."""
+        config = mini_spel_config(n_steps=2)
+        full = self._run(mini_bundle, tmp_path / "full", config)
+        ckpt = tmp_path / "ckpt"
+        self._run(mini_bundle, ckpt, config)
+        shutil.rmtree(ckpt / "round_002")
+        for report in full.reports[:2]:
+            record = ckpt / f"round_{report.round_index:03d}" / "round.json"
+            raw = json.loads(record.read_text())
+            assert "pseudo_count" not in raw and "min_selected_confidence" not in raw
+            raw["pseudo_count"] = report.pseudo_count
+            raw["min_selected_confidence"] = report.min_selected_confidence
+            record.write_text(json.dumps(raw, indent=2, sort_keys=True))
+        resumed = self._run(mini_bundle, ckpt, config, resume=True)
+        self._assert_same_run(resumed, full, rounds=2)
+
+    def test_resume_without_a_checkpoint_dir_is_refused(self, mini_bundle):
+        spec = mini_learner_spec(mini_bundle)
+        with pytest.raises(ValueError, match="resume needs a checkpoint_dir"):
+            run_spel(
+                mini_bundle.labeled,
+                mini_bundle.unlabeled,
+                mini_bundle.test_inputs,
+                mini_spel_config(),
+                [spec, spec],
+                resume=True,
+            )
+
+    @pytest.mark.parametrize(
+        "damage, reason",
+        [("cut-in-half", "JSONDecodeError: Expecting"), ("no-metrics", "KeyError: 'metrics'")],
+        ids=["cut-in-half", "no-metrics"],
+    )
+    def test_malformed_round_record_names_its_path_and_round(
+        self, mini_bundle, tmp_path, damage, reason
+    ):
+        spec = mini_learner_spec(mini_bundle)
+        config = mini_spel_config(n_steps=1)
+        ckpt = tmp_path / "ckpt"
+        self._run(mini_bundle, ckpt, config)
+        record = ckpt / "round_001" / "round.json"
+        text = record.read_text()
+        if damage == "cut-in-half":
+            record.write_text(text[: len(text) // 2])
+        else:
+            raw = json.loads(text)
+            del raw["metrics"]
+            record.write_text(json.dumps(raw))
+        match = rf"round_001[/\\]round\.json: round 1 record is malformed, {reason}"
+        with pytest.raises(ValueError, match=match):
+            load_round(ckpt, 1, config, [spec, spec])
+        with pytest.raises(ValueError, match=match):
+            self._run(mini_bundle, ckpt, config, resume=True)
+
     def test_resume_refuses_other_run_settings(self, mini_bundle, tmp_path):
         ckpt = tmp_path / "ckpt"
         self._run(mini_bundle, ckpt, mini_spel_config(per_step=15))

@@ -612,6 +612,12 @@ class TestSerialization:
         with pytest.raises(ValueError, match=r"member\.npz: malformed, (BadZipFile|EOFError)"):
             load_params(path)
 
+    def test_file_that_is_not_a_zip_archive_rejected_naming_the_path(self, tmp_path):
+        path = tmp_path / "member.npz"
+        path.write_text("garbage")
+        with pytest.raises(ValueError, match=r"member\.npz: not a zip archive$"):
+            load_params(path)
+
     def test_version_check(self, tmp_path):
         path = tmp_path / "bad.npz"
         np.savez(path, format_version=np.array(999))
