@@ -9,11 +9,11 @@ training on source + pseudo data with its optimizer state carried over.
 Stage 3 averages the final members over the test inputs. With zero
 rounds the result falls back to the plain pre-trained ensemble.
 
-Both data sources, synthetic and WAV directories, hand the run one
-``ExperimentData``: the labeled source (``LabeledSet``), optional
-validation, the label-free ``UnlabeledSet`` pool and the test inputs,
-plus the test truth and, where the source knows it, the pool truth,
-which only evaluation reads.
+Both data sources, synthetic and WAV directories, build one
+``ExperimentData`` and the run takes it whole: the labeled source,
+optional validation and test splits (each a ``LabeledSet``), the
+label-free ``UnlabeledSet`` pool and, where the source knows it, the
+pool truth. Training reads neither the test targets nor the pool truth.
 
 All randomness is derived from the run seed, member index, and round
 index, so runs are bitwise reproducible and a resumed run matches an
@@ -115,15 +115,14 @@ class UnlabeledSet:
 
 @dataclass(frozen=True)
 class ExperimentData:
-    """A run's inputs from either data source. The truths are for evaluation
-    only and training reads neither: every source labels its test split,
-    unlabeled_truth is None where the pool's labels are unknown."""
+    """A run's inputs from either data source. The test targets and the pool
+    truth are for evaluation only and training reads neither; unlabeled_truth
+    is None where the pool's labels are unknown."""
 
     labeled: LabeledSet
     validation: LabeledSet | None
     unlabeled: UnlabeledSet
-    test_inputs: np.ndarray
-    test_truth: np.ndarray
+    test: LabeledSet
     n_classes: int
     unlabeled_truth: np.ndarray | None = None
 
@@ -271,27 +270,25 @@ def spel_round(
 
 
 def run_spel(
-    labeled: LabeledSet,
-    unlabeled: UnlabeledSet,
-    test_inputs: np.ndarray,
+    data: ExperimentData,
     config: SpelConfig,
     specs: list[LearnerSpec],
-    validation: LabeledSet | None = None,
     checkpoint_dir: str | Path | None = None,
     resume: bool = False,
 ) -> SpelResult:
     """Full pipeline: pre-train, self-paced rounds, final averaged prediction.
 
     Emits one report per round including round 0 (the pre-trained
-    baseline). With a checkpoint directory, every computed round is
-    persisted; `resume=True` loads the rounds up to the latest complete one
-    instead, reproducing the uninterrupted run exactly, and refuses a
-    checkpoint of other run settings or member specs, or no checkpoint
-    directory. No round reads the round count, so the resumed run may have
-    fewer or more rounds than the checkpointed one. The data is not
-    checked: the caller must pass the same data.
+    baseline), with validation metrics whenever the data has a validation
+    split. With a checkpoint directory, every computed round is persisted;
+    `resume=True` loads the rounds up to the latest complete one instead,
+    reproducing the uninterrupted run exactly, and refuses a checkpoint of
+    other run settings or member specs, or no checkpoint directory. No
+    round reads the round count, so the resumed run may have fewer or more
+    rounds than the checkpointed one. Nothing checks that a resume runs
+    on the data of its checkpoint.
     """
-    if config.n_steps > 0 and len(unlabeled) == 0:
+    if config.n_steps > 0 and len(data.unlabeled) == 0:
         raise ValueError("self-paced rounds need a nonempty unlabeled set")
     if resume and checkpoint_dir is None:
         raise ValueError("resume needs a checkpoint_dir")
@@ -307,20 +304,20 @@ def run_spel(
                 checkpoint_dir, j, config, specs, members=j in (0, last)
             )
         elif j == 0:
-            ensemble, states = pretrain(config, labeled, specs)
-            report = RoundReport(0, _evaluate(ensemble, validation))
+            ensemble, states = pretrain(config, data.labeled, specs)
+            report = RoundReport(0, _evaluate(ensemble, data.validation))
         else:
             ensemble, states, report = spel_round(
-                ensemble, states, labeled, unlabeled, j, config, validation
+                ensemble, states, data.labeled, data.unlabeled, j, config, data.validation
             )
         if j == 0:
-            baseline_prediction = avg_predict(ensemble, test_inputs)
+            baseline_prediction = avg_predict(ensemble, data.test.inputs)
         if j > last and checkpoint_dir is not None:
             save_round(checkpoint_dir, j, ensemble, states, report, config)
         reports.append(report)
 
     return SpelResult(
-        prediction=avg_predict(ensemble, test_inputs),
+        prediction=avg_predict(ensemble, data.test.inputs),
         baseline_prediction=baseline_prediction,
         ensemble=ensemble,
         reports=tuple(reports),

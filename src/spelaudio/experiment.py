@@ -134,9 +134,9 @@ def _build_wav_data(config: ExperimentConfig) -> ExperimentData:
     images = _mel_images(src_files + tgt_files, config)
     src_images, tgt_images = np.split(images, [len(src_files)])
     if len(tgt_test_rows):
-        test_inputs, test_truth = tgt_images[tgt_test_rows], tgt_labels[tgt_test_rows]
+        test = LabeledSet(inputs=tgt_images[tgt_test_rows], targets=tgt_labels[tgt_test_rows])
     else:  # no labeled target clips: fall back to the source test split
-        test_inputs, test_truth = src_images[test_rows], src_labels[test_rows]
+        test = LabeledSet(inputs=src_images[test_rows], targets=src_labels[test_rows])
     validation = None
     if len(val_rows):
         validation = LabeledSet(inputs=src_images[val_rows], targets=src_labels[val_rows])
@@ -144,8 +144,7 @@ def _build_wav_data(config: ExperimentConfig) -> ExperimentData:
         labeled=LabeledSet(inputs=src_images[train_rows], targets=src_labels[train_rows]),
         validation=validation,
         unlabeled=UnlabeledSet(inputs=tgt_images[unl_rows], ids=np.arange(len(unl_rows))),
-        test_inputs=test_inputs,
-        test_truth=test_truth,
+        test=test,
         n_classes=len(classes),
         unlabeled_truth=None if tgt_labels is None else tgt_labels[unl_rows],
     )
@@ -238,22 +237,15 @@ def run_experiment(config: ExperimentConfig | str | Path) -> ResultsRecord:
     specs = build_learner_specs(config, data)
     checkpoint_dir = config.output_dir / "checkpoints" if config.output_dir else None
     t1 = time.perf_counter()
-    result = run_spel(
-        data.labeled,
-        data.unlabeled,
-        data.test_inputs,
-        config.spel,
-        specs,
-        validation=data.validation,
-        checkpoint_dir=checkpoint_dir,
-    )
+    result = run_spel(data, config.spel, specs, checkpoint_dir=checkpoint_dir)
     timings["train_seconds"] = time.perf_counter() - t1
 
+    truth = data.test.targets
     final_metrics, baseline_metrics = (
-        task_metrics(config.task, p.labels, p.probabilities, data.test_truth, data.n_classes)
+        task_metrics(config.task, p.labels, p.probabilities, truth, data.n_classes)
         for p in (result.prediction, result.baseline_prediction)
     )
-    mc = mcnemar(result.prediction.labels, result.baseline_prediction.labels, data.test_truth)
+    mc = mcnemar(result.prediction.labels, result.baseline_prediction.labels, truth)
     timings["total_seconds"] = time.perf_counter() - t0
 
     record = ResultsRecord(

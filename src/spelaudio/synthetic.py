@@ -165,8 +165,7 @@ def gen_synthetic(
         labeled=LabeledSet(inputs=src_x, targets=src_y),
         validation=validation,
         unlabeled=UnlabeledSet(inputs=unl_x, ids=np.arange(spec.n_unlabeled)),
-        test_inputs=test_x,
-        test_truth=test_y,
+        test=LabeledSet(inputs=test_x, targets=test_y),
         n_classes=spec.n_classes,
         unlabeled_truth=unl_y,
     )

@@ -184,14 +184,7 @@ def _structural_run(per_step, steps, checkpoint_dir=None):
     cfg = config_from_text(MINI_STRUCT_TEXT.format(steps=steps, per_step=per_step))
     data = build_data(cfg)
     specs = build_learner_specs(cfg, data)
-    result = run_spel(
-        data.labeled,
-        data.unlabeled,
-        data.test_inputs,
-        cfg.spel,
-        specs,
-        checkpoint_dir=checkpoint_dir,
-    )
+    result = run_spel(data, cfg.spel, specs, checkpoint_dir=checkpoint_dir)
     return cfg, data, result
 
 
@@ -257,24 +250,16 @@ def benchmark_results():
         cfg = benchmark_config(seed)
         data = build_data(cfg)
         specs = build_learner_specs(cfg, data)
-        result = run_spel(
-            data.labeled, data.unlabeled, data.test_inputs, cfg.spel, specs
-        )
-        base_acc = accuracy(result.baseline_prediction.labels, data.test_truth)
-        spel_acc = accuracy(result.prediction.labels, data.test_truth)
+        result = run_spel(data, cfg.spel, specs)
+        base_acc = accuracy(result.baseline_prediction.labels, data.test.targets)
+        spel_acc = accuracy(result.prediction.labels, data.test.targets)
         pooled_spel.append(result.prediction.labels)
         pooled_base.append(result.baseline_prediction.labels)
-        pooled_truth.append(data.test_truth)
+        pooled_truth.append(data.test.targets)
 
-        single = run_spel(
-            data.labeled,
-            data.unlabeled,
-            data.test_inputs,
-            dataclasses.replace(cfg.spel, n_members=1),
-            specs[:1],
-        )
-        single_base = accuracy(single.baseline_prediction.labels, data.test_truth)
-        single_spel = accuracy(single.prediction.labels, data.test_truth)
+        single = run_spel(data, dataclasses.replace(cfg.spel, n_members=1), specs[:1])
+        single_base = accuracy(single.baseline_prediction.labels, data.test.targets)
+        single_spel = accuracy(single.prediction.labels, data.test.targets)
         rows.append((seed, base_acc, spel_acc, single_base, single_spel))
 
     pooled = mcnemar(

@@ -63,8 +63,8 @@ def _digests(data):
         "validation.targets": None if data.validation is None else data.validation.targets,
         "unlabeled.inputs": data.unlabeled.inputs,
         "unlabeled.ids": data.unlabeled.ids,
-        "test_inputs": data.test_inputs,
-        "test_truth": data.test_truth,
+        "test_inputs": data.test.inputs,
+        "test_truth": data.test.targets,
     }
     out = {"n_classes": data.n_classes}
     for name, arr in arrays.items():

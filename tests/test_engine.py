@@ -229,14 +229,7 @@ class TestRunSpel:
     def test_reports_cover_every_round(self, mini_bundle):
         spec = mini_learner_spec(mini_bundle)
         config = mini_spel_config(n_steps=2)
-        result = run_spel(
-            mini_bundle.labeled,
-            mini_bundle.unlabeled,
-            mini_bundle.test_inputs,
-            config,
-            [spec, spec],
-            validation=mini_bundle.validation,
-        )
+        result = run_spel(mini_bundle, config, [spec, spec])
         assert len(result.reports) == 3
         assert [r.round_index for r in result.reports] == [0, 1, 2]
         assert result.reports[0].pseudo_count == 0
@@ -248,13 +241,7 @@ class TestRunSpel:
     def test_zero_steps_is_baseline(self, mini_bundle):
         spec = mini_learner_spec(mini_bundle)
         config = mini_spel_config(n_steps=0)
-        result = run_spel(
-            mini_bundle.labeled,
-            mini_bundle.unlabeled,
-            mini_bundle.test_inputs,
-            config,
-            [spec, spec],
-        )
+        result = run_spel(mini_bundle, config, [spec, spec])
         assert np.array_equal(
             result.prediction.probabilities, result.baseline_prediction.probabilities
         )
@@ -266,13 +253,7 @@ class TestRunSpel:
         config = mini_spel_config(n_steps=2)
 
         def go():
-            return run_spel(
-                mini_bundle.labeled,
-                mini_bundle.unlabeled,
-                mini_bundle.test_inputs,
-                config,
-                [spec, spec],
-            )
+            return run_spel(mini_bundle, config, [spec, spec])
 
         a, b = go(), go()
         assert np.array_equal(a.prediction.probabilities, b.prediction.probabilities)
@@ -281,13 +262,7 @@ class TestRunSpel:
     def test_pseudo_ids_subset_of_pool(self, mini_bundle):
         spec = mini_learner_spec(mini_bundle)
         config = mini_spel_config(n_steps=2)
-        result = run_spel(
-            mini_bundle.labeled,
-            mini_bundle.unlabeled,
-            mini_bundle.test_inputs,
-            config,
-            [spec, spec],
-        )
+        result = run_spel(mini_bundle, config, [spec, spec])
         for pseudo in (report.pseudo for report in result.reports[1:]):
             assert len(np.unique(pseudo.ids)) == len(pseudo.ids)
             assert np.isin(pseudo.ids, mini_bundle.unlabeled.ids).all()
@@ -315,15 +290,7 @@ class TestCheckpoints:
         spec = mini_learner_spec(mini_bundle)
         config = mini_spel_config(n_steps=2, per_step=20)
         ckpt = tmp_path / "ckpt"
-        result = run_spel(
-            mini_bundle.labeled,
-            mini_bundle.unlabeled,
-            mini_bundle.test_inputs,
-            config,
-            [spec, spec],
-            validation=mini_bundle.validation,
-            checkpoint_dir=ckpt,
-        )
+        result = run_spel(mini_bundle, config, [spec, spec], checkpoint_dir=ckpt)
         assert latest_complete_round(ckpt) == 2
 
         for j in (1, 2):
@@ -349,15 +316,7 @@ class TestCheckpoints:
         spec = mini_learner_spec(mini_bundle)
         config = mini_spel_config(n_steps=1)
         ckpt = tmp_path / "ckpt"
-        result = run_spel(
-            mini_bundle.labeled,
-            mini_bundle.unlabeled,
-            mini_bundle.test_inputs,
-            config,
-            [spec, spec],
-            validation=mini_bundle.validation,
-            checkpoint_dir=ckpt,
-        )
+        result = run_spel(mini_bundle, config, [spec, spec], checkpoint_dir=ckpt)
         _, _, report = load_round(ckpt, 1, config, [spec, spec])
         assert report == result.reports[1]
 
@@ -367,14 +326,7 @@ class TestCheckpoints:
         spec = mini_learner_spec(mini_bundle)
         config = mini_spel_config(n_steps=1)
         ckpt = tmp_path / "ckpt"
-        run_spel(
-            mini_bundle.labeled,
-            mini_bundle.unlabeled,
-            mini_bundle.test_inputs,
-            config,
-            [spec, spec],
-            checkpoint_dir=ckpt,
-        )
+        run_spel(mini_bundle, config, [spec, spec], checkpoint_dir=ckpt)
         assert latest_complete_round(ckpt) == 1
         ensemble, states, report = load_round(ckpt, 1, config, [spec, spec])
         written = []
@@ -395,12 +347,9 @@ class TestCheckpoints:
     def _run(mini_bundle, ckpt, config, specs=None, resume=False):
         spec = mini_learner_spec(mini_bundle)
         return run_spel(
-            mini_bundle.labeled,
-            mini_bundle.unlabeled,
-            mini_bundle.test_inputs,
+            mini_bundle,
             config,
             specs or [spec, spec],
-            validation=mini_bundle.validation,
             checkpoint_dir=ckpt,
             resume=resume,
         )
@@ -474,14 +423,7 @@ class TestCheckpoints:
     def test_resume_without_a_checkpoint_dir_is_refused(self, mini_bundle):
         spec = mini_learner_spec(mini_bundle)
         with pytest.raises(ValueError, match="resume needs a checkpoint_dir"):
-            run_spel(
-                mini_bundle.labeled,
-                mini_bundle.unlabeled,
-                mini_bundle.test_inputs,
-                mini_spel_config(),
-                [spec, spec],
-                resume=True,
-            )
+            run_spel(mini_bundle, mini_spel_config(), [spec, spec], resume=True)
 
     @pytest.mark.parametrize(
         "damage, reason",

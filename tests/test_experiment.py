@@ -334,7 +334,7 @@ unlabeled_fraction = 0.6
         total_target = 20
         n_unl = int(round(0.6 * total_target))
         assert len(data.unlabeled) == n_unl
-        assert data.test_inputs.shape[0] == total_target - n_unl
+        assert data.test.inputs.shape[0] == total_target - n_unl
         specs = build_learner_specs(cfg, data)
         assert specs[0].n_outputs == 2
 
@@ -349,7 +349,7 @@ unlabeled_fraction = 0.6
         cfg = config_from_text(text.replace("seed = 3", "seed = 12"))
         data = build_data(cfg)
         assert data.n_classes == 3
-        assert 2 not in data.labeled.targets and 2 in data.test_truth
+        assert 2 not in data.labeled.targets and 2 in data.test.targets
         assert build_learner_specs(cfg, data)[0].n_outputs == 3
         record = run_experiment(cfg)
         assert set(record.final_metrics) == {"accuracy", "uar"}

@@ -38,15 +38,7 @@ def _specs(bundle, kind):
 def _run_digests(bundle, kind, ckpt):
     config = mini_spel_config(n_steps=2, per_step=20)
     specs = _specs(bundle, kind)
-    result = run_spel(
-        bundle.labeled,
-        bundle.unlabeled,
-        bundle.test_inputs,
-        config,
-        specs,
-        validation=bundle.validation,
-        checkpoint_dir=ckpt,
-    )
+    result = run_spel(bundle, config, specs, checkpoint_dir=ckpt)
     out = {
         "baseline": _digest(result.baseline_prediction.probabilities),
         "final": _digest(result.prediction.probabilities),

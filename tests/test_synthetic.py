@@ -46,7 +46,7 @@ class TestGenSynthetic:
         assert np.array_equal(a.labeled.inputs, b.labeled.inputs)
         assert np.array_equal(a.labeled.targets, b.labeled.targets)
         assert np.array_equal(a.unlabeled.inputs, b.unlabeled.inputs)
-        assert np.array_equal(a.test_truth, b.test_truth)
+        assert np.array_equal(a.test.targets, b.test.targets)
 
     def test_split_sizes_and_shapes(self, mini_bundle):
         spec = mini_synthetic_spec()
@@ -54,7 +54,7 @@ class TestGenSynthetic:
         assert mini_bundle.labeled.inputs.shape == (spec.n_source, frames, MINI_MELS)
         assert len(mini_bundle.validation) == spec.n_val
         assert len(mini_bundle.unlabeled) == spec.n_unlabeled
-        assert mini_bundle.test_inputs.shape[0] == spec.n_test
+        assert mini_bundle.test.inputs.shape[0] == spec.n_test
         assert mini_bundle.unlabeled_truth.shape == (spec.n_unlabeled,)
 
     def test_balanced_multiclass_labels(self, mini_bundle):
@@ -70,7 +70,7 @@ class TestGenSynthetic:
         bundle = gen_synthetic(spec, MINI_STFT, MINI_MELS, seed=3)
         assert bundle.labeled.targets.shape == (spec.n_source, spec.n_classes)
         assert bundle.labeled.targets.sum(axis=1).min() >= 1
-        assert bundle.test_truth.sum(axis=1).min() >= 1
+        assert bundle.test.targets.sum(axis=1).min() >= 1
 
     def test_val_domain_source(self):
         spec = mini_synthetic_spec(val_domain="source", n_val=12)
