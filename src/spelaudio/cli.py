@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import ConfigError
+from .config import ConfigError, ExperimentConfig
 from .dsp import StftConfig, mel_filterbank, preprocess
 from .experiment import run_experiment, sweep
 from .metrics import TASK_METRICS, mcnemar, score
@@ -129,11 +129,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("preprocess", help="emit a mel image for one WAV file")
     p.add_argument("wav")
     p.add_argument("--out", required=True, help="output .npy path")
-    p.add_argument("--n-fft", type=int, default=1024, dest="n_fft")
-    p.add_argument("--hop", type=int, default=64)
-    p.add_argument("--win-length", type=int, default=512, dest="win_length")
-    p.add_argument("--mels", type=int, default=256)
-    p.add_argument("--fmin", type=float, default=0.0)
+    p.add_argument("--n-fft", type=int, default=StftConfig.n_fft, dest="n_fft")
+    p.add_argument("--hop", type=int, default=StftConfig.hop)
+    p.add_argument("--win-length", type=int, default=StftConfig.win_length, dest="win_length")
+    p.add_argument("--mels", type=int, default=ExperimentConfig.n_mels)
+    p.add_argument("--fmin", type=float, default=ExperimentConfig.fmin)
     p.add_argument("--fmax", type=float, default=None)
     p.add_argument("--clip-seconds", type=float, default=None, dest="clip_seconds")
     p.set_defaults(func=_cmd_preprocess)

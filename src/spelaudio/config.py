@@ -2,9 +2,8 @@
 ``[section]`` headers, chosen for diff-friendliness and zero-dependency
 parsing. Full-line comments start with ``#``; unknown sections, unknown
 keys, duplicates, and malformed values are all reported with their line
-number. Defaults are the library's standard settings (batch 16,
-learning rate 5e-4, transform 1024/64/512, 256 mel bands, sweep budget
-1000). A key that the chosen source or task does not read is rejected.
+number. An unset key takes the default of the dataclass field it fills.
+A key that the chosen source or task does not read is rejected.
 """
 
 from __future__ import annotations
@@ -283,17 +282,17 @@ def config_from_text(text: str, base_dir: Path | None = None) -> ExperimentConfi
     with_source = f"with {exp.setting('source', source)}"
     # wav-dir labels each clip by its class subdirectory.
     tasks = tuple(TASK_METRICS) if source == "synthetic" else ("multiclass",)
-    task = exp.choice("task", "multiclass", tasks, kind=f"one of {tasks} {with_source}")
+    task = exp.choice("task", ExperimentConfig.task, tasks, kind=f"one of {tasks} {with_source}")
     with_task = f"with {exp.setting('task', task)}"
-    seed = exp.count("seed", 0)
+    seed = exp.count("seed", SpelConfig.seed)
     metrics = TASK_METRICS[task]
     kind = f"one of {metrics} {with_task}; per task: {TASK_METRICS}"
-    metric = exp.choice("metric", None, metrics, kind=kind)
+    metric = exp.choice("metric", ExperimentConfig.metric, metrics, kind=kind)
     # Only the synthetic generator renders validation clips of either domain.
     if source != "synthetic":
         exp.unset(with_source, "val_domain")
-    val_domain = exp.choice("val_domain", "target", DOMAINS)
-    output_dir = exp.str("output_dir", None)
+    val_domain = exp.choice("val_domain", SyntheticSpec.val_domain, DOMAINS)
+    output_dir = exp.str("output_dir", ExperimentConfig.output_dir)
     exp.finish()
     for name in set(SOURCE_SECTIONS.values()) - {SOURCE_SECTIONS[source]}:
         section(name).unset(with_source)
@@ -301,14 +300,14 @@ def config_from_text(text: str, base_dir: Path | None = None) -> ExperimentConfi
     dsp = section("dsp")
     stft = dsp.build(
         StftConfig,
-        n_fft=dsp.positive_int("n_fft", 1024),
-        hop=dsp.positive_int("hop", 64),
-        win_length=dsp.positive_int("win_length", 512),
+        n_fft=dsp.positive_int("n_fft", StftConfig.n_fft),
+        hop=dsp.positive_int("hop", StftConfig.hop),
+        win_length=dsp.positive_int("win_length", StftConfig.win_length),
     )
-    n_mels = dsp.positive_int("n_mels", 256)
-    fmin = dsp.parsed("fmin", 0.0, _non_negative_float, "a non-negative number")
-    fmax = dsp.float("fmax", None)
-    clip_seconds = dsp.positive_float("clip_seconds", 4.0)
+    n_mels = dsp.positive_int("n_mels", ExperimentConfig.n_mels)
+    fmin = dsp.parsed("fmin", ExperimentConfig.fmin, _non_negative_float, "a non-negative number")
+    fmax = dsp.float("fmax", ExperimentConfig.fmax)
+    clip_seconds = dsp.positive_float("clip_seconds", ExperimentConfig.clip_seconds)
     dsp.finish()
     if fmax is not None and not fmin < fmax:
         where = dsp.where("fmin", "fmax")
@@ -316,13 +315,13 @@ def config_from_text(text: str, base_dir: Path | None = None) -> ExperimentConfi
 
     sp = section("spel")
     spel = SpelConfig(
-        n_members=sp.positive_int("members", 5),
-        n_steps=sp.count("steps", 3),
-        per_step=sp.positive_int("per_step", 50),
-        learning_rate=sp.positive_float("learning_rate", 5e-4),
-        pretrain_epochs=sp.positive_int("pretrain_epochs", 10),
-        spel_epochs=sp.positive_int("spel_epochs", 3),
-        batch_size=sp.positive_int("batch_size", 16),
+        n_members=sp.positive_int("members", SpelConfig.n_members),
+        n_steps=sp.count("steps", SpelConfig.n_steps),
+        per_step=sp.positive_int("per_step", SpelConfig.per_step),
+        learning_rate=sp.positive_float("learning_rate", SpelConfig.learning_rate),
+        pretrain_epochs=sp.positive_int("pretrain_epochs", SpelConfig.pretrain_epochs),
+        spel_epochs=sp.positive_int("spel_epochs", SpelConfig.spel_epochs),
+        batch_size=sp.positive_int("batch_size", SpelConfig.batch_size),
         seed=seed,
     )
     sp.finish()
@@ -330,13 +329,13 @@ def config_from_text(text: str, base_dir: Path | None = None) -> ExperimentConfi
     lrn = section("learner")
     hidden_specs = lrn.parsed(
         "hidden",
-        ((64,),),
+        ExperimentConfig.hidden_specs,
         lambda v: _parse_groups(v, _positive_int),
         "';'-separated groups of ','-separated positive widths",
     )
     conv_specs = lrn.parsed(
         "conv",
-        ((),),
+        ExperimentConfig.conv_specs,
         lambda v: _parse_groups(v, _parse_conv_layer),
         "';'-separated groups of ','-separated 'channels x kernel x stride' layers",
     )
@@ -349,24 +348,24 @@ def config_from_text(text: str, base_dir: Path | None = None) -> ExperimentConfi
             syn.unset(with_task, "label_density")
         synthetic = syn.build(
             SyntheticSpec,
-            n_classes=syn.int("classes", 6),
-            n_source=syn.int("source_samples", 1200),
-            n_val=syn.int("val_samples", 300),
-            n_unlabeled=syn.int("unlabeled_samples", 600),
-            n_test=syn.int("test_samples", 600),
-            base_freq=syn.float("base_freq", 400.0),
-            freq_step=syn.float("freq_step", 180.0),
-            freq_jitter=syn.float("freq_jitter", 0.0),
-            n_harmonics=syn.int("harmonics", 2),
-            source_noise=syn.float("source_noise", 0.05),
-            target_freq_offset=syn.float("target_offset", 60.0),
-            target_noise=syn.float("target_noise", 0.30),
-            amp_min=syn.float("amp_min", 0.85),
-            amp_max=syn.float("amp_max", 1.0),
-            sample_rate=syn.int("sample_rate", 8000),
+            n_classes=syn.int("classes", SyntheticSpec.n_classes),
+            n_source=syn.int("source_samples", SyntheticSpec.n_source),
+            n_val=syn.int("val_samples", SyntheticSpec.n_val),
+            n_unlabeled=syn.int("unlabeled_samples", SyntheticSpec.n_unlabeled),
+            n_test=syn.int("test_samples", SyntheticSpec.n_test),
+            base_freq=syn.float("base_freq", SyntheticSpec.base_freq),
+            freq_step=syn.float("freq_step", SyntheticSpec.freq_step),
+            freq_jitter=syn.float("freq_jitter", SyntheticSpec.freq_jitter),
+            n_harmonics=syn.int("harmonics", SyntheticSpec.n_harmonics),
+            source_noise=syn.float("source_noise", SyntheticSpec.source_noise),
+            target_freq_offset=syn.float("target_offset", SyntheticSpec.target_freq_offset),
+            target_noise=syn.float("target_noise", SyntheticSpec.target_noise),
+            amp_min=syn.float("amp_min", SyntheticSpec.amp_min),
+            amp_max=syn.float("amp_max", SyntheticSpec.amp_max),
+            sample_rate=syn.int("sample_rate", SyntheticSpec.sample_rate),
             duration=clip_seconds,
             task=task,
-            label_density=syn.float("label_density", 0.3),
+            label_density=syn.float("label_density", SyntheticSpec.label_density),
             val_domain=val_domain,
         )
         syn.finish()
@@ -387,12 +386,12 @@ def config_from_text(text: str, base_dir: Path | None = None) -> ExperimentConfi
         n_frames = dsp.build(frame_count, n_samples=synthetic.clip_samples, config=stft)
 
     data = section("data")
-    source_dir = data.str("source_dir", None)
-    target_dir = data.str("target_dir", None)
-    train_fraction = data.fraction("train_fraction", 0.7)
-    val_fraction = data.fraction("val_fraction", 0.15)
-    test_fraction = data.fraction("test_fraction", 0.15)
-    unlabeled_fraction = data.fraction("unlabeled_fraction", 0.7)
+    source_dir = data.str("source_dir", ExperimentConfig.source_dir)
+    target_dir = data.str("target_dir", ExperimentConfig.target_dir)
+    train_fraction = data.fraction("train_fraction", ExperimentConfig.train_fraction)
+    val_fraction = data.fraction("val_fraction", ExperimentConfig.val_fraction)
+    test_fraction = data.fraction("test_fraction", ExperimentConfig.test_fraction)
+    unlabeled_fraction = data.fraction("unlabeled_fraction", ExperimentConfig.unlabeled_fraction)
     data.finish()
 
     def resolve(p):
@@ -411,10 +410,13 @@ def config_from_text(text: str, base_dir: Path | None = None) -> ExperimentConfi
 
     sweep = section("sweep")
     sweep_m_grid = sweep.parsed(
-        "m_grid", (50, 100, 150, 200), _positive_int_list, "comma-separated positive integers"
+        "m_grid",
+        ExperimentConfig.sweep_m_grid,
+        _positive_int_list,
+        "comma-separated positive integers",
     )
-    sweep_budget = sweep.positive_int("budget", 1000)
-    sweep_k_max = sweep.positive_int("k_max", None)
+    sweep_budget = sweep.positive_int("budget", ExperimentConfig.sweep_budget)
+    sweep_k_max = sweep.positive_int("k_max", ExperimentConfig.sweep_k_max)
     sweep.finish()
 
     cfg = data.build(

@@ -23,7 +23,6 @@ uninterrupted one.
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import dataclass, fields
 from itertools import zip_longest
 from pathlib import Path
@@ -36,6 +35,7 @@ from .learner import (
     LabeledSet,
     LearnerSpec,
     OptimizerState,
+    atomic_write,
     init_adam,
     init_params,
     load_params,
@@ -329,10 +329,9 @@ def _round_dir(checkpoint_dir: Path, j: int) -> Path:
 
 
 def write_text_atomic(path: Path, text: str) -> None:
-    """Write through a sibling temporary file, so readers see old or new text."""
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text)
-    os.replace(tmp, path)
+    """Write text through atomic_write, so readers see old or new text."""
+    with atomic_write(path) as fh:
+        fh.write(text)
 
 
 # The run settings stamped on every round record: every SpelConfig field but

@@ -12,6 +12,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -78,14 +79,38 @@ def _scan_wavs(root: Path):
     return classes, files, np.asarray(labels, dtype=np.int64)
 
 
-def _mel_images(files, config: ExperimentConfig) -> np.ndarray:
-    """Decode and preprocess every file at the first file's sample rate."""
+@contextmanager
+def _blame(setting: str, path: Path, rate: int):
+    """Re-raise a ValueError from the block as a ConfigError naming the
+    setting and the file whose sample rate fixed the geometry."""
+    try:
+        yield
+    except ValueError as err:
+        raise ConfigError(f"{path} (sample rate {rate}): {setting}: {err}") from err
+
+
+def _geometry_at_rate(config: ExperimentConfig, n_classes: int, path: Path, rate: int):
+    """The filterbank for the first file's rate, once the mel band, the clip
+    length and the member input shape that rate fixes are checked."""
+    band = "fmin" if config.fmax is None else "fmax"
+    with _blame(f"[dsp] {band} = {getattr(config, band)}", path, rate):
+        fb = mel_filterbank(config.n_mels, config.stft.n_fft, rate, config.fmin, config.fmax)
+    with _blame(f"[dsp] clip_seconds = {config.clip_seconds}", path, rate):
+        n_frames = frame_count(config.clip_samples(rate), config.stft)
+    with _blame(f"[learner] conv = {config.conv_specs}", path, rate):
+        config.learner_specs((n_frames, config.n_mels), n_classes)
+    return fb
+
+
+def _mel_images(files, config: ExperimentConfig, n_classes: int) -> np.ndarray:
+    """Decode and preprocess every file at the first file's sample rate,
+    checking the geometry that rate fixes before the next file is decoded."""
     images = rate = fb = None
     for i, path in enumerate(files):
         signal = load_wav(path)
         if rate is None:
             rate = signal.sample_rate
-            fb = mel_filterbank(config.n_mels, config.stft.n_fft, rate, config.fmin, config.fmax)
+            fb = _geometry_at_rate(config, n_classes, path, rate)
         elif signal.sample_rate != rate:
             raise ConfigError(
                 f"{path}: sample rate {signal.sample_rate} differs from {rate}; "
@@ -131,7 +156,7 @@ def _build_wav_data(config: ExperimentConfig) -> ExperimentData:
     if len(tgt_test_rows) == 0 and len(test_rows) == 0:
         raise ConfigError("no labeled test data: test fraction is 0 and the target is unlabeled")
 
-    images = _mel_images(src_files + tgt_files, config)
+    images = _mel_images(src_files + tgt_files, config, len(classes))
     src_images, tgt_images = np.split(images, [len(src_files)])
     if len(tgt_test_rows):
         test = LabeledSet(inputs=tgt_images[tgt_test_rows], targets=tgt_labels[tgt_test_rows])

@@ -19,6 +19,7 @@ from __future__ import annotations
 import json
 import math
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 from zipfile import BadZipFile
@@ -484,13 +485,20 @@ def save_params(path, params: LearnerParams, state: OptimizerState | None = None
         for name in params.tensors:
             payload[f"adam/m/{name}"] = state.m[name]
             payload[f"adam/v/{name}"] = state.v[name]
-    # Through a sibling temporary file, so a write cut short leaves the old
-    # checkpoint in place.
+    with atomic_write(path, "wb") as fh:
+        np.savez(fh, **payload)
+
+
+@contextmanager
+def atomic_write(path, mode: str = "w"):
+    """Open a sibling temporary file for writing and move it over path when
+    the block completes, so readers see the old file or the new one. A
+    write that fails leaves path as it was and removes the temporary file."""
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
     try:
-        with open(tmp, "wb") as fh:
-            np.savez(fh, **payload)
+        with open(tmp, mode) as fh:
+            yield fh
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from spelaudio import config
-from spelaudio.config import ConfigError, config_from_text, load_config
+from spelaudio.config import ConfigError, ExperimentConfig, config_from_text, load_config
 from spelaudio.dsp import Signal
 from spelaudio.engine import _STAMPED_SETTINGS
 from spelaudio.experiment import (
@@ -17,6 +17,7 @@ from spelaudio.experiment import (
     enumerate_grid,
 )
 from spelaudio.metrics import DEFAULT_METRIC
+from spelaudio.synthetic import SyntheticSpec
 from spelaudio.wavio import write_wav
 
 from test_data_golden import _digests
@@ -88,6 +89,11 @@ class TestParsing:
         assert cfg.spel.spel_epochs == 3
         assert cfg.sweep_m_grid == (50, 100, 150, 200)
         assert cfg.sweep_budget == 1000
+
+    def test_empty_config_is_the_default_built_config(self):
+        """Every key's default is its dataclass field's, and the synthetic
+        clip length agrees with clip_seconds."""
+        assert config_from_text("") == ExperimentConfig(synthetic=SyntheticSpec())
 
     def test_multilabel_default_metric(self):
         cfg = config_from_text("[experiment]\ntask = multilabel\n")

@@ -267,6 +267,23 @@ class TestRunSpel:
             assert len(np.unique(pseudo.ids)) == len(pseudo.ids)
             assert np.isin(pseudo.ids, mini_bundle.unlabeled.ids).all()
 
+    def test_training_reads_neither_test_targets_nor_pool_truth(self, mini_bundle):
+        """The run receives both truths with its data; changing them changes
+        no member tensor, report or prediction."""
+        spec = mini_learner_spec(mini_bundle)
+        config = mini_spel_config(n_steps=2)
+        blind = dataclasses.replace(
+            mini_bundle,
+            test=LabeledSet(mini_bundle.test.inputs, mini_bundle.test.targets[::-1].copy()),
+            unlabeled_truth=None,
+        )
+        assert not np.array_equal(blind.test.targets, mini_bundle.test.targets)
+        TestCheckpoints._assert_same_run(
+            run_spel(blind, config, [spec, spec]),
+            run_spel(mini_bundle, config, [spec, spec]),
+            rounds=2,
+        )
+
 
 class TestCheckpoints:
     @staticmethod
@@ -274,6 +291,14 @@ class TestCheckpoints:
         for name in names:
             (root / name).mkdir(parents=True)
             (root / name / "round.json").write_text("{}")
+
+    def test_failed_text_write_keeps_the_old_file_and_leaves_no_temporary(self, tmp_path):
+        path = tmp_path / "results.csv"
+        engine.write_text_atomic(path, "round\n")
+        with pytest.raises(UnicodeEncodeError):
+            engine.write_text_atomic(path, "round\n\ud800\n")
+        assert path.read_text() == "round\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["results.csv"]
 
     def test_latest_round_ignores_non_numeric_directories(self, tmp_path):
         self._mark_complete(tmp_path, "round_000", "round_001", "round_old")

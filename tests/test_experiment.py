@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -363,6 +364,42 @@ unlabeled_fraction = 0.6
         )
         with pytest.raises(ConfigError, match=r"target[/\\]low[/\\]clip_00\.wav: sample rate 4000"):
             build_data(cfg)
+
+    @pytest.mark.parametrize(
+        "old, new, message",
+        [
+            ("n_mels = 10", "n_mels = 10\nfmax = 3000",
+             r"\[dsp\] fmax = 3000.0: fmax=3000.0 exceeds the Nyquist frequency 2000.0$"),
+            ("n_mels = 10", "n_mels = 10\nfmin = 2000",
+             r"\[dsp\] fmin = 2000.0: need 0 <= fmin < fmax, got fmin=2000.0, fmax=2000.0$"),
+            ("clip_seconds = 0.2", "clip_seconds = 0.02",
+             r"\[dsp\] clip_seconds = 0.02: signal of 80 samples is shorter than the 128-"),
+            ("hidden = 12", "hidden = 12\nconv = 4x99x1",
+             r"\[learner\] conv = \(\(\(4, 99, 1\),\),\): conv layer 0: kernel 99 exceeds "
+             r"feature map 11x10$"),
+        ],
+        ids=["fmax-above-nyquist", "fmin-at-nyquist", "clip-below-window", "kernel-too-large"],
+    )
+    def test_geometry_the_first_file_fixes_is_checked_before_the_next_decode(
+        self, tmp_path, monkeypatch, old, new, message
+    ):
+        """The sample rate is known only from the files, so the checks the
+        parse makes for synthetic sources come at the first file."""
+        make_wav_corpus(tmp_path / "source", np.random.default_rng(0), 6)
+        make_wav_corpus(tmp_path / "target", np.random.default_rng(1), 6)
+        text = self._config_text(tmp_path / "source", tmp_path / "target", tmp_path / "out")
+        cfg = config_from_text(text.replace(old, new))
+        decoded = []
+
+        def counting_load_wav(path):
+            decoded.append(path)
+            return load_wav(path)
+
+        monkeypatch.setattr(experiment, "load_wav", counting_load_wav)
+        first = re.escape(str(tmp_path / "source" / "low" / "clip_00.wav"))
+        with pytest.raises(ConfigError, match=rf"^{first} \(sample rate 4000\): {message}"):
+            build_data(cfg)
+        assert len(decoded) == 1
 
     def test_pool_truth_is_each_clips_class_directory(self, tmp_path):
         rng = np.random.default_rng(4)
