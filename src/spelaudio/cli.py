@@ -25,14 +25,16 @@ from .wavio import WavFormatError, load_wav
 __all__ = ["main"]
 
 
-def _read_csv_matrix(path) -> np.ndarray:
-    rows = []
+def _read_csv_matrix(path) -> tuple[np.ndarray, list[int]]:
+    """The numeric rows of a CSV file, and the line number of each row."""
+    rows, linenos = [], []
     for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
         try:
             rows.append([float(cell) for cell in line.split(",")])
+            linenos.append(lineno)
         except ValueError:
             if lineno == 1:
                 continue  # header row
@@ -42,14 +44,23 @@ def _read_csv_matrix(path) -> np.ndarray:
     widths = {len(r) for r in rows}
     if len(widths) != 1:
         raise SystemExit(f"{path}: ragged rows (widths {sorted(widths)})")
-    return np.asarray(rows)
+    return np.asarray(rows), linenos
 
 
-def _as_labels(matrix: np.ndarray) -> np.ndarray:
-    """Single column -> class indices; multiple columns -> argmax per row."""
-    if matrix.shape[1] == 1:
-        return matrix[:, 0].astype(np.int64)
-    return matrix.argmax(axis=1)
+def _read_labels(path) -> np.ndarray:
+    """Single column -> class indices; multiple columns -> argmax per row.
+
+    A single-column value that is not a whole non-negative number raises
+    ValueError naming its path and line.
+    """
+    matrix, linenos = _read_csv_matrix(path)
+    if matrix.shape[1] > 1:
+        return matrix.argmax(axis=1)
+    column = matrix[:, 0]
+    bad = np.flatnonzero(~(np.isfinite(column) & (column >= 0) & (column == np.floor(column))))
+    if bad.size:
+        raise ValueError(f"{path}:{linenos[bad[0]]}: {column[bad[0]]} is not a class index")
+    return column.astype(np.int64)
 
 
 def _cmd_preprocess(args) -> int:
@@ -98,21 +109,19 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
-    pred = _read_csv_matrix(args.predictions)
-    truth = _read_csv_matrix(args.truth)
     if args.metric in TASK_METRICS["multiclass"]:
-        labels, truth = _as_labels(pred), _as_labels(truth)
+        labels, truth = _read_labels(args.predictions), _read_labels(args.truth)
         value = score(args.metric, labels, None, truth, args.classes or int(truth.max()) + 1)
     else:
+        (pred, _), (truth, _) = _read_csv_matrix(args.predictions), _read_csv_matrix(args.truth)
         value = score(args.metric, None, pred, truth.astype(np.int64), 0)
     print(f"{args.metric} {value:.6f}")
     return 0
 
 
 def _cmd_mcnemar(args) -> int:
-    pred_a = _as_labels(_read_csv_matrix(args.pred_a))
-    pred_b = _as_labels(_read_csv_matrix(args.pred_b))
-    truth = _as_labels(_read_csv_matrix(args.truth))
+    pred_a, pred_b = _read_labels(args.pred_a), _read_labels(args.pred_b)
+    truth = _read_labels(args.truth)
     result = mcnemar(pred_a, pred_b, truth)
     verdict = "significant" if result.significant else "not significant"
     print(

@@ -6,22 +6,31 @@ convolutional stem, a rectified-linear body, and either a softmax
 and gradients are implemented directly on numpy arrays in double
 precision; training is plain shuffled mini-batch Adam. Each conv layer
 is one matrix product over its unfolded windows (im2col), cached from the
-forward pass for the weight gradient; the gradient with respect to the
-input images is never formed. ``adam_step`` updates parameters and
-optimizer state in place; ``train`` steps private copies, so its
-caller's objects never change. Seeded runs are bitwise reproducible
-because the data order is a pure function of the seed and every step
-runs the same arithmetic in the same order.
+forward pass for the weight gradient. The gradient with respect to the
+input images is never formed, whichever layer (conv, dense or head) the
+images enter.
+
+A member's parameters live in one contiguous float64 buffer, and its Adam
+moments in another; ``tensors``, ``m`` and ``v`` are read-only mappings
+of per-tensor views into them. ``adam_step`` updates both buffers in
+place, each array expression once over the whole buffer; ``train`` steps
+private copies, so its caller's objects never change.
+Seeded runs are bitwise reproducible because the data order is a pure
+function of the seed and every step runs the same arithmetic in the same
+order.
 """
 
 from __future__ import annotations
 
+import copy
 import json
 import math
 import os
+from collections.abc import Mapping
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
+from types import MappingProxyType
 from zipfile import BadZipFile
 
 import numpy as np
@@ -141,40 +150,95 @@ def _fan_in(name: str, shape: tuple[int, ...]) -> int:
     return shape[0]
 
 
+def _views(buffer: np.ndarray, like: Mapping[str, np.ndarray]) -> Mapping[str, np.ndarray]:
+    """Read-only name -> view mapping that lays like's shapes end to end over buffer."""
+    views, start = {}, 0
+    for name, arr in like.items():
+        views[name] = buffer[start : start + arr.size].reshape(arr.shape)
+        start += arr.size
+    return MappingProxyType(views)
+
+
+def _layout(arrays: Mapping[str, np.ndarray]) -> list[tuple[str, tuple[int, ...]]]:
+    return [(name, np.shape(arr)) for name, arr in arrays.items()]
+
+
+def _first_nonfinite(buffer: np.ndarray, views: Mapping[str, np.ndarray]) -> str | None:
+    """Name of the first view holding a non-finite value, or None."""
+    if np.isfinite(buffer).all():
+        return None
+    return next(name for name, arr in views.items() if not np.isfinite(arr).all())
+
+
 @dataclass
 class LearnerParams:
-    """One member's weight set plus its optimizer step counter."""
+    """One member's weight set plus its optimizer step counter.
+
+    The tensors are packed, as float64 copies in parameter order, into one
+    fresh buffer; ``tensors`` maps each name to its view of that buffer.
+    """
 
     spec: LearnerSpec
-    tensors: dict[str, np.ndarray]
+    tensors: Mapping[str, np.ndarray]
     step: int = 0
+    buffer: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         expected = param_shapes(self.spec)
         if list(self.tensors) != list(expected):
             raise ValueError("tensor names do not match the spec's parameter map")
         for name, arr in self.tensors.items():
-            if arr.shape != expected[name]:
+            if np.shape(arr) != expected[name]:
                 raise ValueError(
-                    f"{name}: expected shape {expected[name]}, got {arr.shape}"
+                    f"{name}: expected shape {expected[name]}, got {np.shape(arr)}"
                 )
-            if not np.all(np.isfinite(arr)):
-                raise ValueError(f"{name} contains non-finite values")
         if self.step < 0:
             raise ValueError("step counter must be non-negative")
+        self.buffer = np.concatenate(list(self.tensors.values()), axis=None, dtype=np.float64)
+        self.tensors = _views(self.buffer, self.tensors)
+        bad = _first_nonfinite(self.buffer, self.tensors)
+        if bad is not None:
+            raise ValueError(f"{bad} contains non-finite values")
+
+    def __deepcopy__(self, memo):
+        # numpy deep-copies each view on its own, detaching it from the buffer.
+        new = copy.copy(self)
+        new.buffer = self.buffer.copy()
+        new.tensors = _views(new.buffer, self.tensors)
+        return new
 
 
 @dataclass
 class OptimizerState:
-    """Adam accumulators; shapes mirror the parameters they update."""
+    """Adam accumulators; shapes mirror the parameters they update.
 
-    m: dict[str, np.ndarray]
-    v: dict[str, np.ndarray]
+    Both moments are packed, as float64 copies, into one fresh (2, n)
+    buffer: ``m`` maps each name to its view of row 0, ``v`` of row 1.
+    ``scratch`` is two rows ``adam_step`` overwrites; it carries nothing
+    from one step to the next.
+    """
+
+    m: Mapping[str, np.ndarray]
+    v: Mapping[str, np.ndarray]
     learning_rate: float
+    buffer: np.ndarray = field(init=False, repr=False, compare=False)
+    scratch: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be positive")
+        if _layout(self.m) != _layout(self.v):
+            raise ValueError("m and v differ in tensor names or shapes")
+        moments = [*self.m.values(), *self.v.values()]
+        self.buffer = np.concatenate(moments, axis=None, dtype=np.float64).reshape(2, -1)
+        self.m, self.v = _views(self.buffer[0], self.m), _views(self.buffer[1], self.v)
+        self.scratch = np.empty_like(self.buffer)
+
+    def __deepcopy__(self, memo):
+        new = copy.copy(self)
+        new.buffer, new.scratch = self.buffer.copy(), np.empty_like(self.buffer)
+        new.m, new.v = _views(new.buffer[0], self.m), _views(new.buffer[1], self.v)
+        return new
 
 
 @dataclass(frozen=True)
@@ -221,12 +285,8 @@ def init_params(spec: LearnerSpec, seed: int) -> LearnerParams:
 
 
 def init_adam(params: LearnerParams, learning_rate: float) -> OptimizerState:
-    zeros = {name: np.zeros_like(arr) for name, arr in params.tensors.items()}
-    return OptimizerState(
-        m=zeros,
-        v={name: np.zeros_like(arr) for name, arr in params.tensors.items()},
-        learning_rate=learning_rate,
-    )
+    zeros = _views(np.zeros_like(params.buffer), params.tensors)
+    return OptimizerState(m=zeros, v=zeros, learning_rate=learning_rate)
 
 
 def _relu(z):
@@ -323,10 +383,17 @@ def _loss_and_dlogits(spec: LearnerSpec, logits: np.ndarray, targets: np.ndarray
     batch = len(logits)
     if spec.head == "multiclass":
         t = np.asarray(targets)
-        if t.ndim != 1 or not np.issubdtype(t.dtype, np.integer):
-            t = t.astype(np.int64)
+        if t.shape != (batch,):
+            raise ValueError(f"multiclass targets must have shape ({batch},), got {t.shape}")
+        if not np.issubdtype(t.dtype, np.integer):
+            fractional = np.flatnonzero(t != np.round(t))
+            if fractional.size:
+                raise ValueError(
+                    f"multiclass targets must be whole class indices, got {t[fractional[0]]}"
+                )
         if t.min() < 0 or t.max() >= spec.n_outputs:
             raise ValueError("class indices outside [0, n_outputs)")
+        t = t.astype(np.int64, copy=False)
         log_probs = logits - logits.max(axis=1, keepdims=True)
         log_probs -= np.log(np.exp(log_probs).sum(axis=1, keepdims=True))
         loss = -log_probs[np.arange(batch), t].mean()
@@ -353,18 +420,20 @@ def loss_and_grad(params: LearnerParams, batch: LabeledSet):
     a = caches["head_input"]
     grads["out_w"] = a.T @ dlogits
     grads["out_b"] = dlogits.sum(axis=0)
-    da = dlogits @ t["out_w"].T
+    # dz enters the layer of weights `above`; the gradient leaving that
+    # layer is formed only where a layer below reads it.
+    dz, above = dlogits, t["out_w"]
 
     for j in reversed(range(len(spec.hidden_layers))):
         a_prev, z = caches["dense"][j]
-        dz = da * (z > 0)
+        dz = (dz @ above.T) * (z > 0)
+        above = t[f"dense{j}_w"]
         grads[f"dense{j}_w"] = a_prev.T @ dz
         grads[f"dense{j}_b"] = dz.sum(axis=0)
-        da = dz @ t[f"dense{j}_w"].T
 
     if spec.conv_stem:
         c, h, w = spec._stem_geometry()[-1]
-        da = da.reshape(len(da), c, h, w)
+        da = (dz @ above.T).reshape(len(dz), c, h, w)
         for i in reversed(range(len(spec.conv_stem))):
             x_shape, cols, z, stride = caches["conv"][i]
             dz = da * (z > 0)
@@ -379,18 +448,32 @@ def loss_and_grad(params: LearnerParams, batch: LabeledSet):
 def adam_step(
     state: OptimizerState, params: LearnerParams, grads: dict[str, np.ndarray]
 ) -> None:
-    """One bias-corrected Adam update of params and state, in place; increments the step."""
+    """One bias-corrected Adam update of params and state, in place; increments the step.
+
+    The update runs once over the whole buffers, with the gradients
+    concatenated in parameter order. It evaluates, operation by operation,
+
+        m = b1 * m + (1 - b1) * g
+        v = b2 * v + (1 - b2) * (g * g)
+        theta -= lr * (m / bc1) / (sqrt(v / bc2) + eps)
+
+    into the state's scratch rows. Fresh buffer-sized temporaries would let
+    the allocator hand their pages back to the system and fault them in
+    again, many times a step.
+    """
     t = params.step + 1
     bc1 = 1.0 - BETA1 ** t
     bc2 = 1.0 - BETA2 ** t
-    for name, theta in params.tensors.items():
-        g = grads[name]
-        m, v = state.m[name], state.v[name]
-        m *= BETA1
-        m += (1.0 - BETA1) * g
-        v *= BETA2
-        v += (1.0 - BETA2) * (g * g)
-        theta -= state.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + EPS)
+    m, v = state.buffer
+    g, tmp = state.scratch
+    np.concatenate([grads[name] for name in params.tensors], axis=None, out=g)
+    m *= BETA1
+    m += np.multiply(1.0 - BETA1, g, out=tmp)
+    v *= BETA2
+    v += np.multiply(1.0 - BETA2, np.multiply(g, g, out=tmp), out=tmp)
+    update = np.multiply(state.learning_rate, np.divide(m, bc1, out=tmp), out=tmp)
+    update /= np.add(np.sqrt(np.divide(v, bc2, out=g), out=g), EPS, out=g)
+    params.buffer -= update
     params.step = t
 
 
@@ -419,8 +502,10 @@ def train(
         raise ValueError("batch_size must be positive")
     if epochs < 0:
         raise ValueError("epochs must be non-negative")
-    params = LearnerParams(params.spec, _float64_copies(params.tensors), params.step)
-    state = OptimizerState(_float64_copies(state.m), _float64_copies(state.v), state.learning_rate)
+    if _layout(state.m) != _layout(params.tensors):
+        raise ValueError("optimizer state differs from the parameters in tensor names or shapes")
+    params = LearnerParams(params.spec, params.tensors, params.step)
+    state = OptimizerState(state.m, state.v, state.learning_rate)
     rng = np.random.default_rng(seed)
     for _ in range(epochs):
         order = rng.permutation(n)
@@ -428,16 +513,10 @@ def train(
             sel = order[start : start + batch_size]
             _, grads = loss_and_grad(params, LabeledSet(inputs[sel], targets[sel]))
             adam_step(state, params, grads)
-        for name, arr in params.tensors.items():
-            if not np.all(np.isfinite(arr)):
-                raise DivergenceError(name, params.step)
+        bad = _first_nonfinite(params.buffer, params.tensors)
+        if bad is not None:
+            raise DivergenceError(bad, params.step)
     return params, state
-
-
-def _float64_copies(arrays: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
-    # Fresh float64 buffers: in-place steps must neither reach the caller's
-    # arrays nor round into a narrower dtype.
-    return {name: np.array(arr, dtype=np.float64) for name, arr in arrays.items()}
 
 
 def n_parameters(obj: LearnerParams | LearnerSpec) -> int:

@@ -131,6 +131,18 @@ class TestEvaluate:
         main(["evaluate", str(tmp_path / "scores.csv"), str(tmp_path / "truth.csv"), "--metric", "wlrap"])
         assert "wlrap 1.000000" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("bad, shown", [(1.7, "1.7"), (-1, "-1.0"), ("nan", "nan")])
+    def test_label_that_is_not_a_class_index_rejected(self, tmp_path, capsys, bad, shown):
+        (tmp_path / "pred.csv").write_text(f"label\n0\n{bad}\n2\n")
+        write_csv(tmp_path / "truth.csv", [[0], [1], [2]])
+        code = main(
+            ["evaluate", str(tmp_path / "pred.csv"), str(tmp_path / "truth.csv"), "--metric", "accuracy"]
+        )
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"pred.csv:3: {shown} is not a class index" in captured.err
+
     def test_header_row_tolerated(self, tmp_path, capsys):
         (tmp_path / "pred.csv").write_text("label\n0\n1\n")
         (tmp_path / "truth.csv").write_text("label\n0\n1\n")
@@ -156,3 +168,10 @@ class TestMcnemarCommand:
         assert "statistic 4.050000" in out
         assert "b 15" in out and "c 5" in out
         assert "not significant" in out
+
+    def test_fractional_truth_rejected(self, tmp_path, capsys):
+        write_csv(tmp_path / "a.csv", [[0], [1], [2]])
+        write_csv(tmp_path / "t.csv", [[0], [1.5], [2]])
+        code = main(["mcnemar", str(tmp_path / "a.csv"), str(tmp_path / "a.csv"), str(tmp_path / "t.csv")])
+        assert code == 1
+        assert "t.csv:2: 1.5 is not a class index" in capsys.readouterr().err

@@ -1,6 +1,7 @@
 import copy
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -211,6 +212,43 @@ class TestLoss:
         with pytest.raises(ValueError):
             loss_and_grad(params, LabeledSet(np.ones((2, 1, 4)), np.array([0, 3])))
 
+    # A (batch, 1) column would broadcast against the batch in the fancy
+    # index, and a fractional value would be truncated to a class.
+    BAD_MULTICLASS_TARGETS = [
+        pytest.param([[0], [1], [2], [1]], r"shape \(4,\), got \(4, 1\)", id="column"),
+        pytest.param([0.0, 1.7, 2.0, 1.0], r"whole class indices, got 1\.7$", id="fractional"),
+        pytest.param([0.0, np.nan, 2.0, 1.0], r"whole class indices, got nan$", id="nan"),
+    ]
+
+    @pytest.mark.parametrize("targets, message", BAD_MULTICLASS_TARGETS)
+    def test_malformed_multiclass_targets_rejected(self, targets, message):
+        spec = LearnerSpec(input_shape=(1, 4), n_outputs=3, hidden_layers=())
+        params = init_params(spec, seed=0)
+        batch = LabeledSet(np.ones((4, 1, 4)), np.array(targets))
+        with pytest.raises(ValueError, match=message):
+            loss_and_grad(params, batch)
+
+    @pytest.mark.parametrize("targets, message", BAD_MULTICLASS_TARGETS)
+    def test_malformed_multiclass_targets_rejected_by_train(self, targets, message):
+        spec = LearnerSpec(input_shape=(1, 4), n_outputs=3, hidden_layers=())
+        params = init_params(spec, seed=0)
+        state = init_adam(params, learning_rate=1e-3)
+        with pytest.raises(ValueError, match=message):
+            train(
+                params, np.ones((4, 1, 4)), np.array(targets),
+                epochs=1, batch_size=4, state=state, seed=0,
+            )
+
+    def test_whole_float_targets_equal_integer_targets(self):
+        spec = LearnerSpec(input_shape=(1, 4), n_outputs=3, hidden_layers=())
+        params = init_params(spec, seed=0)
+        inputs = np.random.default_rng(0).normal(size=(4, 1, 4))
+        labels = np.array([0, 1, 2, 1])
+        loss, grads = loss_and_grad(params, LabeledSet(inputs, labels))
+        loss_f, grads_f = loss_and_grad(params, LabeledSet(inputs, labels.astype(float)))
+        assert loss_f == loss
+        assert all(np.array_equal(grads_f[name], grads[name]) for name in grads)
+
 
 class TestAdam:
     def _scalar_setup(self):
@@ -373,12 +411,18 @@ def reference_train(params, inputs, targets, *, epochs, batch_size, state, seed)
 TRAIN_SPECS = [
     LearnerSpec(input_shape=(1, 6), n_outputs=3, hidden_layers=(8, 5)),
     LearnerSpec(input_shape=(8, 7), n_outputs=3, hidden_layers=(6,), conv_stem=((3, 3, 2),)),
+    # No hidden layer: the images enter the head directly.
+    LearnerSpec(input_shape=(1, 6), n_outputs=3, hidden_layers=()),
+    LearnerSpec(input_shape=(2, 3), n_outputs=4, hidden_layers=(5,), head="multilabel"),
 ]
 
 
 def _train_data(spec, n=23, seed=4):
     rng = np.random.default_rng(seed)
-    return rng.normal(size=(n, *spec.input_shape)), rng.integers(0, spec.n_outputs, size=n)
+    inputs = rng.normal(size=(n, *spec.input_shape))
+    if spec.head == "multilabel":
+        return inputs, (rng.uniform(size=(n, spec.n_outputs)) < 0.5).astype(np.float64)
+    return inputs, rng.integers(0, spec.n_outputs, size=n)
 
 
 class TestTrainContract:
@@ -443,6 +487,99 @@ class TestTrainContract:
         out, _ = train(params, inputs, targets, epochs=4, batch_size=2, state=state, seed=0)
         assert out.step == 4 * 12
         assert len(checks) == 1
+
+
+def assert_tiled(buffer, views):
+    """The views lay end to end over the flat buffer, in order: values
+    written through the buffer read back, in order, through the views."""
+    buffer[...] = np.arange(buffer.size)
+    assert sum(arr.size for arr in views.values()) == buffer.size
+    assert np.array_equal(
+        np.concatenate([arr.ravel() for arr in views.values()]), np.arange(buffer.size)
+    )
+
+
+def assert_packed(params, state):
+    assert params.buffer.dtype == state.buffer.dtype == np.float64
+    assert state.buffer.shape == (2, params.buffer.size)
+    assert_tiled(params.buffer, params.tensors)
+    assert_tiled(state.buffer[0], state.m)
+    assert_tiled(state.buffer[1], state.v)
+
+
+class TestStorage:
+    SPEC = LearnerSpec(input_shape=(6, 5), n_outputs=3, hidden_layers=(4,), conv_stem=((2, 2, 1),))
+
+    def _trained(self):
+        inputs, targets = _train_data(self.SPEC)
+        params = init_params(self.SPEC, seed=0)
+        state = init_adam(params, learning_rate=1e-3)
+        return train(params, inputs, targets, epochs=1, batch_size=5, state=state, seed=0)
+
+    def test_init_and_train_keep_one_buffer(self):
+        params = init_params(self.SPEC, seed=0)
+        assert_packed(params, init_adam(params, learning_rate=1e-3))
+        assert_packed(*self._trained())
+
+    def test_load_keeps_one_buffer(self, tmp_path):
+        path = tmp_path / "member.npz"
+        save_params(path, *self._trained())
+        assert_packed(*load_params(path))
+
+    def test_caller_arrays_are_copied_into_float64(self):
+        params = init_params(self.SPEC, seed=0)
+        narrow = {name: arr.astype(np.float32) for name, arr in params.tensors.items()}
+        packed = LearnerParams(spec=self.SPEC, tensors=narrow)
+        assert packed.buffer.dtype == np.float64
+        assert not any(np.shares_memory(packed.buffer, arr) for arr in narrow.values())
+
+    def test_mappings_are_read_only(self):
+        params, state = self._trained()
+        for mapping in (params.tensors, state.m, state.v):
+            with pytest.raises(TypeError):
+                mapping["out_b"] = np.zeros(3)
+
+    def test_deepcopy_has_its_own_buffer_tied_to_its_views(self):
+        params, state = self._trained()
+        before_params, before_state = copy.deepcopy((params, state))
+        twin, twin_state = copy.deepcopy((params, state))
+        assert not np.shares_memory(twin.buffer, params.buffer)
+        assert not np.shares_memory(twin_state.buffer, state.buffer)
+        grads = {name: np.ones_like(arr) for name, arr in params.tensors.items()}
+        adam_step(twin_state, twin, grads)
+        for name in params.tensors:
+            assert not np.array_equal(twin.tensors[name], before_params.tensors[name])
+            assert not np.array_equal(twin_state.m[name], before_state.m[name])
+            assert np.array_equal(params.tensors[name], before_params.tensors[name])
+            assert np.array_equal(state.m[name], before_state.m[name])
+            assert np.array_equal(state.v[name], before_state.v[name])
+        assert_packed(twin, twin_state)
+
+    def test_adam_step_allocates_no_buffer_sized_array(self):
+        params, state = self._trained()
+        grads = {name: np.ones_like(arr) for name, arr in params.tensors.items()}
+        adam_step(state, params, grads)  # warm up numpy's own caches
+        tracemalloc.start()
+        try:
+            adam_step(state, params, grads)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < params.buffer.nbytes
+
+    def test_state_of_other_parameters_rejected(self):
+        params = init_params(self.SPEC, seed=0)
+        other = init_params(TRAIN_SPECS[0], seed=0)
+        inputs, targets = _train_data(self.SPEC)
+        state = init_adam(other, learning_rate=1e-3)
+        with pytest.raises(ValueError, match="optimizer state differs"):
+            train(params, inputs, targets, epochs=1, batch_size=5, state=state, seed=0)
+
+    def test_moments_of_differing_layout_rejected(self):
+        state = init_adam(init_params(self.SPEC, seed=0), learning_rate=1e-3)
+        v = {name: np.zeros(3) if name == "out_w" else arr for name, arr in state.v.items()}
+        with pytest.raises(ValueError, match="m and v differ"):
+            OptimizerState(m=state.m, v=v, learning_rate=1e-3)
 
 
 def _rewrite_checkpoint(path, drop=(), **replace):
