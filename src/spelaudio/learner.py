@@ -6,18 +6,14 @@ convolutional stem, a rectified-linear body, and either a softmax
 and gradients are implemented directly on numpy arrays in double
 precision; training is plain shuffled mini-batch Adam. Each conv layer
 is one matrix product over its unfolded windows (im2col), cached from the
-forward pass for the weight gradient. The gradient with respect to the
-input images is never formed, whichever layer (conv, dense or head) the
-images enter.
-
-A member's parameters live in one contiguous float64 buffer, and its Adam
-moments in another; ``tensors``, ``m`` and ``v`` are read-only mappings
-of per-tensor views into them. ``adam_step`` updates both buffers in
-place, each array expression once over the whole buffer; ``train`` steps
-private copies, so its caller's objects never change.
-Seeded runs are bitwise reproducible because the data order is a pure
-function of the seed and every step runs the same arithmetic in the same
-order.
+forward pass for the weight gradient; whichever layer the input images
+enter, the gradient with respect to them is never formed. A member keeps
+its parameters in one contiguous float64 buffer and its Adam moments in
+another, behind read-only mappings of per-tensor views. ``adam_step``
+updates both in place, once over each whole buffer; ``train`` steps
+private copies, so its caller's objects never change. Seeded runs are
+bitwise reproducible because the data order is a pure function of the
+seed and every step runs the same arithmetic in the same order.
 """
 
 from __future__ import annotations
@@ -160,7 +156,7 @@ def _views(buffer: np.ndarray, like: Mapping[str, np.ndarray]) -> Mapping[str, n
 
 
 def _layout(arrays: Mapping[str, np.ndarray]) -> list[tuple[str, tuple[int, ...]]]:
-    return [(name, np.shape(arr)) for name, arr in arrays.items()]
+    return [(name, arr.shape) for name, arr in arrays.items()]
 
 
 def _first_nonfinite(buffer: np.ndarray, views: Mapping[str, np.ndarray]) -> str | None:
@@ -188,9 +184,9 @@ class LearnerParams:
         if list(self.tensors) != list(expected):
             raise ValueError("tensor names do not match the spec's parameter map")
         for name, arr in self.tensors.items():
-            if np.shape(arr) != expected[name]:
+            if arr.shape != expected[name]:
                 raise ValueError(
-                    f"{name}: expected shape {expected[name]}, got {np.shape(arr)}"
+                    f"{name}: expected shape {expected[name]}, got {arr.shape}"
                 )
         if self.step < 0:
             raise ValueError("step counter must be non-negative")
@@ -201,7 +197,8 @@ class LearnerParams:
             raise ValueError(f"{bad} contains non-finite values")
 
     def __deepcopy__(self, memo):
-        # numpy deep-copies each view on its own, detaching it from the buffer.
+        # numpy deep-copies each view on its own, detaching it from the
+        # buffer. The copy skips validation: a diverged member copies too.
         new = copy.copy(self)
         new.buffer = self.buffer.copy()
         new.tensors = _views(new.buffer, self.tensors)
@@ -235,10 +232,7 @@ class OptimizerState:
         self.scratch = np.empty_like(self.buffer)
 
     def __deepcopy__(self, memo):
-        new = copy.copy(self)
-        new.buffer, new.scratch = self.buffer.copy(), np.empty_like(self.buffer)
-        new.m, new.v = _views(new.buffer[0], self.m), _views(new.buffer[1], self.v)
-        return new
+        return OptimizerState(self.m, self.v, self.learning_rate)
 
 
 @dataclass(frozen=True)
@@ -450,16 +444,16 @@ def adam_step(
 ) -> None:
     """One bias-corrected Adam update of params and state, in place; increments the step.
 
-    The update runs once over the whole buffers, with the gradients
-    concatenated in parameter order. It evaluates, operation by operation,
+    Each operation of
 
         m = b1 * m + (1 - b1) * g
         v = b2 * v + (1 - b2) * (g * g)
         theta -= lr * (m / bc1) / (sqrt(v / bc2) + eps)
 
-    into the state's scratch rows. Fresh buffer-sized temporaries would let
-    the allocator hand their pages back to the system and fault them in
-    again, many times a step.
+    runs once over the whole buffer, with g the gradients concatenated in
+    parameter order, into the state's scratch rows: with buffer-sized
+    temporaries instead, the allocator handed pages back to the system and
+    faulted them in again many times a step.
     """
     t = params.step + 1
     bc1 = 1.0 - BETA1 ** t

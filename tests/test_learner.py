@@ -555,6 +555,13 @@ class TestStorage:
             assert np.array_equal(state.v[name], before_state.v[name])
         assert_packed(twin, twin_state)
 
+    def test_deepcopy_of_a_diverged_member(self):
+        params, _ = self._trained()
+        params.tensors["out_b"][1] = np.nan
+        twin = copy.deepcopy(params)
+        assert np.isnan(twin.tensors["out_b"][1])
+        assert_tiled(twin.buffer, twin.tensors)
+
     def test_adam_step_allocates_no_buffer_sized_array(self):
         params, state = self._trained()
         grads = {name: np.ones_like(arr) for name, arr in params.tensors.items()}
