@@ -63,6 +63,17 @@ def _read_labels(path) -> np.ndarray:
     return column.astype(np.int64)
 
 
+def _read_binary_matrix(path) -> np.ndarray:
+    """Multi-label truth: one 0/1 column per class. A cell that is not 0 or
+    1 raises ValueError naming its path and line."""
+    matrix, linenos = _read_csv_matrix(path)
+    bad = np.flatnonzero((matrix != 0) & (matrix != 1))
+    if bad.size:
+        row, col = divmod(int(bad[0]), matrix.shape[1])
+        raise ValueError(f"{path}:{linenos[row]}: {matrix[row, col]} is not 0 or 1")
+    return matrix.astype(np.int64)
+
+
 def _cmd_preprocess(args) -> int:
     signal = load_wav(args.wav)
     config = StftConfig(n_fft=args.n_fft, hop=args.hop, win_length=args.win_length)
@@ -113,8 +124,8 @@ def _cmd_evaluate(args) -> int:
         labels, truth = _read_labels(args.predictions), _read_labels(args.truth)
         value = score(args.metric, labels, None, truth, args.classes or int(truth.max()) + 1)
     else:
-        (pred, _), (truth, _) = _read_csv_matrix(args.predictions), _read_csv_matrix(args.truth)
-        value = score(args.metric, None, pred, truth.astype(np.int64), 0)
+        pred, _ = _read_csv_matrix(args.predictions)
+        value = score(args.metric, None, pred, _read_binary_matrix(args.truth), 0)
     print(f"{args.metric} {value:.6f}")
     return 0
 

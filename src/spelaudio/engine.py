@@ -23,9 +23,11 @@ uninterrupted one.
 from __future__ import annotations
 
 import json
+from collections.abc import Mapping
 from dataclasses import dataclass, fields
 from itertools import zip_longest
 from pathlib import Path
+from types import MappingProxyType
 
 import numpy as np
 
@@ -115,16 +117,40 @@ class UnlabeledSet:
 
 @dataclass(frozen=True)
 class ExperimentData:
-    """A run's inputs from either data source. The test targets and the pool
-    truth are for evaluation only and training reads neither; unlabeled_truth
-    is None where the pool's labels are unknown."""
+    """A run's inputs from either data source. Each split's inputs are the
+    slice of images, one read-only store, that rows maps its name to. The
+    test targets and the pool truth are for evaluation only and training
+    reads neither; unlabeled_truth is None where the pool's labels are unknown."""
 
+    images: np.ndarray
+    rows: Mapping[str, slice]
     labeled: LabeledSet
     validation: LabeledSet | None
     unlabeled: UnlabeledSet
     test: LabeledSet
     n_classes: int
     unlabeled_truth: np.ndarray | None = None
+
+    @classmethod
+    def from_store(cls, images, labeled_targets, validation_targets, n_unlabeled, test_targets,
+                   n_classes, unlabeled_truth=None) -> ExperimentData:
+        """Data whose labeled, validation, unlabeled and test splits are, in
+        that order, consecutive row blocks of images: as many rows as each
+        split has targets, none for validation_targets None, and n_unlabeled
+        for the pool. The store is made read-only before any split views it."""
+        n_validation = 0 if validation_targets is None else len(validation_targets)
+        sizes = (len(labeled_targets), n_validation, n_unlabeled, len(test_targets))
+        images.flags.writeable = False
+        ends = np.cumsum(sizes).tolist()
+        names = ("labeled", "validation", "unlabeled", "test")
+        rows = {name: slice(end - size, end) for name, size, end in zip(names, sizes, ends)}
+        labeled, validation, unlabeled, test = (images[r] for r in rows.values())
+        return cls(
+            images, MappingProxyType(rows), LabeledSet(labeled, labeled_targets),
+            None if validation_targets is None else LabeledSet(validation, validation_targets),
+            UnlabeledSet(unlabeled, np.arange(n_unlabeled)), LabeledSet(test, test_targets),
+            n_classes, unlabeled_truth,
+        )
 
 
 # A pseudo set's arrays, with the dtypes a round record restores them to.
@@ -191,8 +217,9 @@ def _evaluate(ensemble: Ensemble, validation: LabeledSet | None) -> dict[str, fl
     )
 
 
-def _train_members(members, states, inputs, targets, epochs, config, stage, *j):
-    """Continue every member; member i shuffles from the seed of (run seed, stage, i, *j).
+def _train_members(members, states, inputs, targets, rows, epochs, config, stage, *j):
+    """Continue every member on the rows of inputs that rows lists (all of
+    them when None); member i shuffles from the seed of (run seed, stage, i, *j).
 
     A member that diverges raises DivergenceError naming it and the round.
     """
@@ -201,7 +228,7 @@ def _train_members(members, states, inputs, targets, epochs, config, stage, *j):
         try:
             trained.append(
                 train(params, inputs, targets, epochs=epochs, batch_size=config.batch_size,
-                      state=state, seed=_derive_seed(config.seed, stage, i, *j))
+                      state=state, seed=_derive_seed(config.seed, stage, i, *j), rows=rows)
             )
         except DivergenceError as err:
             raise DivergenceError(err.tensor, err.step, i, j[0] if j else 0) from err
@@ -219,7 +246,7 @@ def pretrain(config: SpelConfig, labeled: LabeledSet, specs: list[LearnerSpec]):
     ]
     states = [init_adam(params, learning_rate=config.learning_rate) for params in members]
     return _train_members(
-        members, states, labeled.inputs, labeled.targets, config.pretrain_epochs, config, 1
+        members, states, labeled.inputs, labeled.targets, None, config.pretrain_epochs, config, 1
     )
 
 
@@ -242,31 +269,34 @@ def select_pseudo(ensemble: Ensemble, unlabeled: UnlabeledSet, count: int) -> Ps
 def spel_round(
     ensemble: Ensemble,
     states: list[OptimizerState],
-    labeled: LabeledSet,
-    unlabeled: UnlabeledSet,
-    j: int,
+    data: ExperimentData,
     config: SpelConfig,
-    validation: LabeledSet | None = None,
+    j: int,
 ):
     """One self-paced round: regenerate the pseudo set, continue every
     member; returns (ensemble, states, report).
 
     The pseudo set is rebuilt from scratch with the current ensemble (size
-    min(per_step * j, pool)); the source-labeled data is never relabeled,
-    only concatenated with the fresh pseudo samples.
+    min(per_step * j, pool)); the source-labeled data is never relabeled.
+    Members train on the store rows of the labeled split followed by those
+    of the fresh pseudo samples, so no pool is copied out of the store.
+    The report holds the data's validation metrics.
     """
     if j < 1:
         raise ValueError("round index starts at 1")
+    unlabeled = data.unlabeled
     count = min(config.per_step * j, len(unlabeled))
     pseudo = select_pseudo(ensemble, unlabeled, count)
     sorter = np.argsort(unlabeled.ids)
-    rows = sorter[np.searchsorted(unlabeled.ids, pseudo.ids, sorter=sorter)]
-    pool_inputs = np.concatenate([labeled.inputs, unlabeled.inputs[rows]], axis=0)
-    pool_targets = np.concatenate([labeled.targets, pseudo.labels], axis=0)
+    picked = sorter[np.searchsorted(unlabeled.ids, pseudo.ids, sorter=sorter)]
+    labeled, pool = data.rows["labeled"], data.rows["unlabeled"]
+    rows = np.concatenate([np.arange(labeled.start, labeled.stop), pool.start + picked])
+    targets = np.concatenate([data.labeled.targets, pseudo.labels], axis=0)
     new_ensemble, new_states = _train_members(
-        ensemble.members, states, pool_inputs, pool_targets, config.spel_epochs, config, 2, j
+        ensemble.members, states, data.images, targets, rows, config.spel_epochs, config, 2, j
     )
-    return new_ensemble, new_states, RoundReport(j, _evaluate(new_ensemble, validation), pseudo)
+    report = RoundReport(j, _evaluate(new_ensemble, data.validation), pseudo)
+    return new_ensemble, new_states, report
 
 
 def run_spel(
@@ -280,13 +310,15 @@ def run_spel(
 
     Emits one report per round including round 0 (the pre-trained
     baseline), with validation metrics whenever the data has a validation
-    split. With a checkpoint directory, every computed round is persisted;
-    `resume=True` loads the rounds up to the latest complete one instead,
-    reproducing the uninterrupted run exactly, and refuses a checkpoint of
-    other run settings or member specs, or no checkpoint directory. No
-    round reads the round count, so the resumed run may have fewer or more
-    rounds than the checkpointed one. Nothing checks that a resume runs
-    on the data of its checkpoint.
+    split. Every split the run reads is a view of the data's one read-only
+    image store, and each round trains on rows of that store, so the run
+    copies no split. With a checkpoint directory, every computed round is
+    persisted; `resume=True` loads the rounds up to the latest complete one
+    instead, reproducing the uninterrupted run exactly, and refuses a
+    checkpoint of other run settings or member specs, or no checkpoint
+    directory. No round reads the round count, so the resumed run may have
+    fewer or more rounds than the checkpointed one. Nothing checks that a
+    resume runs on the data of its checkpoint.
     """
     if config.n_steps > 0 and len(data.unlabeled) == 0:
         raise ValueError("self-paced rounds need a nonempty unlabeled set")
@@ -307,9 +339,7 @@ def run_spel(
             ensemble, states = pretrain(config, data.labeled, specs)
             report = RoundReport(0, _evaluate(ensemble, data.validation))
         else:
-            ensemble, states, report = spel_round(
-                ensemble, states, data.labeled, data.unlabeled, j, config, data.validation
-            )
+            ensemble, states, report = spel_round(ensemble, states, data, config, j)
         if j == 0:
             baseline_prediction = avg_predict(ensemble, data.test.inputs)
         if j > last and checkpoint_dir is not None:

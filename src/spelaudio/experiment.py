@@ -20,13 +20,13 @@ import numpy as np
 
 from .config import ConfigError, ExperimentConfig, load_config
 from .dsp import MelFilterbank, Signal, StftConfig, frame_count, mel_filterbank, preprocess
-from .engine import ExperimentData, RoundReport, UnlabeledSet, run_spel, write_text_atomic
+from .engine import ExperimentData, RoundReport, run_spel, write_text_atomic
 from .ensemble import Ensemble, avg_predict
-from .learner import LabeledSet, LearnerSpec
+from .learner import LearnerSpec
 from .metrics import TASK_METRICS, McNemarResult, mcnemar, task_metrics
 from .metrics import accuracy, uar  # noqa: F401  wrapped by perfbench/spans.py's tracer
 from .synthetic import gen_synthetic
-from .wavio import load_wav
+from .wavio import load_wav, wav_sample_rate
 
 __all__ = [
     "ResultsRecord",
@@ -102,25 +102,22 @@ def _geometry_at_rate(config: ExperimentConfig, n_classes: int, path: Path, rate
     return fb
 
 
-def _mel_images(files, config: ExperimentConfig, n_classes: int) -> np.ndarray:
-    """Decode and preprocess every file at the first file's sample rate,
-    checking the geometry that rate fixes before the next file is decoded."""
-    images = rate = fb = None
-    for i, path in enumerate(files):
-        signal = load_wav(path)
+def _check_headers(files, config: ExperimentConfig, n_classes: int):
+    """The first file's sample rate and its filterbank, once every file's
+    header, in scan order, shows that rate and the geometry the rate fixes
+    is checked; no audio is decoded."""
+    rate = fb = None
+    for path in files:
+        file_rate = wav_sample_rate(path)
         if rate is None:
-            rate = signal.sample_rate
+            rate = file_rate
             fb = _geometry_at_rate(config, n_classes, path, rate)
-        elif signal.sample_rate != rate:
+        elif file_rate != rate:
             raise ConfigError(
-                f"{path}: sample rate {signal.sample_rate} differs from {rate}; "
+                f"{path}: sample rate {file_rate} differs from {rate}; "
                 "source and target must share one rate"
             )
-        image = preprocess(signal, config.stft, fb, config.clip_samples(rate)).values
-        if images is None:
-            images = np.empty((len(files), *image.shape))
-        images[i] = image
-    return images
+    return rate, fb
 
 
 def _build_wav_data(config: ExperimentConfig) -> ExperimentData:
@@ -156,24 +153,23 @@ def _build_wav_data(config: ExperimentConfig) -> ExperimentData:
     if len(tgt_test_rows) == 0 and len(test_rows) == 0:
         raise ConfigError("no labeled test data: test fraction is 0 and the target is unlabeled")
 
-    images = _mel_images(src_files + tgt_files, config, len(classes))
-    src_images, tgt_images = np.split(images, [len(src_files)])
+    scanned = src_files + tgt_files
+    rate, fb = _check_headers(scanned, config, len(classes))
     if len(tgt_test_rows):
-        test = LabeledSet(inputs=tgt_images[tgt_test_rows], targets=tgt_labels[tgt_test_rows])
+        test_rows, test_targets = len(src_files) + tgt_test_rows, tgt_labels[tgt_test_rows]
     else:  # no labeled target clips: fall back to the source test split
-        test = LabeledSet(inputs=src_images[test_rows], targets=src_labels[test_rows])
-    validation = None
-    if len(val_rows):
-        validation = LabeledSet(inputs=src_images[val_rows], targets=src_labels[val_rows])
-    return ExperimentData(
-        labeled=LabeledSet(inputs=src_images[train_rows], targets=src_labels[train_rows]),
-        validation=validation,
-        unlabeled=UnlabeledSet(inputs=tgt_images[unl_rows], ids=np.arange(len(unl_rows))),
-        test=test,
-        n_classes=len(classes),
-        unlabeled_truth=None if tgt_labels is None else tgt_labels[unl_rows],
+        test_targets = src_labels[test_rows]
+    # Each file a split needs is decoded once, in split order, into the one store.
+    needed = np.concatenate([train_rows, val_rows, len(src_files) + unl_rows, test_rows])
+    clip = config.clip_samples(rate)
+    images = np.empty((len(needed), frame_count(clip, config.stft), config.n_mels))
+    for i, row in enumerate(needed):
+        images[i] = preprocess(load_wav(scanned[row]), config.stft, fb, clip).values
+    val_targets = src_labels[val_rows] if len(val_rows) else None
+    truth = None if tgt_labels is None else tgt_labels[unl_rows]
+    return ExperimentData.from_store(
+        images, src_labels[train_rows], val_targets, len(unl_rows), test_targets, len(classes), truth
     )
-
 
 def build_data(config: ExperimentConfig) -> ExperimentData:
     if config.source == "synthetic":

@@ -397,6 +397,11 @@ def _loss_and_dlogits(spec: LearnerSpec, logits: np.ndarray, targets: np.ndarray
     t = np.asarray(targets, dtype=np.float64)
     if t.shape != logits.shape:
         raise ValueError(f"multilabel targets must have shape {logits.shape}, got {t.shape}")
+    not_binary = np.flatnonzero((t != 0.0) & (t != 1.0))
+    if not_binary.size:
+        raise ValueError(
+            f"multilabel targets must be 0 or 1, got {np.asarray(targets).flat[not_binary[0]]}"
+        )
     # Stable binary cross-entropy straight from logits, summed over labels.
     per_element = np.maximum(logits, 0.0) - logits * t + np.log1p(np.exp(-np.abs(logits)))
     loss = per_element.sum(axis=1).mean()
@@ -480,18 +485,26 @@ def train(
     batch_size: int,
     state: OptimizerState,
     seed: int,
+    rows: np.ndarray | None = None,
 ):
     """Shuffled mini-batch Adam for a fixed number of full passes.
 
-    Returns trained copies of params and state; the arguments themselves
-    are left unchanged. The shuffle order is a pure function of the seed,
-    and the returned state lets a later call continue training where this
-    one stopped. Raises DivergenceError naming the tensor and step if a
+    The training samples are the rows of inputs that rows lists, paired in
+    order with targets, or every row when rows is None; each batch gathers
+    its own rows, so no training set is copied out of inputs. Returns
+    trained copies of params and state; the arguments themselves are left
+    unchanged. The shuffle order is a pure function of the seed, and the
+    returned state lets a later call continue training where this one
+    stopped. Raises DivergenceError naming the tensor and step if a
     parameter is non-finite at the end of an epoch.
     """
-    n = len(inputs)
+    if rows is None:
+        rows = np.arange(len(inputs))
+    n = len(rows)
     if n == 0:
         raise ValueError("cannot train on an empty dataset")
+    if len(targets) != n:
+        raise ValueError(f"{n} training rows but {len(targets)} targets")
     if batch_size < 1:
         raise ValueError("batch_size must be positive")
     if epochs < 0:
@@ -505,7 +518,7 @@ def train(
         order = rng.permutation(n)
         for start in range(0, n, batch_size):
             sel = order[start : start + batch_size]
-            _, grads = loss_and_grad(params, LabeledSet(inputs[sel], targets[sel]))
+            _, grads = loss_and_grad(params, LabeledSet(inputs[rows[sel]], targets[sel]))
             adam_step(state, params, grads)
         bad = _first_nonfinite(params.buffer, params.tensors)
         if bad is not None:

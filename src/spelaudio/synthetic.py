@@ -17,8 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dsp import Signal, StftConfig, frame_count, mel_filterbank, preprocess
-from .engine import ExperimentData, UnlabeledSet
-from .learner import LabeledSet
+from .engine import ExperimentData
 from .metrics import TASK_METRICS
 
 __all__ = ["SyntheticSpec", "gen_synthetic"]
@@ -124,19 +123,19 @@ def _multilabel_targets(rng, n: int, spec: SyntheticSpec) -> np.ndarray:
     return targets
 
 
-def _render_split(rng, spec, stft_config, fb, n, domain):
+def _render_split(rng, spec, stft_config, fb, images, domain):
+    """Draw a split's targets, then render its clips' images into images."""
+    n = len(images)
     if spec.task == "multiclass":
         targets = _balanced_classes(rng, n, spec.n_classes)
         actives = [[c] for c in targets]
     else:
         targets = _multilabel_targets(rng, n, spec)
         actives = [np.nonzero(row)[0] for row in targets]
-    shape = (n, frame_count(spec.clip_samples, stft_config), fb.n_mels)
-    images = np.empty(shape, dtype=np.float64)
     for i in range(n):
         clip = Signal(_tone(rng, spec, actives[i], domain), spec.sample_rate)
         images[i] = preprocess(clip, stft_config, fb, spec.clip_samples).values
-    return images, targets
+    return targets
 
 
 def gen_synthetic(
@@ -147,23 +146,18 @@ def gen_synthetic(
     fmin: float = 0.0,
     fmax: float | None = None,
 ) -> ExperimentData:
-    """Deterministically generate all splits as preprocessed mel images."""
+    """Deterministically generate all splits as preprocessed mel images,
+    rendered in the order source, validation, unlabeled, test into one store."""
     rng = np.random.default_rng(seed)
     fb = mel_filterbank(n_mels, stft_config.n_fft, spec.sample_rate, fmin, fmax)
+    sizes = (spec.n_source, spec.n_val, spec.n_unlabeled, spec.n_test)
+    images = np.empty((sum(sizes), frame_count(spec.clip_samples, stft_config), fb.n_mels))
+    src, val, unl, test = np.split(images, np.cumsum(sizes)[:-1])
 
-    src_x, src_y = _render_split(rng, spec, stft_config, fb, spec.n_source, "source")
-    validation = None
-    if spec.n_val > 0:
-        val_x, val_y = _render_split(rng, spec, stft_config, fb, spec.n_val, spec.val_domain)
-        validation = LabeledSet(inputs=val_x, targets=val_y)
-    unl_x, unl_y = _render_split(rng, spec, stft_config, fb, spec.n_unlabeled, "target")
-    test_x, test_y = _render_split(rng, spec, stft_config, fb, spec.n_test, "target")
-
-    return ExperimentData(
-        labeled=LabeledSet(inputs=src_x, targets=src_y),
-        validation=validation,
-        unlabeled=UnlabeledSet(inputs=unl_x, ids=np.arange(spec.n_unlabeled)),
-        test=LabeledSet(inputs=test_x, targets=test_y),
-        n_classes=spec.n_classes,
-        unlabeled_truth=unl_y,
+    src_y = _render_split(rng, spec, stft_config, fb, src, "source")
+    val_y = _render_split(rng, spec, stft_config, fb, val, spec.val_domain) if spec.n_val else None
+    unl_y = _render_split(rng, spec, stft_config, fb, unl, "target")
+    test_y = _render_split(rng, spec, stft_config, fb, test, "target")
+    return ExperimentData.from_store(
+        images, src_y, val_y, spec.n_unlabeled, test_y, spec.n_classes, unlabeled_truth=unl_y
     )

@@ -14,7 +14,7 @@ import numpy as np
 
 from .dsp import Signal
 
-__all__ = ["WavFormatError", "UnsupportedWavError", "load_wav", "write_wav"]
+__all__ = ["WavFormatError", "UnsupportedWavError", "load_wav", "wav_sample_rate", "write_wav"]
 
 _PCM_FORMAT_CODE = 1
 _FULL_SCALE = 32768.0
@@ -45,9 +45,8 @@ def _parse_fmt(payload: bytes):
     return sample_rate
 
 
-def load_wav(path) -> Signal:
-    """Read a PCM16 mono WAV file into a Signal scaled to [-1, 1]."""
-    raw = Path(path).read_bytes()
+def _walk(raw: bytes) -> tuple[int, bytes]:
+    """The sample rate and the data chunk payload of a RIFF/WAVE file's bytes."""
     if len(raw) < 12:
         raise WavFormatError("RIFF header: file shorter than 12 bytes")
     if raw[0:4] != b"RIFF":
@@ -76,14 +75,25 @@ def load_wav(path) -> Signal:
                 raise WavFormatError("data chunk: empty")
             if size % 2 != 0:
                 raise WavFormatError("data chunk: size is not a multiple of the sample width")
-            samples = np.frombuffer(payload, dtype="<i2").astype(np.float64) / _FULL_SCALE
-            return Signal(samples, sample_rate)
+            return sample_rate, payload
         # other chunks (LIST, fact, ...) are skipped
         offset = payload_start + size + (size % 2)  # chunks are word-aligned
 
     if sample_rate is None:
         raise WavFormatError("fmt chunk: missing")
     raise WavFormatError("data chunk: missing")
+
+
+def wav_sample_rate(path) -> int:
+    """The sample rate of a file load_wav accepts, without decoding its samples."""
+    return _walk(Path(path).read_bytes())[0]
+
+
+def load_wav(path) -> Signal:
+    """Read a PCM16 mono WAV file into a Signal scaled to [-1, 1]."""
+    sample_rate, payload = _walk(Path(path).read_bytes())
+    samples = np.frombuffer(payload, dtype="<i2").astype(np.float64) / _FULL_SCALE
+    return Signal(samples, sample_rate)
 
 
 def write_wav(path, signal: Signal) -> None:

@@ -143,6 +143,18 @@ class TestEvaluate:
         assert captured.out == ""
         assert f"pred.csv:3: {shown} is not a class index" in captured.err
 
+    @pytest.mark.parametrize("bad", ["0.6", "2", "-1", "nan"])
+    def test_multilabel_truth_cell_that_is_not_0_or_1_rejected(self, tmp_path, capsys, bad):
+        write_csv(tmp_path / "scores.csv", [[0.9, 0.2, 0.1], [0.1, 0.8, 0.7]])
+        (tmp_path / "truth.csv").write_text(f"a,b,c\n1,0,0\n0,{bad},1\n")
+        code = main(
+            ["evaluate", str(tmp_path / "scores.csv"), str(tmp_path / "truth.csv"), "--metric", "wlrap"]
+        )
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"truth.csv:3: {float(bad)} is not 0 or 1" in captured.err
+
     def test_header_row_tolerated(self, tmp_path, capsys):
         (tmp_path / "pred.csv").write_text("label\n0\n1\n")
         (tmp_path / "truth.csv").write_text("label\n0\n1\n")

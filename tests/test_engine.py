@@ -183,21 +183,38 @@ class TestSpelRound:
         spec = mini_learner_spec(mini_bundle)
         config = mini_spel_config(per_step=50)  # pool has 60 unlabeled samples
         ensemble, states = pretrain(config, mini_bundle.labeled, [spec, spec])
-        ensemble, states, report1 = spel_round(
-            ensemble, states, mini_bundle.labeled, mini_bundle.unlabeled, 1, config
-        )
+        ensemble, states, report1 = spel_round(ensemble, states, mini_bundle, config, 1)
         assert report1.pseudo_count == 50 and len(report1.pseudo.ids) == 50
-        _, _, report2 = spel_round(
-            ensemble, states, mini_bundle.labeled, mini_bundle.unlabeled, 2, config
-        )
+        _, _, report2 = spel_round(ensemble, states, mini_bundle, config, 2)
         assert report2.pseudo_count == 60 and len(report2.pseudo.ids) == 60
+
+    def test_members_equal_training_on_the_concatenated_pool(self, mini_bundle):
+        """The round trains on store rows; a reference that copies the
+        labeled split and the pseudo samples into one pool trains the same
+        members bit for bit."""
+        spec = mini_learner_spec(mini_bundle)
+        config = mini_spel_config()
+        j = 2
+        ensemble, states = pretrain(config, mini_bundle.labeled, [spec, spec])
+        got, got_states, report = spel_round(ensemble, states, mini_bundle, config, j)
+        picked = [np.flatnonzero(mini_bundle.unlabeled.ids == i)[0] for i in report.pseudo.ids]
+        inputs = np.concatenate([mini_bundle.labeled.inputs, mini_bundle.unlabeled.inputs[picked]])
+        targets = np.concatenate([mini_bundle.labeled.targets, report.pseudo.labels])
+        for i, (member, state) in enumerate(zip(ensemble.members, states)):
+            want, want_state = train(
+                member, inputs, targets, epochs=config.spel_epochs, batch_size=config.batch_size,
+                state=state, seed=_derive_seed(config.seed, 2, i, j),
+            )
+            assert np.array_equal(got.members[i].buffer, want.buffer)
+            assert got.members[i].step == want.step
+            assert np.array_equal(got_states[i].buffer, want_state.buffer)
 
     def test_source_labels_untouched(self, mini_bundle):
         spec = mini_learner_spec(mini_bundle)
         config = mini_spel_config()
         before = mini_bundle.labeled.targets.copy()
         ensemble, states = pretrain(config, mini_bundle.labeled, [spec, spec])
-        spel_round(ensemble, states, mini_bundle.labeled, mini_bundle.unlabeled, 1, config)
+        spel_round(ensemble, states, mini_bundle, config, 1)
         assert np.array_equal(mini_bundle.labeled.targets, before)
 
     def test_round_index_starts_at_one(self, mini_bundle):
@@ -205,7 +222,7 @@ class TestSpelRound:
         config = mini_spel_config()
         ensemble, states = pretrain(config, mini_bundle.labeled, [spec, spec])
         with pytest.raises(ValueError):
-            spel_round(ensemble, states, mini_bundle.labeled, mini_bundle.unlabeled, 0, config)
+            spel_round(ensemble, states, mini_bundle, config, 0)
 
     def test_divergence_names_member_and_round(self, mini_bundle):
         spec = mini_learner_spec(mini_bundle)
@@ -215,7 +232,7 @@ class TestSpelRound:
         # NaN moments poison out_b at the round's first step and every tensor
         # after it; the first non-finite one in parameter order is reported.
         with pytest.raises(DivergenceError, match=r"^member 1, round 2: dense0_w became") as info:
-            spel_round(ensemble, states, mini_bundle.labeled, mini_bundle.unlabeled, 2, config)
+            spel_round(ensemble, states, mini_bundle, config, 2)
         err = info.value
         assert isinstance(err, ValueError)
         assert (err.member, err.round_index, err.tensor) == (1, 2, "dense0_w")

@@ -1,5 +1,6 @@
 import json
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -263,6 +264,19 @@ def make_wav_corpus(root, rng, n_per_class, classes=("low", "mid"), rates=(4000,
             write_wav(root / name / f"clip_{i:02d}.wav", Signal(np.clip(x, -1, 1), rates[0]))
 
 
+def assert_splits_view_one_read_only_store(data):
+    for name in ("labeled", "validation", "unlabeled", "test"):
+        split = getattr(data, name)
+        if split is None:
+            continue
+        assert split.inputs.base is data.images, name
+        assert np.array_equal(split.inputs, data.images[data.rows[name]]), name
+        with pytest.raises(ValueError, match="read-only"):
+            split.inputs[0, 0, 0] = 0.0
+    with pytest.raises(ValueError, match="read-only"):
+        data.images[0, 0, 0] = 0.0
+
+
 class TestWavDirMode:
     def _config_text(self, source_dir, target_dir, out_dir):
         return f"""
@@ -306,6 +320,18 @@ unlabeled_fraction = 0.6
         assert len(record.reports) == 2
         assert record.final_metrics["accuracy"] >= 0.0
         assert (tmp_path / "out" / "results.csv").exists()
+
+    @staticmethod
+    def _count_decodes(monkeypatch):
+        """The paths build_data decodes from here on, in order."""
+        decoded = []
+
+        def counting_load_wav(path):
+            decoded.append(path)
+            return load_wav(path)
+
+        monkeypatch.setattr(experiment, "load_wav", counting_load_wav)
+        return decoded
 
     @staticmethod
     def _flat_target(root):
@@ -355,15 +381,17 @@ unlabeled_fraction = 0.6
         record = run_experiment(cfg)
         assert set(record.final_metrics) == {"accuracy", "uar"}
 
-    def test_target_at_another_sample_rate_rejected_naming_the_file(self, tmp_path):
+    def test_target_at_another_sample_rate_rejected_naming_the_file(self, tmp_path, monkeypatch):
         rng = np.random.default_rng(0)
         make_wav_corpus(tmp_path / "source", rng, 6, rates=(8000,))
         make_wav_corpus(tmp_path / "target", rng, 4, rates=(4000,))
         cfg = config_from_text(
             self._config_text(tmp_path / "source", tmp_path / "target", tmp_path / "out")
         )
+        decoded = self._count_decodes(monkeypatch)
         with pytest.raises(ConfigError, match=r"target[/\\]low[/\\]clip_00\.wav: sample rate 4000"):
             build_data(cfg)
+        assert decoded == []  # the header pass found it
 
     @pytest.mark.parametrize(
         "old, new, message",
@@ -380,26 +408,65 @@ unlabeled_fraction = 0.6
         ],
         ids=["fmax-above-nyquist", "fmin-at-nyquist", "clip-below-window", "kernel-too-large"],
     )
-    def test_geometry_the_first_file_fixes_is_checked_before_the_next_decode(
+    def test_geometry_the_first_file_fixes_is_checked_before_any_audio_is_decoded(
         self, tmp_path, monkeypatch, old, new, message
     ):
         """The sample rate is known only from the files, so the checks the
-        parse makes for synthetic sources come at the first file."""
+        parse makes for synthetic sources come at the first file's header."""
         make_wav_corpus(tmp_path / "source", np.random.default_rng(0), 6)
         make_wav_corpus(tmp_path / "target", np.random.default_rng(1), 6)
         text = self._config_text(tmp_path / "source", tmp_path / "target", tmp_path / "out")
         cfg = config_from_text(text.replace(old, new))
-        decoded = []
-
-        def counting_load_wav(path):
-            decoded.append(path)
-            return load_wav(path)
-
-        monkeypatch.setattr(experiment, "load_wav", counting_load_wav)
+        decoded = self._count_decodes(monkeypatch)
         first = re.escape(str(tmp_path / "source" / "low" / "clip_00.wav"))
         with pytest.raises(ConfigError, match=rf"^{first} \(sample rate 4000\): {message}"):
             build_data(cfg)
-        assert len(decoded) == 1
+        assert len(decoded) == 0
+
+    @pytest.mark.parametrize("layout", ["classes", "flat"])
+    def test_every_split_views_one_read_only_store(self, tmp_path, layout):
+        make_wav_corpus(tmp_path / "source", np.random.default_rng(0), 10)
+        if layout == "classes":
+            make_wav_corpus(tmp_path / "target", np.random.default_rng(1), 10, offset=30.0)
+            target = tmp_path / "target"
+        else:
+            target = self._flat_target(tmp_path / "target")
+        cfg = config_from_text(self._config_text(tmp_path / "source", target, tmp_path / "out"))
+        assert_splits_view_one_read_only_store(build_data(cfg))
+
+    def test_labeled_target_skips_decoding_the_source_test_split(self, tmp_path, monkeypatch):
+        make_wav_corpus(tmp_path / "source", np.random.default_rng(0), 10)
+        make_wav_corpus(tmp_path / "target", np.random.default_rng(1), 10, offset=30.0)
+        cfg = config_from_text(
+            self._config_text(tmp_path / "source", tmp_path / "target", tmp_path / "out")
+        )
+        decoded = self._count_decodes(monkeypatch)
+        data = build_data(cfg)
+        n_source, n_target = 20, 20
+        n_source_test = n_source - len(data.labeled) - len(data.validation)
+        assert n_source_test > 0
+        assert len(decoded) == n_source - n_source_test + n_target
+        assert len(set(decoded)) == len(decoded)
+
+    def test_build_data_peak_stays_near_the_store(self, tmp_path):
+        """One store and no copy of a split: a fancy-indexed copy of the
+        splits would double the peak. The geometry keeps each clip's
+        frontend temporaries small beside a store of 111 images."""
+        make_wav_corpus(tmp_path / "source", np.random.default_rng(0), 30)
+        make_wav_corpus(tmp_path / "target", np.random.default_rng(1), 30, offset=30.0)
+        text = self._config_text(tmp_path / "source", tmp_path / "target", tmp_path / "out")
+        for old, new in (("n_fft = 128", "n_fft = 64"), ("hop = 64", "hop = 16"),
+                         ("win_length = 128", "win_length = 64"), ("n_mels = 10", "n_mels = 24")):
+            text = text.replace(old, new)
+        cfg = config_from_text(text)
+        build_data(cfg)  # the frontend's cached constants are not the store's
+        tracemalloc.start()
+        try:
+            data = build_data(cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * data.images.nbytes
 
     def test_pool_truth_is_each_clips_class_directory(self, tmp_path):
         rng = np.random.default_rng(4)

@@ -239,6 +239,31 @@ class TestLoss:
                 epochs=1, batch_size=4, state=state, seed=0,
             )
 
+    # A target outside {0, 1} would still yield a finite loss and train.
+    BAD_MULTILABEL_TARGETS = [
+        pytest.param([[0, 3, 0], [1, 0, -2]], r"0 or 1, got 3$", id="three"),
+        pytest.param([[0, 1, 0], [1, 0.6, 0]], r"0 or 1, got 0\.6$", id="fraction"),
+        pytest.param([[0, 1, 0], [1, 0, np.nan]], r"0 or 1, got nan$", id="nan"),
+    ]
+
+    @pytest.mark.parametrize("targets, message", BAD_MULTILABEL_TARGETS)
+    def test_multilabel_targets_outside_0_1_rejected(self, targets, message):
+        spec = LearnerSpec(input_shape=(1, 4), n_outputs=3, hidden_layers=(), head="multilabel")
+        params = init_params(spec, seed=0)
+        with pytest.raises(ValueError, match=message):
+            loss_and_grad(params, LabeledSet(np.ones((2, 1, 4)), np.array(targets)))
+
+    @pytest.mark.parametrize("targets, message", BAD_MULTILABEL_TARGETS)
+    def test_multilabel_targets_outside_0_1_rejected_by_train(self, targets, message):
+        spec = LearnerSpec(input_shape=(1, 4), n_outputs=3, hidden_layers=(), head="multilabel")
+        params = init_params(spec, seed=0)
+        state = init_adam(params, learning_rate=1e-3)
+        with pytest.raises(ValueError, match=message):
+            train(
+                params, np.ones((2, 1, 4)), np.array(targets),
+                epochs=1, batch_size=2, state=state, seed=0,
+            )
+
     def test_whole_float_targets_equal_integer_targets(self):
         spec = LearnerSpec(input_shape=(1, 4), n_outputs=3, hidden_layers=())
         params = init_params(spec, seed=0)
@@ -358,6 +383,21 @@ class TestTrain:
         a, b = run(), run()
         for name in a.tensors:
             assert np.array_equal(a.tensors[name], b.tensors[name])
+
+    def test_rows_train_as_the_gathered_inputs(self):
+        rng = np.random.default_rng(8)
+        inputs = rng.normal(size=(30, 1, 4))
+        rows = rng.permutation(30)[:17]
+        targets = rng.integers(0, 3, size=17)
+        spec = LearnerSpec(input_shape=(1, 4), n_outputs=3, hidden_layers=(6,))
+        params = init_params(spec, seed=11)
+        state = init_adam(params, learning_rate=5e-3)
+        kwargs = dict(epochs=2, batch_size=8, state=state, seed=21)
+        got, _ = train(params, inputs, targets, rows=rows, **kwargs)
+        want, _ = train(params, inputs[rows], targets, **kwargs)
+        assert np.array_equal(got.buffer, want.buffer)
+        with pytest.raises(ValueError, match="17 training rows but 16 targets"):
+            train(params, inputs, targets[:16], rows=rows, **kwargs)
 
     def test_empty_dataset_rejected(self):
         spec = LearnerSpec(input_shape=(1, 4), n_outputs=2, hidden_layers=())

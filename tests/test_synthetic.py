@@ -4,6 +4,7 @@ import pytest
 from spelaudio.synthetic import SyntheticSpec, _tone, gen_synthetic
 
 from conftest import MINI_MELS, MINI_STFT, mini_synthetic_spec
+from test_experiment import assert_splits_view_one_read_only_store
 
 
 class TestSpecValidation:
@@ -56,6 +57,12 @@ class TestGenSynthetic:
         assert len(mini_bundle.unlabeled) == spec.n_unlabeled
         assert mini_bundle.test.inputs.shape[0] == spec.n_test
         assert mini_bundle.unlabeled_truth.shape == (spec.n_unlabeled,)
+
+    @pytest.mark.parametrize("n_val", [30, 0])
+    def test_every_split_views_one_read_only_store(self, n_val):
+        data = gen_synthetic(mini_synthetic_spec(n_val=n_val), MINI_STFT, MINI_MELS, seed=3)
+        assert (data.validation is None) == (n_val == 0)
+        assert_splits_view_one_read_only_store(data)
 
     def test_balanced_multiclass_labels(self, mini_bundle):
         counts = np.bincount(mini_bundle.labeled.targets, minlength=3)
