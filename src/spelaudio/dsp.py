@@ -222,7 +222,8 @@ def stft(signal: Signal, config: StftConfig) -> ComplexSpectrum:
     window, rotation = _frame_constants(n_frames, config)
     frames = sliding_window_view(x, config.win_length)[:: config.hop] * window
     spec = np.fft.rfft(frames, n=config.n_fft, axis=1)
-    return ComplexSpectrum(values=spec * rotation, config=config)
+    spec *= rotation
+    return ComplexSpectrum(values=spec, config=config)
 
 
 def power_to_db(power: np.ndarray, eps: float = 1e-10, top_db: float = 80.0) -> np.ndarray:
@@ -323,7 +324,8 @@ def preprocess(
     fb.check_input(signal.sample_rate, config.n_fft)
     clip = fix_length(signal, target_samples)
     spectrum = stft(clip, config)
-    power = np.abs(spectrum.values) ** 2
+    power = np.abs(spectrum.values)
+    power *= power
     mel_power = power @ fb.weights.T
     db = power_to_db(mel_power)
     return MelImage(values=normalize_minmax(db), config=config, n_mels=fb.n_mels)
