@@ -81,35 +81,35 @@ def _digests(data):
 GOLDEN = {
     "synthetic": {
         "n_classes": 3,
-        "labeled.inputs": "0458b4074684ca9b",
+        "labeled.inputs": "379f746623d36f4e",
         "labeled.targets": "906ee5e947dbdaec",
-        "validation.inputs": "08c205c114dbf21d",
+        "validation.inputs": "117d0c33661ada5a",
         "validation.targets": "e9394aef417cff90",
-        "unlabeled.inputs": "e23be3e113cce60b",
+        "unlabeled.inputs": "60c496436d6d99e1",
         "unlabeled.ids": "533fa0c049684809",
-        "test_inputs": "f7faf4a97ab85625",
+        "test_inputs": "36a594346f12be25",
         "test_truth": "1515fbe1e2190e0e",
     },
     "wav-classes": {
         "n_classes": 2,
-        "labeled.inputs": "510ac335e1104171",
+        "labeled.inputs": "079ff0b111cda7a7",
         "labeled.targets": "8ef66ff6d14c3017",
-        "validation.inputs": "26dd98fcd2019c33",
+        "validation.inputs": "82da524a1c0cc706",
         "validation.targets": "9014ff2c922756f0",
-        "unlabeled.inputs": "c8a9244fa35c54a8",
+        "unlabeled.inputs": "86e79f2c679657ce",
         "unlabeled.ids": "84ca4f50986f8594",
-        "test_inputs": "85b997740f1152c6",
+        "test_inputs": "0a9ed2eec3117187",
         "test_truth": "117c5cf9c0df11a7",
     },
     "wav-flat": {
         "n_classes": 2,
-        "labeled.inputs": "510ac335e1104171",
+        "labeled.inputs": "079ff0b111cda7a7",
         "labeled.targets": "8ef66ff6d14c3017",
-        "validation.inputs": "26dd98fcd2019c33",
+        "validation.inputs": "82da524a1c0cc706",
         "validation.targets": "9014ff2c922756f0",
-        "unlabeled.inputs": "4c301f082416a937",
+        "unlabeled.inputs": "01877178f5f11439",
         "unlabeled.ids": "84ca4f50986f8594",
-        "test_inputs": "c367452baf5d723f",
+        "test_inputs": "ab47a1f973404498",
         "test_truth": "ab7bdf37917a7611",
     },
 }

@@ -6,6 +6,7 @@ import pytest
 from spelaudio import dsp
 from spelaudio.dsp import (
     ComplexSpectrum,
+    MelFilterbank,
     MelImage,
     Signal,
     StftConfig,
@@ -219,6 +220,59 @@ class TestMelFilterbank:
             mel_filterbank(32, 512, 16000, fmin=5000.0, fmax=4000.0)
 
 
+def _scattered_bank(n_mels=40, n_fft=256, rate=8000):
+    """A valid filterbank whose filters are not banded: each takes a few
+    random bins anywhere in the spectrum, and the first takes both ends."""
+    rng = np.random.default_rng(21)
+    n_bins = n_fft // 2 + 1
+    weights = np.zeros((n_mels, n_bins))
+    for row in weights:
+        row[rng.choice(n_bins, size=3, replace=False)] = rng.uniform(0.1, 1.0, size=3)
+    weights[0, [0, n_bins - 1]] = 1.0
+    return MelFilterbank(weights, n_mels, 0.0, rate / 2, rate, n_fft)
+
+
+class TestProjection:
+    BANKS = {
+        "default": lambda: mel_filterbank(256, 1024, 16000),
+        "benchmark-32": lambda: mel_filterbank(32, 256, 8000),
+        "fmin-and-fmax-inside": lambda: mel_filterbank(64, 1024, 16000, fmin=300.0, fmax=6000.0),
+        "nearest-bin-fallback": lambda: mel_filterbank(96, 128, 8000, fmax=2000.0),
+        "scattered": _scattered_bank,
+    }
+
+    @pytest.mark.parametrize("name", list(BANKS))
+    def test_equals_dense_product(self, name):
+        fb = self.BANKS[name]()
+        power = np.random.default_rng(3).exponential(size=(37, fb.n_fft // 2 + 1)) ** 3
+        want = power @ fb.weights.T
+        got = fb.project(power)
+        assert got.shape == (37, fb.n_mels)
+        np.testing.assert_allclose(got, want, rtol=1e-14, atol=0)
+
+    def test_fallback_bank_has_single_bin_filters(self):
+        fb = self.BANKS["nearest-bin-fallback"]()
+        assert np.any(np.count_nonzero(fb.weights, axis=1) == 1)
+
+    def test_scattered_bank_is_not_banded(self):
+        fb = _scattered_bank()
+        assert fb.weights[0, 0] > 0 and fb.weights[0, -1] > 0
+
+    def test_default_blocks_cover_only_their_bands(self):
+        fb = mel_filterbank(256, 1024, 16000)
+        assert sum(bins.stop - bins.start for _, bins, _ in fb._blocks) == 541
+
+    def test_weights_refuse_writes_and_ignore_the_source_array(self):
+        source = mel_filterbank(32, 256, 8000).weights.copy()
+        fb = MelFilterbank(source, 32, 0.0, 4000.0, 8000, 256)
+        with pytest.raises(ValueError, match="read-only"):
+            fb.weights[0, 0] = 2.0
+        power = np.random.default_rng(8).exponential(size=(5, 129))
+        want = fb.project(power)
+        source[:] = 0.0
+        assert np.array_equal(fb.project(power), want)
+
+
 class TestNormalizeMinmax:
     def test_endpoints_map_to_unit_interval(self):
         assert np.array_equal(normalize_minmax(np.array([0.0, 5.0, 10.0])), [-1.0, 0.0, 1.0])
@@ -268,6 +322,22 @@ class TestPreprocess:
         a = preprocess(Signal(x, 16000), cfg, fb, 12000)
         b = preprocess(Signal(x.copy(), 16000), cfg, fb, 12000)
         assert np.array_equal(a.values, b.values)
+
+    def test_calls_stft_once_per_clip(self, monkeypatch):
+        # perfbench counts frames through dsp.stft, so preprocess must reach it.
+        cfg, fb = self._defaults()
+        calls = []
+        real_stft = dsp.stft
+
+        def counting_stft(signal, config):
+            calls.append(len(signal))
+            return real_stft(signal, config)
+
+        monkeypatch.setattr(dsp, "stft", counting_stft)
+        rng = np.random.default_rng(6)
+        for n in (16000, 9000, 20000):
+            preprocess(Signal(rng.normal(size=n), 16000), cfg, fb, 16000)
+        assert calls == [16000, 16000, 16000]
 
     def test_mel_image_validation(self):
         cfg, _ = self._defaults()

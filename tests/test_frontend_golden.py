@@ -29,8 +29,8 @@ PREPROCESS_CASES = {
 }
 
 PREPROCESS_GOLDEN = {
-    "default-16k-1s": "78d635b55b8e4126",
-    "benchmark-8k-0.3s": "6b54747010b18c97",
+    "default-16k-1s": "fa6e5ad8df542de3",
+    "benchmark-8k-0.3s": "6a63fae98fb3b979",
 }
 
 

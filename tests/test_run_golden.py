@@ -59,30 +59,30 @@ def _run_digests(bundle, kind, ckpt):
 
 GOLDEN = {
     "dense": {
-        "baseline": "44114fd5338a68b7",
-        "final": "c51ae92ffcf156a8",
-        "r0/members": "3ae4c8948bf23a83",
-        "r1/members": "125e8c00743b0e16",
+        "baseline": "f12de52a31b353e1",
+        "final": "3350812182afc790",
+        "r0/members": "88584e5b62f769ea",
+        "r1/members": "d69ac095f7617569",
         "r1/ids": "6ae0a641091b4c7c",
         "r1/labels": "5d75a2e5aeaaa567",
-        "r1/confidences": "7fe55d635c4e84f2",
-        "r2/members": "c091f11c7b98e169",
+        "r1/confidences": "0e7e2597c237037a",
+        "r2/members": "d8e905d288e00c4a",
         "r2/ids": "d8fcd7cf66f8640f",
         "r2/labels": "c6bb51107d2c4648",
-        "r2/confidences": "7237407a86d91e63",
+        "r2/confidences": "ea538f1223c04cc6",
     },
     "conv": {
-        "baseline": "8beb13daf0a5184f",
-        "final": "20a29da6498ae02e",
-        "r0/members": "82c4194f1eca819f",
-        "r1/members": "2e35fec46e60d513",
+        "baseline": "6942d77388bd63da",
+        "final": "976ce71a1057fc4c",
+        "r0/members": "85892a26c7e43543",
+        "r1/members": "9459c85efa4835be",
         "r1/ids": "997d18b1e4badef9",
         "r1/labels": "553b32c0b24566a3",
-        "r1/confidences": "574cbb2d15f763b4",
-        "r2/members": "b77f8555d0e6d330",
+        "r1/confidences": "654c2e20e143b486",
+        "r2/members": "8925a023d6a2b9b6",
         "r2/ids": "e191248b0e333d14",
         "r2/labels": "520b0818638c3225",
-        "r2/confidences": "4f3d9108cb3d2019",
+        "r2/confidences": "91f2071cde1a8424",
     },
 }
 
