@@ -47,14 +47,20 @@ def _read_csv_matrix(path) -> tuple[np.ndarray, list[int]]:
     return np.asarray(rows), linenos
 
 
-def _read_labels(path) -> np.ndarray:
-    """Single column -> class indices; multiple columns -> argmax per row.
+def _read_labels(path, truth: bool = False) -> np.ndarray:
+    """Class indices from one column. Predictions may instead hold one score
+    column per class, read by argmax per row; truth may not.
 
-    A single-column value that is not a whole non-negative number raises
-    ValueError naming its path and line.
+    Truth with more than one column, or a single-column value that is not a
+    whole non-negative number, raises ValueError naming its path (and line).
     """
     matrix, linenos = _read_csv_matrix(path)
     if matrix.shape[1] > 1:
+        if truth:
+            raise ValueError(
+                f"{path}: truth must be one column of class indices, got "
+                f"{matrix.shape[1]} columns"
+            )
         return matrix.argmax(axis=1)
     column = matrix[:, 0]
     bad = np.flatnonzero(~(np.isfinite(column) & (column >= 0) & (column == np.floor(column))))
@@ -121,7 +127,7 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_evaluate(args) -> int:
     if args.metric in TASK_METRICS["multiclass"]:
-        labels, truth = _read_labels(args.predictions), _read_labels(args.truth)
+        labels, truth = _read_labels(args.predictions), _read_labels(args.truth, truth=True)
         value = score(args.metric, labels, None, truth, args.classes or int(truth.max()) + 1)
     else:
         pred, _ = _read_csv_matrix(args.predictions)
@@ -132,7 +138,7 @@ def _cmd_evaluate(args) -> int:
 
 def _cmd_mcnemar(args) -> int:
     pred_a, pred_b = _read_labels(args.pred_a), _read_labels(args.pred_b)
-    truth = _read_labels(args.truth)
+    truth = _read_labels(args.truth, truth=True)
     result = mcnemar(pred_a, pred_b, truth)
     verdict = "significant" if result.significant else "not significant"
     print(

@@ -155,6 +155,18 @@ class TestEvaluate:
         assert captured.out == ""
         assert f"truth.csv:3: {float(bad)} is not 0 or 1" in captured.err
 
+    @pytest.mark.parametrize("metric", ["accuracy", "uar"])
+    def test_multi_column_truth_rejected_for_a_multiclass_metric(self, tmp_path, capsys, metric):
+        write_csv(tmp_path / "pred.csv", [[0], [1]])
+        write_csv(tmp_path / "truth.csv", [[1, 0, 0], [0, 1, 1]])
+        code = main(
+            ["evaluate", str(tmp_path / "pred.csv"), str(tmp_path / "truth.csv"), "--metric", metric]
+        )
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "truth.csv: truth must be one column of class indices, got 3 columns" in captured.err
+
     def test_header_row_tolerated(self, tmp_path, capsys):
         (tmp_path / "pred.csv").write_text("label\n0\n1\n")
         (tmp_path / "truth.csv").write_text("label\n0\n1\n")
@@ -187,3 +199,20 @@ class TestMcnemarCommand:
         code = main(["mcnemar", str(tmp_path / "a.csv"), str(tmp_path / "a.csv"), str(tmp_path / "t.csv")])
         assert code == 1
         assert "t.csv:2: 1.5 is not a class index" in capsys.readouterr().err
+
+    def test_multi_column_truth_rejected(self, tmp_path, capsys):
+        write_csv(tmp_path / "a.csv", [[0.9, 0.1], [0.2, 0.8]])
+        write_csv(tmp_path / "t.csv", [[1, 0], [0, 1]])
+        code = main(["mcnemar", str(tmp_path / "a.csv"), str(tmp_path / "a.csv"), str(tmp_path / "t.csv")])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "t.csv: truth must be one column of class indices, got 2 columns" in captured.err
+
+    def test_score_row_predictions_read_by_argmax(self, tmp_path, capsys):
+        write_csv(tmp_path / "a.csv", [[0.9, 0.1], [0.2, 0.8], [0.6, 0.4]])
+        write_csv(tmp_path / "b.csv", [[0], [1], [1]])
+        write_csv(tmp_path / "t.csv", [[0], [1], [1]])
+        assert main(["mcnemar", str(tmp_path / "a.csv"), str(tmp_path / "b.csv"), str(tmp_path / "t.csv")]) == 0
+        out = capsys.readouterr().out
+        assert "b 0" in out and "c 1" in out
