@@ -9,6 +9,10 @@ The transform's clip-independent constants (the Hann window and the
 absolute-time phase rotation) depend only on the geometry and the frame
 count, so they are computed once per geometry and reused. The cache holds
 one geometry: one rotation, the size of one spectrum.
+
+Mel filters are banded (1,019 of 131,328 weights are non-zero at the default
+1024/256 geometry), so a MelFilterbank projects each block of consecutive
+filters onto only the bins that block covers.
 """
 
 from __future__ import annotations
@@ -116,13 +120,11 @@ class MelFilterbank:
     """Triangular mel filters as a (n_mels, n_fft//2 + 1) weight matrix, with
     the sample rate and transform length their bin frequencies assume.
 
-    The weights are kept as a read-only copy. Each block of _BLOCK_MELS
-    consecutive filters also keeps the bin range [lo, hi) spanned by its
-    non-zero weights, and a contiguous (hi - lo, filters) copy of the weights
-    inside that range, so project() multiplies by the band each block covers
-    instead of by every bin. The range covers every non-zero weight, so any
-    valid weight matrix projects exactly as the dense product would, up to
-    summation order; one that is not banded is only slower.
+    The weights are a read-only copy. Each block of _BLOCK_MELS filters keeps
+    the bin range its non-zero weights span and a contiguous copy of the
+    weights in it. The range holds every non-zero weight, so project() equals
+    the dense product up to summation order for any valid weights; weights
+    that are not banded only make it slower.
     """
 
     weights: np.ndarray
@@ -149,7 +151,6 @@ class MelFilterbank:
             nonzero = np.flatnonzero(rows.any(axis=0))
             lo, hi = int(nonzero[0]), int(nonzero[-1]) + 1
             band = np.ascontiguousarray(rows[:, lo:hi].T)
-            band.flags.writeable = False
             blocks.append((slice(start, start + rows.shape[0]), slice(lo, hi), band))
         object.__setattr__(self, "_blocks", tuple(blocks))
 

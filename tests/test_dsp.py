@@ -254,10 +254,6 @@ class TestProjection:
         fb = self.BANKS["nearest-bin-fallback"]()
         assert np.any(np.count_nonzero(fb.weights, axis=1) == 1)
 
-    def test_scattered_bank_is_not_banded(self):
-        fb = _scattered_bank()
-        assert fb.weights[0, 0] > 0 and fb.weights[0, -1] > 0
-
     def test_default_blocks_cover_only_their_bands(self):
         fb = mel_filterbank(256, 1024, 16000)
         assert sum(bins.stop - bins.start for _, bins, _ in fb._blocks) == 541
