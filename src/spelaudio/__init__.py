@@ -48,12 +48,10 @@ from .learner import (
     LabeledSet,
     LearnerSpec,
     OptimizerState,
-    adam_step,
     forward,
     init_adam,
     init_params,
     load_params,
-    loss_and_grad,
     save_params,
     train,
 )

@@ -9,11 +9,11 @@ is one matrix product over its unfolded windows (im2col), cached from the
 forward pass for the weight gradient; whichever layer the input images
 enter, the gradient with respect to them is never formed. A member keeps
 its parameters in one contiguous float64 buffer and its Adam moments in
-another, behind read-only mappings of per-tensor views. ``adam_step``
-updates both in place, once over each whole buffer; ``train`` steps
-private copies, so its caller's objects never change. Seeded runs are
-bitwise reproducible because the data order is a pure function of the
-seed and every step runs the same arithmetic in the same order.
+another, behind read-only mappings of per-tensor views. ``train`` checks
+its data once per call and steps private copies, so its caller's objects
+never change; a step writes one flat gradient and updates both buffers in
+place from it. Seeded runs are bitwise reproducible because the data order
+is a pure function of the seed and every step runs the same arithmetic.
 """
 
 from __future__ import annotations
@@ -43,8 +43,6 @@ __all__ = [
     "init_params",
     "init_adam",
     "forward",
-    "loss_and_grad",
-    "adam_step",
     "train",
     "n_parameters",
     "save_params",
@@ -211,8 +209,8 @@ class OptimizerState:
 
     Both moments are packed, as float64 copies, into one fresh (2, n)
     buffer: ``m`` maps each name to its view of row 0, ``v`` of row 1.
-    ``scratch`` is two rows ``adam_step`` overwrites; it carries nothing
-    from one step to the next.
+    ``scratch`` is two rows ``adam_step`` overwrites, its only temporaries;
+    they carry nothing from one step to the next.
     """
 
     m: Mapping[str, np.ndarray]
@@ -312,22 +310,16 @@ def _conv_forward(x, w, b, stride):
     return z.transpose(0, 3, 1, 2) + b[None, :, None, None], cols
 
 
-def _conv_backward(x_shape, cols, w, stride, dout, need_dx):
-    """Gradients of one conv layer; dx is None unless need_dx."""
-    db = dout.sum(axis=(0, 2, 3))
-    dout2d = dout.transpose(0, 2, 3, 1).reshape(-1, len(w))
-    dw = (dout2d.T @ cols).reshape(w.shape)
-    if not need_dx:
-        return None, dw, db
-    batch, _, h_out, w_out = dout.shape
-    spread = (dout2d @ w.reshape(len(w), -1)).reshape(batch, h_out, w_out, *w.shape[1:])
+def _conv_input_grad(x_shape, w, stride, dout2d, h_out, w_out):
+    """Gradient in one conv layer's input, from its (B*h*w, O) output-gradient rows."""
+    spread = (dout2d @ w.reshape(len(w), -1)).reshape(x_shape[0], h_out, w_out, *w.shape[1:])
     dx = np.zeros(x_shape, dtype=np.float64)
     for i in range(w.shape[2]):
         for j in range(w.shape[3]):
             dx[:, :, i : i + stride * h_out : stride, j : j + stride * w_out : stride] += (
                 spread[..., i, j].transpose(0, 3, 1, 2)
             )
-    return dx, dw, db
+    return dx
 
 
 def _check_input_shape(spec: LearnerSpec, inputs: np.ndarray) -> np.ndarray:
@@ -338,9 +330,8 @@ def _check_input_shape(spec: LearnerSpec, inputs: np.ndarray) -> np.ndarray:
     return x
 
 
-def _forward_cached(params: LearnerParams, inputs: np.ndarray):
+def _forward_cached(params: LearnerParams, x: np.ndarray):
     spec = params.spec
-    x = _check_input_shape(spec, inputs)
     t = params.tensors
     caches = {"conv": [], "dense": []}
 
@@ -367,18 +358,20 @@ def _forward_cached(params: LearnerParams, inputs: np.ndarray):
 
 def forward(params: LearnerParams, inputs: np.ndarray) -> np.ndarray:
     """Class probabilities: softmax rows (multi-class) or per-output sigmoids."""
-    logits, _ = _forward_cached(params, inputs)
+    logits, _ = _forward_cached(params, _check_input_shape(params.spec, inputs))
     if params.spec.head == "multiclass":
         return _softmax(logits)
     return _sigmoid(logits)
 
 
-def _loss_and_dlogits(spec: LearnerSpec, logits: np.ndarray, targets: np.ndarray):
-    batch = len(logits)
+def _checked_targets(spec: LearnerSpec, targets: np.ndarray) -> np.ndarray:
+    """targets as int64 class indices (multi-class) or float64 0/1 rows
+    (multi-label), or ValueError naming the first bad value."""
+    n = len(targets)
     if spec.head == "multiclass":
         t = np.asarray(targets)
-        if t.shape != (batch,):
-            raise ValueError(f"multiclass targets must have shape ({batch},), got {t.shape}")
+        if t.shape != (n,):
+            raise ValueError(f"multiclass targets must have shape ({n},), got {t.shape}")
         if not np.issubdtype(t.dtype, np.integer):
             fractional = np.flatnonzero(t != np.round(t))
             if fractional.size:
@@ -387,21 +380,27 @@ def _loss_and_dlogits(spec: LearnerSpec, logits: np.ndarray, targets: np.ndarray
                 )
         if t.min() < 0 or t.max() >= spec.n_outputs:
             raise ValueError("class indices outside [0, n_outputs)")
-        t = t.astype(np.int64, copy=False)
+        return t.astype(np.int64, copy=False)
+    t = np.asarray(targets, dtype=np.float64)
+    if t.shape != (n, spec.n_outputs):
+        raise ValueError(f"multilabel targets must have shape {(n, spec.n_outputs)}, got {t.shape}")
+    not_binary = np.flatnonzero((t != 0.0) & (t != 1.0))
+    if not_binary.size:
+        raise ValueError(
+            f"multilabel targets must be 0 or 1, got {np.asarray(targets).flat[not_binary[0]]}"
+        )
+    return t
+
+
+def _loss_and_dlogits(spec: LearnerSpec, logits: np.ndarray, t: np.ndarray):
+    batch = len(logits)
+    if spec.head == "multiclass":
         log_probs = logits - logits.max(axis=1, keepdims=True)
         log_probs -= np.log(np.exp(log_probs).sum(axis=1, keepdims=True))
         loss = -log_probs[np.arange(batch), t].mean()
         dlogits = np.exp(log_probs)
         dlogits[np.arange(batch), t] -= 1.0
         return loss, dlogits / batch
-    t = np.asarray(targets, dtype=np.float64)
-    if t.shape != logits.shape:
-        raise ValueError(f"multilabel targets must have shape {logits.shape}, got {t.shape}")
-    not_binary = np.flatnonzero((t != 0.0) & (t != 1.0))
-    if not_binary.size:
-        raise ValueError(
-            f"multilabel targets must be 0 or 1, got {np.asarray(targets).flat[not_binary[0]]}"
-        )
     # Stable binary cross-entropy straight from logits, summed over labels.
     per_element = np.maximum(logits, 0.0) - logits * t + np.log1p(np.exp(-np.abs(logits)))
     loss = per_element.sum(axis=1).mean()
@@ -409,16 +408,17 @@ def _loss_and_dlogits(spec: LearnerSpec, logits: np.ndarray, targets: np.ndarray
 
 
 def loss_and_grad(params: LearnerParams, batch: LabeledSet):
-    """Mean loss over the batch and gradients matching the parameter map."""
-    spec = params.spec
-    t = params.tensors
+    """Mean loss over the batch and its gradient, laid out like params.buffer.
+    The batch is unchecked: train checks its inputs and targets once."""
+    spec, t = params.spec, params.tensors
     logits, caches = _forward_cached(params, batch.inputs)
     loss, dlogits = _loss_and_dlogits(spec, logits, batch.targets)
 
-    grads: dict[str, np.ndarray] = {}
+    flat = np.empty_like(params.buffer)
+    grad = _views(flat, t)
     a = caches["head_input"]
-    grads["out_w"] = a.T @ dlogits
-    grads["out_b"] = dlogits.sum(axis=0)
+    np.matmul(a.T, dlogits, out=grad["out_w"])
+    np.sum(dlogits, axis=0, out=grad["out_b"])
     # dz enters the layer of weights `above`; the gradient leaving that
     # layer is formed only where a layer below reads it.
     dz, above = dlogits, t["out_w"]
@@ -427,27 +427,28 @@ def loss_and_grad(params: LearnerParams, batch: LabeledSet):
         a_prev, z = caches["dense"][j]
         dz = (dz @ above.T) * (z > 0)
         above = t[f"dense{j}_w"]
-        grads[f"dense{j}_w"] = a_prev.T @ dz
-        grads[f"dense{j}_b"] = dz.sum(axis=0)
+        np.matmul(a_prev.T, dz, out=grad[f"dense{j}_w"])
+        np.sum(dz, axis=0, out=grad[f"dense{j}_b"])
 
     if spec.conv_stem:
-        c, h, w = spec._stem_geometry()[-1]
-        da = (dz @ above.T).reshape(len(dz), c, h, w)
+        da = (dz @ above.T).reshape(caches["conv"][-1][2].shape)
         for i in reversed(range(len(spec.conv_stem))):
             x_shape, cols, z, stride = caches["conv"][i]
+            w = t[f"conv{i}_w"]
             dz = da * (z > 0)
+            np.sum(dz, axis=(0, 2, 3), out=grad[f"conv{i}_b"])
+            dz2d = dz.transpose(0, 2, 3, 1).reshape(-1, len(w))
+            np.matmul(dz2d.T, cols, out=grad[f"conv{i}_w"].reshape(len(w), -1))
             # Nothing reads the gradient with respect to the input images.
-            da, dw, db = _conv_backward(x_shape, cols, t[f"conv{i}_w"], stride, dz, i > 0)
-            grads[f"conv{i}_w"] = dw
-            grads[f"conv{i}_b"] = db
+            if i > 0:
+                da = _conv_input_grad(x_shape, w, stride, dz2d, *z.shape[2:])
 
-    return loss, {name: grads[name] for name in t}
+    return loss, flat
 
 
-def adam_step(
-    state: OptimizerState, params: LearnerParams, grads: dict[str, np.ndarray]
-) -> None:
-    """One bias-corrected Adam update of params and state, in place; increments the step.
+def adam_step(state: OptimizerState, params: LearnerParams, g: np.ndarray) -> None:
+    """One bias-corrected Adam update of params and state, in place, from the
+    flat gradient g, which it only reads; increments the step.
 
     Each operation of
 
@@ -455,23 +456,21 @@ def adam_step(
         v = b2 * v + (1 - b2) * (g * g)
         theta -= lr * (m / bc1) / (sqrt(v / bc2) + eps)
 
-    runs once over the whole buffer, with g the gradients concatenated in
-    parameter order, into the state's scratch rows: with buffer-sized
-    temporaries instead, the allocator handed pages back to the system and
-    faulted them in again many times a step.
+    runs once over the whole buffer, into the state's scratch rows: with
+    buffer-sized temporaries instead, the allocator handed pages back to the
+    system and faulted them in again many times a step.
     """
     t = params.step + 1
     bc1 = 1.0 - BETA1 ** t
     bc2 = 1.0 - BETA2 ** t
     m, v = state.buffer
-    g, tmp = state.scratch
-    np.concatenate([grads[name] for name in params.tensors], axis=None, out=g)
+    tmp, denom = state.scratch
     m *= BETA1
     m += np.multiply(1.0 - BETA1, g, out=tmp)
     v *= BETA2
     v += np.multiply(1.0 - BETA2, np.multiply(g, g, out=tmp), out=tmp)
     update = np.multiply(state.learning_rate, np.divide(m, bc1, out=tmp), out=tmp)
-    update /= np.add(np.sqrt(np.divide(v, bc2, out=g), out=g), EPS, out=g)
+    update /= np.add(np.sqrt(np.divide(v, bc2, out=denom), out=denom), EPS, out=denom)
     params.buffer -= update
     params.step = t
 
@@ -491,20 +490,26 @@ def train(
 
     The training samples are the rows of inputs that rows lists, paired in
     order with targets, or every row when rows is None; each batch gathers
-    its own rows, so no training set is copied out of inputs. Returns
-    trained copies of params and state; the arguments themselves are left
-    unchanged. The shuffle order is a pure function of the seed, and the
-    returned state lets a later call continue training where this one
-    stopped. Raises DivergenceError naming the tensor and step if a
-    parameter is non-finite at the end of an epoch.
+    its own rows, so no training set is copied out of inputs. Inputs, targets
+    and rows are checked once per call, not per step. Returns trained copies
+    of params and state; the arguments themselves are left unchanged. The
+    shuffle order is a pure function of the seed, and the returned state lets
+    a later call continue training where this one stopped. Raises
+    DivergenceError naming the tensor and step if a parameter is non-finite
+    at the end of an epoch.
     """
-    if rows is None:
-        rows = np.arange(len(inputs))
+    x = _check_input_shape(params.spec, inputs)
+    rows = np.arange(len(x)) if rows is None else np.asarray(rows)
+    whole = rows.ndim == 1 and np.issubdtype(rows.dtype, np.integer)
+    bad = np.flatnonzero((rows < 0) | (rows >= len(x))) if whole else np.arange(rows.size)
+    if bad.size:
+        raise ValueError(f"rows must be 1-D integers in [0, {len(x)}), got {rows.flat[bad[0]]}")
     n = len(rows)
     if n == 0:
         raise ValueError("cannot train on an empty dataset")
     if len(targets) != n:
         raise ValueError(f"{n} training rows but {len(targets)} targets")
+    targets = _checked_targets(params.spec, targets)
     if batch_size < 1:
         raise ValueError("batch_size must be positive")
     if epochs < 0:
@@ -518,8 +523,8 @@ def train(
         order = rng.permutation(n)
         for start in range(0, n, batch_size):
             sel = order[start : start + batch_size]
-            _, grads = loss_and_grad(params, LabeledSet(inputs[rows[sel]], targets[sel]))
-            adam_step(state, params, grads)
+            _, g = loss_and_grad(params, LabeledSet(x[rows[sel]], targets[sel]))
+            adam_step(state, params, g)
         bad = _first_nonfinite(params.buffer, params.tensors)
         if bad is not None:
             raise DivergenceError(bad, params.step)

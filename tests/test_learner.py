@@ -6,6 +6,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import spelaudio
+import spelaudio.learner
 from spelaudio.learner import (
     EPS,
     LabeledSet,
@@ -21,6 +23,8 @@ from spelaudio.learner import (
     n_parameters,
     save_params,
     train,
+    _checked_targets,
+    _views,
 )
 
 
@@ -43,7 +47,8 @@ def numeric_gradients(params, batch, h=1e-5):
 
 
 def assert_gradients_match(params, batch, rtol=1e-4):
-    _, analytic = loss_and_grad(params, batch)
+    _, flat = loss_and_grad(params, batch)
+    analytic = _views(flat, params.tensors)
     numeric = numeric_gradients(params, batch)
     for name in params.tensors:
         a, n = analytic[name], numeric[name]
@@ -209,8 +214,12 @@ class TestLoss:
     def test_target_out_of_range_rejected(self):
         spec = LearnerSpec(input_shape=(1, 4), n_outputs=3, hidden_layers=())
         params = init_params(spec, seed=0)
-        with pytest.raises(ValueError):
-            loss_and_grad(params, LabeledSet(np.ones((2, 1, 4)), np.array([0, 3])))
+        state = init_adam(params, learning_rate=1e-3)
+        with pytest.raises(ValueError, match=r"outside \[0, n_outputs\)"):
+            train(
+                params, np.ones((2, 1, 4)), np.array([0, 3]),
+                epochs=1, batch_size=2, state=state, seed=0,
+            )
 
     # A (batch, 1) column would broadcast against the batch in the fancy
     # index, and a fractional value would be truncated to a class.
@@ -223,10 +232,8 @@ class TestLoss:
     @pytest.mark.parametrize("targets, message", BAD_MULTICLASS_TARGETS)
     def test_malformed_multiclass_targets_rejected(self, targets, message):
         spec = LearnerSpec(input_shape=(1, 4), n_outputs=3, hidden_layers=())
-        params = init_params(spec, seed=0)
-        batch = LabeledSet(np.ones((4, 1, 4)), np.array(targets))
         with pytest.raises(ValueError, match=message):
-            loss_and_grad(params, batch)
+            _checked_targets(spec, np.array(targets))
 
     @pytest.mark.parametrize("targets, message", BAD_MULTICLASS_TARGETS)
     def test_malformed_multiclass_targets_rejected_by_train(self, targets, message):
@@ -249,9 +256,8 @@ class TestLoss:
     @pytest.mark.parametrize("targets, message", BAD_MULTILABEL_TARGETS)
     def test_multilabel_targets_outside_0_1_rejected(self, targets, message):
         spec = LearnerSpec(input_shape=(1, 4), n_outputs=3, hidden_layers=(), head="multilabel")
-        params = init_params(spec, seed=0)
         with pytest.raises(ValueError, match=message):
-            loss_and_grad(params, LabeledSet(np.ones((2, 1, 4)), np.array(targets)))
+            _checked_targets(spec, np.array(targets))
 
     @pytest.mark.parametrize("targets, message", BAD_MULTILABEL_TARGETS)
     def test_multilabel_targets_outside_0_1_rejected_by_train(self, targets, message):
@@ -265,14 +271,16 @@ class TestLoss:
             )
 
     def test_whole_float_targets_equal_integer_targets(self):
-        spec = LearnerSpec(input_shape=(1, 4), n_outputs=3, hidden_layers=())
+        spec = LearnerSpec(input_shape=(1, 4), n_outputs=3, hidden_layers=(5,))
         params = init_params(spec, seed=0)
+        state = init_adam(params, learning_rate=1e-3)
         inputs = np.random.default_rng(0).normal(size=(4, 1, 4))
         labels = np.array([0, 1, 2, 1])
-        loss, grads = loss_and_grad(params, LabeledSet(inputs, labels))
-        loss_f, grads_f = loss_and_grad(params, LabeledSet(inputs, labels.astype(float)))
-        assert loss_f == loss
-        assert all(np.array_equal(grads_f[name], grads[name]) for name in grads)
+        kwargs = dict(epochs=2, batch_size=3, state=state, seed=0)
+        got, got_state = train(params, inputs, labels.astype(float), **kwargs)
+        want, want_state = train(params, inputs, labels, **kwargs)
+        assert np.array_equal(got.buffer, want.buffer)
+        assert np.array_equal(got_state.buffer, want_state.buffer)
 
 
 class TestAdam:
@@ -284,9 +292,8 @@ class TestAdam:
 
     def test_zero_gradient_is_noop(self):
         _, params, state = self._scalar_setup()
-        zero = {name: np.zeros_like(a) for name, a in params.tensors.items()}
         new_params = copy.deepcopy(params)
-        adam_step(state, new_params, zero)
+        adam_step(state, new_params, np.zeros_like(params.buffer))
         for name in params.tensors:
             assert np.array_equal(new_params.tensors[name], params.tensors[name])
         assert new_params.step == 1
@@ -295,9 +302,8 @@ class TestAdam:
         # After bias correction the first update is -lr * g / (|g| + eps).
         _, params, state = self._scalar_setup()
         g = 0.37
-        grads = {name: np.full_like(a, g) for name, a in params.tensors.items()}
         new_params = copy.deepcopy(params)
-        adam_step(state, new_params, grads)
+        adam_step(state, new_params, np.full_like(params.buffer, g))
         expected = -state.learning_rate * g / (abs(g) + EPS)
         for name in params.tensors:
             delta = new_params.tensors[name] - params.tensors[name]
@@ -307,11 +313,11 @@ class TestAdam:
     def test_deterministic(self):
         _, params, state = self._scalar_setup()
         rng = np.random.default_rng(0)
-        grads = {name: rng.normal(size=a.shape) for name, a in params.tensors.items()}
+        g = rng.normal(size=params.buffer.shape)
         p1, s1 = copy.deepcopy((params, state))
-        adam_step(s1, p1, grads)
+        adam_step(s1, p1, g)
         p2, s2 = copy.deepcopy((params, state))
-        adam_step(s2, p2, grads)
+        adam_step(s2, p2, g)
         for name in params.tensors:
             assert np.array_equal(p1.tensors[name], p2.tensors[name])
             assert np.array_equal(s1.m[name], s2.m[name])
@@ -326,8 +332,8 @@ class TestAdam:
             state = init_adam(params, learning_rate=0.01)
             initial, _ = loss_and_grad(params, batch)
             for _ in range(20):
-                _, grads = loss_and_grad(params, batch)
-                adam_step(state, params, grads)
+                _, g = loss_and_grad(params, batch)
+                adam_step(state, params, g)
             final, _ = loss_and_grad(params, batch)
             if final < initial:
                 improved += 1
@@ -399,6 +405,26 @@ class TestTrain:
         with pytest.raises(ValueError, match="17 training rows but 16 targets"):
             train(params, inputs, targets[:16], rows=rows, **kwargs)
 
+    # A negative row would wrap to the end of inputs; a row past the end or
+    # a float row would stop training mid-epoch with a bare IndexError.
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            pytest.param([3, -1, 0], r"got -1$", id="negative"),
+            pytest.param([3, 4, 0], r"got 4$", id="past-the-end"),
+            pytest.param([3.0, 1.0, 0.0], r"got 3\.0$", id="float"),
+        ],
+    )
+    def test_bad_rows_rejected_naming_the_first(self, rows, message):
+        spec = LearnerSpec(input_shape=(1, 4), n_outputs=3, hidden_layers=())
+        params = init_params(spec, seed=0)
+        state = init_adam(params, learning_rate=1e-3)
+        with pytest.raises(ValueError, match=r"rows must be 1-D integers in \[0, 4\), " + message):
+            train(
+                params, np.ones((4, 1, 4)), np.array([0, 1, 2]),
+                epochs=1, batch_size=2, state=state, seed=0, rows=np.array(rows),
+            )
+
     def test_empty_dataset_rejected(self):
         spec = LearnerSpec(input_shape=(1, 4), n_outputs=2, hidden_layers=())
         params = init_params(spec, seed=0)
@@ -437,10 +463,10 @@ def reference_train(params, inputs, targets, *, epochs, batch_size, state, seed)
         for start in range(0, len(inputs), batch_size):
             sel = order[start : start + batch_size]
             current = LearnerParams(spec=spec, tensors=tensors, step=step)
-            _, grads = loss_and_grad(current, LabeledSet(inputs[sel], targets[sel]))
+            _, flat = loss_and_grad(current, LabeledSet(inputs[sel], targets[sel]))
             step += 1
             bc1, bc2 = 1.0 - 0.9**step, 1.0 - 0.999**step
-            for name, g in grads.items():
+            for name, g in _views(flat, current.tensors).items():
                 m[name] = 0.9 * m[name] + (1.0 - 0.9) * g
                 v[name] = 0.999 * v[name] + (1.0 - 0.999) * (g * g)
                 m_hat, v_hat = m[name] / bc1, v[name] / bc2
@@ -528,6 +554,62 @@ class TestTrainContract:
         assert out.step == 4 * 12
         assert len(checks) == 1
 
+    @pytest.mark.parametrize("idx", range(len(TRAIN_SPECS)))
+    def test_inputs_and_targets_checked_once_per_call_not_per_step(self, idx, monkeypatch):
+        spec = TRAIN_SPECS[idx]
+        inputs, targets = _train_data(spec)
+        params = init_params(spec, seed=0)
+        state = init_adam(params, learning_rate=1e-3)
+        checks = []
+        for name in ("_check_input_shape", "_checked_targets"):
+            check = getattr(spelaudio.learner, name)
+
+            def counting_check(*args, _name=name, _check=check):
+                checks.append(_name)
+                return _check(*args)
+
+            monkeypatch.setattr(spelaudio.learner, name, counting_check)
+        out, _ = train(params, inputs, targets, epochs=4, batch_size=2, state=state, seed=0)
+        assert out.step == 4 * 12
+        assert sorted(checks) == ["_check_input_shape", "_checked_targets"]
+
+    def test_one_gradient_and_one_adam_step_per_batch(self, monkeypatch):
+        """train reaches loss_and_grad and adam_step through the module, once a
+        batch, and each batch holds that batch's inputs in shuffle order."""
+        spec = TRAIN_SPECS[0]
+        inputs, targets = _train_data(spec)
+        rows = np.arange(len(inputs))[::-1][:20]
+        params = init_params(spec, seed=0)
+        state = init_adam(params, learning_rate=1e-3)
+        batches, steps = [], []
+        loss_and_grad_, adam_step_ = spelaudio.learner.loss_and_grad, spelaudio.learner.adam_step
+
+        def recording_loss_and_grad(params, batch):
+            batches.append(batch.inputs.copy())
+            return loss_and_grad_(params, batch)
+
+        def recording_adam_step(state, params, g):
+            steps.append(params.step)
+            adam_step_(state, params, g)
+
+        monkeypatch.setattr(spelaudio.learner, "loss_and_grad", recording_loss_and_grad)
+        monkeypatch.setattr(spelaudio.learner, "adam_step", recording_adam_step)
+        epochs, batch_size = 3, 6
+        train(params, inputs, targets[rows], epochs=epochs, batch_size=batch_size,
+              state=state, seed=5, rows=rows)
+        assert len(batches) == len(steps) == epochs * math.ceil(20 / batch_size)
+        assert steps == list(range(len(steps)))
+        rng = np.random.default_rng(5)
+        want = np.concatenate([inputs[rows[rng.permutation(20)]] for _ in range(epochs)])
+        assert [len(b) for b in batches] == [6, 6, 6, 2] * epochs
+        assert np.array_equal(np.concatenate(batches), want)
+
+    def test_package_exports_no_step_functions(self):
+        assert not hasattr(spelaudio, "loss_and_grad")
+        assert not hasattr(spelaudio, "adam_step")
+        assert "loss_and_grad" not in spelaudio.learner.__all__
+        assert "adam_step" not in spelaudio.learner.__all__
+
 
 def assert_tiled(buffer, views):
     """The views lay end to end over the flat buffer, in order: values
@@ -585,8 +667,7 @@ class TestStorage:
         twin, twin_state = copy.deepcopy((params, state))
         assert not np.shares_memory(twin.buffer, params.buffer)
         assert not np.shares_memory(twin_state.buffer, state.buffer)
-        grads = {name: np.ones_like(arr) for name, arr in params.tensors.items()}
-        adam_step(twin_state, twin, grads)
+        adam_step(twin_state, twin, np.ones_like(params.buffer))
         for name in params.tensors:
             assert not np.array_equal(twin.tensors[name], before_params.tensors[name])
             assert not np.array_equal(twin_state.m[name], before_state.m[name])
@@ -604,15 +685,17 @@ class TestStorage:
 
     def test_adam_step_allocates_no_buffer_sized_array(self):
         params, state = self._trained()
-        grads = {name: np.ones_like(arr) for name, arr in params.tensors.items()}
-        adam_step(state, params, grads)  # warm up numpy's own caches
+        g = np.random.default_rng(0).normal(size=params.buffer.shape)
+        before = g.copy()
+        adam_step(state, params, g)  # warm up numpy's own caches
         tracemalloc.start()
         try:
-            adam_step(state, params, grads)
+            adam_step(state, params, g)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < params.buffer.nbytes
+        assert np.array_equal(g, before)
 
     def test_state_of_other_parameters_rejected(self):
         params = init_params(self.SPEC, seed=0)
@@ -648,9 +731,7 @@ class TestSerialization:
         )
         params = init_params(spec, seed=3)
         state = init_adam(params, learning_rate=2e-3)
-        rng = np.random.default_rng(0)
-        grads = {name: rng.normal(size=a.shape) for name, a in params.tensors.items()}
-        adam_step(state, params, grads)
+        adam_step(state, params, np.random.default_rng(0).normal(size=params.buffer.shape))
 
         path = tmp_path / "member.npz"
         save_params(path, params, state)
