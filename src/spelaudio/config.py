@@ -9,7 +9,7 @@ A key that the chosen source or task does not read is rejected.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from .dsp import StftConfig, frame_count
@@ -60,8 +60,6 @@ class ExperimentConfig:
     sweep_budget: int = 1000
     sweep_k_max: int | None = None
 
-    raw_text: str = ""
-
     def __post_init__(self):
         total = self.train_fraction + self.val_fraction + self.test_fraction
         if abs(total - 1.0) > 1e-9:
@@ -99,7 +97,8 @@ class ExperimentConfig:
 
     @property
     def config_hash(self) -> str:
-        return hashlib.sha256(self.raw_text.encode()).hexdigest()[:16]
+        """Hash of the settings; where the results go does not change what runs."""
+        return hashlib.sha256(repr(replace(self, output_dir=None)).encode()).hexdigest()[:16]
 
     def clip_samples(self, sample_rate: int) -> int:
         return int(round(self.clip_seconds * sample_rate))
@@ -442,7 +441,6 @@ def config_from_text(text: str, base_dir: Path | None = None) -> ExperimentConfi
         sweep_m_grid=sweep_m_grid,
         sweep_budget=sweep_budget,
         sweep_k_max=sweep_k_max,
-        raw_text=text,
     )
     if synthetic is not None:
         lrn.build(cfg.learner_specs, input_shape=(n_frames, n_mels), n_classes=synthetic.n_classes)

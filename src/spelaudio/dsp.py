@@ -43,6 +43,8 @@ __all__ = [
 # Consecutive filters projected together. At the default 1024/256 geometry the
 # 16 blocks span 541 bins in all: 8,656 weights multiplied, not 131,328.
 _BLOCK_MELS = 16
+# power_to_db floors power at DB_EPS, then dB at TOP_DB below the image's peak.
+DB_EPS, TOP_DB = 1e-10, 80.0
 
 
 @dataclass(frozen=True)
@@ -259,17 +261,15 @@ def stft(signal: Signal, config: StftConfig) -> ComplexSpectrum:
     return ComplexSpectrum(values=spec, config=config)
 
 
-def power_to_db(power: np.ndarray, eps: float = 1e-10, top_db: float = 80.0) -> np.ndarray:
-    """10*log10(max(power, eps)), then floored at (global max - top_db) dB."""
-    if eps <= 0 or top_db <= 0:
-        raise ValueError("eps and top_db must be positive")
+def power_to_db(power: np.ndarray) -> np.ndarray:
+    """10*log10(max(power, DB_EPS)), then floored at (global max - TOP_DB) dB."""
     p = np.asarray(power, dtype=np.float64)
     if p.size == 0:
         raise ValueError("power matrix is empty")
     if np.any(p < 0):
         raise ValueError("power entries must be non-negative")
-    db = 10.0 * np.log10(np.maximum(p, eps))
-    return np.maximum(db, db.max() - top_db)
+    db = 10.0 * np.log10(np.maximum(p, DB_EPS))
+    return np.maximum(db, db.max() - TOP_DB)
 
 
 def hz_to_mel(f):

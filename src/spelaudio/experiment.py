@@ -309,7 +309,6 @@ def sweep(config: ExperimentConfig | str | Path) -> list[tuple[int, int, Results
             config,
             spel=dataclasses.replace(config.spel, per_step=m, n_steps=k),
             output_dir=config.output_dir / f"m{m:03d}_k{k:02d}",
-            raw_text=config.raw_text + f"\n# sweep point: per_step={m} steps={k}\n",
         )
         results.append((m, k, run_experiment(sub)))
 

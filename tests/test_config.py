@@ -106,6 +106,16 @@ class TestParsing:
         assert a.config_hash == b.config_hash
         c = config_from_text(FULL.replace("output_dir = out\n", "").replace("seed = 11", "seed = 12"))
         assert c.config_hash != a.config_hash
+        # The hash is of the values, not of the text: a comment changes neither
+        # the config nor its hash, and neither does where the results go.
+        commented = config_from_text(FULL.replace("output_dir = out\n", "") + "# a note\n")
+        assert commented == a and commented.config_hash == a.config_hash
+        assert config_from_text(FULL).config_hash == a.config_hash
+        bench = benchmark_config(0)
+        edited = dataclasses.replace(
+            bench, spel=dataclasses.replace(bench.spel, n_members=1, per_step=7)
+        )
+        assert edited.config_hash != bench.config_hash
 
     def test_the_seed_has_one_owner(self):
         """The data and the training read one seed, the [spel] run seed."""

@@ -177,7 +177,7 @@ class TestPowerToDb:
         assert power_to_db(np.array([[100.0]]))[0, 0] == pytest.approx(20.0, abs=1e-12)
 
     def test_eps_floor_then_top_db_clip(self):
-        out = power_to_db(np.array([1.0, 1e-12]), eps=1e-10, top_db=80.0)
+        out = power_to_db(np.array([1.0, 1e-12]))
         assert out[0] == 0.0
         assert out[1] == -80.0
 

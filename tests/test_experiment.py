@@ -109,9 +109,8 @@ class TestRunExperiment:
         # summaries match apart from wall-clock timings
         sum_a = json.loads((tmp_path / "a" / "summary.json").read_text())
         sum_b = json.loads((tmp_path / "b" / "summary.json").read_text())
-        for volatile in ("timings", "config_hash"):  # paths differ, clocks differ
-            sum_a.pop(volatile)
-            sum_b.pop(volatile)
+        sum_a.pop("timings")  # clocks differ
+        sum_b.pop("timings")
         assert sum_a == sum_b
 
     def test_zero_steps_single_baseline_row(self, tmp_path):
@@ -157,6 +156,7 @@ class TestSweep:
             sub = tmp_path / "sweepout" / f"m{m:03d}_k{k:02d}"
             assert (sub / "results.csv").exists()
             assert len(record.reports) == k + 1
+        assert len({record.config.config_hash for _, _, record in results}) == len(results)
 
 
 class TestSlidingWindow:
