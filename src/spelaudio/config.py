@@ -9,7 +9,7 @@ A key that the chosen source or task does not read is rejected.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from .dsp import StftConfig, frame_count
@@ -22,6 +22,8 @@ __all__ = ["ConfigError", "ExperimentConfig", "load_config", "config_from_text"]
 
 # The section each data source reads; the other sources' sections are rejected.
 SOURCE_SECTIONS = {"synthetic": "synthetic", "wav-dir": "data"}
+# Fields run_experiment does not read: where the results go and the sweep's grid.
+_UNHASHED = ("output_dir", "sweep_m_grid", "sweep_budget", "sweep_k_max")
 
 
 class ConfigError(ValueError):
@@ -53,7 +55,6 @@ class ExperimentConfig:
     target_dir: Path | None = None
     train_fraction: float = 0.7
     val_fraction: float = 0.15
-    test_fraction: float = 0.15
     unlabeled_fraction: float = 0.7
 
     sweep_m_grid: tuple[int, ...] = (50, 100, 150, 200)
@@ -61,9 +62,10 @@ class ExperimentConfig:
     sweep_k_max: int | None = None
 
     def __post_init__(self):
-        total = self.train_fraction + self.val_fraction + self.test_fraction
-        if abs(total - 1.0) > 1e-9:
-            raise ValueError(f"train/val/test fractions sum to {total}, expected 1")
+        # The source clips left after train and val are its test split.
+        total = self.train_fraction + self.val_fraction
+        if total > 1:
+            raise ValueError(f"train and val fractions sum to {total}, more than 1")
         if not 0 < self.unlabeled_fraction <= 1:
             raise ValueError("unlabeled_fraction must lie in (0, 1]")
         if self.synthetic is not None and self.synthetic.duration != self.clip_seconds:
@@ -97,8 +99,9 @@ class ExperimentConfig:
 
     @property
     def config_hash(self) -> str:
-        """Hash of the settings; where the results go does not change what runs."""
-        return hashlib.sha256(repr(replace(self, output_dir=None)).encode()).hexdigest()[:16]
+        """Hash of the settings a run reads; the fields in _UNHASHED change nothing it does."""
+        kept = {f.name: getattr(self, f.name) for f in fields(self) if f.name not in _UNHASHED}
+        return hashlib.sha256(repr(kept).encode()).hexdigest()[:16]
 
     def clip_samples(self, sample_rate: int) -> int:
         return int(round(self.clip_seconds * sample_rate))
@@ -389,7 +392,6 @@ def config_from_text(text: str, base_dir: Path | None = None) -> ExperimentConfi
     target_dir = data.str("target_dir", ExperimentConfig.target_dir)
     train_fraction = data.fraction("train_fraction", ExperimentConfig.train_fraction)
     val_fraction = data.fraction("val_fraction", ExperimentConfig.val_fraction)
-    test_fraction = data.fraction("test_fraction", ExperimentConfig.test_fraction)
     unlabeled_fraction = data.fraction("unlabeled_fraction", ExperimentConfig.unlabeled_fraction)
     data.finish()
 
@@ -436,7 +438,6 @@ def config_from_text(text: str, base_dir: Path | None = None) -> ExperimentConfi
         target_dir=target_dir,
         train_fraction=train_fraction,
         val_fraction=val_fraction,
-        test_fraction=test_fraction,
         unlabeled_fraction=unlabeled_fraction,
         sweep_m_grid=sweep_m_grid,
         sweep_budget=sweep_budget,

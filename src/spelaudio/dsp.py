@@ -26,7 +26,6 @@ from numpy.lib.stride_tricks import sliding_window_view
 __all__ = [
     "Signal",
     "StftConfig",
-    "ComplexSpectrum",
     "MelFilterbank",
     "MelImage",
     "fix_length",
@@ -96,31 +95,10 @@ class StftConfig:
 
 
 @dataclass(frozen=True)
-class ComplexSpectrum:
-    """Complex short-time spectrum, frames along axis 0, bins along axis 1."""
-
-    values: np.ndarray
-    config: StftConfig
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=np.complex128)
-        object.__setattr__(self, "values", values)
-        if values.ndim != 2 or values.shape[1] != self.config.n_bins:
-            raise ValueError(
-                f"spectrum must have shape (frames, {self.config.n_bins}), got {values.shape}"
-            )
-        if not np.all(np.isfinite(values)):
-            raise ValueError("spectrum contains non-finite entries")
-
-    @property
-    def n_frames(self) -> int:
-        return self.values.shape[0]
-
-
-@dataclass(frozen=True)
 class MelFilterbank:
     """Triangular mel filters as a (n_mels, n_fft//2 + 1) weight matrix, with
-    the sample rate and transform length their bin frequencies assume.
+    the sample rate their bin frequencies assume. The weights' shape is the
+    one record of n_mels and of the transform's bin count.
 
     The weights are a read-only copy. Each block of _BLOCK_MELS filters keeps
     the bin range its non-zero weights span and a contiguous copy of the
@@ -130,17 +108,11 @@ class MelFilterbank:
     """
 
     weights: np.ndarray
-    n_mels: int
-    fmin: float
-    fmax: float
     sample_rate: int
-    n_fft: int
     _blocks: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         weights = np.array(self.weights, dtype=np.float64)
-        if weights.shape != (self.n_mels, self.n_fft // 2 + 1):
-            raise ValueError("weights must be a (n_mels, n_fft//2 + 1) matrix")
         if np.any(weights < 0):
             raise ValueError("filter weights must be non-negative")
         if np.any(weights.max(axis=1) == 0):
@@ -148,13 +120,17 @@ class MelFilterbank:
         weights.flags.writeable = False
         object.__setattr__(self, "weights", weights)
         blocks = []
-        for start in range(0, self.n_mels, _BLOCK_MELS):
+        for start in range(0, len(weights), _BLOCK_MELS):
             rows = weights[start : start + _BLOCK_MELS]
             nonzero = np.flatnonzero(rows.any(axis=0))
             lo, hi = int(nonzero[0]), int(nonzero[-1]) + 1
             band = np.ascontiguousarray(rows[:, lo:hi].T)
             blocks.append((slice(start, start + rows.shape[0]), slice(lo, hi), band))
         object.__setattr__(self, "_blocks", tuple(blocks))
+
+    @property
+    def n_mels(self) -> int:
+        return self.weights.shape[0]
 
     def project(self, power: np.ndarray) -> np.ndarray:
         """(frames, n_fft//2 + 1) power to (frames, n_mels) mel power: power @
@@ -172,27 +148,19 @@ class MelFilterbank:
                 f"signal sample rate {sample_rate} Hz differs from the filterbank's "
                 f"{self.sample_rate} Hz"
             )
-        if n_fft != self.n_fft:
-            raise ValueError(f"n_fft {n_fft} differs from the filterbank's n_fft {self.n_fft}")
+        if n_fft // 2 + 1 != self.weights.shape[1]:
+            raise ValueError(
+                f"n_fft {n_fft} differs from the filterbank's: it gives {n_fft // 2 + 1} bins, "
+                f"the weights have {self.weights.shape[1]}"
+            )
 
 
 @dataclass(frozen=True)
 class MelImage:
-    """Normalized time-by-mel matrix in [-1, 1], plus the settings that made it."""
+    """Normalized (frames, n_mels) matrix in [-1, 1], as preprocess makes it:
+    normalize_minmax refuses non-finite dB and maps the rest into [-1, 1]."""
 
     values: np.ndarray
-    config: StftConfig
-    n_mels: int
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=np.float64)
-        object.__setattr__(self, "values", values)
-        if values.ndim != 2 or values.shape[1] != self.n_mels:
-            raise ValueError(f"mel image must have shape (frames, {self.n_mels})")
-        if not np.all(np.isfinite(values)):
-            raise ValueError("mel image contains non-finite entries")
-        if values.size and (values.min() < -1.0 or values.max() > 1.0):
-            raise ValueError("mel image entries must lie in [-1, 1]")
 
 
 def fix_length(signal: Signal, target_samples: int) -> Signal:
@@ -241,14 +209,15 @@ def _frame_constants(n_frames: int, config: StftConfig) -> tuple[np.ndarray, np.
     return window, rotation
 
 
-def stft(signal: Signal, config: StftConfig) -> ComplexSpectrum:
+def stft(signal: Signal, config: StftConfig) -> np.ndarray:
     """Short-time Fourier transform with an absolute-time phase reference.
 
     Frame m covers samples [m*hop, m*hop + win_length); the windowed frame
     is zero-padded to n_fft and transformed. The phase exponential runs over
     absolute sample indices, so frame m's rfft output is rotated by
     exp(-2j*pi*k*m*hop/n_fft). Only the n_fft//2 + 1 non-negative-frequency
-    bins are kept (the input is real). The window and the rotation are
+    bins are kept (the input is real), so the result is a complex
+    (frames, n_fft//2 + 1) array. The window and the rotation are
     computed once per geometry and frame count; the cache holds one
     rotation, so alternating geometries recompute it.
     """
@@ -258,7 +227,7 @@ def stft(signal: Signal, config: StftConfig) -> ComplexSpectrum:
     frames = sliding_window_view(x, config.win_length)[:: config.hop] * window
     spec = np.fft.rfft(frames, n=config.n_fft, axis=1)
     spec *= rotation
-    return ComplexSpectrum(values=spec, config=config)
+    return spec
 
 
 def power_to_db(power: np.ndarray) -> np.ndarray:
@@ -321,14 +290,7 @@ def mel_filterbank(
         weights[np.nonzero(empty)[0], nearest] = 1.0
     weights /= weights.max(axis=1, keepdims=True)
 
-    return MelFilterbank(
-        weights=weights,
-        n_mels=n_mels,
-        fmin=float(fmin),
-        fmax=float(fmax),
-        sample_rate=sample_rate,
-        n_fft=n_fft,
-    )
+    return MelFilterbank(weights, sample_rate)
 
 
 def normalize_minmax(matrix: np.ndarray) -> np.ndarray:
@@ -351,13 +313,12 @@ def preprocess(
 ) -> MelImage:
     """Full frontend: fixed-length clip to normalized mel image of shape (L, n_mels).
 
-    Raises ValueError when the signal's rate or the config's n_fft differs
-    from the filterbank's.
+    Raises ValueError when the signal's rate or the config's bin count
+    differs from the filterbank's, and when the power overflows (Signal
+    checked the samples finite; normalize_minmax refuses non-finite dB).
     """
     fb.check_input(signal.sample_rate, config.n_fft)
     clip = fix_length(signal, target_samples)
-    spectrum = stft(clip, config)
-    power = np.abs(spectrum.values)
+    power = np.abs(stft(clip, config))
     power *= power
-    db = power_to_db(fb.project(power))
-    return MelImage(values=normalize_minmax(db), config=config, n_mels=fb.n_mels)
+    return MelImage(normalize_minmax(power_to_db(fb.project(power))))

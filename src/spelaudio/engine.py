@@ -169,6 +169,8 @@ class PseudoSet:
     def __post_init__(self):
         if not (len(self.ids) == len(self.labels) == len(self.confidences)):
             raise ValueError("ids, labels, confidences differ in length")
+        if len(self.ids) == 0:
+            raise ValueError("a pseudo set selects at least one sample")
         if np.any(np.diff(self.confidences) > 0):
             raise ValueError("confidences must be non-increasing")
 
@@ -411,10 +413,12 @@ def load_round(
 
     With members=False only the record is read and the first two entries
     are None. A malformed record raises ValueError naming its path and
-    round; a record stamped with other settings (an unstamped record
-    records None) or members of other specs raise ValueError naming the
-    round and the first difference. Keys the record does not read, such
-    as the pseudo count older records carry, are ignored.
+    round, and so does one that names another round, or has a pseudo set
+    in round 0 and none (or an empty one) later; a record stamped with
+    other settings (an unstamped record records None) or members of other
+    specs raise ValueError naming the round and the first difference. Keys
+    the record does not read, such as the pseudo count older records carry,
+    are ignored.
     """
     rdir = _round_dir(Path(checkpoint_dir), j)
     path = rdir / "round.json"
@@ -424,7 +428,11 @@ def load_round(
         pseudo = None if raw is None else PseudoSet(
             **{name: np.asarray(raw[name], dtype=dtype) for name, dtype in _PSEUDO_DTYPES.items()}
         )
-        report = RoundReport(record["round"], record["metrics"], pseudo)
+        if record["round"] != j:
+            raise ValueError(f"it records round {record['round']!r}")
+        if (pseudo is None) != (j == 0):
+            raise ValueError("only round 0 has no pseudo set")
+        report = RoundReport(j, record["metrics"], pseudo)
         n_members = record["n_members"]
         stamp = record.get("config", {})
     except (KeyError, TypeError, ValueError) as err:

@@ -151,7 +151,7 @@ def _build_wav_data(config: ExperimentConfig) -> ExperimentData:
         if len(unl_rows) == 0:
             raise ConfigError("unlabeled fraction leaves no unlabeled target samples")
     if len(tgt_test_rows) == 0 and len(test_rows) == 0:
-        raise ConfigError("no labeled test data: test fraction is 0 and the target is unlabeled")
+        raise ConfigError("no labeled test data: empty source test split, unlabeled target")
 
     scanned = src_files + tgt_files
     rate, fb = _check_headers(scanned, config, len(classes))

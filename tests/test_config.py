@@ -116,6 +116,11 @@ class TestParsing:
             bench, spel=dataclasses.replace(bench.spel, n_members=1, per_step=7)
         )
         assert edited.config_hash != bench.config_hash
+        # run_experiment reads none of the [sweep] keys.
+        swept = dataclasses.replace(bench, sweep_budget=7, sweep_m_grid=(10,))
+        assert swept.config_hash == bench.config_hash
+        stepped = dataclasses.replace(swept, spel=dataclasses.replace(bench.spel, per_step=7))
+        assert stepped.config_hash != bench.config_hash
 
     def test_the_seed_has_one_owner(self):
         """The data and the training read one seed, the [spel] run seed."""
@@ -184,6 +189,8 @@ class TestErrors:
             config_from_text("[experiment]\ntask = multiclass\nmetric = wlrap\n")
 
     def test_fractions_must_sum_to_one(self, tmp_path):
+        """The source test split is what train and val leave, so those two
+        may take at most all of it."""
         (tmp_path / "src").mkdir()
         (tmp_path / "tgt").mkdir()
         text = (
@@ -191,10 +198,12 @@ class TestErrors:
             "[data]\n"
             f"source_dir = {tmp_path / 'src'}\n"
             f"target_dir = {tmp_path / 'tgt'}\n"
-            "train_fraction = 0.5\nval_fraction = 0.2\ntest_fraction = 0.2\n"
+            "train_fraction = 0.6\nval_fraction = 0.5\n"
         )
-        with pytest.raises(ConfigError, match="sum"):
+        with pytest.raises(ConfigError, match="train and val fractions sum to 1.1, more than 1"):
             config_from_text(text)
+        cfg = config_from_text(text.replace("val_fraction = 0.5", "val_fraction = 0.4"))
+        assert (cfg.train_fraction, cfg.val_fraction) == (0.6, 0.4)
 
     def test_wav_dir_paths_must_exist(self, tmp_path):
         text = (
@@ -321,8 +330,8 @@ class TestDataclassErrors:
         "fractions, message",
         [
             (
-                "train_fraction = 0.5\nval_fraction = 0.2",
-                r"lines 4, 5, 6, 7: \[data\] train/val/test fractions sum to 0.85",
+                "train_fraction = 0.6\nval_fraction = 0.5",
+                r"lines 4, 5, 6, 7: \[data\] train and val fractions sum to 1.1, more than 1",
             ),
             ("unlabeled_fraction = 0", r"lines 4, 5, 6: \[data\] unlabeled_fraction must lie in"),
         ],
@@ -332,8 +341,8 @@ class TestDataclassErrors:
             config_from_text(_wav_dirs(tmp_path) + fractions + "\n", base_dir=tmp_path)
 
     def test_fractions_outside_unit_interval_report_line(self, tmp_path):
-        """-0.2 + 0.6 + 0.6 sums to 1, and used to give overlapping splits."""
-        text = "train_fraction = -0.2\nval_fraction = 0.6\ntest_fraction = 0.6\n"
+        """-0.2 + 0.6 is below 1, and used to give overlapping splits."""
+        text = "train_fraction = -0.2\nval_fraction = 0.6\n"
         message = r"line 6: \[data\] train_fraction must be a number in \[0, 1\]"
         with pytest.raises(ConfigError, match=message):
             config_from_text(_wav_dirs(tmp_path) + text, base_dir=tmp_path)
@@ -498,7 +507,6 @@ CHANGES = {
     ("data", "target_dir"): ("target_b",),
     ("data", "train_fraction"): ("0.5",),
     ("data", "val_fraction"): ("0.3",),
-    ("data", "test_fraction"): ("0.3",),
     ("data", "unlabeled_fraction"): ("0.5",),
     ("sweep", "m_grid"): ("10,20",),
     ("sweep", "budget"): ("500",),

@@ -493,6 +493,38 @@ class TestCheckpoints:
         with pytest.raises(ValueError, match=match):
             self._run(mini_bundle, ckpt, config, resume=True)
 
+    @pytest.mark.parametrize(
+        "j, edit, reason",
+        [
+            (1, {"round": 7}, "ValueError: it records round 7"),
+            (
+                1,
+                {"pseudo": {"ids": [], "labels": [], "confidences": []}},
+                "ValueError: a pseudo set selects at least one sample",
+            ),
+            (
+                0,
+                {"pseudo": {"ids": [0], "labels": [1], "confidences": [0.9]}},
+                "ValueError: only round 0 has no pseudo set",
+            ),
+        ],
+        ids=["another-round", "empty-pseudo-set", "pseudo-set-in-round-0"],
+    )
+    def test_record_at_odds_with_its_round_is_refused(
+        self, mini_bundle, tmp_path, j, edit, reason
+    ):
+        spec = mini_learner_spec(mini_bundle)
+        config = mini_spel_config(n_steps=1)
+        ckpt = tmp_path / "ckpt"
+        self._run(mini_bundle, ckpt, config)
+        record = ckpt / f"round_{j:03d}" / "round.json"
+        record.write_text(json.dumps({**json.loads(record.read_text()), **edit}))
+        match = rf"round_{j:03d}[/\\]round\.json: round {j} record is malformed, {reason}"
+        with pytest.raises(ValueError, match=match):
+            load_round(ckpt, j, config, [spec, spec], members=False)
+        with pytest.raises(ValueError, match=match):
+            self._run(mini_bundle, ckpt, config, resume=True)
+
     def test_resume_refuses_other_run_settings(self, mini_bundle, tmp_path):
         ckpt = tmp_path / "ckpt"
         self._run(mini_bundle, ckpt, mini_spel_config(per_step=15))

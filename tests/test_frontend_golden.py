@@ -72,8 +72,8 @@ def test_stft_golden(name):
     config, n, frames = STFT_CASES[name]
     x = np.random.default_rng(n).normal(size=n)
     spectrum = stft(Signal(x, 16000), config)
-    assert spectrum.n_frames == frame_count(n, config) == frames
-    assert _digest(spectrum.values) == STFT_GOLDEN[name]
+    assert spectrum.shape[0] == frame_count(n, config) == frames
+    assert _digest(spectrum) == STFT_GOLDEN[name]
 
 
 SCAN_GOLDEN = "43a1c1b0a12ebbf1"
