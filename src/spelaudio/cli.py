@@ -126,9 +126,12 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
+    if args.classes is not None and args.classes < 1:
+        raise ValueError(f"--classes must be at least 1, got {args.classes}")
     if args.metric in TASK_METRICS["multiclass"]:
         labels, truth = _read_labels(args.predictions), _read_labels(args.truth, truth=True)
-        value = score(args.metric, labels, None, truth, args.classes or int(truth.max()) + 1)
+        n_classes = int(truth.max()) + 1 if args.classes is None else args.classes
+        value = score(args.metric, labels, None, truth, n_classes)
     else:
         pred, _ = _read_csv_matrix(args.predictions)
         value = score(args.metric, None, pred, _read_binary_matrix(args.truth), 0)

@@ -118,7 +118,8 @@ class UnlabeledSet:
 @dataclass(frozen=True)
 class ExperimentData:
     """A run's inputs from either data source. Each split's inputs are the
-    slice of images, one read-only store, that rows maps its name to. The
+    slice of images, one read-only float32 store, that rows maps its name
+    to; the learner computes on it in float64. The
     test targets and the pool truth are for evaluation only and training
     reads neither; unlabeled_truth is None where the pool's labels are unknown."""
 
@@ -137,7 +138,8 @@ class ExperimentData:
         """Data whose labeled, validation, unlabeled and test splits are, in
         that order, consecutive row blocks of images: as many rows as each
         split has targets, none for validation_targets None, and n_unlabeled
-        for the pool. The store is made read-only before any split views it."""
+        for the pool. images is the float32 store both sources render into;
+        it is made read-only before any split views it."""
         n_validation = 0 if validation_targets is None else len(validation_targets)
         sizes = (len(labeled_targets), n_validation, n_unlabeled, len(test_targets))
         images.flags.writeable = False

@@ -162,7 +162,7 @@ def _build_wav_data(config: ExperimentConfig) -> ExperimentData:
     # Each file a split needs is decoded once, in split order, into the one store.
     needed = np.concatenate([train_rows, val_rows, len(src_files) + unl_rows, test_rows])
     clip = config.clip_samples(rate)
-    images = np.empty((len(needed), frame_count(clip, config.stft), config.n_mels))
+    images = np.empty((len(needed), frame_count(clip, config.stft), config.n_mels), np.float32)
     for i, row in enumerate(needed):
         images[i] = preprocess(load_wav(scanned[row]), config.stft, fb, clip).values
     val_targets = src_labels[val_rows] if len(val_rows) else None

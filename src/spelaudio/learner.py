@@ -3,11 +3,15 @@
 A learner is a feed-forward network with an optional strided 2-D
 convolutional stem, a rectified-linear body, and either a softmax
 (multi-class) or per-output sigmoid (multi-label) head. Forward, loss,
-and gradients are implemented directly on numpy arrays in double
-precision; training is plain shuffled mini-batch Adam. Each conv layer
-is one matrix product over its unfolded windows (im2col), cached from the
-forward pass for the weight gradient; whichever layer the input images
-enter, the gradient with respect to them is never formed. A member keeps
+and gradients are implemented directly on numpy arrays and compute in
+double precision; float32 inputs, such as the image store, are not
+widened up front but where they are copied anyway (a training batch, a
+conv stem's unfolded windows, the first dense product), so training on
+rows of the store never copies it. Training is plain shuffled
+mini-batch Adam. Each conv layer is one matrix product over its unfolded
+windows (im2col), cached from the forward pass for the weight gradient;
+whichever layer the input images enter, the gradient with respect to them
+is never formed. A member keeps
 its parameters in one contiguous float64 buffer and its Adam moments in
 another, behind read-only mappings of per-tensor views. ``train`` checks
 its data once per call and steps private copies, so its caller's objects
@@ -302,10 +306,14 @@ def _sigmoid(z):
 
 def _conv_forward(x, w, b, stride):
     # im2col: one copy of the strided windows, a row per output position.
+    # The columns are float64 whatever the input's precision: the copy casts.
     kernel = w.shape[2]
     windows = sliding_window_view(x, (kernel, kernel), axis=(2, 3))[:, :, ::stride, ::stride]
-    h_out, w_out = windows.shape[2:4]
-    cols = windows.transpose(0, 2, 3, 1, 4, 5).reshape(-1, w[0].size)
+    windows = windows.transpose(0, 2, 3, 1, 4, 5)
+    h_out, w_out = windows.shape[1:3]
+    cols = np.empty(windows.shape)
+    np.copyto(cols, windows)
+    cols = cols.reshape(-1, w[0].size)
     z = (cols @ w.reshape(len(w), -1).T).reshape(len(x), h_out, w_out, len(w))
     return z.transpose(0, 3, 1, 2) + b[None, :, None, None], cols
 
@@ -323,7 +331,15 @@ def _conv_input_grad(x_shape, w, stride, dout2d, h_out, w_out):
 
 
 def _check_input_shape(spec: LearnerSpec, inputs: np.ndarray) -> np.ndarray:
-    x = np.asarray(inputs, dtype=np.float64)
+    """inputs as a real (batch, frames, mels) array, or ValueError. A float32
+    array is returned as it is, not copied: the store is float32, and the
+    learner casts its rows where it copies them anyway. Anything else is
+    cast to float64."""
+    x = np.asarray(inputs)
+    if np.iscomplexobj(x):
+        raise ValueError(f"inputs must be real, got {x.dtype}")
+    if x.dtype != np.float32:
+        x = x.astype(np.float64, copy=False)
     if x.ndim != 3 or x.shape[1:] != spec.input_shape:
         frames, mels = spec.input_shape
         raise ValueError(f"expected inputs of shape (batch, {frames}, {mels}), got {x.shape}")
@@ -523,7 +539,8 @@ def train(
         order = rng.permutation(n)
         for start in range(0, n, batch_size):
             sel = order[start : start + batch_size]
-            _, g = loss_and_grad(params, LabeledSet(x[rows[sel]], targets[sel]))
+            batch = x[rows[sel]].astype(np.float64, copy=False)
+            _, g = loss_and_grad(params, LabeledSet(batch, targets[sel]))
             adam_step(state, params, g)
         bad = _first_nonfinite(params.buffer, params.tensors)
         if bad is not None:

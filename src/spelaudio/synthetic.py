@@ -147,11 +147,13 @@ def gen_synthetic(
     fmax: float | None = None,
 ) -> ExperimentData:
     """Deterministically generate all splits as preprocessed mel images,
-    rendered in the order source, validation, unlabeled, test into one store."""
+    rendered in the order source, validation, unlabeled, test into one
+    float32 store; each image is computed in float64 and rounded once."""
     rng = np.random.default_rng(seed)
     fb = mel_filterbank(n_mels, stft_config.n_fft, spec.sample_rate, fmin, fmax)
     sizes = (spec.n_source, spec.n_val, spec.n_unlabeled, spec.n_test)
-    images = np.empty((sum(sizes), frame_count(spec.clip_samples, stft_config), fb.n_mels))
+    shape = (sum(sizes), frame_count(spec.clip_samples, stft_config), fb.n_mels)
+    images = np.empty(shape, dtype=np.float32)
     src, val, unl, test = np.split(images, np.cumsum(sizes)[:-1])
 
     src_y = _render_split(rng, spec, stft_config, fb, src, "source")

@@ -167,6 +167,19 @@ class TestEvaluate:
         assert captured.out == ""
         assert "truth.csv: truth must be one column of class indices, got 3 columns" in captured.err
 
+    @pytest.mark.parametrize("classes", ["0", "-2"])
+    def test_classes_below_one_rejected(self, tmp_path, capsys, classes):
+        write_csv(tmp_path / "pred.csv", [[0], [1]])
+        write_csv(tmp_path / "truth.csv", [[0], [1]])
+        code = main(
+            ["evaluate", str(tmp_path / "pred.csv"), str(tmp_path / "truth.csv"),
+             "--metric", "uar", "--classes", classes]
+        )
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"--classes must be at least 1, got {classes}" in captured.err
+
     def test_header_row_tolerated(self, tmp_path, capsys):
         (tmp_path / "pred.csv").write_text("label\n0\n1\n")
         (tmp_path / "truth.csv").write_text("label\n0\n1\n")

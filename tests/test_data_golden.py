@@ -81,35 +81,35 @@ def _digests(data):
 GOLDEN = {
     "synthetic": {
         "n_classes": 3,
-        "labeled.inputs": "379f746623d36f4e",
+        "labeled.inputs": "04d7da7bed54d5f1",
         "labeled.targets": "906ee5e947dbdaec",
-        "validation.inputs": "117d0c33661ada5a",
+        "validation.inputs": "b3036277b75a602b",
         "validation.targets": "e9394aef417cff90",
-        "unlabeled.inputs": "60c496436d6d99e1",
+        "unlabeled.inputs": "056080ecfcdb3f3d",
         "unlabeled.ids": "533fa0c049684809",
-        "test_inputs": "36a594346f12be25",
+        "test_inputs": "c136c5c66090621e",
         "test_truth": "1515fbe1e2190e0e",
     },
     "wav-classes": {
         "n_classes": 2,
-        "labeled.inputs": "079ff0b111cda7a7",
+        "labeled.inputs": "d409a2d3b48ca696",
         "labeled.targets": "8ef66ff6d14c3017",
-        "validation.inputs": "82da524a1c0cc706",
+        "validation.inputs": "cce16504e7b4f0cf",
         "validation.targets": "9014ff2c922756f0",
-        "unlabeled.inputs": "86e79f2c679657ce",
+        "unlabeled.inputs": "58e24c769c3e1a6c",
         "unlabeled.ids": "84ca4f50986f8594",
-        "test_inputs": "0a9ed2eec3117187",
+        "test_inputs": "4ea3cbaf9aa35dd5",
         "test_truth": "117c5cf9c0df11a7",
     },
     "wav-flat": {
         "n_classes": 2,
-        "labeled.inputs": "079ff0b111cda7a7",
+        "labeled.inputs": "d409a2d3b48ca696",
         "labeled.targets": "8ef66ff6d14c3017",
-        "validation.inputs": "82da524a1c0cc706",
+        "validation.inputs": "cce16504e7b4f0cf",
         "validation.targets": "9014ff2c922756f0",
-        "unlabeled.inputs": "01877178f5f11439",
+        "unlabeled.inputs": "bf50678eab5cee29",
         "unlabeled.ids": "84ca4f50986f8594",
-        "test_inputs": "ab47a1f973404498",
+        "test_inputs": "a87b9855ac89026a",
         "test_truth": "ab7bdf37917a7611",
     },
 }

@@ -8,6 +8,7 @@ import pytest
 
 from spelaudio import engine
 from spelaudio.engine import (
+    ExperimentData,
     LabeledSet,
     PseudoSet,
     SpelConfig,
@@ -299,6 +300,23 @@ class TestRunSpel:
             run_spel(blind, config, [spec, spec]),
             run_spel(mini_bundle, config, [spec, spec]),
             rounds=2,
+        )
+
+
+    @pytest.mark.parametrize("stem", [(), ((3, 3, 1),)], ids=["dense", "conv"])
+    def test_float32_store_runs_as_its_float64_copy(self, mini_bundle, stem):
+        """The store holds float32 and the learner computes in float64, so
+        a run on the store equals, bitwise, a run on the store widened."""
+        data = mini_bundle
+        wide = ExperimentData.from_store(
+            data.images.astype(np.float64), data.labeled.targets, data.validation.targets,
+            len(data.unlabeled), data.test.targets, data.n_classes, data.unlabeled_truth,
+        )
+        spec = LearnerSpec(data.images.shape[1:], 3, hidden_layers=(12,), conv_stem=stem)
+        config = mini_spel_config(n_steps=2)
+        assert data.images.dtype == np.float32
+        TestCheckpoints._assert_same_run(
+            run_spel(data, config, [spec, spec]), run_spel(wide, config, [spec, spec]), rounds=2
         )
 
 

@@ -264,7 +264,18 @@ def make_wav_corpus(root, rng, n_per_class, classes=("low", "mid"), rates=(4000,
             write_wav(root / name / f"clip_{i:02d}.wav", Signal(np.clip(x, -1, 1), rates[0]))
 
 
+def _traced(fn):
+    """fn's result, and the peak of the memory traced while it ran."""
+    tracemalloc.start()
+    try:
+        out = fn()
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def assert_splits_view_one_read_only_store(data):
+    assert data.images.dtype == np.float32
     for name in ("labeled", "validation", "unlabeled", "test"):
         split = getattr(data, name)
         if split is None:
@@ -450,8 +461,9 @@ unlabeled_fraction = 0.6
 
     def test_build_data_peak_stays_near_the_store(self, tmp_path):
         """One store and no copy of a split: a fancy-indexed copy of the
-        splits would double the peak. The geometry keeps each clip's
-        frontend temporaries small beside a store of 111 images."""
+        splits would double the peak. Beside the float32 store of 111 images
+        the peak also holds one clip's float64 frontend temporaries, which
+        are measured on their own and taken off."""
         make_wav_corpus(tmp_path / "source", np.random.default_rng(0), 30)
         make_wav_corpus(tmp_path / "target", np.random.default_rng(1), 30, offset=30.0)
         text = self._config_text(tmp_path / "source", tmp_path / "target", tmp_path / "out")
@@ -460,13 +472,13 @@ unlabeled_fraction = 0.6
             text = text.replace(old, new)
         cfg = config_from_text(text)
         build_data(cfg)  # the frontend's cached constants are not the store's
-        tracemalloc.start()
-        try:
-            data = build_data(cfg)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 1.25 * data.images.nbytes
+        fb = mel_filterbank(cfg.n_mels, cfg.stft.n_fft, 4000)
+        path = tmp_path / "source" / "low" / "clip_00.wav"
+        _, clip_peak = _traced(
+            lambda: preprocess(load_wav(path), cfg.stft, fb, cfg.clip_samples(4000))
+        )
+        data, peak = _traced(lambda: build_data(cfg))
+        assert peak - clip_peak < 1.25 * data.images.nbytes
 
     def test_pool_truth_is_each_clips_class_directory(self, tmp_path):
         rng = np.random.default_rng(4)
@@ -481,7 +493,7 @@ unlabeled_fraction = 0.6
         for label, name in enumerate(("low", "mid")):
             for path in sorted((tmp_path / "target" / name).glob("*.wav")):
                 image = preprocess(load_wav(path), cfg.stft, fb, cfg.clip_samples(4000)).values
-                truth[image.tobytes()] = label
+                truth[image.astype(np.float32).tobytes()] = label
         pool_labels = [truth[image.tobytes()] for image in data.unlabeled.inputs]
         assert np.array_equal(data.unlabeled_truth, pool_labels)
 

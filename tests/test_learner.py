@@ -191,6 +191,17 @@ class TestForward:
         with pytest.raises(ValueError):
             forward(params, np.zeros((2, 1, 8)))
 
+    def test_complex_inputs_rejected(self):
+        """Casting would drop the imaginary part with only a warning."""
+        spec = LearnerSpec(input_shape=(1, 4), n_outputs=3, hidden_layers=(4,))
+        params = init_params(spec, seed=0)
+        inputs = np.ones((2, 1, 4)) + 1j
+        with pytest.raises(ValueError, match="inputs must be real, got complex128"):
+            forward(params, inputs)
+        with pytest.raises(ValueError, match="inputs must be real, got complex128"):
+            train(params, inputs, np.array([0, 1]), epochs=1, batch_size=2,
+                  state=init_adam(params, learning_rate=1e-3), seed=0)
+
 
 class TestLoss:
     def test_confident_correct_prediction_near_zero_loss(self):
@@ -609,6 +620,72 @@ class TestTrainContract:
         assert not hasattr(spelaudio, "adam_step")
         assert "loss_and_grad" not in spelaudio.learner.__all__
         assert "adam_step" not in spelaudio.learner.__all__
+
+
+# A dense member, and a conv member whose 2x2 windows at stride 4 cover a
+# quarter of each 16x16 image, so its im2col columns, float64, are a quarter
+# the size of its inputs widened.
+STORE_SPECS = {
+    "dense": LearnerSpec(input_shape=(16, 16), n_outputs=3, hidden_layers=(8,)),
+    "conv": LearnerSpec(
+        input_shape=(16, 16), n_outputs=3, hidden_layers=(8,), conv_stem=((2, 2, 4),)
+    ),
+}
+
+
+def _float32_store(n=400, seed=5):
+    rng = np.random.default_rng(seed)
+    return rng.uniform(-1.0, 1.0, size=(n, 16, 16)).astype(np.float32)
+
+
+def _peak_bytes(fn):
+    fn()  # warm up numpy's own caches
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestFloat32Store:
+    """A float32 store is read as it is: the learner widens only the rows it
+    copies anyway, so its results are those of the store widened to float64,
+    and it never holds a float64 copy of the store."""
+
+    @pytest.mark.parametrize("kind", sorted(STORE_SPECS))
+    def test_trains_and_predicts_as_the_store_widened(self, kind):
+        store = _float32_store(n=60)
+        wide = store.astype(np.float64)
+        rng = np.random.default_rng(1)
+        rows = rng.permutation(60)[:37]
+        targets = rng.integers(0, 3, size=37)
+        params = init_params(STORE_SPECS[kind], seed=2)
+        kwargs = dict(epochs=2, batch_size=8, state=init_adam(params, 3e-3), seed=3, rows=rows)
+        got, got_state = train(params, store, targets, **kwargs)
+        want, want_state = train(params, wide, targets, **kwargs)
+        assert np.array_equal(got.buffer, want.buffer)
+        assert np.array_equal(got_state.buffer, want_state.buffer)
+        assert np.array_equal(forward(got, store[20:]), forward(got, wide[20:]))
+
+    @pytest.mark.parametrize("kind", sorted(STORE_SPECS))
+    def test_train_on_a_few_rows_allocates_no_float64_store(self, kind):
+        store = _float32_store()
+        params = init_params(STORE_SPECS[kind], seed=0)
+        state = init_adam(params, learning_rate=1e-3)
+        rows, targets = np.arange(0, 400, 50), np.arange(8) % 3
+        peak = _peak_bytes(lambda: train(
+            params, store, targets, epochs=1, batch_size=4, state=state, seed=0, rows=rows
+        ))
+        assert peak < store.size * 8
+
+    def test_conv_forward_allocates_no_float64_store(self):
+        """A dense member's first product widens its inputs whole, as numpy
+        promotes the type; a conv member widens only its im2col columns."""
+        store = _float32_store()
+        params = init_params(STORE_SPECS["conv"], seed=0)
+        peak = _peak_bytes(lambda: forward(params, store))
+        assert peak < store.size * 8
 
 
 def assert_tiled(buffer, views):

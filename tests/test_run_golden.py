@@ -59,30 +59,30 @@ def _run_digests(bundle, kind, ckpt):
 
 GOLDEN = {
     "dense": {
-        "baseline": "f12de52a31b353e1",
-        "final": "3350812182afc790",
-        "r0/members": "88584e5b62f769ea",
-        "r1/members": "d69ac095f7617569",
+        "baseline": "c0b68f39c943933b",
+        "final": "b32ce3bbbaed3de6",
+        "r0/members": "0e6da35bfd193b0d",
+        "r1/members": "43eafaafd2b8c62a",
         "r1/ids": "6ae0a641091b4c7c",
         "r1/labels": "5d75a2e5aeaaa567",
-        "r1/confidences": "0e7e2597c237037a",
-        "r2/members": "d8e905d288e00c4a",
+        "r1/confidences": "ac7750514c9889ba",
+        "r2/members": "ced576242f7b4d10",
         "r2/ids": "d8fcd7cf66f8640f",
         "r2/labels": "c6bb51107d2c4648",
-        "r2/confidences": "ea538f1223c04cc6",
+        "r2/confidences": "65f0c292c388fe51",
     },
     "conv": {
-        "baseline": "6942d77388bd63da",
-        "final": "976ce71a1057fc4c",
-        "r0/members": "85892a26c7e43543",
-        "r1/members": "9459c85efa4835be",
+        "baseline": "52cbf6c460371ade",
+        "final": "8a4deca2bf322038",
+        "r0/members": "1605228272773eab",
+        "r1/members": "7f98c33df5de645f",
         "r1/ids": "997d18b1e4badef9",
         "r1/labels": "553b32c0b24566a3",
-        "r1/confidences": "654c2e20e143b486",
-        "r2/members": "8925a023d6a2b9b6",
+        "r1/confidences": "82b6dd67d5610856",
+        "r2/members": "f6fd89c7ad64e028",
         "r2/ids": "e191248b0e333d14",
         "r2/labels": "520b0818638c3225",
-        "r2/confidences": "91f2071cde1a8424",
+        "r2/confidences": "5903d5458008ab2a",
     },
 }
 
