@@ -4,10 +4,11 @@ A learner is a feed-forward network with an optional strided 2-D
 convolutional stem, a rectified-linear body, and either a softmax
 (multi-class) or per-output sigmoid (multi-label) head. Forward, loss,
 and gradients are implemented directly on numpy arrays and compute in
-double precision; float32 inputs, such as the image store, are not
-widened up front but where they are copied anyway (a training batch, a
-conv stem's unfolded windows, the first dense product), so training on
-rows of the store never copies it. Training is plain shuffled
+double precision. Float32 inputs, such as the image store, are not
+widened up front: training gathers each batch's rows as they are, and
+the first layer widens them where it copies them anyway (a conv stem's
+unfolded windows, or the flattened input of the dense body), so training
+on rows of the store never copies it. Training is plain shuffled
 mini-batch Adam. Each conv layer is one matrix product over its unfolded
 windows (im2col), cached from the forward pass for the weight gradient;
 whichever layer the input images enter, the gradient with respect to them
@@ -332,9 +333,8 @@ def _conv_input_grad(x_shape, w, stride, dout2d, h_out, w_out):
 
 def _check_input_shape(spec: LearnerSpec, inputs: np.ndarray) -> np.ndarray:
     """inputs as a real (batch, frames, mels) array, or ValueError. A float32
-    array is returned as it is, not copied: the store is float32, and the
-    learner casts its rows where it copies them anyway. Anything else is
-    cast to float64."""
+    array, such as the store, is returned as it is, for the first layer to
+    widen; anything else is cast to float64."""
     x = np.asarray(inputs)
     if np.iscomplexobj(x):
         raise ValueError(f"inputs must be real, got {x.dtype}")
@@ -360,7 +360,7 @@ def _forward_cached(params: LearnerParams, x: np.ndarray):
             a = a_next
         a = a.reshape(len(a), -1)
     else:
-        a = x.reshape(len(x), -1)
+        a = x.reshape(len(x), -1).astype(np.float64, copy=False)
 
     for j in range(len(spec.hidden_layers)):
         z = a @ t[f"dense{j}_w"] + t[f"dense{j}_b"]
@@ -539,8 +539,7 @@ def train(
         order = rng.permutation(n)
         for start in range(0, n, batch_size):
             sel = order[start : start + batch_size]
-            batch = x[rows[sel]].astype(np.float64, copy=False)
-            _, g = loss_and_grad(params, LabeledSet(batch, targets[sel]))
+            _, g = loss_and_grad(params, LabeledSet(x[rows[sel]], targets[sel]))
             adam_step(state, params, g)
         bad = _first_nonfinite(params.buffer, params.tensors)
         if bad is not None:

@@ -649,9 +649,9 @@ def _peak_bytes(fn):
 
 
 class TestFloat32Store:
-    """A float32 store is read as it is: the learner widens only the rows it
-    copies anyway, so its results are those of the store widened to float64,
-    and it never holds a float64 copy of the store."""
+    """A float32 store is read as it is: the first layer widens only the rows
+    it copies anyway, so the results are those of the store widened to
+    float64, and training never holds a float64 copy of the store."""
 
     @pytest.mark.parametrize("kind", sorted(STORE_SPECS))
     def test_trains_and_predicts_as_the_store_widened(self, kind):
@@ -680,8 +680,8 @@ class TestFloat32Store:
         assert peak < store.size * 8
 
     def test_conv_forward_allocates_no_float64_store(self):
-        """A dense member's first product widens its inputs whole, as numpy
-        promotes the type; a conv member widens only its im2col columns."""
+        """A dense member's first layer widens its flattened inputs whole; a
+        conv member widens only its im2col columns."""
         store = _float32_store()
         params = init_params(STORE_SPECS["conv"], seed=0)
         peak = _peak_bytes(lambda: forward(params, store))
