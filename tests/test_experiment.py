@@ -1,6 +1,5 @@
 import json
 import re
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,6 +20,7 @@ from spelaudio.experiment import (
 from spelaudio.wavio import load_wav, write_wav
 
 from conftest import mini_spel_config
+from test_learner import traced_peak
 
 
 def mini_config_text(out_dir, seed=5, steps=2, per_step=20, task="multiclass", extra=""):
@@ -264,16 +264,6 @@ def make_wav_corpus(root, rng, n_per_class, classes=("low", "mid"), rates=(4000,
             write_wav(root / name / f"clip_{i:02d}.wav", Signal(np.clip(x, -1, 1), rates[0]))
 
 
-def _traced(fn):
-    """fn's result, and the peak of the memory traced while it ran."""
-    tracemalloc.start()
-    try:
-        out = fn()
-        return out, tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 def assert_splits_view_one_read_only_store(data):
     assert data.images.dtype == np.float32
     for name in ("labeled", "validation", "unlabeled", "test"):
@@ -474,10 +464,10 @@ unlabeled_fraction = 0.6
         build_data(cfg)  # the frontend's cached constants are not the store's
         fb = mel_filterbank(cfg.n_mels, cfg.stft.n_fft, 4000)
         path = tmp_path / "source" / "low" / "clip_00.wav"
-        _, clip_peak = _traced(
+        _, clip_peak = traced_peak(
             lambda: preprocess(load_wav(path), cfg.stft, fb, cfg.clip_samples(4000))
         )
-        data, peak = _traced(lambda: build_data(cfg))
+        data, peak = traced_peak(lambda: build_data(cfg))
         assert peak - clip_peak < 1.25 * data.images.nbytes
 
     def test_pool_truth_is_each_clips_class_directory(self, tmp_path):

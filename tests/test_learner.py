@@ -638,12 +638,12 @@ def _float32_store(n=400, seed=5):
     return rng.uniform(-1.0, 1.0, size=(n, 16, 16)).astype(np.float32)
 
 
-def _peak_bytes(fn):
-    fn()  # warm up numpy's own caches
+def traced_peak(fn):
+    """fn's result, and the peak of the memory traced while it ran."""
     tracemalloc.start()
     try:
-        fn()
-        return tracemalloc.get_traced_memory()[1]
+        out = fn()
+        return out, tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
 
@@ -674,9 +674,14 @@ class TestFloat32Store:
         params = init_params(STORE_SPECS[kind], seed=0)
         state = init_adam(params, learning_rate=1e-3)
         rows, targets = np.arange(0, 400, 50), np.arange(8) % 3
-        peak = _peak_bytes(lambda: train(
-            params, store, targets, epochs=1, batch_size=4, state=state, seed=0, rows=rows
-        ))
+
+        def run():
+            return train(
+                params, store, targets, epochs=1, batch_size=4, state=state, seed=0, rows=rows
+            )
+
+        run()  # warm up numpy's own caches
+        _, peak = traced_peak(run)
         assert peak < store.size * 8
 
     def test_conv_forward_allocates_no_float64_store(self):
@@ -684,7 +689,8 @@ class TestFloat32Store:
         conv member widens only its im2col columns."""
         store = _float32_store()
         params = init_params(STORE_SPECS["conv"], seed=0)
-        peak = _peak_bytes(lambda: forward(params, store))
+        forward(params, store)  # warm up numpy's own caches
+        _, peak = traced_peak(lambda: forward(params, store))
         assert peak < store.size * 8
 
 
