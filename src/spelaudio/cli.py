@@ -130,11 +130,16 @@ def _cmd_evaluate(args) -> int:
         raise ValueError(f"--classes must be at least 1, got {args.classes}")
     if args.metric in TASK_METRICS["multiclass"]:
         labels, truth = _read_labels(args.predictions), _read_labels(args.truth, truth=True)
-        n_classes = int(truth.max()) + 1 if args.classes is None else args.classes
-        value = score(args.metric, labels, None, truth, n_classes)
+        seen = int(max(labels.max(), truth.max())) + 1
+        if args.classes is not None and args.classes < seen:
+            raise ValueError(f"--classes {args.classes}, but the labels or truth hold class {seen - 1}")
+        value = score(args.metric, labels, None, truth, args.classes or seen)
     else:
         pred, _ = _read_csv_matrix(args.predictions)
-        value = score(args.metric, None, pred, _read_binary_matrix(args.truth), 0)
+        truth = _read_binary_matrix(args.truth)
+        if args.classes not in (None, truth.shape[1]):
+            raise ValueError(f"--classes {args.classes}, but the truth has {truth.shape[1]} columns")
+        value = score(args.metric, None, pred, truth, 0)
     print(f"{args.metric} {value:.6f}")
     return 0
 

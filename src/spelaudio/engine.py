@@ -18,11 +18,28 @@ pool truth. Training reads neither the test targets nor the pool truth.
 All randomness is derived from the run seed, member index, and round
 index, so runs are bitwise reproducible and a resumed run matches an
 uninterrupted one.
+
+Inside a stage (pretraining, or one round) each member's training is a
+pure function of its own parameters, Adam state, rows and seed, so the
+members train at once: member i in process i mod k, where k is the
+smaller of the member count and the CPUs this process may run on. The
+count is derived, not set: it is the affinity mask (``sched_getaffinity``),
+not a cgroup CPU quota, and with one usable CPU or one member nothing is
+forked. Process 0 is the calling process, which trains its own share and
+writes every checkpoint; each other process is forked once per stage,
+reads the store and the members by fork, and sends back only its
+members' buffers. The run is bitwise the same at any k. Each process
+has its own BLAS threads, so on a small host pin BLAS to one thread
+(``OPENBLAS_NUM_THREADS=1``).
 """
 
 from __future__ import annotations
 
 import json
+import os
+import pickle
+import signal
+import traceback
 from collections.abc import Mapping
 from dataclasses import dataclass, fields
 from itertools import zip_longest
@@ -221,22 +238,107 @@ def _evaluate(ensemble: Ensemble, validation: LabeledSet | None) -> dict[str, fl
     )
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask, which a cgroup CPU
+    quota does not narrow; 1 where the platform has no such mask."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
+def _collect(pairs, errors=()):
+    """The (params, state) pairs that pairs yields before one raises, and
+    the DivergenceError or, for errors, the traceback text that stopped
+    them, else None."""
+    done = []
+    try:
+        for pair in pairs:
+            done.append(pair)
+    except DivergenceError as err:
+        return done, err
+    except errors:
+        return done, f"it failed in its worker process:\n{traceback.format_exc().rstrip()}"
+    return done, None
+
+
+def _fork(pairs):
+    """Collect pairs in a forked process, which pickles what it collected
+    into a pipe and leaves; returns its pid and the pipe's read end."""
+    read, write = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        status = 1
+        try:
+            os.close(read)
+            with open(write, "wb") as out:
+                pickle.dump(_collect(pairs, Exception), out, pickle.HIGHEST_PROTOCOL)
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write)
+    return pid, open(read, "rb")
+
+
+def _join(pid, pipe):
+    """What the worker pid collected, read from its pipe once it has left."""
+    with pipe:
+        try:
+            sent = pickle.load(pipe)
+        except Exception:  # cut short: the wait status says why
+            sent = None
+    code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    if code == 0 and sent is not None:
+        return sent
+    how = f"was killed by signal {-code}" if code < 0 else f"exited with status {code}"
+    return [], f"the worker process training it {how}"
+
+
 def _train_members(members, states, inputs, targets, rows, epochs, config, stage, *j):
     """Continue every member on the rows of inputs that rows lists (all of
     them when None); member i shuffles from the seed of (run seed, stage, i, *j).
 
-    A member that diverges raises DivergenceError naming it and the round.
+    Member i trains in process i mod k, k = min(members, usable CPUs).
+    Process 0 is this one; each other is forked for this stage, reads its
+    inputs by fork and sends back its members' buffers, so the result is
+    bitwise that of training the members one after another. Of the members
+    that fail, the lowest raises, as in that serial loop: a divergence as
+    DivergenceError, a worker's other failure as RuntimeError, both naming
+    the member and the round. Any other error of this process's own share
+    propagates at once, after the workers are killed. Every worker is
+    waited for.
     """
-    trained = []
-    for i, (params, state) in enumerate(zip(members, states)):
-        try:
-            trained.append(
-                train(params, inputs, targets, epochs=epochs, batch_size=config.batch_size,
-                      state=state, seed=_derive_seed(config.seed, stage, i, *j), rows=rows)
-            )
-        except DivergenceError as err:
-            raise DivergenceError(err.tensor, err.step, i, j[0] if j else 0) from err
-    return Ensemble(tuple(params for params, _ in trained)), [state for _, state in trained]
+    n = len(members)
+    k = min(n, _usable_cpus())
+    shares = [range(w, n, k) for w in range(k)]
+
+    def fit(share):
+        for i in share:
+            yield train(members[i], inputs, targets, epochs=epochs, batch_size=config.batch_size,
+                        state=states[i], seed=_derive_seed(config.seed, stage, i, *j), rows=rows)
+
+    forked = []  # the workers not yet joined
+    try:
+        for share in shares[1:]:
+            forked.append(_fork(fit(share)))
+        outcomes = [_collect(fit(shares[0]))]
+        while forked:
+            outcomes.append(_join(*forked[0]))
+            del forked[0]
+    finally:
+        for pid, pipe in forked:
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+    failed = {share[len(done)]: failure
+              for share, (done, failure) in zip(shares, outcomes) if failure is not None}
+    if failed:
+        i = min(failed)
+        round_index = j[0] if j else 0
+        if isinstance(failed[i], DivergenceError):
+            raise DivergenceError(failed[i].tensor, failed[i].step, i, round_index) from failed[i]
+        raise RuntimeError(f"member {i}, round {round_index}: {failed[i]}")
+    trained = dict(pair for share, (done, _) in zip(shares, outcomes) for pair in zip(share, done))
+    pairs = [trained[i] for i in range(n)]
+    return Ensemble(tuple(params for params, _ in pairs)), [state for _, state in pairs]
 
 
 def pretrain(config: SpelConfig, labeled: LabeledSet, specs: list[LearnerSpec]):

@@ -23,7 +23,6 @@ is a pure function of the seed and every step runs the same arithmetic.
 
 from __future__ import annotations
 
-import copy
 import json
 import math
 import os
@@ -150,11 +149,14 @@ def _fan_in(name: str, shape: tuple[int, ...]) -> int:
 
 
 def _views(buffer: np.ndarray, like: Mapping[str, np.ndarray]) -> Mapping[str, np.ndarray]:
-    """Read-only name -> view mapping that lays like's shapes end to end over buffer."""
+    """Read-only name -> view mapping that lays like's shapes end to end over
+    buffer; like maps each name to an array or to its shape."""
     views, start = {}, 0
     for name, arr in like.items():
-        views[name] = buffer[start : start + arr.size].reshape(arr.shape)
-        start += arr.size
+        shape = getattr(arr, "shape", arr)
+        size = math.prod(shape)
+        views[name] = buffer[start : start + size].reshape(shape)
+        start += size
     return MappingProxyType(views)
 
 
@@ -199,13 +201,15 @@ class LearnerParams:
         if bad is not None:
             raise ValueError(f"{bad} contains non-finite values")
 
-    def __deepcopy__(self, memo):
-        # numpy deep-copies each view on its own, detaching it from the
-        # buffer. The copy skips validation: a diverged member copies too.
-        new = copy.copy(self)
-        new.buffer = self.buffer.copy()
-        new.tensors = _views(new.buffer, self.tensors)
-        return new
+    # A member pickles, and copies, as its spec, step and buffer, and its
+    # copy views its own buffer again. The copy skips validation: a
+    # diverged member copies too.
+    def __getstate__(self):
+        return self.spec, self.step, self.buffer
+
+    def __setstate__(self, state):
+        self.spec, self.step, self.buffer = state
+        self.tensors = _views(self.buffer, param_shapes(self.spec))
 
 
 @dataclass
@@ -234,8 +238,13 @@ class OptimizerState:
         self.m, self.v = _views(self.buffer[0], self.m), _views(self.buffer[1], self.v)
         self.scratch = np.empty_like(self.buffer)
 
-    def __deepcopy__(self, memo):
-        return OptimizerState(self.m, self.v, self.learning_rate)
+    def __getstate__(self):
+        return dict(_layout(self.m)), self.learning_rate, self.buffer
+
+    def __setstate__(self, state):
+        layout, self.learning_rate, self.buffer = state
+        self.m, self.v = _views(self.buffer[0], layout), _views(self.buffer[1], layout)
+        self.scratch = np.empty_like(self.buffer)
 
 
 @dataclass(frozen=True)
@@ -266,6 +275,9 @@ class DivergenceError(ValueError):
         self.member, self.round_index = member, round_index
         where = "" if member is None else f"member {member}, round {round_index}: "
         super().__init__(f"{where}{tensor} became non-finite by step {step}")
+
+    def __reduce__(self):
+        return DivergenceError, (self.tensor, self.step, self.member, self.round_index)
 
 
 def init_params(spec: LearnerSpec, seed: int) -> LearnerParams:

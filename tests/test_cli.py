@@ -180,6 +180,37 @@ class TestEvaluate:
         assert captured.out == ""
         assert f"--classes must be at least 1, got {classes}" in captured.err
 
+    def test_classes_below_a_label_rejected_for_accuracy(self, tmp_path, capsys):
+        write_csv(tmp_path / "pred.csv", [[0], [1], [2]])
+        write_csv(tmp_path / "truth.csv", [[0], [1], [2]])
+        code = main(
+            ["evaluate", str(tmp_path / "pred.csv"), str(tmp_path / "truth.csv"),
+             "--metric", "accuracy", "--classes", "1"]
+        )
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--classes 1, but the labels or truth hold class 2" in captured.err
+
+    def test_classes_other_than_the_truth_columns_rejected_for_wlrap(self, tmp_path, capsys):
+        write_csv(tmp_path / "scores.csv", [[0.9, 0.2, 0.1], [0.1, 0.8, 0.7]])
+        write_csv(tmp_path / "truth.csv", [[1, 0, 0], [0, 1, 1]])
+        code = main(
+            ["evaluate", str(tmp_path / "scores.csv"), str(tmp_path / "truth.csv"),
+             "--metric", "wlrap", "--classes", "7"]
+        )
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--classes 7, but the truth has 3 columns" in captured.err
+
+    def test_classes_that_cover_the_labels_accepted(self, tmp_path, capsys):
+        write_csv(tmp_path / "pred.csv", [[0], [1], [1], [1]])
+        write_csv(tmp_path / "truth.csv", [[0], [0], [1], [1]])
+        main(["evaluate", str(tmp_path / "pred.csv"), str(tmp_path / "truth.csv"),
+              "--metric", "uar", "--classes", "4"])
+        assert "uar 0.750000" in capsys.readouterr().out
+
     def test_header_row_tolerated(self, tmp_path, capsys):
         (tmp_path / "pred.csv").write_text("label\n0\n1\n")
         (tmp_path / "truth.csv").write_text("label\n0\n1\n")

@@ -1,7 +1,10 @@
 import dataclasses
 import json
 import math
+import os
 import shutil
+import signal
+import time
 
 import numpy as np
 import pytest
@@ -569,3 +572,146 @@ class TestCheckpoints:
         wider = dataclasses.replace(spec, hidden_layers=(24,))
         with pytest.raises(ValueError, match="round 0 checkpoint member 1"):
             self._run(mini_bundle, ckpt, config, specs=[spec, wider], resume=True)
+
+
+class TestWorkerProcesses:
+    """Member i of a stage trains in process i mod k, k = min(members,
+    usable CPUs); process 0 is the caller's own."""
+
+    @staticmethod
+    def _cpus(monkeypatch, n):
+        monkeypatch.setattr(engine, "_usable_cpus", lambda: n)
+
+    @staticmethod
+    def _counted_forks(monkeypatch):
+        forks, fork = [], os.fork
+        monkeypatch.setattr(engine.os, "fork", lambda: forks.append(1) or fork())
+        return forks
+
+    @staticmethod
+    def _assert_no_child_left():
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @staticmethod
+    def _train_failing(monkeypatch, member, fail):
+        """engine.train, but fail() runs in place of training member."""
+        real = engine.train
+
+        def fake(params, *args, **kwargs):
+            if params is member:
+                fail()
+            return real(params, *args, **kwargs)
+
+        monkeypatch.setattr(engine, "train", fake)
+
+    def _stage(self, mini_bundle, n_members=3):
+        spec = mini_learner_spec(mini_bundle)
+        config = mini_spel_config(pretrain_epochs=1, n_members=n_members)
+        ensemble, states = pretrain(config, mini_bundle.labeled, [spec] * n_members)
+        return ensemble, states, config
+
+    def test_runs_on_1_2_and_3_cpus_are_equal(self, mini_bundle, tmp_path, monkeypatch):
+        shape = mini_bundle.labeled.inputs.shape[1:]
+        specs = [
+            LearnerSpec(shape, 3, hidden_layers=(16,)),
+            LearnerSpec(shape, 3, hidden_layers=(8, 6)),
+            LearnerSpec(shape, 3, hidden_layers=(10,), conv_stem=((2, 3, 2),)),
+        ]
+        config = mini_spel_config(n_members=3, n_steps=2, per_step=20)
+        forks = self._counted_forks(monkeypatch)
+        runs = {}
+        for cpus in (1, 2, 3):
+            self._cpus(monkeypatch, cpus)
+            ckpt = tmp_path / f"cpus{cpus}"
+            result = run_spel(mini_bundle, config, specs, checkpoint_dir=ckpt)
+            _, states, _ = load_round(ckpt, 2, config, specs)
+            runs[cpus] = result, states
+            # one fork per worker per stage: pretraining and two rounds
+            assert len(forks) == 3 * (cpus - 1)
+            forks.clear()
+        want, want_states = runs[1]
+        for got, got_states in (runs[2], runs[3]):
+            TestCheckpoints._assert_same_run(got, want, rounds=2)
+            for a, b in zip(got.ensemble.members, want.ensemble.members):
+                assert a.buffer.tobytes() == b.buffer.tobytes() and a.step == b.step
+            for a, b in zip(got_states, want_states):
+                assert a.buffer.tobytes() == b.buffer.tobytes()
+        self._assert_no_child_left()
+
+    def test_a_single_member_never_forks(self, mini_bundle, monkeypatch):
+        self._cpus(monkeypatch, 3)
+
+        def no_fork():
+            raise AssertionError("a one-member stage forked")
+
+        monkeypatch.setattr(engine.os, "fork", no_fork)
+        spec = mini_learner_spec(mini_bundle)
+        run_spel(mini_bundle, mini_spel_config(n_members=1, n_steps=1), [spec])
+
+    @pytest.mark.parametrize("poisoned, reported", [((1, 2), 1), ((0, 1), 0)])
+    def test_the_lowest_diverged_member_is_reported_across_processes(
+        self, mini_bundle, monkeypatch, poisoned, reported
+    ):
+        """With 2 CPUs this process trains members 0 and 2, a worker member 1."""
+        ensemble, states, config = self._stage(mini_bundle)
+        for i in poisoned:
+            states[i].m["out_b"][0] = np.nan
+        self._cpus(monkeypatch, 2)
+        with pytest.raises(DivergenceError, match=rf"^member {reported}, round 2: dense0_w") as info:
+            spel_round(ensemble, states, mini_bundle, config, 2)
+        assert (info.value.member, info.value.round_index) == (reported, 2)
+        assert isinstance(info.value.__cause__, DivergenceError)
+        assert info.value.__cause__.member is None
+        self._assert_no_child_left()
+
+    def test_a_worker_that_raises_names_member_and_round(self, mini_bundle, monkeypatch):
+        ensemble, states, config = self._stage(mini_bundle)
+
+        def fail():
+            raise KeyError("no such tensor")
+
+        self._train_failing(monkeypatch, ensemble.members[1], fail)
+        self._cpus(monkeypatch, 2)
+        with pytest.raises(RuntimeError, match=r"^member 1, round 2: it failed in its worker") as info:
+            spel_round(ensemble, states, mini_bundle, config, 2)
+        assert "KeyError: 'no such tensor'" in str(info.value)
+        self._assert_no_child_left()
+
+    def test_a_killed_worker_names_member_and_round(self, mini_bundle, monkeypatch):
+        ensemble, states, config = self._stage(mini_bundle)
+        parent = os.getpid()
+
+        def die():
+            assert os.getpid() != parent, "member 1 trains in a worker"
+            os.kill(os.getpid(), signal.SIGKILL)
+
+        self._train_failing(monkeypatch, ensemble.members[1], die)
+        self._cpus(monkeypatch, 2)
+        with pytest.raises(
+            RuntimeError,
+            match=rf"^member 1, round 2: the worker process training it was killed by signal {signal.SIGKILL.value}$",
+        ):
+            spel_round(ensemble, states, mini_bundle, config, 2)
+        self._assert_no_child_left()
+
+    def test_a_failing_parent_stops_and_reaps_its_workers(self, mini_bundle, monkeypatch):
+        ensemble, states, config = self._stage(mini_bundle, n_members=2)
+        real = engine.train
+
+        class Interrupted(Exception):
+            pass
+
+        def fake(params, *args, **kwargs):
+            if params is ensemble.members[0]:
+                raise Interrupted
+            time.sleep(60)  # member 1's worker would outlive the stage unless stopped
+            return real(params, *args, **kwargs)
+
+        monkeypatch.setattr(engine, "train", fake)
+        self._cpus(monkeypatch, 2)
+        start = time.perf_counter()
+        with pytest.raises(Interrupted):
+            spel_round(ensemble, states, mini_bundle, config, 2)
+        assert time.perf_counter() - start < 30
+        self._assert_no_child_left()

@@ -1,6 +1,7 @@
 import copy
 import json
 import math
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -10,6 +11,7 @@ import spelaudio
 import spelaudio.learner
 from spelaudio.learner import (
     EPS,
+    DivergenceError,
     LabeledSet,
     LearnerParams,
     LearnerSpec,
@@ -758,6 +760,20 @@ class TestStorage:
             assert np.array_equal(state.m[name], before_state.m[name])
             assert np.array_equal(state.v[name], before_state.v[name])
         assert_packed(twin, twin_state)
+
+    def test_pickle_round_trip_keeps_buffers_tied_to_their_views(self):
+        params, state = self._trained()
+        twin, twin_state = pickle.loads(pickle.dumps((params, state), pickle.HIGHEST_PROTOCOL))
+        assert (twin.spec, twin.step) == (params.spec, params.step)
+        assert twin.buffer.tobytes() == params.buffer.tobytes()
+        assert twin_state.buffer.tobytes() == state.buffer.tobytes()
+        assert twin_state.learning_rate == state.learning_rate
+        assert_packed(twin, twin_state)
+
+    def test_divergence_error_pickles_with_its_fields(self):
+        err = pickle.loads(pickle.dumps(DivergenceError("out_b", 12, 3, 2)))
+        assert (err.tensor, err.step, err.member, err.round_index) == ("out_b", 12, 3, 2)
+        assert str(err) == "member 3, round 2: out_b became non-finite by step 12"
 
     def test_deepcopy_of_a_diverged_member(self):
         params, _ = self._trained()

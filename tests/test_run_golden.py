@@ -5,6 +5,11 @@ and two rounds each. Every round's member tensors (in name order) and
 pseudo set are hashed, as are the baseline and final test probabilities."""
 
 import hashlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -90,3 +95,31 @@ GOLDEN = {
 @pytest.mark.parametrize("kind", ["dense", "conv"])
 def test_mini_run_matches_golden_digests(mini_bundle, tmp_path, kind):
     assert _run_digests(mini_bundle, kind, tmp_path / "ckpt") == GOLDEN[kind]
+
+
+def test_forked_mini_runs_after_threaded_blas_match_golden_digests(tmp_path):
+    """Both mini runs in a fresh interpreter whose BLAS has started two
+    threads before the first stage forks a worker: no fork may hang, and
+    the digests are the golden ones."""
+    tests = Path(__file__).resolve().parent
+    script = f"""
+import json
+import numpy as np
+from spelaudio import engine
+from spelaudio.synthetic import gen_synthetic
+from conftest import MINI_MELS, MINI_STFT, mini_synthetic_spec
+from test_run_golden import _run_digests
+
+engine._usable_cpus = lambda: 2
+square = np.ones((512, 512))
+square @ square  # large enough for BLAS to run on its threads
+bundle = gen_synthetic(mini_synthetic_spec(), MINI_STFT, MINI_MELS, seed=1234)
+tmp = {str(tmp_path)!r}
+print(json.dumps({{kind: _run_digests(bundle, kind, f"{{tmp}}/{{kind}}") for kind in {sorted(GOLDEN)!r}}}))
+"""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="2",
+               PYTHONPATH=os.pathsep.join([str(tests.parent / "src"), str(tests)]))
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == GOLDEN
