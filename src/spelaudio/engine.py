@@ -261,7 +261,12 @@ def _collect(pairs, errors=()):
 
 def _fork(pairs):
     """Collect pairs in a forked process, which pickles what it collected
-    into a pipe and leaves; returns its pid and the pipe's read end."""
+    into a pipe and leaves; returns its pid and the pipe's read end.
+
+    A fork, not a spawned interpreter, so that the worker reads the store
+    and the members from memory instead of receiving them pickled. A fork
+    after BLAS has started its threads is tested not to hang.
+    """
     read, write = os.pipe()
     pid = os.fork()
     if pid == 0:
@@ -282,7 +287,7 @@ def _join(pid, pipe):
     with pipe:
         try:
             sent = pickle.load(pipe)
-        except Exception:  # cut short: the wait status says why
+        except (EOFError, pickle.UnpicklingError):  # cut short: the wait status says why
             sent = None
     code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
     if code == 0 and sent is not None:
