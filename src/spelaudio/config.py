@@ -2,14 +2,19 @@
 ``[section]`` headers, chosen for diff-friendliness and zero-dependency
 parsing. Full-line comments start with ``#``; unknown sections, unknown
 keys, duplicates, and malformed values are all reported with their line
-number. An unset key takes the default of the dataclass field it fills.
-A key that the chosen source or task does not read is rejected.
+number. One table, ``_KEYS``, names each key once: its section, the field
+it fills, its parser and what a value must be. An unset key takes the
+default of the dataclass field it fills. A key that the chosen source or
+task does not read is rejected. ``canonical`` writes a config back as the
+text of the keys it reads, and ``config_hash`` hashes that text.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field, fields
+import math
+from dataclasses import dataclass, field
+from functools import reduce
 from pathlib import Path
 
 from .dsp import StftConfig, frame_count
@@ -18,12 +23,7 @@ from .learner import LearnerSpec
 from .metrics import DEFAULT_METRIC, TASK_METRICS
 from .synthetic import DOMAINS, SyntheticSpec
 
-__all__ = ["ConfigError", "ExperimentConfig", "load_config", "config_from_text"]
-
-# The section each data source reads; the other sources' sections are rejected.
-SOURCE_SECTIONS = {"synthetic": "synthetic", "wav-dir": "data"}
-# Fields run_experiment does not read: where the results go and the sweep's grid.
-_UNHASHED = ("output_dir", "sweep_m_grid", "sweep_budget", "sweep_k_max")
+__all__ = ["ConfigError", "ExperimentConfig", "canonical", "config_from_text", "load_config"]
 
 
 class ConfigError(ValueError):
@@ -99,9 +99,8 @@ class ExperimentConfig:
 
     @property
     def config_hash(self) -> str:
-        """Hash of the settings a run reads; the fields in _UNHASHED change nothing it does."""
-        kept = {f.name: getattr(self, f.name) for f in fields(self) if f.name not in _UNHASHED}
-        return hashlib.sha256(repr(kept).encode()).hexdigest()[:16]
+        """Hash of the canonical text of the keys a run reads."""
+        return hashlib.sha256(canonical(self, run_only=True).encode()).hexdigest()[:16]
 
     def clip_samples(self, sample_rate: int) -> int:
         return int(round(self.clip_seconds * sample_rate))
@@ -120,108 +119,6 @@ class ExperimentConfig:
         ]
 
 
-def _parse_lines(text: str):
-    """section -> key -> (value, line number); syntax errors carry line numbers."""
-    sections: dict[str, dict[str, tuple[str, int]]] = {}
-    current = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if line.startswith("[") and line.endswith("]"):
-            current = line[1:-1].strip()
-            if not current:
-                raise ConfigError(f"line {lineno}: empty section name")
-            sections.setdefault(current, {})
-            continue
-        if "=" not in line:
-            raise ConfigError(f"line {lineno}: expected 'key = value', got {line!r}")
-        if current is None:
-            raise ConfigError(f"line {lineno}: key outside any [section]")
-        key, _, value = line.partition("=")
-        key = key.strip()
-        value = value.strip()
-        if not key:
-            raise ConfigError(f"line {lineno}: missing key before '='")
-        if key in sections[current]:
-            raise ConfigError(f"line {lineno}: duplicate key {key!r} in [{current}]")
-        sections[current][key] = (value, lineno)
-    return sections
-
-
-class _Section:
-    def __init__(self, name: str, values: dict[str, tuple[str, int]]):
-        self.name = name
-        self.values = dict(values)
-        self.lines = {key: lineno for key, (_, lineno) in values.items()}
-
-    def parsed(self, key, default, parser, kind):
-        """The value run through parser. An empty or 'none' value means None
-        where the default is None; elsewhere the parser judges it."""
-        if key not in self.values:
-            return default
-        value, lineno = self.values.pop(key)
-        if default is None and value.lower() in ("", "none"):
-            return None
-        try:
-            return parser(value)
-        except (ValueError, TypeError, KeyError):
-            raise ConfigError(f"line {lineno}: [{self.name}] {key} must be {kind}, got {value!r}")
-
-    def str(self, key, default=None):
-        return self.parsed(key, default, str, "a string")
-
-    def int(self, key, default=None):
-        return self.parsed(key, default, int, "an integer")
-
-    def float(self, key, default=None):
-        return self.parsed(key, default, float, "a number")
-
-    def count(self, key, default=None):
-        return self.parsed(key, default, _count, "a non-negative integer")
-
-    def positive_int(self, key, default=None):
-        return self.parsed(key, default, _positive_int, "a positive integer")
-
-    def positive_float(self, key, default=None):
-        return self.parsed(key, default, _positive_float, "a positive number")
-
-    def fraction(self, key, default=None):
-        return self.parsed(key, default, _fraction, "a number in [0, 1]")
-
-    def choice(self, key, default, choices, kind=None):
-        lookup = {choice: choice for choice in choices}
-        return self.parsed(key, default, lookup.__getitem__, kind or f"one of {tuple(choices)}")
-
-    def unset(self, why, *keys):
-        """Reject the named keys, or every key left, as not read; why says what rules them out."""
-        for key in keys or list(self.values):
-            self.choice(key, "", (), kind=f"unset {why}")
-
-    def setting(self, key, value) -> str:
-        """'key = value', with its line when this config set it."""
-        lineno = self.lines.get(key)
-        return f"{key} = {value}" + ("" if lineno is None else f" (line {lineno})")
-
-    def where(self, *keys) -> str:
-        """'line N: ' or 'lines N, M: ' for the named keys, or every key, this
-        config set; empty when it set none of them."""
-        lines = sorted(self.lines[key] for key in keys or self.lines if key in self.lines)
-        return f"line{'s' * (len(lines) > 1)} {', '.join(map(str, lines))}: " if lines else ""
-
-    def build(self, factory, **kwargs):
-        """factory(**kwargs), its ValueError re-raised naming this section and
-        the lines of the keys it set."""
-        try:
-            return factory(**kwargs)
-        except ValueError as err:
-            raise ConfigError(f"{self.where()}[{self.name}] {err}") from err
-
-    def finish(self):
-        for key, (_, lineno) in self.values.items():
-            raise ConfigError(f"line {lineno}: unknown key {key!r} in [{self.name}]")
-
-
 def _in_range(cast, ok):
     """A parser of cast values for which ok holds."""
 
@@ -234,218 +131,315 @@ def _in_range(cast, ok):
     return parse
 
 
-_count = _in_range(int, lambda v: v >= 0)
+def _one_of(choices):
+    """A parser of the choices, and its kind."""
+    choices = tuple(choices)
+    return {choice: choice for choice in choices}.__getitem__, f"one of {choices}"
+
+
+def _groups(parse_item):
+    """A parser of ';'-separated groups of ','-separated items; an empty or
+    'none' group is ()."""
+
+    def parse(text: str):
+        groups = (group.strip() for group in text.split(";"))
+        return tuple(
+            tuple(parse_item(p) for p in group.split(",") if p.strip())
+            if group.lower() not in ("", "none") else ()
+            for group in groups
+        )
+
+    return parse
+
+
+def _directory(text: str) -> Path:
+    """A path that must name a directory once resolved."""
+    return Path(text)
+
+
 _positive_int = _in_range(int, lambda v: v >= 1)
-_positive_float = _in_range(float, lambda v: 0 < v < float("inf"))
-_non_negative_float = _in_range(float, lambda v: 0 <= v < float("inf"))
-_fraction = _in_range(float, lambda v: 0 <= v <= 1)
+_conv_layer = _in_range(lambda t: tuple(map(_positive_int, t.split("x"))), lambda v: len(v) == 3)
+# Parsers with the kind of value they accept. Numbers are finite.
+_INT = (int, "an integer")
+_COUNT = (_in_range(int, lambda v: v >= 0), "a non-negative integer")
+_POSITIVE_INT = (_positive_int, "a positive integer")
+_NUMBER = (_in_range(float, math.isfinite), "a finite number")
+_NON_NEGATIVE = (_in_range(float, lambda v: 0 <= v < math.inf), "a non-negative number")
+_POSITIVE = (_in_range(float, lambda v: 0 < v < math.inf), "a positive number")
+_FRACTION = (_in_range(float, lambda v: 0 <= v <= 1), "a number in [0, 1]")
+_GRID = (
+    _in_range(lambda t: tuple(_positive_int(p) for p in t.split(",") if p.strip()), len),
+    "comma-separated positive integers",
+)
+
+# Every key: (section, key, field it fills, parser, kind). A field is an
+# ExperimentConfig attribute, dotted into the dataclass that holds it; the
+# source's field is a property, which says whether a synthetic spec is set.
+_KEYS = (
+    ("experiment", "source", "source", *_one_of(("synthetic", "wav-dir"))),
+    ("experiment", "task", "task", *_one_of(TASK_METRICS)),
+    ("experiment", "seed", "spel.seed", *_COUNT),
+    ("experiment", "metric", "metric", str, "a metric the task scores"),
+    ("experiment", "val_domain", "synthetic.val_domain", *_one_of(DOMAINS)),
+    ("experiment", "output_dir", "output_dir", Path, "a path"),
+    ("dsp", "n_fft", "stft.n_fft", *_POSITIVE_INT),
+    ("dsp", "hop", "stft.hop", *_POSITIVE_INT),
+    ("dsp", "win_length", "stft.win_length", *_POSITIVE_INT),
+    ("dsp", "n_mels", "n_mels", *_POSITIVE_INT),
+    ("dsp", "fmin", "fmin", *_NON_NEGATIVE),
+    ("dsp", "fmax", "fmax", *_NUMBER),
+    ("dsp", "clip_seconds", "clip_seconds", *_POSITIVE),
+    ("spel", "members", "spel.n_members", *_POSITIVE_INT),
+    ("spel", "steps", "spel.n_steps", *_COUNT),
+    ("spel", "per_step", "spel.per_step", *_POSITIVE_INT),
+    ("spel", "learning_rate", "spel.learning_rate", *_POSITIVE),
+    ("spel", "pretrain_epochs", "spel.pretrain_epochs", *_POSITIVE_INT),
+    ("spel", "spel_epochs", "spel.spel_epochs", *_POSITIVE_INT),
+    ("spel", "batch_size", "spel.batch_size", *_POSITIVE_INT),
+    (
+        "learner", "hidden", "hidden_specs", _groups(_positive_int),
+        "';'-separated groups of ','-separated positive widths",
+    ),
+    (
+        "learner", "conv", "conv_specs", _groups(_conv_layer),
+        "';'-separated groups of ','-separated 'channels x kernel x stride' layers",
+    ),
+    ("synthetic", "classes", "synthetic.n_classes", *_INT),
+    ("synthetic", "source_samples", "synthetic.n_source", *_INT),
+    ("synthetic", "val_samples", "synthetic.n_val", *_INT),
+    ("synthetic", "unlabeled_samples", "synthetic.n_unlabeled", *_INT),
+    ("synthetic", "test_samples", "synthetic.n_test", *_INT),
+    ("synthetic", "base_freq", "synthetic.base_freq", *_NUMBER),
+    ("synthetic", "freq_step", "synthetic.freq_step", *_NUMBER),
+    ("synthetic", "freq_jitter", "synthetic.freq_jitter", *_NUMBER),
+    ("synthetic", "harmonics", "synthetic.n_harmonics", *_INT),
+    ("synthetic", "source_noise", "synthetic.source_noise", *_NUMBER),
+    ("synthetic", "target_offset", "synthetic.target_freq_offset", *_NUMBER),
+    ("synthetic", "target_noise", "synthetic.target_noise", *_NUMBER),
+    ("synthetic", "amp_min", "synthetic.amp_min", *_NUMBER),
+    ("synthetic", "amp_max", "synthetic.amp_max", *_NUMBER),
+    ("synthetic", "sample_rate", "synthetic.sample_rate", *_INT),
+    ("synthetic", "label_density", "synthetic.label_density", *_NUMBER),
+    ("data", "source_dir", "source_dir", _directory, "a directory"),
+    ("data", "target_dir", "target_dir", _directory, "a directory"),
+    ("data", "train_fraction", "train_fraction", *_FRACTION),
+    ("data", "val_fraction", "val_fraction", *_FRACTION),
+    ("data", "unlabeled_fraction", "unlabeled_fraction", *_FRACTION),
+    ("sweep", "m_grid", "sweep_m_grid", *_GRID),
+    ("sweep", "budget", "sweep_budget", *_POSITIVE_INT),
+    ("sweep", "k_max", "sweep_k_max", *_POSITIVE_INT),
+)
+# The dataclass that holds each field, by the field's dotted prefix.
+_OWNERS = {"": ExperimentConfig, "stft": StftConfig, "spel": SpelConfig, "synthetic": SyntheticSpec}
+
+# Keys read only while an [experiment] setting (a key that is also its
+# field) has one value: (section, key, setting, value), where key None
+# stands for every key of the section. Set otherwise, the key is rejected.
+_READ_ONLY_WITH = (
+    ("synthetic", None, "source", "synthetic"),
+    ("data", None, "source", "wav-dir"),
+    ("experiment", "val_domain", "source", "synthetic"),
+    ("synthetic", "label_density", "task", "multilabel"),
+)
+# Keys no run reads, which its hash leaves out: where the results go, and
+# which runs a sweep makes.
+_OUTSIDE_A_RUN = (("experiment", "output_dir"), ("sweep", None))
 
 
-def _positive_int_list(text: str) -> tuple[int, ...]:
-    values = tuple(_positive_int(p.strip()) for p in text.split(",") if p.strip())
-    if not values:
-        raise ValueError(text)
-    return values
+def _names(rule, section: str, key: str) -> bool:
+    """Whether a rule's (section, key or None for all of it) names this key."""
+    return rule[0] == section and rule[1] in (None, key)
 
 
-def _parse_groups(value: str, parse_item):
-    """';'-separated groups of ','-separated items; an empty or 'none' group is ()."""
-    groups = []
-    for group in value.split(";"):
-        group = group.strip()
-        if not group or group.lower() == "none":
-            groups.append(())
-        else:
-            groups.append(tuple(parse_item(p.strip()) for p in group.split(",") if p.strip()))
-    return tuple(groups)
+def _unread_with(section: str, key: str, value_of) -> str | None:
+    """The setting under which this key is not read, or None when it is read."""
+    for rule in _READ_ONLY_WITH:
+        if _names(rule, section, key) and value_of(rule[2]) != rule[3]:
+            return rule[2]
+    return None
 
 
-def _parse_conv_layer(text: str) -> tuple[int, int, int]:
-    dims = text.split("x")
-    if len(dims) != 3:
-        raise ValueError(text)
-    return tuple(_positive_int(d.strip()) for d in dims)
+class _Text(dict):
+    """(section, key) -> (value, line number) of the keys a config text set.
+    Syntax errors, unknown sections and unknown keys name their line."""
+
+    def __init__(self, text: str):
+        super().__init__()
+        known = {row[:2] for row in _KEYS}
+        sections = {section for section, _ in known}
+        section = None
+        for lineno, raw in enumerate(text.splitlines(), start=1):
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            if line.startswith("[") and line.endswith("]"):
+                section = line[1:-1].strip()
+                if not section:
+                    raise ConfigError(f"line {lineno}: empty section name")
+                if section not in sections:
+                    raise ConfigError(f"line {lineno}: unknown section [{section}]")
+                continue
+            if "=" not in line:
+                raise ConfigError(f"line {lineno}: expected 'key = value', got {line!r}")
+            if section is None:
+                raise ConfigError(f"line {lineno}: key outside any [section]")
+            key, _, value = (part.strip() for part in line.partition("="))
+            if not key:
+                raise ConfigError(f"line {lineno}: missing key before '='")
+            if (section, key) in self:
+                raise ConfigError(f"line {lineno}: duplicate key {key!r} in [{section}]")
+            if (section, key) not in known:
+                raise ConfigError(f"line {lineno}: unknown key {key!r} in [{section}]")
+            self[section, key] = (value, lineno)
+
+    def setting(self, section: str, key: str, value) -> str:
+        """'key = value', with its line when this config set it."""
+        lineno = self.get((section, key), (None, None))[1]
+        return f"{key} = {value}" + ("" if lineno is None else f" (line {lineno})")
+
+    def where(self, section: str, *keys: str) -> str:
+        """'line N: ' or 'lines N, M: ' for the named keys, or every key, this
+        config set in section; empty when it set none of them."""
+        lines = sorted(
+            lineno for (s, key), (_, lineno) in self.items()
+            if s == section and (not keys or key in keys)
+        )
+        return f"line{'s' * (len(lines) > 1)} {', '.join(map(str, lines))}: " if lines else ""
+
+    def reject(self, section: str, key: str, kind: str):
+        value, lineno = self[section, key]
+        raise ConfigError(f"line {lineno}: [{section}] {key} must be {kind}, got {value!r}")
+
+    def build(self, section: str, factory, **kwargs):
+        """factory(**kwargs), its ValueError re-raised naming section and the
+        lines of the keys this config set there."""
+        try:
+            return factory(**kwargs)
+        except ValueError as err:
+            raise ConfigError(f"{self.where(section)}[{section}] {err}") from err
 
 
 def config_from_text(text: str, base_dir: Path | None = None) -> ExperimentConfig:
-    """Build an ExperimentConfig from config text; relative paths resolve
-    against base_dir and referenced directories must exist."""
-    sections = _parse_lines(text)
-    known = {"experiment", "dsp", "spel", "learner", "sweep", *SOURCE_SECTIONS.values()}
-    for name in sections:
-        if name not in known:
-            raise ConfigError(f"unknown section [{name}]")
+    """Build an ExperimentConfig from config text. Relative paths resolve
+    against base_dir, else the working directory; [data] directories must exist."""
+    given = _Text(text)
+    parts = {owner: {} for owner in _OWNERS}
+    run = parts[""]
+    for section, key, name, parser, kind in _KEYS:
+        owner, _, attr = name.rpartition(".")
+        # The default of the field a key fills; an empty config is synthetic.
+        default = "synthetic" if name == "source" else getattr(_OWNERS[owner], attr)
+        parts[owner][attr] = default
+        if (section, key) not in given:
+            continue
+        setting = _unread_with(section, key, run.get)
+        if setting is not None:
+            rule = given.setting("experiment", setting, run[setting])
+            given.reject(section, key, f"unset with {rule}")
+        value, lineno = given[section, key]
+        if default is None and value.lower() in ("", "none"):
+            continue
+        try:
+            value = parser(value)
+        except (ValueError, TypeError, KeyError):
+            given.reject(section, key, kind)
+        if isinstance(value, Path):
+            value = (Path(base_dir or ".") / value).resolve()
+            if parser is _directory and not value.is_dir():
+                raise ConfigError(f"line {lineno}: [{section}] {key} does not exist: {value}")
+        parts[owner][attr] = value
 
-    def section(name):
-        return _Section(name, sections.get(name, {}))
-
-    exp = section("experiment")
-    source = exp.choice("source", "synthetic", SOURCE_SECTIONS)
-    with_source = f"with {exp.setting('source', source)}"
     # wav-dir labels each clip by its class subdirectory.
+    source, task = run.pop("source"), run["task"]
     tasks = tuple(TASK_METRICS) if source == "synthetic" else ("multiclass",)
-    task = exp.choice("task", ExperimentConfig.task, tasks, kind=f"one of {tasks} {with_source}")
-    with_task = f"with {exp.setting('task', task)}"
-    seed = exp.count("seed", SpelConfig.seed)
+    if task not in tasks:
+        with_source = given.setting("experiment", "source", source)
+        given.reject("experiment", "task", f"one of {tasks} with {with_source}")
     metrics = TASK_METRICS[task]
-    kind = f"one of {metrics} {with_task}; per task: {TASK_METRICS}"
-    metric = exp.choice("metric", ExperimentConfig.metric, metrics, kind=kind)
-    # Only the synthetic generator renders validation clips of either domain.
-    if source != "synthetic":
-        exp.unset(with_source, "val_domain")
-    val_domain = exp.choice("val_domain", SyntheticSpec.val_domain, DOMAINS)
-    output_dir = exp.str("output_dir", ExperimentConfig.output_dir)
-    exp.finish()
-    for name in set(SOURCE_SECTIONS.values()) - {SOURCE_SECTIONS[source]}:
-        section(name).unset(with_source)
+    if run["metric"] not in (None, *metrics):
+        with_task = given.setting("experiment", "task", task)
+        kind = f"one of {metrics} with {with_task}; per task: {TASK_METRICS}"
+        given.reject("experiment", "metric", kind)
 
-    dsp = section("dsp")
-    stft = dsp.build(
-        StftConfig,
-        n_fft=dsp.positive_int("n_fft", StftConfig.n_fft),
-        hop=dsp.positive_int("hop", StftConfig.hop),
-        win_length=dsp.positive_int("win_length", StftConfig.win_length),
-    )
-    n_mels = dsp.positive_int("n_mels", ExperimentConfig.n_mels)
-    fmin = dsp.parsed("fmin", ExperimentConfig.fmin, _non_negative_float, "a non-negative number")
-    fmax = dsp.float("fmax", ExperimentConfig.fmax)
-    clip_seconds = dsp.positive_float("clip_seconds", ExperimentConfig.clip_seconds)
-    dsp.finish()
-    if fmax is not None and not fmin < fmax:
-        where = dsp.where("fmin", "fmax")
-        raise ConfigError(f"{where}[dsp] need fmin < fmax, got fmin = {fmin}, fmax = {fmax}")
-
-    sp = section("spel")
-    spel = SpelConfig(
-        n_members=sp.positive_int("members", SpelConfig.n_members),
-        n_steps=sp.count("steps", SpelConfig.n_steps),
-        per_step=sp.positive_int("per_step", SpelConfig.per_step),
-        learning_rate=sp.positive_float("learning_rate", SpelConfig.learning_rate),
-        pretrain_epochs=sp.positive_int("pretrain_epochs", SpelConfig.pretrain_epochs),
-        spel_epochs=sp.positive_int("spel_epochs", SpelConfig.spel_epochs),
-        batch_size=sp.positive_int("batch_size", SpelConfig.batch_size),
-        seed=seed,
-    )
-    sp.finish()
-
-    lrn = section("learner")
-    hidden_specs = lrn.parsed(
-        "hidden",
-        ExperimentConfig.hidden_specs,
-        lambda v: _parse_groups(v, _positive_int),
-        "';'-separated groups of ','-separated positive widths",
-    )
-    conv_specs = lrn.parsed(
-        "conv",
-        ExperimentConfig.conv_specs,
-        lambda v: _parse_groups(v, _parse_conv_layer),
-        "';'-separated groups of ','-separated 'channels x kernel x stride' layers",
-    )
-    lrn.finish()
-
+    stft = given.build("dsp", StftConfig, **parts["stft"])
     synthetic = None
     if source == "synthetic":
-        syn = section("synthetic")
-        if task != "multilabel":
-            syn.unset(with_task, "label_density")
-        synthetic = syn.build(
-            SyntheticSpec,
-            n_classes=syn.int("classes", SyntheticSpec.n_classes),
-            n_source=syn.int("source_samples", SyntheticSpec.n_source),
-            n_val=syn.int("val_samples", SyntheticSpec.n_val),
-            n_unlabeled=syn.int("unlabeled_samples", SyntheticSpec.n_unlabeled),
-            n_test=syn.int("test_samples", SyntheticSpec.n_test),
-            base_freq=syn.float("base_freq", SyntheticSpec.base_freq),
-            freq_step=syn.float("freq_step", SyntheticSpec.freq_step),
-            freq_jitter=syn.float("freq_jitter", SyntheticSpec.freq_jitter),
-            n_harmonics=syn.int("harmonics", SyntheticSpec.n_harmonics),
-            source_noise=syn.float("source_noise", SyntheticSpec.source_noise),
-            target_freq_offset=syn.float("target_offset", SyntheticSpec.target_freq_offset),
-            target_noise=syn.float("target_noise", SyntheticSpec.target_noise),
-            amp_min=syn.float("amp_min", SyntheticSpec.amp_min),
-            amp_max=syn.float("amp_max", SyntheticSpec.amp_max),
-            sample_rate=syn.int("sample_rate", SyntheticSpec.sample_rate),
-            duration=clip_seconds,
-            task=task,
-            label_density=syn.float("label_density", SyntheticSpec.label_density),
-            val_domain=val_domain,
-        )
-        syn.finish()
+        spec = {**parts["synthetic"], "duration": run["clip_seconds"], "task": task}
+        synthetic = given.build("synthetic", SyntheticSpec, **spec)
+    spel = SpelConfig(**parts["spel"])
+    cfg = given.build("data", ExperimentConfig, **run, stft=stft, spel=spel, synthetic=synthetic)
+
+    fmin, fmax = cfg.fmin, cfg.fmax
+    if fmax is not None and not fmin < fmax:
+        where = given.where("dsp", "fmin", "fmax")
+        raise ConfigError(f"{where}[dsp] need fmin < fmax, got fmin = {fmin}, fmax = {fmax}")
+    if synthetic is not None:
         # The mel band ends at fmax, or at the Nyquist frequency when fmax is unset.
-        rate = syn.setting("sample_rate", synthetic.sample_rate)
+        rate = given.setting("synthetic", "sample_rate", synthetic.sample_rate)
         nyquist = synthetic.sample_rate / 2
         if fmax is not None and fmax > nyquist:
             raise ConfigError(
-                f"{dsp.where('fmax')}[dsp] fmax = {fmax} exceeds the Nyquist frequency "
+                f"{given.where('dsp', 'fmax')}[dsp] fmax = {fmax} exceeds the Nyquist frequency "
                 f"{nyquist} of [synthetic] {rate}"
             )
         if fmax is None and fmin >= nyquist:
             raise ConfigError(
-                f"{dsp.where('fmin')}[dsp] fmin = {fmin} is not below the Nyquist frequency "
-                f"{nyquist} of [synthetic] {rate}"
+                f"{given.where('dsp', 'fmin')}[dsp] fmin = {fmin} is not below the Nyquist "
+                f"frequency {nyquist} of [synthetic] {rate}"
             )
         # Member input geometry, known before any clip is rendered.
-        n_frames = dsp.build(frame_count, n_samples=synthetic.clip_samples, config=stft)
-
-    data = section("data")
-    source_dir = data.str("source_dir", ExperimentConfig.source_dir)
-    target_dir = data.str("target_dir", ExperimentConfig.target_dir)
-    train_fraction = data.fraction("train_fraction", ExperimentConfig.train_fraction)
-    val_fraction = data.fraction("val_fraction", ExperimentConfig.val_fraction)
-    unlabeled_fraction = data.fraction("unlabeled_fraction", ExperimentConfig.unlabeled_fraction)
-    data.finish()
-
-    def resolve(p):
-        if p is None:
-            return None
-        path = Path(p)
-        if not path.is_absolute() and base_dir is not None:
-            path = Path(base_dir) / path
-        return path
-
-    source_dir = resolve(source_dir)
-    target_dir = resolve(target_dir)
-    for label, path in (("source_dir", source_dir), ("target_dir", target_dir)):
-        if path is not None and not path.is_dir():
-            raise ConfigError(f"{data.where(label)}[data] {label} does not exist: {path}")
-
-    sweep = section("sweep")
-    sweep_m_grid = sweep.parsed(
-        "m_grid",
-        ExperimentConfig.sweep_m_grid,
-        _positive_int_list,
-        "comma-separated positive integers",
-    )
-    sweep_budget = sweep.positive_int("budget", ExperimentConfig.sweep_budget)
-    sweep_k_max = sweep.positive_int("k_max", ExperimentConfig.sweep_k_max)
-    sweep.finish()
-
-    cfg = data.build(
-        ExperimentConfig,
-        task=task,
-        output_dir=resolve(output_dir),
-        metric=metric,
-        stft=stft,
-        n_mels=n_mels,
-        fmin=fmin,
-        fmax=fmax,
-        clip_seconds=clip_seconds,
-        spel=spel,
-        hidden_specs=hidden_specs,
-        conv_specs=conv_specs,
-        synthetic=synthetic,
-        source_dir=source_dir,
-        target_dir=target_dir,
-        train_fraction=train_fraction,
-        val_fraction=val_fraction,
-        unlabeled_fraction=unlabeled_fraction,
-        sweep_m_grid=sweep_m_grid,
-        sweep_budget=sweep_budget,
-        sweep_k_max=sweep_k_max,
-    )
-    if synthetic is not None:
-        lrn.build(cfg.learner_specs, input_shape=(n_frames, n_mels), n_classes=synthetic.n_classes)
+        n_frames = given.build("dsp", frame_count, n_samples=synthetic.clip_samples, config=stft)
+        given.build(
+            "learner", cfg.learner_specs, input_shape=(n_frames, cfg.n_mels),
+            n_classes=synthetic.n_classes,
+        )
+    if max(cfg.sweep_m_grid) > cfg.sweep_budget:
+        where = given.where("sweep", "m_grid", "budget")
+        raise ConfigError(
+            f"{where}[sweep] m_grid entry {max(cfg.sweep_m_grid)} exceeds budget = "
+            f"{cfg.sweep_budget}, so it makes no run"
+        )
     return cfg
+
+
+def _text(value) -> str:
+    """A parsed value in the config language, which its parser reads back."""
+    if value is None:
+        return "none"
+    if isinstance(value, float):
+        return repr(value)
+    if not isinstance(value, tuple):
+        return str(value)
+    if all(isinstance(item, int) for item in value):  # the sweep grid
+        return ",".join(map(str, value))
+    # Member groups of hidden widths, or of conv layers (channels x kernel x stride).
+    return "; ".join(
+        ",".join("x".join(map(str, i)) if isinstance(i, tuple) else str(i) for i in group) or "none"
+        for group in value
+    )
+
+
+def canonical(cfg: ExperimentConfig, run_only: bool = False) -> str:
+    """cfg as config text: every key the parser reads for its source and
+    task, in section order, one per line, so that config_from_text reads it
+    back to cfg. Floats are written by repr, paths as resolved at parse, and
+    'none' marks an unset optional key. run_only leaves out the keys no run
+    reads; that text is what config_hash hashes and summary.json carries."""
+
+    def value_of(name):
+        return reduce(getattr, name.split("."), cfg)
+
+    lines, current = [], None
+    for section, key, name, _, _ in _KEYS:
+        if _unread_with(section, key, value_of) or (
+            run_only and any(_names(rule, section, key) for rule in _OUTSIDE_A_RUN)
+        ):
+            continue
+        if section != current:
+            lines.append(f"[{section}]")
+            current = section
+        lines.append(f"{key} = {_text(value_of(name))}")
+    return "\n".join(lines) + "\n"
 
 
 def load_config(path) -> ExperimentConfig:

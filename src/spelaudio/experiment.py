@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import ConfigError, ExperimentConfig, load_config
+from .config import ConfigError, ExperimentConfig, canonical, load_config
 from .dsp import MelFilterbank, Signal, StftConfig, frame_count, mel_filterbank, preprocess
 from .engine import ExperimentData, RoundReport, run_spel, write_text_atomic
 from .ensemble import Ensemble, avg_predict
@@ -215,6 +215,7 @@ def round_csv_text(record: ResultsRecord) -> str:
 def _summary_payload(record: ResultsRecord) -> dict:
     config, mc = record.config, record.mcnemar_vs_baseline
     return {
+        "config": canonical(config, run_only=True),
         "config_hash": config.config_hash,
         "task": config.task,
         "metric": config.metric,
@@ -283,11 +284,10 @@ def run_experiment(config: ExperimentConfig | str | Path) -> ResultsRecord:
 
 
 def enumerate_grid(m_grid, budget: int, k_max: int | None = None) -> list[tuple[int, int]]:
-    """All legal (per-step, steps) pairs: steps >= 1 and per_step * steps <= budget."""
+    """All legal (per-step, steps) pairs: steps >= 1 and per_step * steps <= budget.
+    The config keeps every m_grid entry in [1, budget]."""
     pairs = []
     for m in m_grid:
-        if m < 1 or m > budget:
-            continue
         top = budget // m
         if k_max is not None:
             top = min(top, k_max)

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import re
 from pathlib import Path
 
@@ -21,6 +22,8 @@ from spelaudio.synthetic import SyntheticSpec
 from spelaudio.wavio import write_wav
 
 from test_data_golden import _digests
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 FULL = """\
 [experiment]
@@ -247,6 +250,8 @@ class TestErrors:
             "[dsp] hop =",
             "[spel] members = none",
             "[synthetic] freq_jitter = none",
+            "[synthetic] freq_jitter = nan",
+            "[synthetic] target_noise = nan",
             "[experiment] seed = none",
             "[sweep] m_grid =",
             "[experiment] task = bogus",
@@ -297,6 +302,15 @@ class TestErrors:
     def test_none_hidden_group_is_a_linear_member(self):
         cfg = config_from_text("[learner]\nhidden = none\n")
         assert cfg.hidden_specs == ((),)
+
+    @pytest.mark.parametrize("budget, lines", [("budget = 1000\n", "lines 2, 3"), ("", "line 2")])
+    def test_grid_entry_above_the_budget_names_its_lines(self, budget, lines):
+        """An m_grid entry above the budget makes no (per_step, steps) pair."""
+        text = f"[sweep]\nm_grid = 50,2000\n{budget}"
+        message = rf"^{lines}: \[sweep\] m_grid entry 2000 exceeds budget = 1000"
+        with pytest.raises(ConfigError, match=message):
+            config_from_text(text)
+        assert config_from_text(text.replace("2000", "1000")).sweep_m_grid == (50, 1000)
 
     def test_comments_and_blanks_ignored(self):
         text = "# top comment\n\n[experiment]\n# inner\ntask = multiclass\n"
@@ -603,15 +617,75 @@ def test_every_key_is_live_or_rejected_with_its_line(section, key, context, corp
     assert _computed(cfg) != base_computed[context], f"[{section}] {key} = {value} changes nothing"
 
 
-def test_liveness_table_lists_every_key_the_parser_reads(monkeypatch, corpora):
-    asked = set()
-    parsed = config._Section.parsed
+def test_liveness_table_lists_every_key_the_parser_reads():
+    rows = [row[:2] for row in config._KEYS]
+    assert len(rows) == len(set(rows)) and set(rows) == set(CHANGES)
 
-    def recording(self, key, *args):
-        asked.add((self.name, key))
-        return parsed(self, key, *args)
 
-    monkeypatch.setattr(config._Section, "parsed", recording)
-    for sections in CONTEXTS.values():
-        config_from_text(_config_text(sections)[0], base_dir=corpora)
-    assert asked == set(CHANGES)
+# --- the canonical text ------------------------------------------------------
+
+_OPTIONAL_NONE = (
+    "[experiment]\nmetric = none\noutput_dir = none\n[dsp]\nfmax = none\n[sweep]\nk_max = none\n"
+)
+
+
+@pytest.fixture
+def suite_configs(tmp_path, corpora):
+    """Every config the suite builds from text, by name."""
+    for name in ("source", "target"):
+        (tmp_path / "corpora" / name).mkdir(parents=True)
+    blocks = README.read_text().split("```ini\n")[1:]
+    synthetic, wav = (block.split("```", 1)[0] for block in blocks)
+    contexts = {
+        f"context {name}": config_from_text(_config_text(sections)[0], base_dir=corpora)
+        for name, sections in CONTEXTS.items()
+    }
+    return {
+        "FULL": config_from_text(FULL),
+        "README synthetic": config_from_text(synthetic),
+        "README wav-dir": config_from_text(wav, base_dir=tmp_path),
+        "benchmark_config(0)": benchmark_config(0),
+        "multilabel": config_from_text("[experiment]\ntask = multilabel\n"),
+        "none-valued optional keys": config_from_text(_OPTIONAL_NONE),
+        **contexts,
+    }
+
+
+def test_canonical_text_reads_back_to_its_config(suite_configs):
+    for name, cfg in suite_configs.items():
+        text = config.canonical(cfg)
+        assert config_from_text(text) == cfg, name
+        assert config.canonical(config_from_text(text)) == text, name
+
+
+def _keys_written(cfg, **kwargs):
+    """The keys and section headers of cfg's canonical text."""
+    return {line.split(" = ")[0] for line in config.canonical(cfg, **kwargs).splitlines()}
+
+
+def test_canonical_text_writes_the_keys_its_source_and_task_read(suite_configs):
+    synthetic = _keys_written(suite_configs["context synthetic"])
+    assert "classes" in synthetic and "source_dir" not in synthetic
+    assert "val_domain" in synthetic and "label_density" not in synthetic
+    assert "label_density" in _keys_written(suite_configs["context multilabel"])
+    wav = _keys_written(suite_configs["context wav-dir"])
+    assert "source_dir" in wav and "[synthetic]" not in wav and "val_domain" not in wav
+    assert "fmax = none" in config.canonical(suite_configs["none-valued optional keys"])
+
+
+def test_config_hash_is_of_the_text_a_run_reads(suite_configs):
+    for name, cfg in suite_configs.items():
+        text = config.canonical(cfg, run_only=True)
+        assert cfg.config_hash == hashlib.sha256(text.encode()).hexdigest()[:16], name
+        left_out = _keys_written(cfg) - _keys_written(cfg, run_only=True)
+        assert left_out == {"output_dir", "[sweep]", "m_grid", "budget", "k_max"}, name
+
+
+def test_readme_configuration_names_every_key():
+    section = README.read_text().split("## Configuration", 1)[1].split("\n## ", 1)[0]
+    missing = [
+        f"[{section_name}] {key}"
+        for section_name, key, *_ in config._KEYS
+        if f"`{key}`" not in section and f"\n{key} = " not in section
+    ]
+    assert missing == []

@@ -1,3 +1,5 @@
+import dataclasses
+import hashlib
 import json
 import re
 
@@ -112,6 +114,17 @@ class TestRunExperiment:
         sum_a.pop("timings")  # clocks differ
         sum_b.pop("timings")
         assert sum_a == sum_b
+
+    def test_summary_carries_the_hashed_config_text(self, tmp_path):
+        """summary.json holds the canonical text of the keys the run read: it
+        hashes to config_hash and parses back to the config, output_dir aside."""
+        cfg = config_from_text(mini_config_text(tmp_path / "run", steps=0))
+        run_experiment(cfg)
+        summary = json.loads((tmp_path / "run" / "summary.json").read_text())
+        text = summary["config"]
+        assert hashlib.sha256(text.encode()).hexdigest()[:16] == summary["config_hash"]
+        assert summary["config_hash"] == cfg.config_hash
+        assert config_from_text(text) == dataclasses.replace(cfg, output_dir=None)
 
     def test_zero_steps_single_baseline_row(self, tmp_path):
         record = run_experiment(config_from_text(mini_config_text(tmp_path / "run", steps=0)))
