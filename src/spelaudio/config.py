@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from functools import reduce
 from pathlib import Path
 
-from .dsp import StftConfig, frame_count
+from .dsp import MelFilterbank, StftConfig, frame_count, mel_filterbank
 from .engine import SpelConfig
 from .learner import LearnerSpec
 from .metrics import DEFAULT_METRIC, TASK_METRICS
@@ -88,6 +88,12 @@ class ExperimentConfig:
             raise ValueError(
                 f"task {self.task!r} scores {TASK_METRICS[self.task]}, not metric {self.metric!r}"
             )
+        # Every m_grid entry makes at least one (per_step, steps) pair.
+        grid, budget, k_max = self.sweep_m_grid, self.sweep_budget, self.sweep_k_max
+        if budget < 1 or (k_max is not None and k_max < 1):
+            raise ValueError(f"sweep budget and k_max must be >= 1, got {budget} and {k_max}")
+        if not grid or not all(1 <= m <= budget for m in grid):
+            raise ValueError(f"sweep m_grid entries must lie in [1, budget = {budget}], got {grid}")
 
     @property
     def source(self) -> str:
@@ -117,6 +123,28 @@ class ExperimentConfig:
             )
             for i in range(self.spel.n_members)
         ]
+
+    def filterbank_at(self, rate: int, rate_from: str, n_classes: int,
+                      where=lambda section, key: "") -> MelFilterbank:
+        """The mel filterbank at sample rate rate, once the mel band, the clip
+        length and the member input shape that the rate fixes are checked.
+        A failed check raises a ConfigError naming the setting's lines, as
+        where(section, key) gives them, rate_from (where the rate came from),
+        the setting as config text, and the reason."""
+        band = "fmin" if self.fmax is None else "fmax"
+        setting = ("dsp", band, getattr(self, band))  # the one the next step checks
+        try:
+            fb = mel_filterbank(self.n_mels, self.stft.n_fft, rate, self.fmin, self.fmax)
+            setting = ("dsp", "clip_seconds", self.clip_seconds)
+            n_frames = frame_count(self.clip_samples(rate), self.stft)
+            setting = ("learner", "conv", self.conv_specs)
+            self.learner_specs((n_frames, self.n_mels), n_classes)
+        except ValueError as err:
+            section, key, value = setting
+            raise ConfigError(
+                f"{where(section, key)}{rate_from}: [{section}] {key} = {_text(value)}: {err}"
+            ) from err
+        return fb
 
 
 def _in_range(cast, ok):
@@ -361,6 +389,13 @@ def config_from_text(text: str, base_dir: Path | None = None) -> ExperimentConfi
         kind = f"one of {metrics} with {with_task}; per task: {TASK_METRICS}"
         given.reject("experiment", "metric", kind)
 
+    # Checked before ExperimentConfig refuses it, so the error names [sweep].
+    top, budget = max(run["sweep_m_grid"]), run["sweep_budget"]
+    if top > budget:
+        where = given.where("sweep", "m_grid", "budget")
+        raise ConfigError(
+            f"{where}[sweep] m_grid entry {top} exceeds budget = {budget}, so it makes no run"
+        )
     stft = given.build("dsp", StftConfig, **parts["stft"])
     synthetic = None
     if source == "synthetic":
@@ -374,31 +409,10 @@ def config_from_text(text: str, base_dir: Path | None = None) -> ExperimentConfi
         where = given.where("dsp", "fmin", "fmax")
         raise ConfigError(f"{where}[dsp] need fmin < fmax, got fmin = {fmin}, fmax = {fmax}")
     if synthetic is not None:
-        # The mel band ends at fmax, or at the Nyquist frequency when fmax is unset.
+        # The rate is known before any clip is rendered.
         rate = given.setting("synthetic", "sample_rate", synthetic.sample_rate)
-        nyquist = synthetic.sample_rate / 2
-        if fmax is not None and fmax > nyquist:
-            raise ConfigError(
-                f"{given.where('dsp', 'fmax')}[dsp] fmax = {fmax} exceeds the Nyquist frequency "
-                f"{nyquist} of [synthetic] {rate}"
-            )
-        if fmax is None and fmin >= nyquist:
-            raise ConfigError(
-                f"{given.where('dsp', 'fmin')}[dsp] fmin = {fmin} is not below the Nyquist "
-                f"frequency {nyquist} of [synthetic] {rate}"
-            )
-        # Member input geometry, known before any clip is rendered.
-        n_frames = given.build("dsp", frame_count, n_samples=synthetic.clip_samples, config=stft)
-        given.build(
-            "learner", cfg.learner_specs, input_shape=(n_frames, cfg.n_mels),
-            n_classes=synthetic.n_classes,
-        )
-    if max(cfg.sweep_m_grid) > cfg.sweep_budget:
-        where = given.where("sweep", "m_grid", "budget")
-        raise ConfigError(
-            f"{where}[sweep] m_grid entry {max(cfg.sweep_m_grid)} exceeds budget = "
-            f"{cfg.sweep_budget}, so it makes no run"
-        )
+        cfg.filterbank_at(synthetic.sample_rate, f"[synthetic] {rate}", synthetic.n_classes,
+                          given.where)
     return cfg
 
 

@@ -266,12 +266,12 @@ def mel_filterbank(
     if n_mels < 1:
         raise ValueError("n_mels must be >= 1")
     nyquist = sample_rate / 2.0
-    if fmax is None:
-        fmax = nyquist
+    top = f"fmax={fmax}" if fmax is not None else f"the Nyquist frequency {nyquist}"
+    fmax = nyquist if fmax is None else fmax
     if fmax > nyquist:
         raise ValueError(f"fmax={fmax} exceeds the Nyquist frequency {nyquist}")
     if not 0 <= fmin < fmax:
-        raise ValueError(f"need 0 <= fmin < fmax, got fmin={fmin}, fmax={fmax}")
+        raise ValueError(f"need 0 <= fmin < {top}, got fmin={fmin}")
 
     n_bins = n_fft // 2 + 1
     bin_hz = np.arange(n_bins) * (sample_rate / n_fft)

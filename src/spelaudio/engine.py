@@ -41,7 +41,7 @@ import pickle
 import signal
 import traceback
 from collections.abc import Mapping
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from itertools import zip_longest
 from pathlib import Path
 from types import MappingProxyType
@@ -425,11 +425,12 @@ def run_spel(
     image store, and each round trains on rows of that store, so the run
     copies no split. With a checkpoint directory, every computed round is
     persisted; `resume=True` loads the rounds up to the latest complete one
-    instead, reproducing the uninterrupted run exactly, and refuses a
-    checkpoint of other run settings or member specs, or no checkpoint
-    directory. No round reads the round count, so the resumed run may have
-    fewer or more rounds than the checkpointed one. Nothing checks that a
-    resume runs on the data of its checkpoint.
+    instead, reproducing the uninterrupted run exactly, and refuses no
+    checkpoint directory, or a round of other member specs or stamped with
+    other values of the settings its stage reads (round 0 stamps neither
+    per_step nor spel_epochs). No round reads the round count, so the
+    resumed run may have fewer or more rounds than the checkpointed one.
+    Nothing checks that a resume runs on the data of its checkpoint.
     """
     if config.n_steps > 0 and len(data.unlabeled) == 0:
         raise ValueError("self-paced rounds need a nonempty unlabeled set")
@@ -475,10 +476,12 @@ def write_text_atomic(path: Path, text: str) -> None:
         fh.write(text)
 
 
-# The run settings stamped on every round record: every SpelConfig field but
-# the round count, which no round reads, so a resumed run may stop earlier or
-# go further.
-_STAMPED_SETTINGS = tuple(f.name for f in fields(SpelConfig) if f.name != "n_steps")
+# The run settings that round j's record stamps, _STAGE_SETTINGS[min(j, 1)]:
+# what pretraining reads, and for later rounds, which build on it, also what
+# a round reads. No round reads the round count, so a resumed run may stop
+# earlier or go further.
+_PRETRAIN_SETTINGS = ("n_members", "learning_rate", "pretrain_epochs", "batch_size", "seed")
+_STAGE_SETTINGS = (_PRETRAIN_SETTINGS, (*_PRETRAIN_SETTINGS, "per_step", "spel_epochs"))
 
 
 def save_round(
@@ -490,9 +493,9 @@ def save_round(
     config: SpelConfig,
 ) -> None:
     """Persist one round: member checkpoints, then the round record last
-    (its presence marks the round complete), stamped with the run settings.
-    An earlier record of the round is removed first, so a rewrite cut short
-    leaves the round incomplete."""
+    (its presence marks the round complete), stamped with the run settings
+    its stage reads. An earlier record of the round is removed first, so a
+    rewrite cut short leaves the round incomplete."""
     rdir = _round_dir(Path(checkpoint_dir), j)
     rdir.mkdir(parents=True, exist_ok=True)
     (rdir / "round.json").unlink(missing_ok=True)
@@ -501,8 +504,7 @@ def save_round(
     payload = {
         "round": report.round_index,
         "metrics": report.metrics,
-        "n_members": ensemble.n,
-        "config": {name: getattr(config, name) for name in _STAMPED_SETTINGS},
+        "config": {name: getattr(config, name) for name in _STAGE_SETTINGS[min(j, 1)]},
         "pseudo": None
         if report.pseudo is None
         else {name: getattr(report.pseudo, name).tolist() for name in _PSEUDO_DTYPES},
@@ -523,11 +525,12 @@ def load_round(
     With members=False only the record is read and the first two entries
     are None. A malformed record raises ValueError naming its path and
     round, and so does one that names another round, or has a pseudo set
-    in round 0 and none (or an empty one) later; a record stamped with
-    other settings (an unstamped record records None) or members of other
-    specs raise ValueError naming the round and the first difference. Keys
-    the record does not read, such as the pseudo count older records carry,
-    are ignored.
+    in round 0 and none (or an empty one) later. A record whose stamp
+    differs from config in a setting its stage reads (an unstamped record
+    records None), or config.n_members members of other specs, raise
+    ValueError naming the round and the first difference. Keys the record
+    does not read, such as the pseudo count and member count older records
+    carry, are ignored.
     """
     rdir = _round_dir(Path(checkpoint_dir), j)
     path = rdir / "round.json"
@@ -542,13 +545,12 @@ def load_round(
         if (pseudo is None) != (j == 0):
             raise ValueError("only round 0 has no pseudo set")
         report = RoundReport(j, record["metrics"], pseudo)
-        n_members = record["n_members"]
         stamp = record.get("config", {})
     except (KeyError, TypeError, ValueError) as err:
         raise ValueError(
             f"{path}: round {j} record is malformed, {type(err).__name__}: {err}"
         ) from err
-    for name in _STAMPED_SETTINGS:
+    for name in _STAGE_SETTINGS[min(j, 1)]:
         if stamp.get(name) != getattr(config, name):
             raise ValueError(
                 f"round {j} checkpoint records {name} = {stamp.get(name)!r}, "
@@ -556,7 +558,7 @@ def load_round(
             )
     if not members:
         return None, None, report
-    loaded = [load_params(rdir / f"member_{i:02d}.npz") for i in range(n_members)]
+    loaded = [load_params(rdir / f"member_{i:02d}.npz") for i in range(config.n_members)]
     ensemble = Ensemble(tuple(params for params, _ in loaded))
     states = [state for _, state in loaded]
     loaded_specs = (member.spec for member in ensemble.members)

@@ -12,14 +12,13 @@ from __future__ import annotations
 import dataclasses
 import json
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .config import ConfigError, ExperimentConfig, canonical, load_config
-from .dsp import MelFilterbank, Signal, StftConfig, frame_count, mel_filterbank, preprocess
+from .dsp import MelFilterbank, Signal, StftConfig, frame_count, preprocess
 from .engine import ExperimentData, RoundReport, run_spel, write_text_atomic
 from .ensemble import Ensemble, avg_predict
 from .learner import LearnerSpec
@@ -79,29 +78,6 @@ def _scan_wavs(root: Path):
     return classes, files, np.asarray(labels, dtype=np.int64)
 
 
-@contextmanager
-def _blame(setting: str, path: Path, rate: int):
-    """Re-raise a ValueError from the block as a ConfigError naming the
-    setting and the file whose sample rate fixed the geometry."""
-    try:
-        yield
-    except ValueError as err:
-        raise ConfigError(f"{path} (sample rate {rate}): {setting}: {err}") from err
-
-
-def _geometry_at_rate(config: ExperimentConfig, n_classes: int, path: Path, rate: int):
-    """The filterbank for the first file's rate, once the mel band, the clip
-    length and the member input shape that rate fixes are checked."""
-    band = "fmin" if config.fmax is None else "fmax"
-    with _blame(f"[dsp] {band} = {getattr(config, band)}", path, rate):
-        fb = mel_filterbank(config.n_mels, config.stft.n_fft, rate, config.fmin, config.fmax)
-    with _blame(f"[dsp] clip_seconds = {config.clip_seconds}", path, rate):
-        n_frames = frame_count(config.clip_samples(rate), config.stft)
-    with _blame(f"[learner] conv = {config.conv_specs}", path, rate):
-        config.learner_specs((n_frames, config.n_mels), n_classes)
-    return fb
-
-
 def _check_headers(files, config: ExperimentConfig, n_classes: int):
     """The first file's sample rate and its filterbank, once every file's
     header, in scan order, shows that rate and the geometry the rate fixes
@@ -111,7 +87,7 @@ def _check_headers(files, config: ExperimentConfig, n_classes: int):
         file_rate = wav_sample_rate(path)
         if rate is None:
             rate = file_rate
-            fb = _geometry_at_rate(config, n_classes, path, rate)
+            fb = config.filterbank_at(rate, f"{path} (sample rate {rate})", n_classes)
         elif file_rate != rate:
             raise ConfigError(
                 f"{path}: sample rate {file_rate} differs from {rate}; "

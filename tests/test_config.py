@@ -9,7 +9,7 @@ import pytest
 from spelaudio import config
 from spelaudio.config import ConfigError, ExperimentConfig, config_from_text, load_config
 from spelaudio.dsp import Signal
-from spelaudio.engine import _STAMPED_SETTINGS
+from spelaudio.engine import _STAGE_SETTINGS
 from spelaudio.experiment import (
     benchmark_config,
     benchmark_config_text,
@@ -120,7 +120,7 @@ class TestParsing:
         )
         assert edited.config_hash != bench.config_hash
         # run_experiment reads none of the [sweep] keys.
-        swept = dataclasses.replace(bench, sweep_budget=7, sweep_m_grid=(10,))
+        swept = dataclasses.replace(bench, sweep_budget=70, sweep_m_grid=(10,))
         assert swept.config_hash == bench.config_hash
         stepped = dataclasses.replace(swept, spel=dataclasses.replace(bench.spel, per_step=7))
         assert stepped.config_hash != bench.config_hash
@@ -323,6 +323,9 @@ def _wav_dirs(tmp_path):
     return "[experiment]\nsource = wav-dir\n[data]\nsource_dir = src\ntarget_dir = tgt\n"
 
 
+_GRID_RANGE = r"sweep m_grid entries must lie in \[1, budget = 1000\]"
+
+
 class TestDataclassErrors:
     @pytest.mark.parametrize(
         "line",
@@ -360,6 +363,23 @@ class TestDataclassErrors:
         message = r"line 6: \[data\] train_fraction must be a number in \[0, 1\]"
         with pytest.raises(ConfigError, match=message):
             config_from_text(_wav_dirs(tmp_path) + text, base_dir=tmp_path)
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"sweep_m_grid": ()}, rf"^{_GRID_RANGE}, got \(\)$"),
+            ({"sweep_m_grid": (0,)}, rf"^{_GRID_RANGE}, got \(0,\)$"),
+            ({"sweep_m_grid": (5000,)}, rf"^{_GRID_RANGE}, got \(5000,\)$"),
+            ({"sweep_budget": 0}, r"^sweep budget and k_max must be >= 1, got 0 and None$"),
+            ({"sweep_k_max": 0}, r"^sweep budget and k_max must be >= 1, got 1000 and 0$"),
+        ],
+        ids=["empty-grid", "zero-entry", "entry-above-budget", "zero-budget", "zero-k_max"],
+    )
+    def test_sweep_fields_that_make_no_run_are_refused_at_construction(self, fields, message):
+        """Each m_grid entry makes at least one (per_step, steps) pair, so
+        enumerate_grid neither divides by zero nor skips an entry."""
+        with pytest.raises(ValueError, match=message):
+            dataclasses.replace(benchmark_config(0), **fields)
 
     def test_synthetic_clips_last_clip_seconds(self):
         cfg = config_from_text("[dsp]\nclip_seconds = 0.2\n")
@@ -438,8 +458,8 @@ class TestParseTimeSignalChecks:
     def test_fmax_above_nyquist_names_fmax_and_sample_rate(self):
         text = _TINY_TEXT.format(dsp="fmax = 2500\n", rest="")
         message = (
-            r"^line 7: \[dsp\] fmax = 2500.0 exceeds the Nyquist frequency 2000.0 "
-            r"of \[synthetic\] sample_rate = 4000 \(line 9\)$"
+            r"^line 7: \[synthetic\] sample_rate = 4000 \(line 9\): \[dsp\] fmax = 2500.0: "
+            r"fmax=2500.0 exceeds the Nyquist frequency 2000.0$"
         )
         with pytest.raises(ConfigError, match=message):
             config_from_text(text)
@@ -448,15 +468,18 @@ class TestParseTimeSignalChecks:
     def test_fmin_at_nyquist_without_fmax_names_fmin_and_sample_rate(self):
         text = _TINY_TEXT.format(dsp="fmin = 2000\n", rest="")
         message = (
-            r"^line 7: \[dsp\] fmin = 2000.0 is not below the Nyquist frequency 2000.0 "
-            r"of \[synthetic\] sample_rate = 4000 \(line 9\)$"
+            r"^line 7: \[synthetic\] sample_rate = 4000 \(line 9\): \[dsp\] fmin = 2000.0: "
+            r"need 0 <= fmin < the Nyquist frequency 2000.0, got fmin=2000.0$"
         )
         with pytest.raises(ConfigError, match=message):
             config_from_text(text)
 
     def test_clip_shorter_than_the_window_names_the_dsp_lines(self):
         text = _TINY_TEXT.format(dsp="", rest="").replace("= 0.15", "= 0.02")
-        message = r"^lines 2, 3, 4, 5, 6: \[dsp\] signal of 80 samples is shorter than the 128-"
+        message = (
+            r"^line 6: \[synthetic\] sample_rate = 4000 \(line 8\): \[dsp\] clip_seconds = 0.02: "
+            r"signal of 80 samples is shorter than the 128-"
+        )
         with pytest.raises(ConfigError, match=message):
             config_from_text(text)
 
@@ -464,7 +487,10 @@ class TestParseTimeSignalChecks:
         """The 0.15 s clips give 8 frames of 8 mel bands; member 1 of 5 gets the 9x9 kernel."""
         rest = "[learner]\nhidden = 8\nconv = 4x3x1; 4x9x1\n"
         text = _TINY_TEXT.format(dsp="", rest=rest)
-        message = r"^lines 14, 15: \[learner\] conv layer 0: kernel 9 exceeds feature map 8x8$"
+        message = (
+            r"^line 15: \[synthetic\] sample_rate = 4000 \(line 8\): "
+            r"\[learner\] conv = 4x3x1; 4x9x1: conv layer 0: kernel 9 exceeds feature map 8x8$"
+        )
         with pytest.raises(ConfigError, match=message):
             config_from_text(text)
         one_member = config_from_text(text + "[spel]\nmembers = 1\n")
@@ -582,7 +608,7 @@ def _computed(cfg):
     return (
         _digests(data),
         build_learner_specs(cfg, data),
-        [getattr(cfg.spel, name) for name in _STAMPED_SETTINGS],
+        [getattr(cfg.spel, name) for name in _STAGE_SETTINGS[-1]],
         cfg.spel.n_steps,
         cfg.output_dir,
         cfg.metric,

@@ -47,8 +47,13 @@ class TestSpelConfig:
             SpelConfig(spel_epochs=0)
 
     def test_every_setting_but_the_round_count_is_stamped(self):
-        names = [f.name for f in dataclasses.fields(SpelConfig)]
-        assert engine._STAMPED_SETTINGS == tuple(n for n in names if n != "n_steps")
+        """Round 0 stamps what pretraining reads; later rounds add what a
+        round reads, and so stamp every setting but the round count."""
+        names = {f.name for f in dataclasses.fields(SpelConfig)}
+        pretraining, rounds = engine._STAGE_SETTINGS
+        assert set(pretraining) == {"n_members", "learning_rate", "pretrain_epochs", "batch_size",
+                                    "seed"}
+        assert set(rounds) == names - {"n_steps"}
 
     def test_zero_steps_allowed(self):
         assert SpelConfig(n_steps=0).n_steps == 0
@@ -547,11 +552,44 @@ class TestCheckpoints:
             self._run(mini_bundle, ckpt, config, resume=True)
 
     def test_resume_refuses_other_run_settings(self, mini_bundle, tmp_path):
+        """A setting pretraining reads is refused at round 0, one only the
+        later rounds read at round 1."""
         ckpt = tmp_path / "ckpt"
         self._run(mini_bundle, ckpt, mini_spel_config(per_step=15))
-        resumed = mini_spel_config(per_step=25, learning_rate=1e-2)
-        with pytest.raises(ValueError, match="round 0 .*per_step = 15.*per_step = 25"):
+        resumed = mini_spel_config(per_step=15, learning_rate=1e-2)
+        with pytest.raises(ValueError, match="round 0 .*learning_rate = 0.003.* = 0.01"):
             self._run(mini_bundle, ckpt, resumed, resume=True)
+        with pytest.raises(ValueError, match="round 1 .*per_step = 15.*per_step = 25"):
+            self._run(mini_bundle, ckpt, mini_spel_config(per_step=25), resume=True)
+
+    @pytest.mark.parametrize("layout", ["current", "older"])
+    def test_resume_from_a_round_0_of_another_per_step(self, mini_bundle, tmp_path, layout):
+        """Pretraining reads neither per_step nor spel_epochs, so a round 0
+        of per_step = 10 resumes to the uninterrupted per_step = 20 run, down
+        to the Adam buffers; so does one in the older layout, which stamps
+        every setting but the round count and records the member count."""
+        config = mini_spel_config(n_steps=2, per_step=20)
+        full = self._run(mini_bundle, tmp_path / "full", config)
+        ckpt = tmp_path / "ckpt"
+        self._run(mini_bundle, ckpt, dataclasses.replace(config, n_steps=0, per_step=10))
+        record = ckpt / "round_000" / "round.json"
+        raw = json.loads(record.read_text())
+        assert "n_members" not in raw and "per_step" not in raw["config"]
+        if layout == "older":
+            raw["n_members"] = config.n_members
+            raw["config"].update(per_step=10, spel_epochs=config.spel_epochs)
+            record.write_text(json.dumps(raw, indent=2, sort_keys=True))
+        resumed = self._run(mini_bundle, ckpt, config, resume=True)
+        self._assert_same_run(resumed, full, rounds=2)
+        spec = mini_learner_spec(mini_bundle)
+        for j in range(3):
+            (got, got_states, _), (want, want_states, _) = (
+                load_round(d, j, config, [spec, spec]) for d in (ckpt, tmp_path / "full")
+            )
+            for a, b in zip(got.members, want.members):
+                assert all(np.array_equal(a.tensors[k], b.tensors[k]) for k in a.tensors)
+            for a, b in zip(got_states, want_states, strict=True):
+                assert np.array_equal(a.buffer, b.buffer)
 
     def test_resume_refuses_an_unstamped_record(self, mini_bundle, tmp_path):
         ckpt = tmp_path / "ckpt"

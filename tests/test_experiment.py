@@ -10,7 +10,7 @@ from spelaudio import experiment
 from spelaudio.config import ConfigError, config_from_text
 from spelaudio.dsp import Signal, StftConfig, mel_filterbank, preprocess
 from spelaudio.engine import pretrain
-from spelaudio.ensemble import avg_predict
+from spelaudio.ensemble import Ensemble, avg_predict
 from spelaudio.experiment import (
     build_data,
     build_learner_specs,
@@ -19,6 +19,7 @@ from spelaudio.experiment import (
     sliding_window_predict,
     sweep,
 )
+from spelaudio.learner import LearnerSpec, init_params
 from spelaudio.wavio import load_wav, write_wav
 
 from conftest import mini_spel_config
@@ -413,11 +414,12 @@ unlabeled_fraction = 0.6
             ("n_mels = 10", "n_mels = 10\nfmax = 3000",
              r"\[dsp\] fmax = 3000.0: fmax=3000.0 exceeds the Nyquist frequency 2000.0$"),
             ("n_mels = 10", "n_mels = 10\nfmin = 2000",
-             r"\[dsp\] fmin = 2000.0: need 0 <= fmin < fmax, got fmin=2000.0, fmax=2000.0$"),
+             r"\[dsp\] fmin = 2000.0: need 0 <= fmin < the Nyquist frequency 2000.0, "
+             r"got fmin=2000.0$"),
             ("clip_seconds = 0.2", "clip_seconds = 0.02",
              r"\[dsp\] clip_seconds = 0.02: signal of 80 samples is shorter than the 128-"),
             ("hidden = 12", "hidden = 12\nconv = 4x99x1",
-             r"\[learner\] conv = \(\(\(4, 99, 1\),\),\): conv layer 0: kernel 99 exceeds "
+             r"\[learner\] conv = 4x99x1: conv layer 0: kernel 99 exceeds "
              r"feature map 11x10$"),
         ],
         ids=["fmax-above-nyquist", "fmin-at-nyquist", "clip-below-window", "kernel-too-large"],
@@ -542,3 +544,81 @@ class TestSourceSanityBound:
             avg_predict(single, bundle.validation.inputs).labels, bundle.validation.targets
         )
         assert score > 0.8
+
+
+# --- refusals that name their cause -----------------------------------------
+
+
+def _corpus(root, classes=("low", "mid")):
+    make_wav_corpus(root, np.random.default_rng(0), 6, classes=classes)
+
+
+def _empty_classes(root):
+    for name in ("low", "mid"):
+        (root / name).mkdir(parents=True)
+
+
+def _build_data_on(make_source, make_target, old="", new=""):
+    """build_data on the source and target directories that make_source and
+    make_target lay out, with old replaced by new in the config text."""
+
+    def refused(tmp_path):
+        source, target = tmp_path / "source", tmp_path / "target"
+        make_source(source)
+        make_target(target)
+        text = TestWavDirMode()._config_text(source, target, tmp_path / "out")
+        build_data(config_from_text(text.replace(old, new)))
+
+    return refused
+
+
+def _sweep_without_output_dir(tmp_path):
+    cfg = config_from_text(mini_config_text(tmp_path / "out"))
+    sweep(dataclasses.replace(cfg, output_dir=None))
+
+
+def _window_under_one_sample(tmp_path):
+    spec = LearnerSpec(input_shape=(8, 12), n_outputs=3, hidden_layers=(4,))
+    ensemble = Ensemble((init_params(spec, seed=0),))
+    stft_config = StftConfig(n_fft=128, hop=64, win_length=128)
+    fb = mel_filterbank(12, 128, 4000)
+    sliding_window_predict(ensemble, Signal(np.zeros(2400), 4000), 1e-4, 0.075, stft_config, fb)
+
+
+_FRACTIONS = "unlabeled_fraction = 0.6"
+
+
+@pytest.mark.parametrize(
+    "refused, error, message",
+    [
+        (_build_data_on(TestWavDirMode._flat_target, _corpus), ConfigError,
+         r"^{source}: need class subdirectories \(found 0\)$"),
+        (_build_data_on(_empty_classes, _corpus), ConfigError, r"^{source}: no \.wav files found$"),
+        (_build_data_on(_corpus, lambda root: _corpus(root, ("low", "top"))), ConfigError,
+         r"^{target}: class subdirectories \['low', 'top'\] do not match the source classes "
+         r"\['low', 'mid'\]$"),
+        (_build_data_on(_corpus, _corpus, _FRACTIONS, f"{_FRACTIONS}\ntrain_fraction = 0"),
+         ConfigError, r"^train fraction leaves no source training samples$"),
+        (_build_data_on(_corpus, _corpus, _FRACTIONS, "unlabeled_fraction = 0.01"),
+         ConfigError, r"^unlabeled fraction leaves no unlabeled target samples$"),
+        (_build_data_on(_corpus, TestWavDirMode._flat_target, _FRACTIONS,
+                        f"{_FRACTIONS}\ntrain_fraction = 0.5\nval_fraction = 0.5"),
+         ConfigError, r"^no labeled test data: empty source test split, unlabeled target$"),
+        (_sweep_without_output_dir, ConfigError, r"^sweep needs an output_dir$"),
+        (_window_under_one_sample, ValueError, r"^window must cover at least one sample$"),
+    ],
+    ids=["no-class-subdirectories", "classes-without-wavs", "other-target-classes",
+         "no-training-clip", "no-pool-clip", "no-labeled-test-data", "sweep-without-output-dir",
+         "window-under-one-sample"],
+)
+def test_refusals_name_their_cause_before_any_clip_is_decoded(
+    tmp_path, monkeypatch, refused, error, message
+):
+    """Each refusal of a WAV layout, a sweep or a scan window says what is
+    wrong, naming the directory where one is at fault."""
+    decoded = []
+    monkeypatch.setattr(experiment, "load_wav", lambda path: decoded.append(path))
+    paths = {name: re.escape(str(tmp_path / name)) for name in ("source", "target")}
+    with pytest.raises(error, match=message.format(**paths)):
+        refused(tmp_path)
+    assert decoded == []
