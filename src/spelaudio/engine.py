@@ -31,11 +31,20 @@ reads the store and the members by fork, and sends back only its
 members' buffers. The run is bitwise the same at any k. Each process
 has its own BLAS threads, so on a small host pin BLAS to one thread
 (``OPENBLAS_NUM_THREADS=1``).
+
+Both data sources fill their image store the same way (``fill_store``):
+in k = min(rows, usable CPUs) contiguous blocks of rows, the first in
+the calling process and each other in a process forked for it. The
+store is anonymous shared memory, so each process writes its rows in
+place and sends nothing back. Training and the store fill fork, join and
+reap their processes through one helper, ``_fan_out``.
 """
 
 from __future__ import annotations
 
 import json
+import math
+import mmap
 import os
 import pickle
 import signal
@@ -155,8 +164,9 @@ class ExperimentData:
         """Data whose labeled, validation, unlabeled and test splits are, in
         that order, consecutive row blocks of images: as many rows as each
         split has targets, none for validation_targets None, and n_unlabeled
-        for the pool. images is the float32 store both sources render into;
-        it is made read-only before any split views it."""
+        for the pool. images is the float32 store both sources render into,
+        in anonymous shared memory that fill_store's processes write in
+        place; it is made read-only before any split views it."""
         n_validation = 0 if validation_targets is None else len(validation_targets)
         sizes = (len(labeled_targets), n_validation, n_unlabeled, len(test_targets))
         images.flags.writeable = False
@@ -244,23 +254,23 @@ def _usable_cpus() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 
 
-def _collect(pairs, errors=()):
-    """The (params, state) pairs that pairs yields before one raises, and
-    the DivergenceError or, for errors, the traceback text that stopped
-    them, else None."""
+def _collect(items, sent, errors=()):
+    """The items that items yields before one raises, and the exception of
+    a sent class or, for errors, the traceback text that stopped them, else
+    None."""
     done = []
     try:
-        for pair in pairs:
-            done.append(pair)
-    except DivergenceError as err:
+        for item in items:
+            done.append(item)
+    except sent as err:
         return done, err
     except errors:
         return done, f"it failed in its worker process:\n{traceback.format_exc().rstrip()}"
     return done, None
 
 
-def _fork(pairs):
-    """Collect pairs in a forked process, which pickles what it collected
+def _fork(items, sent):
+    """Collect items in a forked process, which pickles what it collected
     into a pipe and leaves; returns its pid and the pipe's read end.
 
     A fork, not a spawned interpreter, so that the worker reads the store
@@ -274,7 +284,7 @@ def _fork(pairs):
         try:
             os.close(read)
             with open(write, "wb") as out:
-                pickle.dump(_collect(pairs, Exception), out, pickle.HIGHEST_PROTOCOL)
+                pickle.dump(_collect(items, sent, Exception), out, pickle.HIGHEST_PROTOCOL)
             status = 0
         finally:
             os._exit(status)
@@ -293,37 +303,24 @@ def _join(pid, pipe):
     if code == 0 and sent is not None:
         return sent
     how = f"was killed by signal {-code}" if code < 0 else f"exited with status {code}"
-    return [], f"the worker process training it {how}"
+    return [], f"the worker process running it {how}"
 
 
-def _train_members(members, states, inputs, targets, rows, epochs, config, stage, *j):
-    """Continue every member on the rows of inputs that rows lists (all of
-    them when None); member i shuffles from the seed of (run seed, stage, i, *j).
-
-    Member i trains in process i mod k, k = min(members, usable CPUs).
-    Process 0 is this one; each other is forked for this stage, reads its
-    inputs by fork and sends back its members' buffers, so the result is
-    bitwise that of training the members one after another. Of the members
-    that fail, the lowest raises, as in that serial loop: a divergence as
-    DivergenceError, a worker's other failure as RuntimeError, both naming
-    the member and the round. Any other error of this process's own share
-    propagates at once, after the workers are killed. Every worker is
-    waited for.
+def _fan_out(shares, run, sent):
+    """Run run(share), which yields one item per index of share, for every
+    share: the first in this process, each other in a process forked for
+    it, which reads its inputs by fork and sends back what it yielded.
+    Returns the items by index, and the lowest index that failed with its
+    failure, or None: the exception of a sent class, or the text of any
+    other failure of a worker, which is killed or exits. Any other error
+    of this process's own share propagates at once, after the workers are
+    killed. Every worker is waited for.
     """
-    n = len(members)
-    k = min(n, _usable_cpus())
-    shares = [range(w, n, k) for w in range(k)]
-
-    def fit(share):
-        for i in share:
-            yield train(members[i], inputs, targets, epochs=epochs, batch_size=config.batch_size,
-                        state=states[i], seed=_derive_seed(config.seed, stage, i, *j), rows=rows)
-
     forked = []  # the workers not yet joined
     try:
         for share in shares[1:]:
-            forked.append(_fork(fit(share)))
-        outcomes = [_collect(fit(shares[0]))]
+            forked.append(_fork(run(share), sent))
+        outcomes = [_collect(run(shares[0]), sent)]
         while forked:
             outcomes.append(_join(*forked[0]))
             del forked[0]
@@ -332,16 +329,67 @@ def _train_members(members, states, inputs, targets, rows, epochs, config, stage
             pipe.close()
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
+    # A failure after a share's last item counts at that item's index.
+    failed = [(share[min(len(done), len(share) - 1)], failure)
+              for share, (done, failure) in zip(shares, outcomes) if failure is not None]
+    items = {i: item for share, (done, _) in zip(shares, outcomes) for i, item in zip(share, done)}
+    return items, min(failed, key=lambda pair: pair[0], default=None)
 
-    failed = {share[len(done)]: failure
-              for share, (done, failure) in zip(shares, outcomes) if failure is not None}
+
+def fill_store(shape, render, name):
+    """A float32 store of shape, filled by render(store, rows), which
+    writes each of the rows in turn and yields after each.
+
+    The rows fall into k = min(rows, usable CPUs) contiguous blocks. This
+    process renders the first; each other is rendered in a process forked
+    for it, which writes its rows in place: the store is anonymous shared
+    memory, so nothing is sent back. Of the rows that fail, the lowest
+    raises, as in a serial loop: a row's exception as it was raised, a
+    worker killed or failing otherwise as RuntimeError naming name(row).
+    """
+    n = shape[0]
+    memory = mmap.mmap(-1, math.prod(shape) * np.dtype(np.float32).itemsize)
+    store = np.ndarray(shape, np.float32, memory)
+    k = min(n, _usable_cpus())
+    edges = [n * w // k for w in range(k + 1)]
+    blocks = [range(a, b) for a, b in zip(edges, edges[1:])]
+    _, failed = _fan_out(blocks, lambda rows: render(store, rows), Exception)
     if failed:
-        i = min(failed)
+        row, failure = failed
+        if isinstance(failure, Exception):
+            raise failure
+        raise RuntimeError(f"{name(row)}: {failure}")
+    return store
+
+
+def _train_members(members, states, inputs, targets, rows, epochs, config, stage, *j):
+    """Continue every member on the rows of inputs that rows lists (all of
+    them when None); member i shuffles from the seed of (run seed, stage, i, *j).
+
+    Member i trains in process i mod k, k = min(members, usable CPUs), as
+    _fan_out runs them: process 0 is this one, and each other is forked for
+    this stage and sends back its members' buffers, so the result is
+    bitwise that of training the members one after another. Of the members
+    that fail, the lowest raises, as in that serial loop: a divergence as
+    DivergenceError, a worker's other failure as RuntimeError, both naming
+    the member and the round. Any other error of this process's own share
+    propagates at once, after the workers are killed.
+    """
+    n = len(members)
+    k = min(n, _usable_cpus())
+
+    def fit(share):
+        for i in share:
+            yield train(members[i], inputs, targets, epochs=epochs, batch_size=config.batch_size,
+                        state=states[i], seed=_derive_seed(config.seed, stage, i, *j), rows=rows)
+
+    trained, failed = _fan_out([range(w, n, k) for w in range(k)], fit, DivergenceError)
+    if failed:
+        i, failure = failed
         round_index = j[0] if j else 0
-        if isinstance(failed[i], DivergenceError):
-            raise DivergenceError(failed[i].tensor, failed[i].step, i, round_index) from failed[i]
-        raise RuntimeError(f"member {i}, round {round_index}: {failed[i]}")
-    trained = dict(pair for share, (done, _) in zip(shares, outcomes) for pair in zip(share, done))
+        if isinstance(failure, DivergenceError):
+            raise DivergenceError(failure.tensor, failure.step, i, round_index) from failure
+        raise RuntimeError(f"member {i}, round {round_index}: {failure}")
     pairs = [trained[i] for i in range(n)]
     return Ensemble(tuple(params for params, _ in pairs)), [state for _, state in pairs]
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from .config import ConfigError, ExperimentConfig, canonical, load_config
 from .dsp import MelFilterbank, Signal, StftConfig, frame_count, preprocess
-from .engine import ExperimentData, RoundReport, run_spel, write_text_atomic
+from .engine import ExperimentData, RoundReport, fill_store, run_spel, write_text_atomic
 from .ensemble import Ensemble, avg_predict
 from .learner import LearnerSpec
 from .metrics import TASK_METRICS, McNemarResult, mcnemar, task_metrics
@@ -137,20 +137,33 @@ def _build_wav_data(config: ExperimentConfig) -> ExperimentData:
         test_targets = src_labels[test_rows]
     # Each file a split needs is decoded once, in split order, into the one store.
     needed = np.concatenate([train_rows, val_rows, len(src_files) + unl_rows, test_rows])
+    paths = [scanned[row] for row in needed]
     clip = config.clip_samples(rate)
-    images = np.empty((len(needed), frame_count(clip, config.stft), config.n_mels), np.float32)
-    for i, row in enumerate(needed):
-        images[i] = preprocess(load_wav(scanned[row]), config.stft, fb, clip).values
+
+    def render(store, rows):
+        for i in rows:
+            store[i] = preprocess(load_wav(paths[i]), config.stft, fb, clip).values
+            yield
+
+    shape = (len(paths), frame_count(clip, config.stft), config.n_mels)
+    images = fill_store(shape, render, paths.__getitem__)
     val_targets = src_labels[val_rows] if len(val_rows) else None
     truth = None if tgt_labels is None else tgt_labels[unl_rows]
     return ExperimentData.from_store(
         images, src_labels[train_rows], val_targets, len(unl_rows), test_targets, len(classes), truth
     )
 
+
 def build_data(config: ExperimentConfig) -> ExperimentData:
+    """The run's splits in one store, from the config's data source. A
+    synthetic config is checked at its sample rate first, as its parse
+    checks it, so that one built in code fails before any clip is rendered."""
     if config.source == "synthetic":
+        spec = config.synthetic
+        config.filterbank_at(spec.sample_rate, f"[synthetic] sample_rate = {spec.sample_rate}",
+                             spec.n_classes)
         return gen_synthetic(
-            config.synthetic,
+            spec,
             config.stft,
             config.n_mels,
             seed=config.seed,

@@ -8,6 +8,11 @@ the splits as one ``ExperimentData``, the type the WAV-directory source
 builds too; the unlabeled pool's ground truth rides in its
 ``unlabeled_truth`` field, beside the pool rather than in it, so the
 training path never sees it.
+
+Each clip's random draws (``_draw_tone``) are kept apart from its
+synthesis (``_synthesize``), so that a process rendering a block of the
+store can replay the one generator's draws up to its block without
+synthesizing the clips before it.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dsp import Signal, StftConfig, frame_count, mel_filterbank, preprocess
-from .engine import ExperimentData
+from .engine import ExperimentData, fill_store
 from .metrics import TASK_METRICS
 
 __all__ = ["SyntheticSpec", "gen_synthetic"]
@@ -88,10 +93,10 @@ class SyntheticSpec:
         return f
 
 
-def _tone(rng, spec: SyntheticSpec, classes, domain: str) -> np.ndarray:
-    n = spec.clip_samples
-    t = np.arange(n) / spec.sample_rate
-    x = np.zeros(n)
+def _draw_tone(rng, spec: SyntheticSpec, classes, domain: str):
+    """One clip's draws, in the generator's order: each active class's
+    frequency and harmonic phases, then the amplitude and the noise."""
+    tones = []
     for c in classes:
         f = spec.class_frequency(c, domain)
         if spec.freq_jitter > 0:
@@ -100,14 +105,22 @@ def _tone(rng, spec: SyntheticSpec, classes, domain: str) -> np.ndarray:
             # neighboring class's center). Clamped below Nyquist per harmonic.
             f = f + rng.uniform(-spec.freq_jitter, spec.freq_jitter)
             f = min(max(f, 1.0), (spec.sample_rate / 2.0 - 1.0) / spec.n_harmonics)
-        for h in range(1, spec.n_harmonics + 1):
-            phase = rng.uniform(0.0, 2.0 * np.pi)
-            x += np.sin(2.0 * np.pi * h * f * t + phase) / h
-    x *= rng.uniform(spec.amp_min, spec.amp_max) / max(np.abs(x).max(), 1e-12)
+        tones.append((f, [rng.uniform(0.0, 2.0 * np.pi) for _ in range(spec.n_harmonics)]))
+    amplitude = rng.uniform(spec.amp_min, spec.amp_max)
     noise = spec.source_noise if domain == "source" else spec.target_noise
-    if noise > 0:
-        x = x + rng.normal(0.0, noise, size=n)
-    return x
+    return tones, amplitude, rng.normal(0.0, noise, size=spec.clip_samples) if noise > 0 else None
+
+
+def _synthesize(spec: SyntheticSpec, draws) -> np.ndarray:
+    """The clip that _draw_tone's draws make."""
+    tones, amplitude, noise = draws
+    t = np.arange(spec.clip_samples) / spec.sample_rate
+    x = np.zeros(spec.clip_samples)
+    for f, phases in tones:
+        for h, phase in enumerate(phases, 1):
+            x += np.sin(2.0 * np.pi * h * f * t + phase) / h
+    x *= amplitude / max(np.abs(x).max(), 1e-12)
+    return x if noise is None else x + noise
 
 
 def _balanced_classes(rng, n: int, n_classes: int) -> np.ndarray:
@@ -123,19 +136,23 @@ def _multilabel_targets(rng, n: int, spec: SyntheticSpec) -> np.ndarray:
     return targets
 
 
-def _render_split(rng, spec, stft_config, fb, images, domain):
-    """Draw a split's targets, then render its clips' images into images."""
-    n = len(images)
-    if spec.task == "multiclass":
-        targets = _balanced_classes(rng, n, spec.n_classes)
-        actives = [[c] for c in targets]
-    else:
-        targets = _multilabel_targets(rng, n, spec)
-        actives = [np.nonzero(row)[0] for row in targets]
-    for i in range(n):
-        clip = Signal(_tone(rng, spec, actives[i], domain), spec.sample_rate)
-        images[i] = preprocess(clip, stft_config, fb, spec.clip_samples).values
-    return targets
+def _draws(rng, spec: SyntheticSpec, splits, targets):
+    """Every clip's draws, in store order. Each split of splits, (size,
+    domain) pairs, draws its targets before its clips and appends them to
+    targets; an empty split draws nothing and appends None."""
+    for n, domain in splits:
+        if n == 0:
+            targets.append(None)
+            continue
+        if spec.task == "multiclass":
+            split_targets = _balanced_classes(rng, n, spec.n_classes)
+            actives = [[c] for c in split_targets]
+        else:
+            split_targets = _multilabel_targets(rng, n, spec)
+            actives = [np.nonzero(row)[0] for row in split_targets]
+        targets.append(split_targets)
+        for active in actives:
+            yield _draw_tone(rng, spec, active, domain)
 
 
 def gen_synthetic(
@@ -148,18 +165,33 @@ def gen_synthetic(
 ) -> ExperimentData:
     """Deterministically generate all splits as preprocessed mel images,
     rendered in the order source, validation, unlabeled, test into one
-    float32 store; each image is computed in float64 and rounded once."""
-    rng = np.random.default_rng(seed)
-    fb = mel_filterbank(n_mels, stft_config.n_fft, spec.sample_rate, fmin, fmax)
-    sizes = (spec.n_source, spec.n_val, spec.n_unlabeled, spec.n_test)
-    shape = (sum(sizes), frame_count(spec.clip_samples, stft_config), fb.n_mels)
-    images = np.empty(shape, dtype=np.float32)
-    src, val, unl, test = np.split(images, np.cumsum(sizes)[:-1])
+    float32 store; each image is computed in float64 and rounded once.
 
-    src_y = _render_split(rng, spec, stft_config, fb, src, "source")
-    val_y = _render_split(rng, spec, stft_config, fb, val, spec.val_domain) if spec.n_val else None
-    unl_y = _render_split(rng, spec, stft_config, fb, unl, "target")
-    test_y = _render_split(rng, spec, stft_config, fb, test, "target")
+    The store is filled in contiguous blocks of rows, one process each
+    (``engine.fill_store``). Every clip draws from one generator in store
+    order, so each block's process first makes, and drops, the draws of
+    every clip before its block; the first block's, this process, draws on
+    to the end for every split's targets.
+    """
+    fb = mel_filterbank(n_mels, stft_config.n_fft, spec.sample_rate, fmin, fmax)
+    splits = ((spec.n_source, "source"), (spec.n_val, spec.val_domain),
+              (spec.n_unlabeled, "target"), (spec.n_test, "target"))
+    targets = []  # each split's, as the first block draws them
+
+    def render(store, rows):
+        draws = _draws(np.random.default_rng(seed), spec, splits, targets)
+        for row, tone in zip(range(rows.stop), draws):
+            if row >= rows.start:
+                clip = Signal(_synthesize(spec, tone), spec.sample_rate)
+                store[row] = preprocess(clip, stft_config, fb, spec.clip_samples).values
+                yield
+        if rows.start == 0:  # this process returns every split's targets
+            for _ in draws:
+                pass
+
+    shape = (sum(n for n, _ in splits), frame_count(spec.clip_samples, stft_config), fb.n_mels)
+    images = fill_store(shape, render, lambda row: f"synthetic clip {row}")
+    src_y, val_y, unl_y, test_y = targets
     return ExperimentData.from_store(
         images, src_y, val_y, spec.n_unlabeled, test_y, spec.n_classes, unlabeled_truth=unl_y
     )

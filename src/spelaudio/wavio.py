@@ -1,8 +1,8 @@
 """Minimal RIFF/WAVE ingestion: 16-bit signed little-endian PCM, mono.
 
-Anything else is rejected with an error naming the offending chunk —
-no silent resampling or channel mixing. A matching writer is provided
-for building corpora and test fixtures.
+Anything else is rejected with an error naming the file and the
+offending chunk — no silent resampling or channel mixing. A matching
+writer is provided for building corpora and test fixtures.
 """
 
 from __future__ import annotations
@@ -84,14 +84,23 @@ def _walk(raw: bytes) -> tuple[int, bytes]:
     raise WavFormatError("data chunk: missing")
 
 
+def _read(path) -> tuple[int, bytes]:
+    """_walk of the file at path; its error starts with the path."""
+    raw = Path(path).read_bytes()
+    try:
+        return _walk(raw)
+    except WavFormatError as err:
+        raise type(err)(f"{path}: {err}") from None
+
+
 def wav_sample_rate(path) -> int:
     """The sample rate of a file load_wav accepts, without decoding its samples."""
-    return _walk(Path(path).read_bytes())[0]
+    return _read(path)[0]
 
 
 def load_wav(path) -> Signal:
     """Read a PCM16 mono WAV file into a Signal scaled to [-1, 1]."""
-    sample_rate, payload = _walk(Path(path).read_bytes())
+    sample_rate, payload = _read(path)
     samples = np.frombuffer(payload, dtype="<i2").astype(np.float64) / _FULL_SCALE
     return Signal(samples, sample_rate)
 

@@ -612,6 +612,11 @@ class TestCheckpoints:
             self._run(mini_bundle, ckpt, config, specs=[spec, wider], resume=True)
 
 
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 class TestWorkerProcesses:
     """Member i of a stage trains in process i mod k, k = min(members,
     usable CPUs); process 0 is the caller's own."""
@@ -625,11 +630,6 @@ class TestWorkerProcesses:
         forks, fork = [], os.fork
         monkeypatch.setattr(engine.os, "fork", lambda: forks.append(1) or fork())
         return forks
-
-    @staticmethod
-    def _assert_no_child_left():
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
 
     @staticmethod
     def _train_failing(monkeypatch, member, fail):
@@ -675,7 +675,7 @@ class TestWorkerProcesses:
                 assert a.buffer.tobytes() == b.buffer.tobytes() and a.step == b.step
             for a, b in zip(got_states, want_states):
                 assert a.buffer.tobytes() == b.buffer.tobytes()
-        self._assert_no_child_left()
+        assert_no_child_left()
 
     def test_a_single_member_never_forks(self, mini_bundle, monkeypatch):
         self._cpus(monkeypatch, 3)
@@ -701,7 +701,7 @@ class TestWorkerProcesses:
         assert (info.value.member, info.value.round_index) == (reported, 2)
         assert isinstance(info.value.__cause__, DivergenceError)
         assert info.value.__cause__.member is None
-        self._assert_no_child_left()
+        assert_no_child_left()
 
     def test_a_worker_that_raises_names_member_and_round(self, mini_bundle, monkeypatch):
         ensemble, states, config = self._stage(mini_bundle)
@@ -714,7 +714,7 @@ class TestWorkerProcesses:
         with pytest.raises(RuntimeError, match=r"^member 1, round 2: it failed in its worker") as info:
             spel_round(ensemble, states, mini_bundle, config, 2)
         assert "KeyError: 'no such tensor'" in str(info.value)
-        self._assert_no_child_left()
+        assert_no_child_left()
 
     def test_a_killed_worker_names_member_and_round(self, mini_bundle, monkeypatch):
         ensemble, states, config = self._stage(mini_bundle)
@@ -728,10 +728,10 @@ class TestWorkerProcesses:
         self._cpus(monkeypatch, 2)
         with pytest.raises(
             RuntimeError,
-            match=rf"^member 1, round 2: the worker process training it was killed by signal {signal.SIGKILL.value}$",
+            match=rf"^member 1, round 2: the worker process running it was killed by signal {signal.SIGKILL.value}$",
         ):
             spel_round(ensemble, states, mini_bundle, config, 2)
-        self._assert_no_child_left()
+        assert_no_child_left()
 
     def test_a_failing_parent_stops_and_reaps_its_workers(self, mini_bundle, monkeypatch):
         ensemble, states, config = self._stage(mini_bundle, n_members=2)
@@ -752,4 +752,4 @@ class TestWorkerProcesses:
         with pytest.raises(Interrupted):
             spel_round(ensemble, states, mini_bundle, config, 2)
         assert time.perf_counter() - start < 30
-        self._assert_no_child_left()
+        assert_no_child_left()

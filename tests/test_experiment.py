@@ -1,12 +1,16 @@
 import dataclasses
 import hashlib
 import json
+import os
 import re
+import signal
+import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from spelaudio import experiment
+from spelaudio import engine, experiment, synthetic
 from spelaudio.config import ConfigError, config_from_text
 from spelaudio.dsp import Signal, StftConfig, mel_filterbank, preprocess
 from spelaudio.engine import pretrain
@@ -20,9 +24,10 @@ from spelaudio.experiment import (
     sweep,
 )
 from spelaudio.learner import LearnerSpec, init_params
-from spelaudio.wavio import load_wav, write_wav
+from spelaudio.wavio import WavFormatError, load_wav, write_wav
 
 from conftest import mini_spel_config
+from test_engine import assert_no_child_left
 from test_learner import traced_peak
 
 
@@ -337,16 +342,18 @@ unlabeled_fraction = 0.6
         assert (tmp_path / "out" / "results.csv").exists()
 
     @staticmethod
-    def _count_decodes(monkeypatch):
-        """The paths build_data decodes from here on, in order."""
-        decoded = []
+    def _count_decodes(monkeypatch, log):
+        """A function that returns the paths build_data decodes from here
+        on, in this process and in the ones it forks: each decode appends
+        its path to the file log."""
 
-        def counting_load_wav(path):
-            decoded.append(path)
+        def logging_load_wav(path):
+            with open(log, "a") as out:
+                out.write(f"{path}\n")
             return load_wav(path)
 
-        monkeypatch.setattr(experiment, "load_wav", counting_load_wav)
-        return decoded
+        monkeypatch.setattr(experiment, "load_wav", logging_load_wav)
+        return lambda: log.read_text().splitlines() if log.exists() else []
 
     @staticmethod
     def _flat_target(root):
@@ -403,10 +410,10 @@ unlabeled_fraction = 0.6
         cfg = config_from_text(
             self._config_text(tmp_path / "source", tmp_path / "target", tmp_path / "out")
         )
-        decoded = self._count_decodes(monkeypatch)
+        decoded = self._count_decodes(monkeypatch, tmp_path / "decoded.log")
         with pytest.raises(ConfigError, match=r"target[/\\]low[/\\]clip_00\.wav: sample rate 4000"):
             build_data(cfg)
-        assert decoded == []  # the header pass found it
+        assert decoded() == []  # the header pass found it
 
     @pytest.mark.parametrize(
         "old, new, message",
@@ -433,11 +440,11 @@ unlabeled_fraction = 0.6
         make_wav_corpus(tmp_path / "target", np.random.default_rng(1), 6)
         text = self._config_text(tmp_path / "source", tmp_path / "target", tmp_path / "out")
         cfg = config_from_text(text.replace(old, new))
-        decoded = self._count_decodes(monkeypatch)
+        decoded = self._count_decodes(monkeypatch, tmp_path / "decoded.log")
         first = re.escape(str(tmp_path / "source" / "low" / "clip_00.wav"))
         with pytest.raises(ConfigError, match=rf"^{first} \(sample rate 4000\): {message}"):
             build_data(cfg)
-        assert len(decoded) == 0
+        assert decoded() == []
 
     @pytest.mark.parametrize("layout", ["classes", "flat"])
     def test_every_split_views_one_read_only_store(self, tmp_path, layout):
@@ -456,19 +463,21 @@ unlabeled_fraction = 0.6
         cfg = config_from_text(
             self._config_text(tmp_path / "source", tmp_path / "target", tmp_path / "out")
         )
-        decoded = self._count_decodes(monkeypatch)
+        decoded = self._count_decodes(monkeypatch, tmp_path / "decoded.log")
         data = build_data(cfg)
         n_source, n_target = 20, 20
         n_source_test = n_source - len(data.labeled) - len(data.validation)
         assert n_source_test > 0
-        assert len(decoded) == n_source - n_source_test + n_target
-        assert len(set(decoded)) == len(decoded)
+        paths = decoded()
+        assert len(paths) == n_source - n_source_test + n_target
+        assert len(set(paths)) == len(paths)
 
     def test_build_data_peak_stays_near_the_store(self, tmp_path):
-        """One store and no copy of a split: a fancy-indexed copy of the
-        splits would double the peak. Beside the float32 store of 111 images
-        the peak also holds one clip's float64 frontend temporaries, which
-        are measured on their own and taken off."""
+        """One store and no copy of a split. tracemalloc sees the heap but
+        not the store, which is anonymous shared memory: beside one clip's
+        float64 frontend temporaries, measured on their own and taken off,
+        the heap peak is about an eighth of the float32 store of 111 images,
+        and a fancy-indexed copy of the splits would add a whole store."""
         make_wav_corpus(tmp_path / "source", np.random.default_rng(0), 30)
         make_wav_corpus(tmp_path / "target", np.random.default_rng(1), 30, offset=30.0)
         text = self._config_text(tmp_path / "source", tmp_path / "target", tmp_path / "out")
@@ -483,7 +492,7 @@ unlabeled_fraction = 0.6
             lambda: preprocess(load_wav(path), cfg.stft, fb, cfg.clip_samples(4000))
         )
         data, peak = traced_peak(lambda: build_data(cfg))
-        assert peak - clip_peak < 1.25 * data.images.nbytes
+        assert peak - clip_peak < 0.25 * data.images.nbytes
 
     def test_pool_truth_is_each_clips_class_directory(self, tmp_path):
         rng = np.random.default_rng(4)
@@ -622,3 +631,163 @@ def test_refusals_name_their_cause_before_any_clip_is_decoded(
     with pytest.raises(error, match=message.format(**paths)):
         refused(tmp_path)
     assert decoded == []
+
+
+def test_a_synthetic_config_built_in_code_is_checked_before_any_clip_is_rendered(monkeypatch):
+    """build_data checks what the sample rate fixes, as the parse does, and
+    renders no clip and forks no process for a config that fails it."""
+    rendered = []
+    monkeypatch.setattr(synthetic, "_synthesize", lambda *args: rendered.append(args))
+    monkeypatch.setattr(engine, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(engine.os, "fork", lambda: pytest.fail("build_data forked"))
+    rate = r"^\[synthetic\] sample_rate = 8000: "
+    for change, message in (
+        (dict(conv_specs=(((4, 99, 1),),)),
+         r"\[learner\] conv = 4x99x1: conv layer 0: kernel 99 exceeds feature map 17x32$"),
+        (dict(fmax=5000.0),
+         r"\[dsp\] fmax = 5000.0: fmax=5000.0 exceeds the Nyquist frequency 4000.0$"),
+    ):
+        config = dataclasses.replace(experiment.benchmark_config(0), **change)
+        with pytest.raises(ConfigError, match=rate + message):
+            build_data(config)
+    assert rendered == []
+
+
+def _odd_data_chunk(raw: bytes) -> bytes:
+    """The WAV bytes raw with a data chunk that declares one byte less."""
+    at = raw.index(b"data") + 4
+    (size,) = struct.unpack_from("<I", raw, at)
+    return raw[:at] + struct.pack("<I", size - 1) + raw[at + 4:]
+
+
+def _wav_dir_config(tmp_path):
+    make_wav_corpus(tmp_path / "source", np.random.default_rng(0), 10)
+    make_wav_corpus(tmp_path / "target", np.random.default_rng(1), 10, offset=30.0)
+    return config_from_text(
+        TestWavDirMode()._config_text(tmp_path / "source", tmp_path / "target", tmp_path / "out")
+    )
+
+
+def test_a_malformed_file_is_named_by_its_path(tmp_path):
+    config = _wav_dir_config(tmp_path)
+    bad = tmp_path / "target" / "mid" / "clip_03.wav"
+    bad.write_bytes(_odd_data_chunk(bad.read_bytes()))
+    with pytest.raises(
+        WavFormatError,
+        match=rf"^{re.escape(str(bad))}: data chunk: size is not a multiple of the sample width$",
+    ):
+        build_data(config)
+
+
+class TestStoreFill:
+    """build_data fills its store in k = min(rows, usable CPUs) contiguous
+    blocks of rows: the first in this process, each other in a process
+    forked for it."""
+
+    @staticmethod
+    def _cpus(monkeypatch, n):
+        monkeypatch.setattr(engine, "_usable_cpus", lambda: n)
+
+    @staticmethod
+    def _config(tmp_path, case):
+        if case == "wav-dir":
+            return _wav_dir_config(tmp_path)
+        task = "multilabel" if case == "multilabel" else "multiclass"
+        text = mini_config_text(tmp_path / "out", task=task)
+        if case == "no-validation":
+            text = text.replace("val_samples = 30", "val_samples = 0")
+        return config_from_text(text)
+
+    @pytest.mark.parametrize("case", ["multiclass", "no-validation", "multilabel", "wav-dir"])
+    def test_stores_on_1_2_and_3_cpus_are_equal(self, tmp_path, monkeypatch, case):
+        config = self._config(tmp_path, case)
+        forks, fork = [], os.fork
+        monkeypatch.setattr(engine.os, "fork", lambda: forks.append(1) or fork())
+        built = {}
+        for cpus in (1, 2, 3):
+            self._cpus(monkeypatch, cpus)
+            built[cpus] = data = build_data(config)
+            assert len(forks) == cpus - 1
+            forks.clear()
+            assert_splits_view_one_read_only_store(data)
+            # each block edge falls inside a split, so a block starts mid-split
+            starts = {r.start for r in data.rows.values()}
+            n = len(data.images)
+            assert not starts & {n * w // cpus for w in range(1, cpus)}
+        want = built[1]
+        for got in (built[2], built[3]):
+            assert got.images.tobytes() == want.images.tobytes()
+            assert dict(got.rows) == dict(want.rows)
+            for name in ("labeled", "validation", "test"):
+                got_split, want_split = getattr(got, name), getattr(want, name)
+                if want_split is None:
+                    assert got_split is None
+                else:
+                    assert np.array_equal(got_split.targets, want_split.targets)
+            if want.unlabeled_truth is None:
+                assert got.unlabeled_truth is None
+            else:
+                assert np.array_equal(got.unlabeled_truth, want.unlabeled_truth)
+        assert_no_child_left()
+
+    def _store_order(self, tmp_path, monkeypatch, config):
+        """The file of each store row, as one process decodes them."""
+        self._cpus(monkeypatch, 1)
+        decoded = TestWavDirMode._count_decodes(monkeypatch, tmp_path / "order.log")
+        build_data(config)
+        monkeypatch.setattr(experiment, "load_wav", load_wav)
+        return decoded()
+
+    def test_the_lowest_failing_row_raises_as_it_would_in_one_process(self, tmp_path, monkeypatch):
+        """Two files turn malformed after the header pass, in the second and
+        the third of three blocks; the lower row's error raises in this
+        process, the type and message the serial loop raises."""
+        config = _wav_dir_config(tmp_path)
+        order = self._store_order(tmp_path, monkeypatch, config)
+        second, third = (len(order) * w // 3 for w in (1, 2))
+        assert second < third - 2
+        bad = Path(order[third - 2]), Path(order[third + 1])  # in the second and third blocks
+        intact = {path: path.read_bytes() for path in bad}
+        fill = experiment.fill_store
+
+        def fill_after_damage(*args):
+            for path, raw in intact.items():
+                path.write_bytes(_odd_data_chunk(raw))
+            return fill(*args)
+
+        monkeypatch.setattr(experiment, "fill_store", fill_after_damage)
+        raised = {}
+        for cpus in (1, 3):
+            self._cpus(monkeypatch, cpus)
+            with pytest.raises(WavFormatError) as info:
+                build_data(config)
+            raised[cpus] = type(info.value), str(info.value)
+            for path, raw in intact.items():
+                path.write_bytes(raw)
+        want = f"{order[third - 2]}: data chunk: size is not a multiple of the sample width"
+        assert raised[3] == raised[1] == (WavFormatError, want)
+        assert_no_child_left()
+
+    def test_a_killed_block_names_its_first_file(self, tmp_path, monkeypatch):
+        """A killed process sends nothing back, so its block's first row is
+        the lowest that may be unfilled."""
+        config = _wav_dir_config(tmp_path)
+        order = self._store_order(tmp_path, monkeypatch, config)
+        first, victim = order[len(order) // 2: len(order) // 2 + 2]  # the second of two blocks
+        parent = os.getpid()
+
+        def load_or_die(path):
+            if str(path) == victim:
+                assert os.getpid() != parent, "the second block renders in a forked process"
+                os.kill(os.getpid(), signal.SIGKILL)
+            return load_wav(path)
+
+        monkeypatch.setattr(experiment, "load_wav", load_or_die)
+        self._cpus(monkeypatch, 2)
+        with pytest.raises(
+            RuntimeError,
+            match=rf"^{re.escape(first)}: the worker process running it was killed by signal "
+                  rf"{signal.SIGKILL.value}$",
+        ):
+            build_data(config)
+        assert_no_child_left()

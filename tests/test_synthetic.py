@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from spelaudio.synthetic import SyntheticSpec, _tone, gen_synthetic
+from spelaudio.synthetic import SyntheticSpec, _draw_tone, _synthesize, gen_synthetic
 
 from conftest import MINI_MELS, MINI_STFT, mini_synthetic_spec
 from test_experiment import assert_splits_view_one_read_only_store
@@ -23,6 +23,10 @@ class TestSpecValidation:
     def test_class_frequency_shift(self):
         spec = mini_synthetic_spec(target_freq_offset=40.0)
         assert spec.class_frequency(1, "target") - spec.class_frequency(1, "source") == 40.0
+
+
+def _tone(rng, spec, classes, domain):
+    return _synthesize(spec, _draw_tone(rng, spec, classes, domain))
 
 
 class TestTone:

@@ -1,3 +1,4 @@
+import re
 import struct
 
 import numpy as np
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spelaudio.dsp import Signal
-from spelaudio.wavio import UnsupportedWavError, WavFormatError, load_wav, write_wav
+from spelaudio.wavio import UnsupportedWavError, WavFormatError, load_wav, wav_sample_rate, write_wav
 
 
 def build_wav(
@@ -135,6 +136,23 @@ class TestLoadWav:
         path.write_bytes(build_wav(b""))
         with pytest.raises(WavFormatError, match="data chunk: empty"):
             load_wav(path)
+
+    @pytest.mark.parametrize("read", [load_wav, wav_sample_rate], ids=["decode", "header"])
+    @pytest.mark.parametrize(
+        "raw, error, reason",
+        [
+            (build_wav(b"\x00" * 5), WavFormatError,
+             "data chunk: size is not a multiple of the sample width"),
+            (build_wav(b"\x00" * 8, channels=2), UnsupportedWavError,
+             "fmt chunk: 2 channels (only mono supported)"),
+        ],
+        ids=["odd-data-size", "stereo"],
+    )
+    def test_errors_start_with_the_path(self, tmp_path, read, raw, error, reason):
+        path = tmp_path / "clip.wav"
+        path.write_bytes(raw)
+        with pytest.raises(error, match=rf"^{re.escape(f'{path}: {reason}')}$"):
+            read(path)
 
 
 class TestWriteWav:
