@@ -26,10 +26,16 @@ smaller of the member count and the CPUs this process may run on. The
 count is derived, not set: it is the affinity mask (``sched_getaffinity``),
 not a cgroup CPU quota, and with one usable CPU or one member nothing is
 forked. Process 0 is the calling process, which trains its own share and
-writes every checkpoint; each other process is forked once per stage,
-reads the store and the members by fork, and sends back only its
-members' buffers. The run is bitwise the same at any k. Each process
-has its own BLAS threads, so on a small host pin BLAS to one thread
+writes every checkpoint; each other process is forked once per stage and
+reads the store and the members by fork. Each process also predicts
+with the members it trained: it forwards each on the splits the run
+reads next (validation, the pool while a round follows, test after
+pretraining and the last round), each split in its own call, and sends
+back each member's buffers and posteriors as soon as it has them. The
+calling process then forms each split's ensemble mean in member order,
+so no member is forwarded twice and none serially after its stage. The
+run is bitwise the same at any k. Each process has its own BLAS
+threads, so on a small host pin BLAS to one thread
 (``OPENBLAS_NUM_THREADS=1``).
 
 Both data sources fill their image store the same way (``fill_store``):
@@ -48,6 +54,7 @@ import mmap
 import os
 import pickle
 import signal
+import tempfile
 import traceback
 from collections.abc import Mapping
 from dataclasses import dataclass
@@ -57,7 +64,8 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .ensemble import Ensemble, EnsemblePrediction, avg_predict
+from . import learner
+from .ensemble import Ensemble, EnsemblePrediction, mean_prediction
 from .learner import (
     DivergenceError,
     LabeledSet,
@@ -72,6 +80,7 @@ from .learner import (
 )
 from .metrics import task_metrics
 from .metrics import accuracy, uar  # noqa: F401  wrapped by perfbench/spans.py's tracer
+from .ensemble import avg_predict  # noqa: F401  wrapped by perfbench/spans.py's tracer
 
 __all__ = [
     "SpelConfig",
@@ -239,94 +248,102 @@ def _derive_seed(base: int, *key: int) -> int:
     return int(np.random.SeedSequence([base, *key]).generate_state(1, np.uint64)[0])
 
 
-def _evaluate(ensemble: Ensemble, validation: LabeledSet | None) -> dict[str, float]:
-    if validation is None:
-        return {}
-    pred = avg_predict(ensemble, validation.inputs)
-    return task_metrics(
-        ensemble.task, pred.labels, pred.probabilities, validation.targets, ensemble.n_outputs
-    )
-
-
 def _usable_cpus() -> int:
     """CPUs this process may run on: its affinity mask, which a cgroup CPU
     quota does not narrow; 1 where the platform has no such mask."""
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 
 
-def _collect(items, sent, errors=()):
-    """The items that items yields before one raises, and the exception of
-    a sent class or, for errors, the traceback text that stopped them, else
-    None."""
-    done = []
+def _collect(items, keep, sent, errors=()):
+    """Pass each item that items yields to keep until one raises; returns
+    the exception of a sent class or, for errors, the traceback text that
+    stopped them, else None."""
     try:
         for item in items:
-            done.append(item)
+            keep(item)
     except sent as err:
-        return done, err
+        return err
     except errors:
-        return done, f"it failed in its worker process:\n{traceback.format_exc().rstrip()}"
-    return done, None
+        return f"it failed in its worker process:\n{traceback.format_exc().rstrip()}"
+    return None
+
+
+def _write(out, record):
+    pickle.dump(record, out, pickle.HIGHEST_PROTOCOL)
+    out.flush()
 
 
 def _fork(items, sent):
-    """Collect items in a forked process, which pickles what it collected
-    into a pipe and leaves; returns its pid and the pipe's read end.
+    """Collect items in a forked process, which writes each to a file as
+    soon as it has it, then its failure or None, and leaves; returns its pid
+    and the file.
 
     A fork, not a spawned interpreter, so that the worker reads the store
     and the members from memory instead of receiving them pickled. A fork
-    after BLAS has started its threads is tested not to hang.
+    after BLAS has started its threads is tested not to hang. An unnamed
+    file, not a pipe: a pipe holds 64 KiB, so a worker writing its first
+    member into one would wait until this process had run its own share.
     """
-    read, write = os.pipe()
-    pid = os.fork()
+    out = tempfile.TemporaryFile()
+    try:
+        pid = os.fork()
+    except OSError:
+        out.close()
+        raise
     if pid == 0:
         status = 1
         try:
-            os.close(read)
-            with open(write, "wb") as out:
-                pickle.dump(_collect(items, sent, Exception), out, pickle.HIGHEST_PROTOCOL)
+            failure = _collect(items, lambda item: _write(out, (False, item)), sent, Exception)
+            _write(out, (True, failure))
             status = 0
         finally:
             os._exit(status)
-    os.close(write)
-    return pid, open(read, "rb")
+    return pid, out
 
 
-def _join(pid, pipe):
-    """What the worker pid collected, read from its pipe once it has left."""
-    with pipe:
-        try:
-            sent = pickle.load(pipe)
-        except (EOFError, pickle.UnpicklingError):  # cut short: the wait status says why
-            sent = None
+def _join(pid, out):
+    """The items the worker pid wrote to out, once it has left, and the
+    failure it wrote or, if it left before writing one, the one its wait
+    status tells."""
     code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-    if code == 0 and sent is not None:
-        return sent
+    done = []
+    with out:
+        out.seek(0)
+        try:
+            while True:
+                last, value = pickle.load(out)
+                if last:
+                    return done, value
+                done.append(value)
+        except (EOFError, pickle.UnpicklingError):  # cut short: the wait status says why
+            pass
     how = f"was killed by signal {-code}" if code < 0 else f"exited with status {code}"
-    return [], f"the worker process running it {how}"
+    return done, f"the worker process running it {how}"
 
 
 def _fan_out(shares, run, sent):
     """Run run(share), which yields one item per index of share, for every
     share: the first in this process, each other in a process forked for
-    it, which reads its inputs by fork and sends back what it yielded.
-    Returns the items by index, and the lowest index that failed with its
-    failure, or None: the exception of a sent class, or the text of any
-    other failure of a worker, which is killed or exits. Any other error
-    of this process's own share propagates at once, after the workers are
-    killed. Every worker is waited for.
+    it, which reads its inputs by fork and sends back each item it yields
+    as it goes. Returns the items by index, and the lowest index that
+    failed with its failure, or None: the exception of a sent class, or the
+    text of any other failure of a worker, which is killed or exits, at the
+    index after the worker's last item. Any other error of this process's
+    own share propagates at once, after the workers are killed. Every
+    worker is waited for.
     """
     forked = []  # the workers not yet joined
     try:
         for share in shares[1:]:
             forked.append(_fork(run(share), sent))
-        outcomes = [_collect(run(shares[0]), sent)]
+        own = []
+        outcomes = [(own, _collect(run(shares[0]), own.append, sent))]
         while forked:
             outcomes.append(_join(*forked[0]))
             del forked[0]
     finally:
-        for pid, pipe in forked:
-            pipe.close()
+        for pid, out in forked:
+            out.close()
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
     # A failure after a share's last item counts at that item's index.
@@ -362,40 +379,92 @@ def fill_store(shape, render, name):
     return store
 
 
-def _train_members(members, states, inputs, targets, rows, epochs, config, stage, *j):
-    """Continue every member on the rows of inputs that rows lists (all of
-    them when None); member i shuffles from the seed of (run seed, stage, i, *j).
+def _read_next(data: ExperimentData, config: SpelConfig, j: int) -> list[str]:
+    """The splits the run reads after stage j (0 is pretraining):
+    validation, where there is one; the pool while a round follows; test
+    after pretraining, for the baseline, and after the last round."""
+    reads = (
+        ("validation", data.validation is not None),
+        ("unlabeled", j < config.n_steps),
+        ("test", j in (0, config.n_steps)),
+    )
+    return [name for name, read in reads if read]
 
-    Member i trains in process i mod k, k = min(members, usable CPUs), as
-    _fan_out runs them: process 0 is this one, and each other is forked for
-    this stage and sends back its members' buffers, so the result is
-    bitwise that of training the members one after another. Of the members
-    that fail, the lowest raises, as in that serial loop: a divergence as
-    DivergenceError, a worker's other failure as RuntimeError, both naming
-    the member and the round. Any other error of this process's own share
-    propagates at once, after the workers are killed.
+
+def _members_predict(ensemble, step, data, names, round_index):
+    """Run step(i), which returns a member and what to keep of it, for
+    every member i of ensemble, and forward the member it returns on the
+    inputs of each split of data that names lists. Returns what step kept,
+    by member, and the prediction of each split, by name: the mean of the
+    member posteriors in member order (mean_prediction).
+
+    Member i runs in process i mod k, k = min(members, usable CPUs), as
+    _fan_out runs them: process 0 is this one, and each other is forked
+    for the stage and sends back what it keeps and the posteriors, so the
+    result is bitwise that of running the members one after another. Of
+    the members that fail, the lowest raises, as in that serial loop: a
+    divergence as DivergenceError, a worker's other failure as
+    RuntimeError, both naming the member and round_index. Any other error
+    of this process's own share propagates at once, after the workers are
+    killed.
     """
-    n = len(members)
+    splits = [getattr(data, name).inputs for name in names]
+    n = ensemble.n
     k = min(n, _usable_cpus())
 
-    def fit(share):
+    def run(share):
         for i in share:
-            yield train(members[i], inputs, targets, epochs=epochs, batch_size=config.batch_size,
-                        state=states[i], seed=_derive_seed(config.seed, stage, i, *j), rows=rows)
+            member, kept = step(i)
+            # Each split is its own call on its own view, so BLAS sees the
+            # shapes that a serial avg_predict of that split would.
+            yield kept, [learner.forward(member, inputs) for inputs in splits]
 
-    trained, failed = _fan_out([range(w, n, k) for w in range(k)], fit, DivergenceError)
+    done, failed = _fan_out([range(w, n, k) for w in range(k)], run, DivergenceError)
     if failed:
         i, failure = failed
-        round_index = j[0] if j else 0
         if isinstance(failure, DivergenceError):
             raise DivergenceError(failure.tensor, failure.step, i, round_index) from failure
         raise RuntimeError(f"member {i}, round {round_index}: {failure}")
-    pairs = [trained[i] for i in range(n)]
-    return Ensemble(tuple(params for params, _ in pairs)), [state for _, state in pairs]
+    predictions = {
+        name: mean_prediction(ensemble.task, (done[i][1][s] for i in range(n)))
+        for s, name in enumerate(names)
+    }
+    return [done[i][0] for i in range(n)], predictions
 
 
-def pretrain(config: SpelConfig, labeled: LabeledSet, specs: list[LearnerSpec]):
-    """Stage 1: train each member independently from its own derived seed."""
+def _train_members(ensemble, state_of, inputs, targets, rows, epochs, config, data, j, pseudo):
+    """Stage j (0 is pretraining): continue every member of ensemble from
+    its Adam state state_of(i) on the rows of inputs that rows lists (all
+    of them when None), member i shuffling from the seed of (run seed, 1,
+    i) in pretraining and (run seed, 2, i, j) in round j, and forward it on
+    the splits of data the run reads next (_read_next). Returns (ensemble,
+    states, report, predictions): the report holds the validation metrics
+    and pseudo, the set the round trained on, and predictions the
+    ensemble's prediction of each split read next, by name. The members run
+    as _members_predict runs them.
+    """
+
+    def fit(i):
+        key = (1, i) if j == 0 else (2, i, j)
+        params, state = train(ensemble.members[i], inputs, targets, epochs=epochs,
+                              batch_size=config.batch_size, state=state_of(i),
+                              seed=_derive_seed(config.seed, *key), rows=rows)
+        return params, (params, state)
+
+    pairs, predictions = _members_predict(ensemble, fit, data, _read_next(data, config, j), j)
+    trained = Ensemble(tuple(params for params, _ in pairs))
+    metrics = {}
+    if data.validation is not None:
+        pred = predictions["validation"]
+        metrics = task_metrics(trained.task, pred.labels, pred.probabilities,
+                               data.validation.targets, trained.n_outputs)
+    return trained, [state for _, state in pairs], RoundReport(j, metrics, pseudo), predictions
+
+
+def pretrain(config: SpelConfig, data: ExperimentData, specs: list[LearnerSpec]):
+    """Stage 1: train each member independently from its own derived seed
+    on the labeled split; returns (ensemble, states, report, predictions)
+    as _train_members does."""
     if len(specs) != config.n_members:
         raise ValueError(
             f"got {len(specs)} specs for an ensemble of {config.n_members} members"
@@ -403,19 +472,26 @@ def pretrain(config: SpelConfig, labeled: LabeledSet, specs: list[LearnerSpec]):
     members = [
         init_params(spec, seed=_derive_seed(config.seed, 0, i)) for i, spec in enumerate(specs)
     ]
-    states = [init_adam(params, learning_rate=config.learning_rate) for params in members]
+
+    def fresh_state(i):
+        # Made as member i starts, so the process forwarding its members
+        # does not hold every member's initial state.
+        return init_adam(members[i], learning_rate=config.learning_rate)
+
+    labeled = data.labeled
     return _train_members(
-        members, states, labeled.inputs, labeled.targets, None, config.pretrain_epochs, config, 1
+        Ensemble(tuple(members)), fresh_state, labeled.inputs, labeled.targets, None,
+        config.pretrain_epochs, config, data, 0, None,
     )
 
 
-def select_pseudo(ensemble: Ensemble, unlabeled: UnlabeledSet, count: int) -> PseudoSet:
-    """Top-count unlabeled samples by ensemble confidence, ties to the lower id."""
+def select_pseudo(pred: EnsemblePrediction, unlabeled: UnlabeledSet, count: int) -> PseudoSet:
+    """Top-count unlabeled samples by the confidence of pred, the
+    ensemble's prediction of them, ties to the lower id."""
     if len(unlabeled) == 0:
         raise ValueError("unlabeled set is empty")
     if count < 1:
         raise ValueError("count must be >= 1")
-    pred = avg_predict(ensemble, unlabeled.inputs)
     order = np.lexsort((unlabeled.ids, -pred.confidence))
     take = order[: min(count, len(unlabeled))]
     return PseudoSet(
@@ -431,12 +507,14 @@ def spel_round(
     data: ExperimentData,
     config: SpelConfig,
     j: int,
+    pool: EnsemblePrediction,
 ):
-    """One self-paced round: regenerate the pseudo set, continue every
-    member; returns (ensemble, states, report).
+    """One self-paced round from pool, the ensemble's prediction of the
+    data's pool: regenerate the pseudo set, continue every member; returns
+    (ensemble, states, report, predictions) as pretrain does.
 
     The pseudo set is rebuilt from scratch with the current ensemble (size
-    min(per_step * j, pool)); the source-labeled data is never relabeled.
+    min(per_step * j, pool size)); the source-labeled data is never relabeled.
     Members train on the store rows of the labeled split followed by those
     of the fresh pseudo samples, so no pool is copied out of the store.
     The report holds the data's validation metrics.
@@ -445,17 +523,16 @@ def spel_round(
         raise ValueError("round index starts at 1")
     unlabeled = data.unlabeled
     count = min(config.per_step * j, len(unlabeled))
-    pseudo = select_pseudo(ensemble, unlabeled, count)
+    pseudo = select_pseudo(pool, unlabeled, count)
     sorter = np.argsort(unlabeled.ids)
     picked = sorter[np.searchsorted(unlabeled.ids, pseudo.ids, sorter=sorter)]
-    labeled, pool = data.rows["labeled"], data.rows["unlabeled"]
-    rows = np.concatenate([np.arange(labeled.start, labeled.stop), pool.start + picked])
+    labeled, rows_of_pool = data.rows["labeled"], data.rows["unlabeled"]
+    rows = np.concatenate([np.arange(labeled.start, labeled.stop), rows_of_pool.start + picked])
     targets = np.concatenate([data.labeled.targets, pseudo.labels], axis=0)
-    new_ensemble, new_states = _train_members(
-        ensemble.members, states, data.images, targets, rows, config.spel_epochs, config, 2, j
+    return _train_members(
+        ensemble, lambda i: states[i], data.images, targets, rows, config.spel_epochs, config,
+        data, j, pseudo,
     )
-    report = RoundReport(j, _evaluate(new_ensemble, data.validation), pseudo)
-    return new_ensemble, new_states, report
 
 
 def run_spel(
@@ -467,18 +544,21 @@ def run_spel(
 ) -> SpelResult:
     """Full pipeline: pre-train, self-paced rounds, final averaged prediction.
 
-    Emits one report per round including round 0 (the pre-trained
-    baseline), with validation metrics whenever the data has a validation
-    split. Every split the run reads is a view of the data's one read-only
-    image store, and each round trains on rows of that store, so the run
-    copies no split. With a checkpoint directory, every computed round is
-    persisted; `resume=True` loads the rounds up to the latest complete one
-    instead, reproducing the uninterrupted run exactly, and refuses no
-    checkpoint directory, or a round of other member specs or stamped with
-    other values of the settings its stage reads (round 0 stamps neither
-    per_step nor spel_epochs). No round reads the round count, so the
-    resumed run may have fewer or more rounds than the checkpointed one.
-    Nothing checks that a resume runs on the data of its checkpoint.
+    Emits one report per round including round 0 (the pre-trained baseline),
+    with validation metrics whenever the data has a validation split. Each
+    stage's members predict, where they train, the splits the run reads
+    after it; no prediction is persisted, so a resume forwards its loaded
+    members again. Every split the run reads is a view of the data's one
+    read-only image store, and each round trains on rows of that store, so
+    the run copies no split. With a checkpoint directory, every computed
+    round is persisted; `resume=True` loads the rounds up to the latest
+    complete one instead, reproducing the uninterrupted run exactly, and
+    refuses no checkpoint directory, or a round of other member specs or
+    stamped with other values of the settings its stage reads (round 0
+    stamps neither per_step nor spel_epochs). No round reads the round
+    count, so the resumed run may have fewer or more rounds than the
+    checkpointed one. Nothing checks that a resume runs on the data of its
+    checkpoint.
     """
     if config.n_steps > 0 and len(data.unlabeled) == 0:
         raise ValueError("self-paced rounds need a nonempty unlabeled set")
@@ -491,23 +571,32 @@ def run_spel(
     for j in range(config.n_steps + 1):
         if j <= last:
             # Members are read only where the run needs them: the baseline
-            # and the round the run continues from.
+            # and the round the run continues from. They predict the test
+            # split where the run reads it and, to continue, the pool, in
+            # the processes a stage would use.
             ensemble, states, report = load_round(
                 checkpoint_dir, j, config, specs, members=j in (0, last)
             )
+            names = [name for name in _read_next(data, config, j)
+                     if name == "test" or (name == "unlabeled" and j == last)]
+            if names:
+                _, predictions = _members_predict(
+                    ensemble, lambda i: (ensemble.members[i], None), data, names, j
+                )
         elif j == 0:
-            ensemble, states = pretrain(config, data.labeled, specs)
-            report = RoundReport(0, _evaluate(ensemble, data.validation))
+            ensemble, states, report, predictions = pretrain(config, data, specs)
         else:
-            ensemble, states, report = spel_round(ensemble, states, data, config, j)
+            ensemble, states, report, predictions = spel_round(
+                ensemble, states, data, config, j, predictions["unlabeled"]
+            )
         if j == 0:
-            baseline_prediction = avg_predict(ensemble, data.test.inputs)
+            baseline_prediction = predictions["test"]
         if j > last and checkpoint_dir is not None:
             save_round(checkpoint_dir, j, ensemble, states, report, config)
         reports.append(report)
 
     return SpelResult(
-        prediction=avg_predict(ensemble, data.test.inputs),
+        prediction=predictions["test"],
         baseline_prediction=baseline_prediction,
         ensemble=ensemble,
         reports=tuple(reports),

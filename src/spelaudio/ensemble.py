@@ -14,7 +14,7 @@ import numpy as np
 
 from . import learner
 
-__all__ = ["Ensemble", "EnsemblePrediction", "avg_predict"]
+__all__ = ["Ensemble", "EnsemblePrediction", "avg_predict", "mean_prediction"]
 
 
 @dataclass(frozen=True)
@@ -53,20 +53,30 @@ class EnsemblePrediction:
 
 
 def avg_predict(ensemble: Ensemble, inputs: np.ndarray) -> EnsemblePrediction:
-    """Mean of member posteriors, hard labels, and a confidence per sample.
+    """The ensemble's prediction of inputs (see mean_prediction), from each
+    member's posteriors. Members run through `learner.forward`, where
+    perfbench's tracer wraps it, one at a time."""
+    return mean_prediction(
+        ensemble.task, (learner.forward(member, inputs) for member in ensemble.members)
+    )
+
+
+def mean_prediction(task: str, member_probabilities) -> EnsemblePrediction:
+    """Mean of member posteriors, given in member order, hard labels, and a
+    confidence per sample.
 
     Multi-class: label is the argmax (ties to the lowest index) and the
     confidence is the winning averaged probability. Multi-label: labels
     threshold at 0.5 and the confidence is the mean per-label decisiveness
-    |2p - 1|. The mean is accumulated incrementally in fixed member order,
-    which keeps n identical members reproducing their common output exactly.
-    Members run through `learner.forward`, where perfbench's tracer wraps it.
+    |2p - 1|. The mean is accumulated incrementally in member order, which
+    keeps n identical members reproducing their common output exactly.
     """
-    probs = learner.forward(ensemble.members[0], inputs)
-    for i, member in enumerate(ensemble.members[1:], start=2):
-        probs = probs + (learner.forward(member, inputs) - probs) / i
+    members = iter(member_probabilities)
+    probs = next(members)
+    for i, member_probs in enumerate(members, start=2):
+        probs = probs + (member_probs - probs) / i
 
-    if ensemble.task == "multiclass":
+    if task == "multiclass":
         labels = probs.argmax(axis=1)
         confidence = probs.max(axis=1)
     else:

@@ -219,14 +219,17 @@ class OptimizerState:
     Both moments are packed, as float64 copies, into one fresh (2, n)
     buffer: ``m`` maps each name to its view of row 0, ``v`` of row 1.
     ``scratch`` is two rows ``adam_step`` overwrites, its only temporaries;
-    they carry nothing from one step to the next.
+    they carry nothing from one step to the next. ``train`` drops them
+    when it returns and a state read back from a pickle has none, so a
+    trained member's state holds only its moments; ``adam_step`` allocates
+    them again on a state without them.
     """
 
     m: Mapping[str, np.ndarray]
     v: Mapping[str, np.ndarray]
     learning_rate: float
     buffer: np.ndarray = field(init=False, repr=False, compare=False)
-    scratch: np.ndarray = field(init=False, repr=False, compare=False)
+    scratch: np.ndarray | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.learning_rate <= 0:
@@ -244,7 +247,7 @@ class OptimizerState:
     def __setstate__(self, state):
         layout, self.learning_rate, self.buffer = state
         self.m, self.v = _views(self.buffer[0], layout), _views(self.buffer[1], layout)
-        self.scratch = np.empty_like(self.buffer)
+        self.scratch = None
 
 
 @dataclass(frozen=True)
@@ -492,6 +495,8 @@ def adam_step(state: OptimizerState, params: LearnerParams, g: np.ndarray) -> No
     bc1 = 1.0 - BETA1 ** t
     bc2 = 1.0 - BETA2 ** t
     m, v = state.buffer
+    if state.scratch is None:
+        state.scratch = np.empty_like(state.buffer)
     tmp, denom = state.scratch
     m *= BETA1
     m += np.multiply(1.0 - BETA1, g, out=tmp)
@@ -556,6 +561,7 @@ def train(
         bad = _first_nonfinite(params.buffer, params.tensors)
         if bad is not None:
             raise DivergenceError(bad, params.step)
+    state.scratch = None
     return params, state
 
 

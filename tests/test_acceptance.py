@@ -212,7 +212,7 @@ def test_criterion_4_structural_invariants(tmp_path):
             prev_ensemble, _, _ = load_round(ckpt, j - 1, cfg.spel, specs)
             pred = avg_predict(prev_ensemble, data.unlabeled.inputs)
             recorded = result.reports[j].pseudo
-            fresh = select_pseudo(prev_ensemble, data.unlabeled, min(per_step * j, pool))
+            fresh = select_pseudo(pred, data.unlabeled, min(per_step * j, pool))
             if not np.array_equal(fresh.ids, recorded.ids):
                 dominance_ok = False
             selected = np.isin(data.unlabeled.ids, recorded.ids)

@@ -5,6 +5,7 @@ import os
 import shutil
 import signal
 import time
+import zipfile
 
 import numpy as np
 import pytest
@@ -34,8 +35,9 @@ from spelaudio.learner import (
     save_params,
     train,
 )
+from spelaudio.synthetic import gen_synthetic
 
-from conftest import mini_learner_spec, mini_spel_config
+from conftest import MINI_MELS, MINI_STFT, mini_learner_spec, mini_spel_config, mini_synthetic_spec
 
 
 class TestSpelConfig:
@@ -94,7 +96,7 @@ class TestPretrain:
     def test_single_member_equals_direct_train(self, mini_bundle):
         spec = mini_learner_spec(mini_bundle)
         config = mini_spel_config(n_members=1)
-        ensemble, _ = pretrain(config, mini_bundle.labeled, [spec])
+        ensemble, *_ = pretrain(config, mini_bundle, [spec])
 
         params = init_params(spec, seed=_derive_seed(config.seed, 0, 0))
         state = init_adam(params, learning_rate=config.learning_rate)
@@ -113,7 +115,7 @@ class TestPretrain:
     def test_identical_specs_distinct_members(self, mini_bundle):
         spec = mini_learner_spec(mini_bundle)
         config = mini_spel_config(n_members=2)
-        ensemble, _ = pretrain(config, mini_bundle.labeled, [spec, spec])
+        ensemble, *_ = pretrain(config, mini_bundle, [spec, spec])
         distance = sum(
             np.abs(a - b).sum()
             for a, b in zip(
@@ -125,15 +127,16 @@ class TestPretrain:
     def test_spec_count_mismatch(self, mini_bundle):
         spec = mini_learner_spec(mini_bundle)
         with pytest.raises(ValueError):
-            pretrain(mini_spel_config(n_members=2), mini_bundle.labeled, [spec])
+            pretrain(mini_spel_config(n_members=2), mini_bundle, [spec])
 
     def test_divergence_names_member_and_round_zero(self, mini_bundle):
         inputs = mini_bundle.labeled.inputs.copy()
         inputs[0, 0, 0] = np.nan
         labeled = LabeledSet(inputs, mini_bundle.labeled.targets)
+        data = dataclasses.replace(mini_bundle, labeled=labeled)
         spec = mini_learner_spec(mini_bundle)
         with pytest.raises(DivergenceError, match=r"^member 0, round 0: dense0_w .* by step 6$"):
-            pretrain(mini_spel_config(pretrain_epochs=1), labeled, [spec, spec])
+            pretrain(mini_spel_config(pretrain_epochs=1), data, [spec, spec])
 
 
 def controlled_confidence_ensemble():
@@ -151,7 +154,7 @@ class TestSelectPseudo:
         # confidences: sigmoid(2*|x0|) -> x0=3 highest, x0=0 lowest, x0=1 middle
         inputs = np.array([[3.0, 0.0], [0.0, 0.0], [1.0, 0.0]])[:, None, :]
         unlabeled = UnlabeledSet(inputs=inputs, ids=np.arange(3))
-        pseudo = select_pseudo(ensemble, unlabeled, count=2)
+        pseudo = select_pseudo(avg_predict(ensemble, inputs), unlabeled, count=2)
         assert pseudo.ids.tolist() == [0, 2]
         assert np.all(np.diff(pseudo.confidences) <= 0)
 
@@ -159,29 +162,28 @@ class TestSelectPseudo:
         ensemble = controlled_confidence_ensemble()
         inputs = np.array([[3.0, 0.0], [0.0, 0.0], [1.0, 0.0]])[:, None, :]
         unlabeled = UnlabeledSet(inputs=inputs, ids=np.arange(3))
-        pseudo = select_pseudo(ensemble, unlabeled, count=50)
+        pseudo = select_pseudo(avg_predict(ensemble, inputs), unlabeled, count=50)
         assert len(pseudo.ids) == 3
 
     def test_ties_break_to_lower_id(self):
         ensemble = controlled_confidence_ensemble()
         inputs = np.zeros((3, 1, 2))  # all equal confidence 0.5
         unlabeled = UnlabeledSet(inputs=inputs, ids=np.arange(3))
-        pseudo = select_pseudo(ensemble, unlabeled, count=2)
+        pseudo = select_pseudo(avg_predict(ensemble, inputs), unlabeled, count=2)
         assert pseudo.ids.tolist() == [0, 1]
 
     def test_empty_unlabeled_rejected(self):
         ensemble = controlled_confidence_ensemble()
         with pytest.raises(ValueError):
-            select_pseudo(
-                ensemble, UnlabeledSet(inputs=np.zeros((0, 1, 2)), ids=np.zeros(0)), count=1
-            )
+            empty = UnlabeledSet(inputs=np.zeros((0, 1, 2)), ids=np.zeros(0))
+            select_pseudo(avg_predict(ensemble, empty.inputs), empty, count=1)
 
     def test_labels_match_ensemble_predictions(self, mini_bundle):
         spec = mini_learner_spec(mini_bundle)
         config = mini_spel_config()
-        ensemble, _ = pretrain(config, mini_bundle.labeled, [spec, spec])
-        pseudo = select_pseudo(ensemble, mini_bundle.unlabeled, count=20)
+        ensemble, *_ = pretrain(config, mini_bundle, [spec, spec])
         pred = avg_predict(ensemble, mini_bundle.unlabeled.inputs)
+        pseudo = select_pseudo(pred, mini_bundle.unlabeled, count=20)
         for pid, label in zip(pseudo.ids, pseudo.labels):
             row = np.nonzero(mini_bundle.unlabeled.ids == pid)[0][0]
             assert pred.labels[row] == label
@@ -191,10 +193,13 @@ class TestSpelRound:
     def test_pseudo_count_law_and_saturation(self, mini_bundle):
         spec = mini_learner_spec(mini_bundle)
         config = mini_spel_config(per_step=50)  # pool has 60 unlabeled samples
-        ensemble, states = pretrain(config, mini_bundle.labeled, [spec, spec])
-        ensemble, states, report1 = spel_round(ensemble, states, mini_bundle, config, 1)
+        ensemble, states, _, predictions = pretrain(config, mini_bundle, [spec, spec])
+        ensemble, states, report1, predictions = spel_round(
+            ensemble, states, mini_bundle, config, 1, predictions["unlabeled"]
+        )
         assert report1.pseudo_count == 50 and len(report1.pseudo.ids) == 50
-        _, _, report2 = spel_round(ensemble, states, mini_bundle, config, 2)
+        pool = predictions["unlabeled"]
+        _, _, report2, _ = spel_round(ensemble, states, mini_bundle, config, 2, pool)
         assert report2.pseudo_count == 60 and len(report2.pseudo.ids) == 60
 
     def test_members_equal_training_on_the_concatenated_pool(self, mini_bundle):
@@ -204,8 +209,10 @@ class TestSpelRound:
         spec = mini_learner_spec(mini_bundle)
         config = mini_spel_config()
         j = 2
-        ensemble, states = pretrain(config, mini_bundle.labeled, [spec, spec])
-        got, got_states, report = spel_round(ensemble, states, mini_bundle, config, j)
+        ensemble, states, _, predictions = pretrain(config, mini_bundle, [spec, spec])
+        got, got_states, report, _ = spel_round(
+            ensemble, states, mini_bundle, config, j, predictions["unlabeled"]
+        )
         picked = [np.flatnonzero(mini_bundle.unlabeled.ids == i)[0] for i in report.pseudo.ids]
         inputs = np.concatenate([mini_bundle.labeled.inputs, mini_bundle.unlabeled.inputs[picked]])
         targets = np.concatenate([mini_bundle.labeled.targets, report.pseudo.labels])
@@ -222,26 +229,26 @@ class TestSpelRound:
         spec = mini_learner_spec(mini_bundle)
         config = mini_spel_config()
         before = mini_bundle.labeled.targets.copy()
-        ensemble, states = pretrain(config, mini_bundle.labeled, [spec, spec])
-        spel_round(ensemble, states, mini_bundle, config, 1)
+        ensemble, states, _, predictions = pretrain(config, mini_bundle, [spec, spec])
+        spel_round(ensemble, states, mini_bundle, config, 1, predictions["unlabeled"])
         assert np.array_equal(mini_bundle.labeled.targets, before)
 
     def test_round_index_starts_at_one(self, mini_bundle):
         spec = mini_learner_spec(mini_bundle)
         config = mini_spel_config()
-        ensemble, states = pretrain(config, mini_bundle.labeled, [spec, spec])
+        ensemble, states, _, predictions = pretrain(config, mini_bundle, [spec, spec])
         with pytest.raises(ValueError):
-            spel_round(ensemble, states, mini_bundle, config, 0)
+            spel_round(ensemble, states, mini_bundle, config, 0, predictions["unlabeled"])
 
     def test_divergence_names_member_and_round(self, mini_bundle):
         spec = mini_learner_spec(mini_bundle)
         config = mini_spel_config(pretrain_epochs=1)
-        ensemble, states = pretrain(config, mini_bundle.labeled, [spec, spec])
+        ensemble, states, _, predictions = pretrain(config, mini_bundle, [spec, spec])
         states[1].m["out_b"][0] = np.nan
         # NaN moments poison out_b at the round's first step and every tensor
         # after it; the first non-finite one in parameter order is reported.
         with pytest.raises(DivergenceError, match=r"^member 1, round 2: dense0_w became") as info:
-            spel_round(ensemble, states, mini_bundle, config, 2)
+            spel_round(ensemble, states, mini_bundle, config, 2, predictions["unlabeled"])
         err = info.value
         assert isinstance(err, ValueError)
         assert (err.member, err.round_index, err.tensor) == (1, 2, "dense0_w")
@@ -252,6 +259,24 @@ class TestSpelRound:
 
 
 class TestRunSpel:
+    def test_each_member_forwards_each_split_the_run_reads_once(self, mini_bundle, monkeypatch):
+        """Pretraining forwards validation, the pool and test; a round
+        validation and the pool, or at the last round validation and test.
+        Nothing forwards a member a second time."""
+        monkeypatch.setattr(engine, "_usable_cpus", lambda: 1)
+        rows, real = [], engine.learner.forward
+
+        def forward(params, inputs):
+            rows.append(len(inputs))
+            return real(params, inputs)
+
+        monkeypatch.setattr(engine.learner, "forward", forward)
+        spec = mini_learner_spec(mini_bundle)
+        run_spel(mini_bundle, mini_spel_config(n_steps=2), [spec, spec])
+        v, u, t = (len(getattr(mini_bundle, name)) for name in ("validation", "unlabeled", "test"))
+        assert len({v, u, t}) == 3
+        assert rows == [v, u, t] * 2 + [v, u] * 2 + [v, t] * 2
+
     def test_reports_cover_every_round(self, mini_bundle):
         spec = mini_learner_spec(mini_bundle)
         config = mini_spel_config(n_steps=2)
@@ -366,8 +391,9 @@ class TestCheckpoints:
             # selection by the pre-round ensemble, and its confidences must
             # dominate every unselected sample's.
             prev_ensemble, _, _ = load_round(ckpt, j - 1, config, [spec, spec])
+            pred = avg_predict(prev_ensemble, mini_bundle.unlabeled.inputs)
             expected = select_pseudo(
-                prev_ensemble,
+                pred,
                 mini_bundle.unlabeled,
                 min(config.per_step * j, len(mini_bundle.unlabeled)),
             )
@@ -375,7 +401,6 @@ class TestCheckpoints:
             assert np.array_equal(recorded.ids, expected.ids)
             assert np.array_equal(recorded.labels, expected.labels)
 
-            pred = avg_predict(prev_ensemble, mini_bundle.unlabeled.inputs)
             selected = np.isin(mini_bundle.unlabeled.ids, recorded.ids)
             if (~selected).any():
                 assert recorded.confidences.min() >= pred.confidence[~selected].max()
@@ -612,6 +637,21 @@ class TestCheckpoints:
             self._run(mini_bundle, ckpt, config, specs=[spec, wider], resume=True)
 
 
+def checkpoint_contents(ckpt):
+    """Each file under a checkpoint directory by relative path: its bytes,
+    or for a member archive the bytes of each entry, since an archive also
+    records when it was written."""
+    contents = {}
+    for path in sorted(p for p in ckpt.rglob("*") if p.is_file()):
+        name = path.relative_to(ckpt).as_posix()
+        if path.suffix == ".npz":
+            with zipfile.ZipFile(path) as archive:
+                contents[name] = {entry: archive.read(entry) for entry in archive.namelist()}
+        else:
+            contents[name] = path.read_bytes()
+    return contents
+
+
 def assert_no_child_left():
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
@@ -646,35 +686,85 @@ class TestWorkerProcesses:
     def _stage(self, mini_bundle, n_members=3):
         spec = mini_learner_spec(mini_bundle)
         config = mini_spel_config(pretrain_epochs=1, n_members=n_members)
-        ensemble, states = pretrain(config, mini_bundle.labeled, [spec] * n_members)
-        return ensemble, states, config
+        ensemble, states, _, predictions = pretrain(config, mini_bundle, [spec] * n_members)
+        return ensemble, states, config, predictions["unlabeled"]
 
-    def test_runs_on_1_2_and_3_cpus_are_equal(self, mini_bundle, tmp_path, monkeypatch):
-        shape = mini_bundle.labeled.inputs.shape[1:]
-        specs = [
-            LearnerSpec(shape, 3, hidden_layers=(16,)),
-            LearnerSpec(shape, 3, hidden_layers=(8, 6)),
-            LearnerSpec(shape, 3, hidden_layers=(10,), conv_stem=((2, 3, 2),)),
-        ]
-        config = mini_spel_config(n_members=3, n_steps=2, per_step=20)
+    def _runs_on_1_2_and_3_cpus(self, data, config, specs, tmp_path, monkeypatch):
+        """Runs at 1, 2 and 3 usable CPUs, which must equal the 1-CPU run
+        down to the checkpoint contents; returns each run's fork count."""
         forks = self._counted_forks(monkeypatch)
-        runs = {}
+        runs, fork_counts = {}, []
         for cpus in (1, 2, 3):
             self._cpus(monkeypatch, cpus)
             ckpt = tmp_path / f"cpus{cpus}"
-            result = run_spel(mini_bundle, config, specs, checkpoint_dir=ckpt)
-            _, states, _ = load_round(ckpt, 2, config, specs)
-            runs[cpus] = result, states
-            # one fork per worker per stage: pretraining and two rounds
-            assert len(forks) == 3 * (cpus - 1)
+            result = run_spel(data, config, specs, checkpoint_dir=ckpt)
+            _, states, _ = load_round(ckpt, config.n_steps, config, specs)
+            runs[cpus] = result, states, checkpoint_contents(ckpt)
+            fork_counts.append(len(forks))
             forks.clear()
-        want, want_states = runs[1]
-        for got, got_states in (runs[2], runs[3]):
-            TestCheckpoints._assert_same_run(got, want, rounds=2)
+        want, want_states, want_files = runs[1]
+        for got, got_states, got_files in (runs[2], runs[3]):
+            TestCheckpoints._assert_same_run(got, want, rounds=config.n_steps)
             for a, b in zip(got.ensemble.members, want.ensemble.members):
                 assert a.buffer.tobytes() == b.buffer.tobytes() and a.step == b.step
             for a, b in zip(got_states, want_states):
                 assert a.buffer.tobytes() == b.buffer.tobytes()
+            assert got_files == want_files
+        assert_no_child_left()
+        return fork_counts
+
+    @staticmethod
+    def _mixed_specs(data, head="multiclass"):
+        shape = data.labeled.inputs.shape[1:]
+        return [
+            LearnerSpec(shape, 3, hidden_layers=(16,), head=head),
+            LearnerSpec(shape, 3, hidden_layers=(8, 6), head=head),
+            LearnerSpec(shape, 3, hidden_layers=(10,), conv_stem=((2, 3, 2),), head=head),
+        ]
+
+    def test_runs_on_1_2_and_3_cpus_are_equal(self, mini_bundle, tmp_path, monkeypatch):
+        config = mini_spel_config(n_members=3, n_steps=2, per_step=20)
+        forks = self._runs_on_1_2_and_3_cpus(
+            mini_bundle, config, self._mixed_specs(mini_bundle), tmp_path, monkeypatch
+        )
+        # one fork per worker per stage: pretraining and two rounds
+        assert forks == [3 * (cpus - 1) for cpus in (1, 2, 3)]
+
+    @pytest.mark.parametrize("case", ["no-rounds", "no-validation", "multilabel"])
+    def test_other_runs_on_1_2_and_3_cpus_are_equal(self, mini_bundle, tmp_path, monkeypatch, case):
+        """Without rounds the final prediction is pretraining's test
+        forward; without validation no stage forwards that split."""
+        config = mini_spel_config(n_members=3, n_steps=0 if case == "no-rounds" else 2, per_step=20)
+        data, head = mini_bundle, "multiclass"
+        if case == "no-validation":
+            data = dataclasses.replace(mini_bundle, validation=None)
+        elif case == "multilabel":
+            spec = mini_synthetic_spec(task="multilabel")
+            data = gen_synthetic(spec, MINI_STFT, MINI_MELS, seed=1234)
+            head = "multilabel"
+        forks = self._runs_on_1_2_and_3_cpus(
+            data, config, self._mixed_specs(data, head), tmp_path, monkeypatch
+        )
+        assert forks == [(config.n_steps + 1) * (cpus - 1) for cpus in (1, 2, 3)]
+
+    def test_a_run_resumed_on_2_cpus_equals_the_uninterrupted_run_on_1(
+        self, mini_bundle, tmp_path, monkeypatch
+    ):
+        """The resumed run's loaded rounds 0 and 1 predict the baseline and
+        the pool in the processes a stage uses, one fork each."""
+        specs = self._mixed_specs(mini_bundle)
+        config = mini_spel_config(n_members=3, n_steps=3, per_step=20)
+        self._cpus(monkeypatch, 1)
+        full = run_spel(mini_bundle, config, specs, checkpoint_dir=tmp_path / "full")
+        ckpt = tmp_path / "cut"
+        for j in (0, 1):
+            shutil.copytree(tmp_path / "full" / f"round_{j:03d}", ckpt / f"round_{j:03d}")
+        self._cpus(monkeypatch, 2)
+        forks = self._counted_forks(monkeypatch)
+        resumed = run_spel(mini_bundle, config, specs, checkpoint_dir=ckpt, resume=True)
+        assert len(forks) == 4  # loaded rounds 0 and 1, computed rounds 2 and 3
+        TestCheckpoints._assert_same_run(resumed, full, rounds=3)
+        assert checkpoint_contents(ckpt) == checkpoint_contents(tmp_path / "full")
         assert_no_child_left()
 
     def test_a_single_member_never_forks(self, mini_bundle, monkeypatch):
@@ -692,19 +782,19 @@ class TestWorkerProcesses:
         self, mini_bundle, monkeypatch, poisoned, reported
     ):
         """With 2 CPUs this process trains members 0 and 2, a worker member 1."""
-        ensemble, states, config = self._stage(mini_bundle)
+        ensemble, states, config, pool = self._stage(mini_bundle)
         for i in poisoned:
             states[i].m["out_b"][0] = np.nan
         self._cpus(monkeypatch, 2)
         with pytest.raises(DivergenceError, match=rf"^member {reported}, round 2: dense0_w") as info:
-            spel_round(ensemble, states, mini_bundle, config, 2)
+            spel_round(ensemble, states, mini_bundle, config, 2, pool)
         assert (info.value.member, info.value.round_index) == (reported, 2)
         assert isinstance(info.value.__cause__, DivergenceError)
         assert info.value.__cause__.member is None
         assert_no_child_left()
 
     def test_a_worker_that_raises_names_member_and_round(self, mini_bundle, monkeypatch):
-        ensemble, states, config = self._stage(mini_bundle)
+        ensemble, states, config, pool = self._stage(mini_bundle)
 
         def fail():
             raise KeyError("no such tensor")
@@ -712,12 +802,12 @@ class TestWorkerProcesses:
         self._train_failing(monkeypatch, ensemble.members[1], fail)
         self._cpus(monkeypatch, 2)
         with pytest.raises(RuntimeError, match=r"^member 1, round 2: it failed in its worker") as info:
-            spel_round(ensemble, states, mini_bundle, config, 2)
+            spel_round(ensemble, states, mini_bundle, config, 2, pool)
         assert "KeyError: 'no such tensor'" in str(info.value)
         assert_no_child_left()
 
     def test_a_killed_worker_names_member_and_round(self, mini_bundle, monkeypatch):
-        ensemble, states, config = self._stage(mini_bundle)
+        ensemble, states, config, pool = self._stage(mini_bundle)
         parent = os.getpid()
 
         def die():
@@ -730,11 +820,49 @@ class TestWorkerProcesses:
             RuntimeError,
             match=rf"^member 1, round 2: the worker process running it was killed by signal {signal.SIGKILL.value}$",
         ):
-            spel_round(ensemble, states, mini_bundle, config, 2)
+            spel_round(ensemble, states, mini_bundle, config, 2, pool)
+        assert_no_child_left()
+
+    def test_a_worker_killed_on_its_second_member_names_that_member(self, mini_bundle, monkeypatch):
+        """With 4 members on 2 CPUs a worker runs members 1 and 3, and it
+        has sent member 1 back when it is killed training member 3."""
+        ensemble, states, config, pool = self._stage(mini_bundle, n_members=4)
+        parent = os.getpid()
+
+        def die():
+            assert os.getpid() != parent, "member 3 trains in a worker"
+            os.kill(os.getpid(), signal.SIGKILL)
+
+        self._train_failing(monkeypatch, ensemble.members[3], die)
+        self._cpus(monkeypatch, 2)
+        with pytest.raises(
+            RuntimeError,
+            match=rf"^member 3, round 2: the worker process running it was killed by signal {signal.SIGKILL.value}$",
+        ):
+            spel_round(ensemble, states, mini_bundle, config, 2, pool)
+        assert_no_child_left()
+
+    def test_a_worker_killed_while_predicting_names_the_member(self, mini_bundle, monkeypatch):
+        """The worker's first forward is member 1's, after training it."""
+        ensemble, states, config, pool = self._stage(mini_bundle, n_members=4)
+        parent, real = os.getpid(), engine.learner.forward
+
+        def forward(params, inputs):
+            if os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return real(params, inputs)
+
+        monkeypatch.setattr(engine.learner, "forward", forward)
+        self._cpus(monkeypatch, 2)
+        with pytest.raises(
+            RuntimeError,
+            match=rf"^member 1, round 2: the worker process running it was killed by signal {signal.SIGKILL.value}$",
+        ):
+            spel_round(ensemble, states, mini_bundle, config, 2, pool)
         assert_no_child_left()
 
     def test_a_failing_parent_stops_and_reaps_its_workers(self, mini_bundle, monkeypatch):
-        ensemble, states, config = self._stage(mini_bundle, n_members=2)
+        ensemble, states, config, pool = self._stage(mini_bundle, n_members=2)
         real = engine.train
 
         class Interrupted(Exception):
@@ -750,6 +878,6 @@ class TestWorkerProcesses:
         self._cpus(monkeypatch, 2)
         start = time.perf_counter()
         with pytest.raises(Interrupted):
-            spel_round(ensemble, states, mini_bundle, config, 2)
+            spel_round(ensemble, states, mini_bundle, config, 2, pool)
         assert time.perf_counter() - start < 30
         assert_no_child_left()

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from spelaudio.ensemble import Ensemble, avg_predict
+from spelaudio.ensemble import Ensemble, avg_predict, mean_prediction
 from spelaudio.learner import LearnerSpec, forward, init_params
 
 
@@ -86,6 +86,30 @@ class TestAvgPredict:
         b = make_members(1, head="multilabel")[0]
         with pytest.raises(ValueError):
             Ensemble((a, b))
+
+
+class TestMeanPrediction:
+    """avg_predict is mean_prediction over its members' forwards, which a
+    run's stages compute where the members train."""
+
+    @pytest.mark.parametrize("head", ["multiclass", "multilabel"])
+    def test_avg_predict_equals_the_mean_of_the_member_forwards_bitwise(self, head):
+        ensemble = Ensemble(tuple(make_members(5, seed0=40, head=head, n_outputs=4)))
+        x = np.random.default_rng(8).normal(size=(17, 1, 6))
+        got = avg_predict(ensemble, x)
+        want = mean_prediction(ensemble.task, [forward(m, x) for m in ensemble.members])
+        for name in ("probabilities", "labels", "confidence"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+
+    @pytest.mark.parametrize("head", ["multiclass", "multilabel"])
+    def test_identical_members_reproduce_their_common_output_exactly(self, head):
+        member = make_members(1, seed0=9, head=head)[0]
+        x = np.random.default_rng(4).normal(size=(11, 1, 6))
+        single = forward(member, x)
+        for n in (1, 2, 3, 5):
+            pred = mean_prediction(head, [single] * n)
+            assert pred.probabilities.tobytes() == single.tobytes(), f"n={n}"
 
 
 class TestPermuteMembers:

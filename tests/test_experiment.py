@@ -184,7 +184,7 @@ class TestSlidingWindow:
 
         spec = mini_learner_spec(mini_bundle)
         config = mini_spel_config(n_members=1)
-        ensemble, _ = pretrain(config, mini_bundle.labeled, [spec])
+        ensemble, *_ = pretrain(config, mini_bundle, [spec])
         return ensemble
 
     def test_single_window_equals_plain_prediction(self, mini_bundle):
@@ -546,9 +546,7 @@ class TestSourceSanityBound:
         )
         bundle = gen_synthetic(spec, cfg.stft, cfg.n_mels, seed=0)
         learner_spec = build_learner_specs(cfg, build_data(cfg))[0]
-        single, _ = pretrain(
-            dataclasses.replace(cfg.spel, n_members=1), bundle.labeled, [learner_spec]
-        )
+        single, *_ = pretrain(dataclasses.replace(cfg.spel, n_members=1), bundle, [learner_spec])
         score = accuracy(
             avg_predict(single, bundle.validation.inputs).labels, bundle.validation.targets
         )
@@ -768,12 +766,13 @@ class TestStoreFill:
         assert raised[3] == raised[1] == (WavFormatError, want)
         assert_no_child_left()
 
-    def test_a_killed_block_names_its_first_file(self, tmp_path, monkeypatch):
-        """A killed process sends nothing back, so its block's first row is
-        the lowest that may be unfilled."""
+    def test_a_killed_block_names_the_file_it_was_rendering(self, tmp_path, monkeypatch):
+        """A killed process has sent back each row it finished, so the row
+        it was rendering, here its block's second, is the lowest that may
+        be unfilled."""
         config = _wav_dir_config(tmp_path)
         order = self._store_order(tmp_path, monkeypatch, config)
-        first, victim = order[len(order) // 2: len(order) // 2 + 2]  # the second of two blocks
+        victim = order[len(order) // 2 + 1]  # the second row of the second of two blocks
         parent = os.getpid()
 
         def load_or_die(path):
@@ -786,7 +785,7 @@ class TestStoreFill:
         self._cpus(monkeypatch, 2)
         with pytest.raises(
             RuntimeError,
-            match=rf"^{re.escape(first)}: the worker process running it was killed by signal "
+            match=rf"^{re.escape(victim)}: the worker process running it was killed by signal "
                   rf"{signal.SIGKILL.value}$",
         ):
             build_data(config)

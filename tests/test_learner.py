@@ -796,6 +796,19 @@ class TestStorage:
         assert peak < params.buffer.nbytes
         assert np.array_equal(g, before)
 
+    def test_a_trained_state_holds_only_its_moments(self):
+        """Its scratch rows are for training; adam_step makes them again."""
+        params, state = self._trained()
+        assert state.scratch is None
+        twin_params, twin_state = copy.deepcopy((params, state))
+        g = np.random.default_rng(1).normal(size=params.buffer.shape)
+        adam_step(state, params, g)
+        assert state.scratch.shape == state.buffer.shape
+        twin_state.scratch = np.full_like(twin_state.buffer, np.nan)  # carries nothing
+        adam_step(twin_state, twin_params, g)
+        assert np.array_equal(params.buffer, twin_params.buffer)
+        assert np.array_equal(state.buffer, twin_state.buffer)
+
     def test_state_of_other_parameters_rejected(self):
         params = init_params(self.SPEC, seed=0)
         other = init_params(TRAIN_SPECS[0], seed=0)
