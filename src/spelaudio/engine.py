@@ -154,7 +154,7 @@ class UnlabeledSet:
 class ExperimentData:
     """A run's inputs from either data source. Each split's inputs are the
     slice of images, one read-only float32 store, that rows maps its name
-    to; the learner computes on it in float64. The
+    to; the float32 members read it as it is. The
     test targets and the pool truth are for evaluation only and training
     reads neither; unlabeled_truth is None where the pool's labels are unknown."""
 

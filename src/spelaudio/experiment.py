@@ -317,10 +317,12 @@ def sliding_window_predict(
     stft_config: StftConfig,
     fb: MelFilterbank,
 ) -> np.ndarray:
-    """Per-class scores for a long clip: run the frontend and the averaged
-    ensemble on each window, then keep the per-class maximum. A recording
-    whose rate, or a geometry whose n_fft, differs from the filterbank's is
-    rejected before any frontend work."""
+    """Per-class scores for a long clip: run the frontend on each window into
+    one float32 buffer, as the store holds images (each computed in float64
+    and rounded once), and the averaged ensemble on all of them, then keep
+    the per-class maximum. A recording whose rate, or a geometry whose
+    n_fft, differs from the filterbank's is rejected before any frontend
+    work."""
     rate = long_signal.sample_rate
     fb.check_input(rate, stft_config.n_fft)
     window_n = int(round(window_seconds * rate))
@@ -335,7 +337,7 @@ def sliding_window_predict(
             f"{window_n}-sample window"
         )
     starts = range(0, len(long_signal) - window_n + 1, hop_n)
-    images = np.empty((len(starts), frame_count(window_n, stft_config), fb.n_mels))
+    images = np.empty((len(starts), frame_count(window_n, stft_config), fb.n_mels), np.float32)
     for i, s in enumerate(starts):
         window = Signal(long_signal.samples[s : s + window_n], rate)
         images[i] = preprocess(window, stft_config, fb, window_n).values

@@ -3,22 +3,28 @@
 A learner is a feed-forward network with an optional strided 2-D
 convolutional stem, a rectified-linear body, and either a softmax
 (multi-class) or per-output sigmoid (multi-label) head. Forward, loss,
-and gradients are implemented directly on numpy arrays and compute in
-double precision. Float32 inputs, such as the image store, are not
-widened up front: training gathers each batch's rows as they are, and
-the first layer widens them where it copies them anyway (a conv stem's
-unfolded windows, or the flattened input of the dense body), so training
-on rows of the store never copies it. Training is plain shuffled
-mini-batch Adam. Each conv layer is one matrix product over its unfolded
-windows (im2col), cached from the forward pass for the weight gradient;
-whichever layer the input images enter, the gradient with respect to them
-is never formed. A member keeps
-its parameters in one contiguous float64 buffer and its Adam moments in
-another, behind read-only mappings of per-tensor views. ``train`` checks
-its data once per call and steps private copies, so its caller's objects
-never change; a step writes one flat gradient and updates both buffers in
-place from it. Seeded runs are bitwise reproducible because the data order
-is a pure function of the seed and every step runs the same arithmetic.
+and gradients are implemented directly on numpy arrays and compute in the
+member's dtype: float32 for every member ``init_params`` builds, float64
+for one built from float64 tensors, as checks held to double precision
+are. Float32 inputs, such as the image store, are read as they are:
+training gathers each batch's rows, which a float32 member computes on
+directly and a float64 member widens where its first layer copies them
+anyway (a conv stem's unfolded windows, or the flattened input of the
+dense body), so training on rows of the store never copies it. Float32
+keeps the stable softmax, binary cross-entropy and ``EPS`` as they are
+but narrows the finite range: a float32 member diverges near 3.4e38.
+
+Training is plain shuffled mini-batch Adam. Each conv layer is one matrix
+product over its unfolded windows (im2col), cached from the forward pass
+for the weight gradient; whichever layer the input images enter, the
+gradient with respect to them is never formed. A member keeps its
+parameters in one contiguous buffer and its Adam moments in another, both
+in its dtype, behind read-only mappings of per-tensor views. ``train``
+checks its data once per call and steps private copies, so its caller's
+objects never change; a step writes one flat gradient and updates both
+buffers in place from it. Seeded runs are bitwise reproducible because
+the data order is a pure function of the seed and every step runs the
+same arithmetic.
 """
 
 from __future__ import annotations
@@ -53,7 +59,7 @@ __all__ = [
     "load_params",
 ]
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 BETA1 = 0.9
 BETA2 = 0.999
@@ -164,6 +170,22 @@ def _layout(arrays: Mapping[str, np.ndarray]) -> list[tuple[str, tuple[int, ...]
     return [(name, arr.shape) for name, arr in arrays.items()]
 
 
+def _one_dtype(arrays) -> np.dtype:
+    """The dtype all arrays share, float32 or float64 (the dtypes a member
+    computes in), or ValueError."""
+    names = sorted({arr.dtype.name for arr in arrays})
+    if names not in (["float32"], ["float64"]):
+        raise ValueError(f"tensors must all be float32 or all float64, got {', '.join(names)}")
+    return np.dtype(names[0])
+
+
+def _check_same_dtype(state: OptimizerState, params: LearnerParams) -> None:
+    if state.buffer.dtype != params.buffer.dtype:
+        raise ValueError(
+            f"optimizer state is {state.buffer.dtype} but the parameters are {params.buffer.dtype}"
+        )
+
+
 def _first_nonfinite(buffer: np.ndarray, views: Mapping[str, np.ndarray]) -> str | None:
     """Name of the first view holding a non-finite value, or None."""
     if np.isfinite(buffer).all():
@@ -175,8 +197,10 @@ def _first_nonfinite(buffer: np.ndarray, views: Mapping[str, np.ndarray]) -> str
 class LearnerParams:
     """One member's weight set plus its optimizer step counter.
 
-    The tensors are packed, as float64 copies in parameter order, into one
-    fresh buffer; ``tensors`` maps each name to its view of that buffer.
+    The tensors, all float32 or all float64, are packed, as copies in
+    parameter order and in their dtype, into one fresh buffer; ``tensors``
+    maps each name to its view of that buffer. The member computes in
+    that dtype.
     """
 
     spec: LearnerSpec
@@ -195,7 +219,8 @@ class LearnerParams:
                 )
         if self.step < 0:
             raise ValueError("step counter must be non-negative")
-        self.buffer = np.concatenate(list(self.tensors.values()), axis=None, dtype=np.float64)
+        tensors = list(self.tensors.values())
+        self.buffer = np.concatenate(tensors, axis=None, dtype=_one_dtype(tensors))
         self.tensors = _views(self.buffer, self.tensors)
         bad = _first_nonfinite(self.buffer, self.tensors)
         if bad is not None:
@@ -216,8 +241,10 @@ class LearnerParams:
 class OptimizerState:
     """Adam accumulators; shapes mirror the parameters they update.
 
-    Both moments are packed, as float64 copies, into one fresh (2, n)
-    buffer: ``m`` maps each name to its view of row 0, ``v`` of row 1.
+    Both moments, all float32 or all float64, are packed, as copies in
+    their dtype, into one fresh (2, n) buffer: ``m`` maps each name to its
+    view of row 0, ``v`` of row 1. ``init_adam`` gives the parameters'
+    dtype, and ``train`` refuses a state of another.
     ``scratch`` is two rows ``adam_step`` overwrites, its only temporaries;
     they carry nothing from one step to the next. ``train`` drops them
     when it returns and a state read back from a pickle has none, so a
@@ -237,7 +264,7 @@ class OptimizerState:
         if _layout(self.m) != _layout(self.v):
             raise ValueError("m and v differ in tensor names or shapes")
         moments = [*self.m.values(), *self.v.values()]
-        self.buffer = np.concatenate(moments, axis=None, dtype=np.float64).reshape(2, -1)
+        self.buffer = np.concatenate(moments, axis=None, dtype=_one_dtype(moments)).reshape(2, -1)
         self.m, self.v = _views(self.buffer[0], self.m), _views(self.buffer[1], self.v)
         self.scratch = np.empty_like(self.buffer)
 
@@ -284,19 +311,21 @@ class DivergenceError(ValueError):
 
 
 def init_params(spec: LearnerSpec, seed: int) -> LearnerParams:
-    """Fan-in-scaled Gaussian weights (std sqrt(2/fan_in)), zero biases."""
+    """A float32 member: fan-in-scaled Gaussian weights (std sqrt(2/fan_in)),
+    drawn in float64 and rounded once, and zero biases."""
     rng = np.random.default_rng(seed)
     tensors = {}
     for name, shape in param_shapes(spec).items():
         if name.endswith("_b"):
-            tensors[name] = np.zeros(shape, dtype=np.float64)
+            tensors[name] = np.zeros(shape, dtype=np.float32)
         else:
             std = math.sqrt(2.0 / _fan_in(name, shape))
-            tensors[name] = rng.normal(0.0, std, size=shape)
+            tensors[name] = rng.normal(0.0, std, size=shape).astype(np.float32)
     return LearnerParams(spec=spec, tensors=tensors, step=0)
 
 
 def init_adam(params: LearnerParams, learning_rate: float) -> OptimizerState:
+    """Zero moments in the parameters' layout and dtype."""
     zeros = _views(np.zeros_like(params.buffer), params.tensors)
     return OptimizerState(m=zeros, v=zeros, learning_rate=learning_rate)
 
@@ -322,12 +351,12 @@ def _sigmoid(z):
 
 def _conv_forward(x, w, b, stride):
     # im2col: one copy of the strided windows, a row per output position.
-    # The columns are float64 whatever the input's precision: the copy casts.
+    # The columns take the member's dtype whatever the input's: the copy casts.
     kernel = w.shape[2]
     windows = sliding_window_view(x, (kernel, kernel), axis=(2, 3))[:, :, ::stride, ::stride]
     windows = windows.transpose(0, 2, 3, 1, 4, 5)
     h_out, w_out = windows.shape[1:3]
-    cols = np.empty(windows.shape)
+    cols = np.empty(windows.shape, dtype=w.dtype)
     np.copyto(cols, windows)
     cols = cols.reshape(-1, w[0].size)
     z = (cols @ w.reshape(len(w), -1).T).reshape(len(x), h_out, w_out, len(w))
@@ -337,7 +366,7 @@ def _conv_forward(x, w, b, stride):
 def _conv_input_grad(x_shape, w, stride, dout2d, h_out, w_out):
     """Gradient in one conv layer's input, from its (B*h*w, O) output-gradient rows."""
     spread = (dout2d @ w.reshape(len(w), -1)).reshape(x_shape[0], h_out, w_out, *w.shape[1:])
-    dx = np.zeros(x_shape, dtype=np.float64)
+    dx = np.zeros(x_shape, dtype=w.dtype)
     for i in range(w.shape[2]):
         for j in range(w.shape[3]):
             dx[:, :, i : i + stride * h_out : stride, j : j + stride * w_out : stride] += (
@@ -346,15 +375,16 @@ def _conv_input_grad(x_shape, w, stride, dout2d, h_out, w_out):
     return dx
 
 
-def _check_input_shape(spec: LearnerSpec, inputs: np.ndarray) -> np.ndarray:
+def _check_input_shape(spec: LearnerSpec, inputs: np.ndarray, dtype) -> np.ndarray:
     """inputs as a real (batch, frames, mels) array, or ValueError. A float32
-    array, such as the store, is returned as it is, for the first layer to
-    widen; anything else is cast to float64."""
+    array, such as the store, is returned as it is: a float32 member reads
+    it, and a float64 member's first layer widens the rows it copies anyway.
+    Anything else is cast to dtype, the member's."""
     x = np.asarray(inputs)
     if np.iscomplexobj(x):
         raise ValueError(f"inputs must be real, got {x.dtype}")
     if x.dtype != np.float32:
-        x = x.astype(np.float64, copy=False)
+        x = x.astype(dtype, copy=False)
     if x.ndim != 3 or x.shape[1:] != spec.input_shape:
         frames, mels = spec.input_shape
         raise ValueError(f"expected inputs of shape (batch, {frames}, {mels}), got {x.shape}")
@@ -375,7 +405,7 @@ def _forward_cached(params: LearnerParams, x: np.ndarray):
             a = a_next
         a = a.reshape(len(a), -1)
     else:
-        a = x.reshape(len(x), -1).astype(np.float64, copy=False)
+        a = x.reshape(len(x), -1).astype(params.buffer.dtype, copy=False)
 
     for j in range(len(spec.hidden_layers)):
         z = a @ t[f"dense{j}_w"] + t[f"dense{j}_b"]
@@ -389,15 +419,16 @@ def _forward_cached(params: LearnerParams, x: np.ndarray):
 
 def forward(params: LearnerParams, inputs: np.ndarray) -> np.ndarray:
     """Class probabilities: softmax rows (multi-class) or per-output sigmoids."""
-    logits, _ = _forward_cached(params, _check_input_shape(params.spec, inputs))
+    x = _check_input_shape(params.spec, inputs, params.buffer.dtype)
+    logits, _ = _forward_cached(params, x)
     if params.spec.head == "multiclass":
         return _softmax(logits)
     return _sigmoid(logits)
 
 
-def _checked_targets(spec: LearnerSpec, targets: np.ndarray) -> np.ndarray:
-    """targets as int64 class indices (multi-class) or float64 0/1 rows
-    (multi-label), or ValueError naming the first bad value."""
+def _checked_targets(spec: LearnerSpec, targets: np.ndarray, dtype) -> np.ndarray:
+    """targets as int64 class indices (multi-class) or 0/1 rows of dtype, the
+    member's (multi-label), or ValueError naming the first bad value."""
     n = len(targets)
     if spec.head == "multiclass":
         t = np.asarray(targets)
@@ -420,7 +451,7 @@ def _checked_targets(spec: LearnerSpec, targets: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"multilabel targets must be 0 or 1, got {np.asarray(targets).flat[not_binary[0]]}"
         )
-    return t
+    return t.astype(dtype, copy=False)
 
 
 def _loss_and_dlogits(spec: LearnerSpec, logits: np.ndarray, t: np.ndarray):
@@ -531,7 +562,7 @@ def train(
     DivergenceError naming the tensor and step if a parameter is non-finite
     at the end of an epoch.
     """
-    x = _check_input_shape(params.spec, inputs)
+    x = _check_input_shape(params.spec, inputs, params.buffer.dtype)
     rows = np.arange(len(x)) if rows is None else np.asarray(rows)
     whole = rows.ndim == 1 and np.issubdtype(rows.dtype, np.integer)
     bad = np.flatnonzero((rows < 0) | (rows >= len(x))) if whole else np.arange(rows.size)
@@ -542,13 +573,14 @@ def train(
         raise ValueError("cannot train on an empty dataset")
     if len(targets) != n:
         raise ValueError(f"{n} training rows but {len(targets)} targets")
-    targets = _checked_targets(params.spec, targets)
+    targets = _checked_targets(params.spec, targets, params.buffer.dtype)
     if batch_size < 1:
         raise ValueError("batch_size must be positive")
     if epochs < 0:
         raise ValueError("epochs must be non-negative")
     if _layout(state.m) != _layout(params.tensors):
         raise ValueError("optimizer state differs from the parameters in tensor names or shapes")
+    _check_same_dtype(state, params)
     params = LearnerParams(params.spec, params.tensors, params.step)
     state = OptimizerState(state.m, state.v, state.learning_rate)
     rng = np.random.default_rng(seed)
@@ -597,7 +629,8 @@ def _spec_from_json(text: str) -> LearnerSpec:
 
 
 def save_params(path, params: LearnerParams, state: OptimizerState | None = None) -> None:
-    """Checkpoint spec + tensors (+ optional Adam state) to a single .npz file."""
+    """Checkpoint spec + tensors (+ optional Adam state), in the member's
+    dtype, to a single .npz file."""
     payload = {
         "format_version": np.array(FORMAT_VERSION),
         "spec_json": np.array(_spec_to_json(params.spec)),
@@ -648,8 +681,9 @@ def load_params(path):
 
 
 def _read_checkpoint(archive):
+    # Version 1 wrote float64 arrays only; version 2 writes the member's dtype.
     version = int(archive["format_version"])
-    if version != FORMAT_VERSION:
+    if version not in (1, FORMAT_VERSION):
         raise ValueError(f"unsupported checkpoint format version {version}")
     spec = _spec_from_json(str(archive["spec_json"]))
     shapes = param_shapes(spec)
@@ -665,6 +699,7 @@ def _read_checkpoint(archive):
         v=_load_tensors(archive, "adam/v/", shapes),
         learning_rate=lr,
     )
+    _check_same_dtype(state, params)
     return params, state
 
 

@@ -3,7 +3,7 @@ import pytest
 
 from spelaudio.dsp import StftConfig
 from spelaudio.engine import SpelConfig
-from spelaudio.learner import LearnerSpec
+from spelaudio.learner import LearnerParams, LearnerSpec
 from spelaudio.synthetic import SyntheticSpec, gen_synthetic
 
 # Small end-to-end task shared across engine/harness tests: 3 tone classes,
@@ -35,6 +35,13 @@ def mini_synthetic_spec(**overrides):
 def mini_learner_spec(bundle, n_outputs=3, head="multiclass"):
     shape = bundle.labeled.inputs.shape[1:]
     return LearnerSpec(input_shape=shape, n_outputs=n_outputs, hidden_layers=(16,), head=head)
+
+
+def float64_member(params):
+    """params widened to a float64 member, for a check whose tolerance is
+    set by double precision (runs build float32 members)."""
+    wide = {name: arr.astype(np.float64) for name, arr in params.tensors.items()}
+    return LearnerParams(params.spec, wide, params.step)
 
 
 def mini_spel_config(**overrides):

@@ -25,6 +25,7 @@ from spelaudio.experiment import (
 from spelaudio.learner import LearnerSpec, init_params, n_parameters
 from spelaudio.metrics import CHI2_CRITICAL_P01, accuracy, lrap, mcnemar, wlrap
 
+from conftest import float64_member
 from test_dsp import stft_direct
 from test_learner import assert_gradients_match, smooth_random_batch
 from test_metrics import lrap_slow, random_multilabel_case
@@ -92,7 +93,7 @@ def test_criterion_2_gradient_correctness():
                 head=head,
             )
         assert n_parameters(spec) <= 2000
-        params = init_params(spec, seed=trial)
+        params = float64_member(init_params(spec, seed=trial))
         assert_gradients_match(params, smooth_random_batch(rng, spec, params), rtol=1e-4)
         checked += 1
     elapsed = time.perf_counter() - start
@@ -292,6 +293,17 @@ def test_criterion_5_behavioral_reproduction():
     )
 
 
+def paired_summary(ens_gains, single_gains) -> str:
+    """Mean, sample SD and sign counts of the per-seed differences. Gains
+    are differences of test-set counts over its size; rounding to 12 places
+    makes an equal pair of them read exactly 0."""
+    d = np.round(np.asarray(ens_gains) - np.asarray(single_gains), 12)
+    return (
+        f"mean {d.mean():+.4f}, SD {d.std(ddof=1):.4f}; over {len(d)} seeds: "
+        f"{int((d > 0).sum())} +, {int((d == 0).sum())} 0, {int((d < 0).sum())} -"
+    )
+
+
 def test_criterion_6_ensemble_beats_single_model_spl():
     """Mean ensemble gain at least matches the single-model self-paced gain."""
     rows, _, _ = benchmark_results()
@@ -305,6 +317,7 @@ def test_criterion_6_ensemble_beats_single_model_spl():
         f"  single gains:   mean {single_gains.mean():+.4f} "
         + " ".join(f"{g:+.3f}" for g in single_gains)
     )
+    print(f"  ensemble minus single gain: {paired_summary(ens_gains, single_gains)}")
     report(
         "criterion 6: ensemble self-pacing gains >= single-model self-pacing",
         float(ens_gains.mean()) >= float(single_gains.mean()),

@@ -4,12 +4,15 @@ import pytest
 from spelaudio.ensemble import Ensemble, avg_predict, mean_prediction
 from spelaudio.learner import LearnerSpec, forward, init_params
 
+from conftest import float64_member
+
 
 def make_members(n, seed0=0, head="multiclass", n_outputs=3, input_dim=6):
+    """float64 members: the averaging checks hold to double precision."""
     spec = LearnerSpec(
         input_shape=(1, input_dim), n_outputs=n_outputs, hidden_layers=(5,), head=head
     )
-    return [init_params(spec, seed=seed0 + i) for i in range(n)]
+    return [float64_member(init_params(spec, seed=seed0 + i)) for i in range(n)]
 
 
 def constant_output_member(row, input_dim=4):

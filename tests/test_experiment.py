@@ -26,7 +26,7 @@ from spelaudio.experiment import (
 from spelaudio.learner import LearnerSpec, init_params
 from spelaudio.wavio import WavFormatError, load_wav, write_wav
 
-from conftest import mini_spel_config
+from conftest import float64_member, mini_spel_config
 from test_engine import assert_no_child_left
 from test_learner import traced_peak
 
@@ -199,7 +199,9 @@ class TestSlidingWindow:
         assert np.array_equal(scores, direct)
 
     def test_max_dominates_every_window(self, mini_bundle):
-        ensemble = self._ensemble(mini_bundle)
+        # float64 members: a float32 member's rows vary in the last bit with
+        # the batch they are computed in, beyond this bound.
+        ensemble = Ensemble(tuple(float64_member(m) for m in self._ensemble(mini_bundle).members))
         stft_config = StftConfig(n_fft=128, hop=64, win_length=128)
         fb = mel_filterbank(12, 128, 4000)
         rng = np.random.default_rng(1)
@@ -209,9 +211,26 @@ class TestSlidingWindow:
         for start in range(0, len(signal) - window + 1, hop):
             image = preprocess(
                 Signal(signal.samples[start : start + window], 4000), stft_config, fb, window
-            ).values
+            ).values.astype(np.float32)  # as the scan's buffer holds it
             probs = avg_predict(ensemble, image[None]).probabilities[0]
             assert np.all(scores >= probs - 1e-15)
+
+    @pytest.mark.parametrize("member_dtype", ["float32", "float64"])
+    def test_scores_are_the_ensemble_on_the_float32_windows(self, mini_bundle, member_dtype):
+        """Each window is computed in float64 and rounded once into a float32
+        buffer, which the members read in one batch, whatever their dtype."""
+        ensemble = self._ensemble(mini_bundle)
+        if member_dtype == "float64":
+            ensemble = Ensemble(tuple(float64_member(m) for m in ensemble.members))
+        stft_config = StftConfig(n_fft=128, hop=64, win_length=128)
+        fb = mel_filterbank(12, 128, 4000)
+        signal = Signal(np.random.default_rng(3).normal(size=2400), 4000)
+        scores = sliding_window_predict(ensemble, signal, 0.15, 0.075, stft_config, fb)
+        images = np.stack([
+            preprocess(Signal(signal.samples[s : s + 600], 4000), stft_config, fb, 600).values
+            for s in range(0, 1801, 300)
+        ]).astype(np.float32)
+        assert np.array_equal(scores, avg_predict(ensemble, images).probabilities.max(axis=0))
 
     def test_two_windows_elementwise_max(self, mini_bundle):
         ensemble = self._ensemble(mini_bundle)

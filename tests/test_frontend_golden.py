@@ -76,7 +76,7 @@ def test_stft_golden(name):
     assert _digest(spectrum) == STFT_GOLDEN[name]
 
 
-SCAN_GOLDEN = "43a1c1b0a12ebbf1"
+SCAN_GOLDEN = "db50d7468298a5cb"
 
 
 def test_sliding_window_scores_golden():

@@ -29,6 +29,8 @@ from spelaudio.learner import (
     _views,
 )
 
+from conftest import float64_member
+
 
 def numeric_gradients(params, batch, h=1e-5):
     """Central finite differences on every parameter component, one at a time."""
@@ -124,8 +126,29 @@ class TestGradients:
         spec = GRADCHECK_SPECS[idx]
         assert n_parameters(spec) <= 2000
         rng = np.random.default_rng(100 + idx)
-        params = init_params(spec, seed=100 + idx)
+        params = float64_member(init_params(spec, seed=100 + idx))
         assert_gradients_match(params, smooth_random_batch(rng, spec, params))
+
+    @pytest.mark.parametrize("idx", range(len(GRADCHECK_SPECS)))
+    def test_float32_gradient_near_the_float64_one(self, idx):
+        """At the same weights and inputs, each tensor of a float32 member's
+        gradient is within 1e-5 of the float64 member's, relative to that
+        tensor's norm: float32 rounding (eps 1.2e-7) summed over a layer."""
+        spec = GRADCHECK_SPECS[idx]
+        rng = np.random.default_rng(200 + idx)
+        narrow = init_params(spec, seed=200 + idx)
+        batch = random_batch(rng, spec, batch_size=16)
+        inputs = batch.inputs.astype(np.float32)
+        _, g32 = loss_and_grad(
+            narrow, LabeledSet(inputs, _checked_targets(spec, batch.targets, np.float32))
+        )
+        _, g64 = loss_and_grad(
+            float64_member(narrow), LabeledSet(inputs.astype(np.float64), batch.targets)
+        )
+        assert (g32.dtype, g64.dtype) == (np.float32, np.float64)
+        got = _views(g32, narrow.tensors)
+        for name, want in _views(g64, narrow.tensors).items():
+            assert np.linalg.norm(got[name] - want) <= 1e-5 * np.linalg.norm(want), name
 
 
 class TestInit:
@@ -181,7 +204,7 @@ class TestForward:
 
     def test_rows_sum_to_one(self):
         spec = LearnerSpec(input_shape=(1, 9), n_outputs=6, hidden_layers=(12,))
-        params = init_params(spec, seed=3)
+        params = float64_member(init_params(spec, seed=3))
         probs = forward(params, np.random.default_rng(3).normal(size=(50, 1, 9)))
         assert np.all(np.isfinite(probs))
         assert np.all(probs > 0) and np.all(probs < 1)
@@ -216,7 +239,7 @@ class TestLoss:
 
     def test_uniform_prediction_log_c(self):
         spec = LearnerSpec(input_shape=(1, 4), n_outputs=5, hidden_layers=(3,))
-        params = init_params(spec, seed=0)
+        params = float64_member(init_params(spec, seed=0))
         for arr in params.tensors.values():
             arr[...] = 0.0
         loss, _ = loss_and_grad(
@@ -246,7 +269,7 @@ class TestLoss:
     def test_malformed_multiclass_targets_rejected(self, targets, message):
         spec = LearnerSpec(input_shape=(1, 4), n_outputs=3, hidden_layers=())
         with pytest.raises(ValueError, match=message):
-            _checked_targets(spec, np.array(targets))
+            _checked_targets(spec, np.array(targets), np.float32)
 
     @pytest.mark.parametrize("targets, message", BAD_MULTICLASS_TARGETS)
     def test_malformed_multiclass_targets_rejected_by_train(self, targets, message):
@@ -270,7 +293,7 @@ class TestLoss:
     def test_multilabel_targets_outside_0_1_rejected(self, targets, message):
         spec = LearnerSpec(input_shape=(1, 4), n_outputs=3, hidden_layers=(), head="multilabel")
         with pytest.raises(ValueError, match=message):
-            _checked_targets(spec, np.array(targets))
+            _checked_targets(spec, np.array(targets), np.float32)
 
     @pytest.mark.parametrize("targets, message", BAD_MULTILABEL_TARGETS)
     def test_multilabel_targets_outside_0_1_rejected_by_train(self, targets, message):
@@ -505,23 +528,33 @@ def _train_data(spec, n=23, seed=4):
 
 
 class TestTrainContract:
-    @pytest.mark.parametrize("idx", range(len(TRAIN_SPECS)))
-    def test_bitwise_equal_to_copy_on_step_reference(self, idx):
-        spec = TRAIN_SPECS[idx]
+    def _assert_equals_reference(self, params):
+        """The reference's unchecked steps get inputs and multi-label targets
+        in the member's dtype, as train's checks hand them on."""
+        spec, dtype = params.spec, params.buffer.dtype
         inputs, targets = _train_data(spec)
-        params = init_params(spec, seed=idx)
         state = init_adam(params, learning_rate=3e-3)
         got, got_state = train(
             params, inputs, targets, epochs=3, batch_size=5, state=state, seed=7
         )
+        if spec.head == "multilabel":
+            targets = targets.astype(dtype)
         want, want_m, want_v = reference_train(
-            params, inputs, targets, epochs=3, batch_size=5, state=state, seed=7
+            params, inputs.astype(dtype), targets, epochs=3, batch_size=5, state=state, seed=7
         )
         assert got.step == want.step == 3 * 5
         for name in params.tensors:
             assert np.array_equal(got.tensors[name], want.tensors[name])
             assert np.array_equal(got_state.m[name], want_m[name])
             assert np.array_equal(got_state.v[name], want_v[name])
+
+    @pytest.mark.parametrize("idx", range(len(TRAIN_SPECS)))
+    def test_bitwise_equal_to_copy_on_step_reference(self, idx):
+        self._assert_equals_reference(float64_member(init_params(TRAIN_SPECS[idx], seed=idx)))
+
+    @pytest.mark.parametrize("idx", range(len(TRAIN_SPECS)))
+    def test_float32_member_bitwise_equal_to_copy_on_step_reference(self, idx):
+        self._assert_equals_reference(init_params(TRAIN_SPECS[idx], seed=idx))
 
     def test_arguments_left_unchanged(self):
         spec = TRAIN_SPECS[1]
@@ -613,7 +646,8 @@ class TestTrainContract:
         assert len(batches) == len(steps) == epochs * math.ceil(20 / batch_size)
         assert steps == list(range(len(steps)))
         rng = np.random.default_rng(5)
-        want = np.concatenate([inputs[rows[rng.permutation(20)]] for _ in range(epochs)])
+        narrow = inputs.astype(np.float32)  # the member's dtype
+        want = np.concatenate([narrow[rows[rng.permutation(20)]] for _ in range(epochs)])
         assert [len(b) for b in batches] == [6, 6, 6, 2] * epochs
         assert np.array_equal(np.concatenate(batches), want)
 
@@ -624,9 +658,15 @@ class TestTrainContract:
         assert "adam_step" not in spelaudio.learner.__all__
 
 
+def _member(spec, dtype, seed=0):
+    """A member of spec in dtype, "float32" as runs build it or "float64"."""
+    params = init_params(spec, seed=seed)
+    return params if dtype == "float32" else float64_member(params)
+
+
 # A dense member, and a conv member whose 2x2 windows at stride 4 cover a
-# quarter of each 16x16 image, so its im2col columns, float64, are a quarter
-# the size of its inputs widened.
+# quarter of each 16x16 image, so a float64 member's im2col columns are a
+# quarter the size of its inputs widened.
 STORE_SPECS = {
     "dense": LearnerSpec(input_shape=(16, 16), n_outputs=3, hidden_layers=(8,)),
     "conv": LearnerSpec(
@@ -651,9 +691,10 @@ def traced_peak(fn):
 
 
 class TestFloat32Store:
-    """A float32 store is read as it is: the first layer widens only the rows
-    it copies anyway, so the results are those of the store widened to
-    float64, and training never holds a float64 copy of the store."""
+    """A float32 store is read as it is: a float32 member computes on it and
+    a float64 member's first layer widens only the rows it copies anyway,
+    so the results are those of the store widened to float64, and training
+    never holds a float64 copy of the store. Each check runs both members."""
 
     @pytest.mark.parametrize("kind", sorted(STORE_SPECS))
     def test_trains_and_predicts_as_the_store_widened(self, kind):
@@ -662,38 +703,41 @@ class TestFloat32Store:
         rng = np.random.default_rng(1)
         rows = rng.permutation(60)[:37]
         targets = rng.integers(0, 3, size=37)
-        params = init_params(STORE_SPECS[kind], seed=2)
-        kwargs = dict(epochs=2, batch_size=8, state=init_adam(params, 3e-3), seed=3, rows=rows)
-        got, got_state = train(params, store, targets, **kwargs)
-        want, want_state = train(params, wide, targets, **kwargs)
-        assert np.array_equal(got.buffer, want.buffer)
-        assert np.array_equal(got_state.buffer, want_state.buffer)
-        assert np.array_equal(forward(got, store[20:]), forward(got, wide[20:]))
+        for dtype in ("float32", "float64"):
+            params = _member(STORE_SPECS[kind], dtype, seed=2)
+            kwargs = dict(epochs=2, batch_size=8, state=init_adam(params, 3e-3), seed=3, rows=rows)
+            got, got_state = train(params, store, targets, **kwargs)
+            want, want_state = train(params, wide, targets, **kwargs)
+            assert np.array_equal(got.buffer, want.buffer)
+            assert np.array_equal(got_state.buffer, want_state.buffer)
+            assert np.array_equal(forward(got, store[20:]), forward(got, wide[20:]))
 
     @pytest.mark.parametrize("kind", sorted(STORE_SPECS))
     def test_train_on_a_few_rows_allocates_no_float64_store(self, kind):
         store = _float32_store()
-        params = init_params(STORE_SPECS[kind], seed=0)
-        state = init_adam(params, learning_rate=1e-3)
         rows, targets = np.arange(0, 400, 50), np.arange(8) % 3
+        for dtype in ("float32", "float64"):
+            params = _member(STORE_SPECS[kind], dtype)
+            state = init_adam(params, learning_rate=1e-3)
 
-        def run():
-            return train(
-                params, store, targets, epochs=1, batch_size=4, state=state, seed=0, rows=rows
-            )
+            def run():
+                return train(
+                    params, store, targets, epochs=1, batch_size=4, state=state, seed=0, rows=rows
+                )
 
-        run()  # warm up numpy's own caches
-        _, peak = traced_peak(run)
-        assert peak < store.size * 8
+            run()  # warm up numpy's own caches
+            _, peak = traced_peak(run)
+            assert peak < store.size * 8
 
     def test_conv_forward_allocates_no_float64_store(self):
-        """A dense member's first layer widens its flattened inputs whole; a
-        conv member widens only its im2col columns."""
+        """A float64 dense member's first layer widens its flattened inputs
+        whole; a float64 conv member widens only its im2col columns."""
         store = _float32_store()
-        params = init_params(STORE_SPECS["conv"], seed=0)
-        forward(params, store)  # warm up numpy's own caches
-        _, peak = traced_peak(lambda: forward(params, store))
-        assert peak < store.size * 8
+        for dtype in ("float32", "float64"):
+            params = _member(STORE_SPECS["conv"], dtype)
+            forward(params, store)  # warm up numpy's own caches
+            _, peak = traced_peak(lambda: forward(params, store))
+            assert peak < store.size * 8
 
 
 def assert_tiled(buffer, views):
@@ -707,7 +751,7 @@ def assert_tiled(buffer, views):
 
 
 def assert_packed(params, state):
-    assert params.buffer.dtype == state.buffer.dtype == np.float64
+    assert params.buffer.dtype == state.buffer.dtype == np.float32
     assert state.buffer.shape == (2, params.buffer.size)
     assert_tiled(params.buffer, params.tensors)
     assert_tiled(state.buffer[0], state.m)
@@ -735,10 +779,10 @@ class TestStorage:
 
     def test_caller_arrays_are_copied_into_float64(self):
         params = init_params(self.SPEC, seed=0)
-        narrow = {name: arr.astype(np.float32) for name, arr in params.tensors.items()}
-        packed = LearnerParams(spec=self.SPEC, tensors=narrow)
+        wide = {name: arr.astype(np.float64) for name, arr in params.tensors.items()}
+        packed = LearnerParams(spec=self.SPEC, tensors=wide)
         assert packed.buffer.dtype == np.float64
-        assert not any(np.shares_memory(packed.buffer, arr) for arr in narrow.values())
+        assert not any(np.shares_memory(packed.buffer, arr) for arr in wide.values())
 
     def test_mappings_are_read_only(self):
         params, state = self._trained()
@@ -784,7 +828,7 @@ class TestStorage:
 
     def test_adam_step_allocates_no_buffer_sized_array(self):
         params, state = self._trained()
-        g = np.random.default_rng(0).normal(size=params.buffer.shape)
+        g = np.random.default_rng(0).normal(size=params.buffer.shape).astype(np.float32)
         before = g.copy()
         adam_step(state, params, g)  # warm up numpy's own caches
         tracemalloc.start()
@@ -822,6 +866,66 @@ class TestStorage:
         v = {name: np.zeros(3) if name == "out_w" else arr for name, arr in state.v.items()}
         with pytest.raises(ValueError, match="m and v differ"):
             OptimizerState(m=state.m, v=v, learning_rate=1e-3)
+
+
+class TestMemberDtype:
+    """A member computes, steps and saves in its buffer's dtype."""
+
+    @pytest.mark.parametrize("idx", [1, 3])  # a conv member and a multilabel one
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_dtype_follows_the_member(self, tmp_path, idx, dtype):
+        spec = TRAIN_SPECS[idx]
+        inputs, targets = _train_data(spec)
+        params = _member(spec, dtype)
+        assert params.buffer.dtype == dtype
+        for x in (inputs, inputs.astype(np.float32)):
+            assert forward(params, x).dtype == dtype
+        batch = LabeledSet(inputs[:5].astype(dtype), _checked_targets(spec, targets[:5], dtype))
+        _, g = loss_and_grad(params, batch)
+        assert g.dtype == dtype
+        state = init_adam(params, learning_rate=1e-3)
+        adam_step(state, copy.deepcopy(params), g)
+        assert state.buffer.dtype == state.scratch.dtype == dtype
+        trained, trained_state = train(
+            params, inputs, targets, epochs=1, batch_size=5, state=state, seed=0
+        )
+        assert trained.buffer.dtype == trained_state.buffer.dtype == dtype
+        path = tmp_path / "member.npz"
+        save_params(path, trained, trained_state)
+        loaded, loaded_state = load_params(path)
+        assert loaded.buffer.dtype == loaded_state.buffer.dtype == dtype
+        assert loaded.buffer.tobytes() == trained.buffer.tobytes()
+        assert loaded_state.buffer.tobytes() == trained_state.buffer.tobytes()
+
+    @pytest.mark.parametrize("dtype, other", [("float32", "float64"), ("float64", "float32")])
+    def test_train_refuses_a_state_of_the_other_dtype(self, dtype, other):
+        spec = TRAIN_SPECS[0]
+        inputs, targets = _train_data(spec)
+        state = init_adam(_member(spec, other), learning_rate=1e-3)
+        with pytest.raises(
+            ValueError, match=f"optimizer state is {other} but the parameters are {dtype}"
+        ):
+            train(_member(spec, dtype), inputs, targets, epochs=1, batch_size=5, state=state,
+                  seed=0)
+
+    @pytest.mark.parametrize(
+        "dtype_of, got",
+        [
+            pytest.param(lambda name: "float64" if name == "out_b" else "float32",
+                         "float32, float64", id="mixed"),
+            pytest.param(lambda name: "float16", "float16", id="float16"),
+            pytest.param(lambda name: "int64" if name == "out_w" else "float32",
+                         "float32, int64", id="integer"),
+        ],
+    )
+    def test_tensors_must_share_float32_or_float64(self, dtype_of, got):
+        params = init_params(TRAIN_SPECS[0], seed=0)
+        tensors = {name: arr.astype(dtype_of(name)) for name, arr in params.tensors.items()}
+        message = f"tensors must all be float32 or all float64, got {got}$"
+        with pytest.raises(ValueError, match=message):
+            LearnerParams(spec=params.spec, tensors=tensors)
+        with pytest.raises(ValueError, match=message):
+            OptimizerState(m=tensors, v=tensors, learning_rate=1e-3)
 
 
 def _rewrite_checkpoint(path, drop=(), **replace):
@@ -993,6 +1097,58 @@ class TestSerialization:
         path = tmp_path / "member.npz"
         path.write_text("garbage")
         with pytest.raises(ValueError, match=r"member\.npz: not a zip archive$"):
+            load_params(path)
+
+    def test_version_1_file_loads_as_a_float64_member(self, tmp_path):
+        """Version 1 wrote every array in float64, as its members computed."""
+        spec = LearnerSpec(input_shape=(6, 5), n_outputs=3, hidden_layers=(4,),
+                           conv_stem=((2, 2, 1),))
+        params = float64_member(init_params(spec, seed=3))
+        state = init_adam(params, learning_rate=2e-3)
+        adam_step(state, params, np.random.default_rng(0).normal(size=params.buffer.shape))
+        raw = {"input_shape": [6, 5], "n_outputs": 3, "hidden_layers": [4],
+               "conv_stem": [[2, 2, 1]], "activation": "relu", "head": "multiclass"}
+        payload = {
+            "format_version": np.array(1),
+            "spec_json": np.array(json.dumps(raw)),
+            "step": np.array(params.step),
+            "adam/hyper": np.array([2e-3, 0.9, 0.999, 1e-8]),
+        }
+        for name in params.tensors:
+            payload[f"param/{name}"] = params.tensors[name]
+            payload[f"adam/m/{name}"] = state.m[name]
+            payload[f"adam/v/{name}"] = state.v[name]
+        assert all(arr.dtype == np.float64 for arr in payload.values() if arr.ndim)
+        path = tmp_path / "member.npz"
+        np.savez(path, **payload)
+        loaded, loaded_state = load_params(path)
+        assert (loaded.spec, loaded.step) == (spec, params.step)
+        assert loaded.buffer.dtype == loaded_state.buffer.dtype == np.float64
+        assert loaded.buffer.tobytes() == params.buffer.tobytes()
+        assert loaded_state.buffer.tobytes() == state.buffer.tobytes()
+        assert loaded_state.learning_rate == 2e-3
+
+    @pytest.mark.parametrize(
+        "keys, message",
+        [
+            pytest.param(["param/out_b"], "tensors must all be float32 or all float64, "
+                         "got float32, float64", id="params"),
+            pytest.param(["adam/v/dense0_w"], "tensors must all be float32 or all float64, "
+                         "got float32, float64", id="moments"),
+            pytest.param([f"adam/{row}/{name}" for row in "mv" for name in
+                          ("dense0_w", "dense0_b", "out_w", "out_b")],
+                         "optimizer state is float64 but the parameters are float32", id="state"),
+        ],
+    )
+    def test_tensors_of_mixed_dtypes_refused_naming_the_path(self, tmp_path, keys, message):
+        spec = LearnerSpec(input_shape=(1, 4), n_outputs=2, hidden_layers=(3,))
+        params = init_params(spec, seed=1)
+        path = tmp_path / "member.npz"
+        save_params(path, params, init_adam(params, learning_rate=1e-3))
+        with np.load(path, allow_pickle=False) as archive:
+            wide = {key: archive[key].astype(np.float64) for key in keys}
+        _rewrite_checkpoint(path, **wide)
+        with pytest.raises(ValueError, match=rf"member\.npz: {message}$"):
             load_params(path)
 
     def test_version_check(self, tmp_path):

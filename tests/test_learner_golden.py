@@ -38,47 +38,47 @@ def _trained_digests(hidden):
 GOLDEN = {
     16: {
         "step": 3,
-        "param/conv0_w": "0ba05edf9790c019",
-        "adam/m/conv0_w": "36006157117c2064",
-        "adam/v/conv0_w": "a1d52290ae874347",
-        "param/conv0_b": "154e09b247eb0a59",
-        "adam/m/conv0_b": "ff1f3bdce3a9bffb",
-        "adam/v/conv0_b": "8575a5477e2b6689",
-        "param/dense0_w": "ebee1f5d9529588d",
-        "adam/m/dense0_w": "0e30fa13c9dbe600",
-        "adam/v/dense0_w": "4142af079f9773c2",
-        "param/dense0_b": "1f34decf88e69c19",
-        "adam/m/dense0_b": "742c9996872b6081",
-        "adam/v/dense0_b": "92e5f510ac65eae5",
-        "param/out_w": "b186aa3c98ff071a",
-        "adam/m/out_w": "98b4ebf67496aa67",
-        "adam/v/out_w": "ef8ae838f7e808a9",
-        "param/out_b": "aad7a3cd3ddd72bf",
-        "adam/m/out_b": "0a362e1f5dc874f2",
-        "adam/v/out_b": "860cfa23878ded08",
-        "forward": "1e9a6d952952cd5a",
+        "param/conv0_w": "ba2b7ad2e1f644cc",
+        "adam/m/conv0_w": "4d8604ea1b953aa2",
+        "adam/v/conv0_w": "3d49fb5763b52df6",
+        "param/conv0_b": "10363d2bf289d7eb",
+        "adam/m/conv0_b": "5ebecc3946604454",
+        "adam/v/conv0_b": "608100e3a5fddc98",
+        "param/dense0_w": "4c8e4e8bb5fc5ca1",
+        "adam/m/dense0_w": "2634ba65441a429e",
+        "adam/v/dense0_w": "ecb584ff3a3a9120",
+        "param/dense0_b": "318bf94419ed6da5",
+        "adam/m/dense0_b": "c357578d447e3263",
+        "adam/v/dense0_b": "2486841bb1901171",
+        "param/out_w": "ec729b7da8409747",
+        "adam/m/out_w": "d83a1ef44ee85652",
+        "adam/v/out_w": "7dc2675d269606ef",
+        "param/out_b": "88a61132eec081fe",
+        "adam/m/out_b": "7401313d08c2f5fe",
+        "adam/v/out_b": "36d89c9cbeda7367",
+        "forward": "216dc21d08c897ed",
     },
     32: {
         "step": 3,
-        "param/conv0_w": "b7e49c42551e9096",
-        "adam/m/conv0_w": "34788bf997fc7f42",
-        "adam/v/conv0_w": "b1f3207d7a21bcbb",
-        "param/conv0_b": "b19ce531eff691b2",
-        "adam/m/conv0_b": "6f3188d5fda0149e",
-        "adam/v/conv0_b": "2f8414125ae8908f",
-        "param/dense0_w": "d1ca004b770d4cb7",
-        "adam/m/dense0_w": "b8e19a5bc3054eff",
-        "adam/v/dense0_w": "388d129fb591d6a1",
-        "param/dense0_b": "128c3159afc9971a",
-        "adam/m/dense0_b": "2e0b58b04ede1d1b",
-        "adam/v/dense0_b": "a9362c277bd39121",
-        "param/out_w": "944baf813334e5dc",
-        "adam/m/out_w": "55098d4e56c615ad",
-        "adam/v/out_w": "0de6a35ac71ad5f8",
-        "param/out_b": "826fa9f8be334ee0",
-        "adam/m/out_b": "8d09993f43764419",
-        "adam/v/out_b": "fd9f08467a597a7d",
-        "forward": "a77876d592bea160",
+        "param/conv0_w": "7cbc53a1dfd56384",
+        "adam/m/conv0_w": "1788bba8ee3dbf71",
+        "adam/v/conv0_w": "ff85346063ebc7c9",
+        "param/conv0_b": "6297361e4703d429",
+        "adam/m/conv0_b": "660cd2f98e7c70cc",
+        "adam/v/conv0_b": "23299a243ab3a8f4",
+        "param/dense0_w": "05ee65a1fd532936",
+        "adam/m/dense0_w": "1bfeb0202bfb582c",
+        "adam/v/dense0_w": "30405ec414ae2e4f",
+        "param/dense0_b": "410964b59a403264",
+        "adam/m/dense0_b": "4ce3c3a6d7193e06",
+        "adam/v/dense0_b": "9011552445dd505b",
+        "param/out_w": "1aa21291851bf91f",
+        "adam/m/out_w": "349dcb4dc1651c51",
+        "adam/v/out_w": "6a55984e87718193",
+        "param/out_b": "3044bb5c95a99ba6",
+        "adam/m/out_b": "faf8f844b1592132",
+        "adam/v/out_b": "17362fb652c092c0",
+        "forward": "b5d46696950377a3",
     },
 }
 

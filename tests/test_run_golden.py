@@ -64,30 +64,30 @@ def _run_digests(bundle, kind, ckpt):
 
 GOLDEN = {
     "dense": {
-        "baseline": "c0b68f39c943933b",
-        "final": "b32ce3bbbaed3de6",
-        "r0/members": "0e6da35bfd193b0d",
-        "r1/members": "43eafaafd2b8c62a",
+        "baseline": "867c26f0af776a07",
+        "final": "66888e966c744b3a",
+        "r0/members": "e9a881aafaeb146a",
+        "r1/members": "9019a50e918d0a59",
         "r1/ids": "6ae0a641091b4c7c",
         "r1/labels": "5d75a2e5aeaaa567",
-        "r1/confidences": "ac7750514c9889ba",
-        "r2/members": "ced576242f7b4d10",
+        "r1/confidences": "ac48c5d55fccfff0",
+        "r2/members": "41992b05660418fa",
         "r2/ids": "d8fcd7cf66f8640f",
         "r2/labels": "c6bb51107d2c4648",
-        "r2/confidences": "65f0c292c388fe51",
+        "r2/confidences": "e3457d8abcf4d367",
     },
     "conv": {
-        "baseline": "52cbf6c460371ade",
-        "final": "8a4deca2bf322038",
-        "r0/members": "1605228272773eab",
-        "r1/members": "7f98c33df5de645f",
+        "baseline": "dbeccbad76419e82",
+        "final": "93e117208ef22a33",
+        "r0/members": "3f4b4420e50975c8",
+        "r1/members": "2e100955b8111ba3",
         "r1/ids": "997d18b1e4badef9",
         "r1/labels": "553b32c0b24566a3",
-        "r1/confidences": "82b6dd67d5610856",
-        "r2/members": "f6fd89c7ad64e028",
+        "r1/confidences": "8387972eaf6281dd",
+        "r2/members": "128bca32c0b99ddc",
         "r2/ids": "e191248b0e333d14",
         "r2/labels": "520b0818638c3225",
-        "r2/confidences": "5903d5458008ab2a",
+        "r2/confidences": "66dc2bd1302123d6",
     },
 }
 
