@@ -1,7 +1,7 @@
 """Command-line interface.
 
 Subcommands:
-  preprocess  turn one WAV file into a mel-image .npy
+  preprocess  save the float32 mel image a config's run stores for one WAV file
   run         execute a full experiment from a config file
   sweep       run the (per_step, steps) grid from a config file
   evaluate    score a predictions CSV against a truth CSV
@@ -16,8 +16,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import ConfigError, ExperimentConfig
-from .dsp import StftConfig, mel_filterbank, preprocess
+from .config import ConfigError, load_config
+from .dsp import preprocess
 from .experiment import run_experiment, sweep
 from .metrics import TASK_METRICS, mcnemar, score
 from .wavio import WavFormatError, load_wav
@@ -81,17 +81,15 @@ def _read_binary_matrix(path) -> np.ndarray:
 
 
 def _cmd_preprocess(args) -> int:
-    signal = load_wav(args.wav)
-    config = StftConfig(n_fft=args.n_fft, hop=args.hop, win_length=args.win_length)
-    fb = mel_filterbank(args.mels, args.n_fft, signal.sample_rate, args.fmin, args.fmax)
-    target = (
-        int(round(args.clip_seconds * signal.sample_rate))
-        if args.clip_seconds is not None
-        else len(signal)
-    )
-    image = preprocess(signal, config, fb, target)
-    np.save(args.out, image.values)
-    print(f"{args.out}: mel image {image.values.shape[0]}x{image.values.shape[1]}")
+    """The WAV's image as a run of the config stores it: its [dsp] geometry,
+    checked at the file's rate as the run's header pass checks it, clipped
+    to clip_seconds and rounded once to float32."""
+    config, signal = load_config(args.config), load_wav(args.wav)
+    rate = signal.sample_rate
+    fb = config.filterbank_at(rate, f"{args.wav} (sample rate {rate})")
+    image = preprocess(signal, config.stft, fb, config.clip_samples(rate)).values
+    np.save(args.out, image.astype(np.float32))
+    print(f"{args.out}: mel image {image.shape[0]}x{image.shape[1]}")
     return 0
 
 
@@ -160,16 +158,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="spelaudio", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("preprocess", help="emit a mel image for one WAV file")
+    p = sub.add_parser("preprocess", help="emit the mel image a config's run stores for one WAV")
+    p.add_argument("config")
     p.add_argument("wav")
     p.add_argument("--out", required=True, help="output .npy path")
-    p.add_argument("--n-fft", type=int, default=StftConfig.n_fft, dest="n_fft")
-    p.add_argument("--hop", type=int, default=StftConfig.hop)
-    p.add_argument("--win-length", type=int, default=StftConfig.win_length, dest="win_length")
-    p.add_argument("--mels", type=int, default=ExperimentConfig.n_mels)
-    p.add_argument("--fmin", type=float, default=ExperimentConfig.fmin)
-    p.add_argument("--fmax", type=float, default=None)
-    p.add_argument("--clip-seconds", type=float, default=None, dest="clip_seconds")
     p.set_defaults(func=_cmd_preprocess)
 
     p = sub.add_parser("run", help="run a full experiment from a config file")

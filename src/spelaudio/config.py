@@ -124,13 +124,14 @@ class ExperimentConfig:
             for i in range(self.spel.n_members)
         ]
 
-    def filterbank_at(self, rate: int, rate_from: str, n_classes: int,
+    def filterbank_at(self, rate: int, rate_from: str,
                       where=lambda section, key: "") -> MelFilterbank:
         """The mel filterbank at sample rate rate, once the mel band, the clip
         length and the member input shape that the rate fixes are checked.
         A failed check raises a ConfigError naming the setting's lines, as
         where(section, key) gives them, rate_from (where the rate came from),
-        the setting as config text, and the reason."""
+        the setting as config text, and the reason. Members are checked at
+        two classes, the fewest any data source has."""
         band = "fmin" if self.fmax is None else "fmax"
         setting = ("dsp", band, getattr(self, band))  # the one the next step checks
         try:
@@ -138,7 +139,7 @@ class ExperimentConfig:
             setting = ("dsp", "clip_seconds", self.clip_seconds)
             n_frames = frame_count(self.clip_samples(rate), self.stft)
             setting = ("learner", "conv", self.conv_specs)
-            self.learner_specs((n_frames, self.n_mels), n_classes)
+            self.learner_specs((n_frames, self.n_mels), 2)
         except ValueError as err:
             section, key, value = setting
             raise ConfigError(
@@ -411,8 +412,7 @@ def config_from_text(text: str, base_dir: Path | None = None) -> ExperimentConfi
     if synthetic is not None:
         # The rate is known before any clip is rendered.
         rate = given.setting("synthetic", "sample_rate", synthetic.sample_rate)
-        cfg.filterbank_at(synthetic.sample_rate, f"[synthetic] {rate}", synthetic.n_classes,
-                          given.where)
+        cfg.filterbank_at(synthetic.sample_rate, f"[synthetic] {rate}", given.where)
     return cfg
 
 

@@ -432,11 +432,11 @@ def _members_predict(ensemble, step, data, names, round_index):
     return [done[i][0] for i in range(n)], predictions
 
 
-def _train_members(ensemble, state_of, inputs, targets, rows, epochs, config, data, j, pseudo):
+def _train_members(ensemble, state_of, targets, rows, epochs, config, data, j, pseudo):
     """Stage j (0 is pretraining): continue every member of ensemble from
-    its Adam state state_of(i) on the rows of inputs that rows lists (all
-    of them when None), member i shuffling from the seed of (run seed, 1,
-    i) in pretraining and (run seed, 2, i, j) in round j, and forward it on
+    its Adam state state_of(i) on the rows of the data's store that rows
+    lists, member i shuffling from the seed of (run seed, 1, i) in
+    pretraining and (run seed, 2, i, j) in round j, and forward it on
     the splits of data the run reads next (_read_next). Returns (ensemble,
     states, report, predictions): the report holds the validation metrics
     and pseudo, the set the round trained on, and predictions the
@@ -446,7 +446,7 @@ def _train_members(ensemble, state_of, inputs, targets, rows, epochs, config, da
 
     def fit(i):
         key = (1, i) if j == 0 else (2, i, j)
-        params, state = train(ensemble.members[i], inputs, targets, epochs=epochs,
+        params, state = train(ensemble.members[i], data.images, targets, epochs=epochs,
                               batch_size=config.batch_size, state=state_of(i),
                               seed=_derive_seed(config.seed, *key), rows=rows)
         return params, (params, state)
@@ -463,8 +463,8 @@ def _train_members(ensemble, state_of, inputs, targets, rows, epochs, config, da
 
 def pretrain(config: SpelConfig, data: ExperimentData, specs: list[LearnerSpec]):
     """Stage 1: train each member independently from its own derived seed
-    on the labeled split; returns (ensemble, states, report, predictions)
-    as _train_members does."""
+    on the store rows of the labeled split, as each round reads them;
+    returns (ensemble, states, report, predictions) as _train_members does."""
     if len(specs) != config.n_members:
         raise ValueError(
             f"got {len(specs)} specs for an ensemble of {config.n_members} members"
@@ -478,10 +478,10 @@ def pretrain(config: SpelConfig, data: ExperimentData, specs: list[LearnerSpec])
         # does not hold every member's initial state.
         return init_adam(members[i], learning_rate=config.learning_rate)
 
-    labeled = data.labeled
+    labeled = data.rows["labeled"]
     return _train_members(
-        Ensemble(tuple(members)), fresh_state, labeled.inputs, labeled.targets, None,
-        config.pretrain_epochs, config, data, 0, None,
+        Ensemble(tuple(members)), fresh_state, data.labeled.targets,
+        np.arange(labeled.start, labeled.stop), config.pretrain_epochs, config, data, 0, None,
     )
 
 
@@ -530,8 +530,7 @@ def spel_round(
     rows = np.concatenate([np.arange(labeled.start, labeled.stop), rows_of_pool.start + picked])
     targets = np.concatenate([data.labeled.targets, pseudo.labels], axis=0)
     return _train_members(
-        ensemble, lambda i: states[i], data.images, targets, rows, config.spel_epochs, config,
-        data, j, pseudo,
+        ensemble, lambda i: states[i], targets, rows, config.spel_epochs, config, data, j, pseudo
     )
 
 
@@ -661,13 +660,14 @@ def load_round(
 
     With members=False only the record is read and the first two entries
     are None. A malformed record raises ValueError naming its path and
-    round, and so does one that names another round, or has a pseudo set
-    in round 0 and none (or an empty one) later. A record whose stamp
-    differs from config in a setting its stage reads (an unstamped record
-    records None), or config.n_members members of other specs, raise
-    ValueError naming the round and the first difference. Keys the record
-    does not read, such as the pseudo count and member count older records
-    carry, are ignored.
+    round, and so does one that names another round, has a pseudo set in
+    round 0 and none (or an empty one) later, or metrics other than a map
+    of metric names to finite numbers (empty without a validation split).
+    A record whose stamp differs from config in a setting its stage reads
+    (an unstamped record records None), or config.n_members members of
+    other specs, raise ValueError naming the round and the first
+    difference. Keys the record does not read, such as the pseudo count
+    and member count older records carry, are ignored.
     """
     rdir = _round_dir(Path(checkpoint_dir), j)
     path = rdir / "round.json"
@@ -681,7 +681,12 @@ def load_round(
             raise ValueError(f"it records round {record['round']!r}")
         if (pseudo is None) != (j == 0):
             raise ValueError("only round 0 has no pseudo set")
-        report = RoundReport(j, record["metrics"], pseudo)
+        metrics = record["metrics"]
+        if not isinstance(metrics, dict) or not all(
+            type(value) in (int, float) and math.isfinite(value) for value in metrics.values()
+        ):
+            raise ValueError(f"metrics must map metric names to finite numbers, got {metrics!r}")
+        report = RoundReport(j, metrics, pseudo)
         stamp = record.get("config", {})
     except (KeyError, TypeError, ValueError) as err:
         raise ValueError(

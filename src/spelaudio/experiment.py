@@ -66,19 +66,25 @@ class ResultsRecord:
 
 def _scan_wavs(root: Path):
     """Class names, .wav files and their class indices under root: one
-    subdirectory per class, or a flat directory whose labels are None."""
+    subdirectory per class, or a flat directory whose labels are None.
+    Every subdirectory is a class, so a .wav file beside them, or one of
+    them without a .wav file while another has some, is refused by name."""
     classes = sorted(d.name for d in root.iterdir() if d.is_dir())
+    loose = sorted(root.glob("*.wav"))
     if not classes:
-        return classes, sorted(root.glob("*.wav")), None
-    files, labels = [], []
-    for idx, name in enumerate(classes):
-        wavs = sorted((root / name).glob("*.wav"))
-        files += wavs
-        labels += [idx] * len(wavs)
-    return classes, files, np.asarray(labels, dtype=np.int64)
+        return classes, loose, None
+    if loose:
+        raise ConfigError(f"{loose[0]}: a .wav file beside the class subdirectories of {root}")
+    per_class = [sorted((root / name).glob("*.wav")) for name in classes]
+    empty = [name for name, wavs in zip(classes, per_class) if not wavs]
+    if empty and len(empty) < len(classes):
+        raise ConfigError(f"{root / empty[0]}: a class subdirectory with no .wav file")
+    files = [wav for wavs in per_class for wav in wavs]
+    labels = np.repeat(np.arange(len(classes), dtype=np.int64), [len(w) for w in per_class])
+    return classes, files, labels
 
 
-def _check_headers(files, config: ExperimentConfig, n_classes: int):
+def _check_headers(files, config: ExperimentConfig):
     """The first file's sample rate and its filterbank, once every file's
     header, in scan order, shows that rate and the geometry the rate fixes
     is checked; no audio is decoded."""
@@ -87,7 +93,7 @@ def _check_headers(files, config: ExperimentConfig, n_classes: int):
         file_rate = wav_sample_rate(path)
         if rate is None:
             rate = file_rate
-            fb = config.filterbank_at(rate, f"{path} (sample rate {rate})", n_classes)
+            fb = config.filterbank_at(rate, f"{path} (sample rate {rate})")
         elif file_rate != rate:
             raise ConfigError(
                 f"{path}: sample rate {file_rate} differs from {rate}; "
@@ -130,7 +136,7 @@ def _build_wav_data(config: ExperimentConfig) -> ExperimentData:
         raise ConfigError("no labeled test data: empty source test split, unlabeled target")
 
     scanned = src_files + tgt_files
-    rate, fb = _check_headers(scanned, config, len(classes))
+    rate, fb = _check_headers(scanned, config)
     if len(tgt_test_rows):
         test_rows, test_targets = len(src_files) + tgt_test_rows, tgt_labels[tgt_test_rows]
     else:  # no labeled target clips: fall back to the source test split
@@ -160,8 +166,7 @@ def build_data(config: ExperimentConfig) -> ExperimentData:
     checks it, so that one built in code fails before any clip is rendered."""
     if config.source == "synthetic":
         spec = config.synthetic
-        config.filterbank_at(spec.sample_rate, f"[synthetic] sample_rate = {spec.sample_rate}",
-                             spec.n_classes)
+        config.filterbank_at(spec.sample_rate, f"[synthetic] sample_rate = {spec.sample_rate}")
         return gen_synthetic(
             spec,
             config.stft,

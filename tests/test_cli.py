@@ -1,73 +1,69 @@
+import argparse
+
 import numpy as np
 import pytest
 
-from spelaudio.cli import main
-from spelaudio.dsp import Signal
-from spelaudio.wavio import write_wav
+from spelaudio.cli import build_parser, main
+from spelaudio.config import ConfigError, load_config
+from spelaudio.experiment import build_data
 
-from test_experiment import mini_config_text
+import test_experiment
+from test_experiment import make_wav_corpus, mini_config_text
 
 
-@pytest.fixture
-def tone_wav(tmp_path):
-    path = tmp_path / "tone.wav"
-    t = np.arange(8000) / 8000
-    write_wav(path, Signal(0.8 * np.sin(2 * np.pi * 440.0 * t), 8000))
+def _wav_dir_config_file(tmp_path, old="", new=""):
+    """A wav-dir config file over a two-class 4000 Hz corpus, with old
+    replaced by new in its text."""
+    make_wav_corpus(tmp_path / "source", np.random.default_rng(0), 4)
+    make_wav_corpus(tmp_path / "target", np.random.default_rng(1), 4, offset=30.0)
+    dirs = (tmp_path / "source", tmp_path / "target", tmp_path / "out")
+    text = test_experiment.TestWavDirMode()._config_text(*dirs)
+    path = tmp_path / "wav.cfg"
+    path.write_text(text.replace(old, new))
     return path
 
 
 class TestPreprocess:
-    def test_emits_mel_image(self, tone_wav, tmp_path, capsys):
-        out = tmp_path / "image.npy"
-        code = main(
-            [
-                "preprocess",
-                str(tone_wav),
-                "--out",
-                str(out),
-                "--n-fft",
-                "256",
-                "--hop",
-                "128",
-                "--win-length",
-                "256",
-                "--mels",
-                "32",
-            ]
-        )
-        assert code == 0
+    def test_emits_mel_image(self, tmp_path, capsys):
+        """The saved image is the float32 row a run of the config stores
+        for the WAV, bit for bit."""
+        # The clip is shorter than the file, so the image covers clip_seconds.
+        cfg = _wav_dir_config_file(tmp_path, "clip_seconds = 0.2", "clip_seconds = 0.15")
+        wav, out = tmp_path / "target" / "mid" / "clip_02.wav", tmp_path / "image.npy"
+        assert main(["preprocess", str(cfg), str(wav), "--out", str(out)]) == 0
         image = np.load(out)
-        assert image.shape == ((8000 - 256) // 128 + 1, 32)
-        assert image.min() >= -1.0 and image.max() <= 1.0
-        assert "mel image" in capsys.readouterr().out
+        assert image.dtype == np.float32
+        assert image.tobytes() in {row.tobytes() for row in build_data(load_config(cfg)).images}
+        assert image.shape == ((600 - 128) // 64 + 1, 10)
+        assert f"mel image {image.shape[0]}x{image.shape[1]}" in capsys.readouterr().out
 
-    def test_clip_seconds_flag(self, tone_wav, tmp_path):
-        out = tmp_path / "clipped.npy"
-        code = main(
-            [
-                "preprocess",
-                str(tone_wav),
-                "--out",
-                str(out),
-                "--n-fft",
-                "256",
-                "--hop",
-                "128",
-                "--win-length",
-                "256",
-                "--mels",
-                "16",
-                "--clip-seconds",
-                "0.5",
-            ]
+    def test_rate_the_geometry_cannot_take_names_the_file_and_the_dsp_setting(
+        self, tmp_path, capsys
+    ):
+        cfg = _wav_dir_config_file(tmp_path, "n_mels = 10", "n_mels = 10\nfmax = 3000")
+        wav, out = tmp_path / "source" / "low" / "clip_00.wav", tmp_path / "image.npy"
+        assert main(["preprocess", str(cfg), str(wav), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == (
+            f"error: {wav} (sample rate 4000): [dsp] fmax = 3000.0: "
+            "fmax=3000.0 exceeds the Nyquist frequency 2000.0\n"
         )
-        assert code == 0
-        assert np.load(out).shape[0] == (4000 - 256) // 128 + 1
+        with pytest.raises(ConfigError) as run:
+            build_data(load_config(cfg))
+        assert err == f"error: {run.value}\n"  # as the run's header pass says it
+        assert not out.exists()
+
+    def test_takes_a_config_a_wav_and_an_output_path_only(self):
+        sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        options = {a.dest for a in sub.choices["preprocess"]._actions} - {"help"}
+        assert options == {"config", "wav", "out"}
 
     def test_bad_wav_reports_error(self, tmp_path, capsys):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(mini_config_text(tmp_path / "out"))
         bad = tmp_path / "bad.wav"
         bad.write_bytes(b"not a wav at all")
-        code = main(["preprocess", str(bad), "--out", str(tmp_path / "x.npy")])
+        code = main(["preprocess", str(cfg), str(bad), "--out", str(tmp_path / "x.npy")])
         assert code == 1
         assert "error:" in capsys.readouterr().err
 

@@ -130,10 +130,13 @@ class TestPretrain:
             pretrain(mini_spel_config(n_members=2), mini_bundle, [spec])
 
     def test_divergence_names_member_and_round_zero(self, mini_bundle):
-        inputs = mini_bundle.labeled.inputs.copy()
-        inputs[0, 0, 0] = np.nan
-        labeled = LabeledSet(inputs, mini_bundle.labeled.targets)
-        data = dataclasses.replace(mini_bundle, labeled=labeled)
+        # Pretraining reads the labeled rows of the store, the first of them here.
+        images = mini_bundle.images.copy()
+        images[0, 0, 0] = np.nan
+        data = ExperimentData.from_store(
+            images, mini_bundle.labeled.targets, mini_bundle.validation.targets,
+            len(mini_bundle.unlabeled), mini_bundle.test.targets, mini_bundle.n_classes,
+        )
         spec = mini_learner_spec(mini_bundle)
         with pytest.raises(DivergenceError, match=r"^member 0, round 0: dense0_w .* by step 6$"):
             pretrain(mini_spel_config(pretrain_epochs=1), data, [spec, spec])
@@ -520,8 +523,14 @@ class TestCheckpoints:
 
     @pytest.mark.parametrize(
         "damage, reason",
-        [("cut-in-half", "JSONDecodeError: Expecting"), ("no-metrics", "KeyError: 'metrics'")],
-        ids=["cut-in-half", "no-metrics"],
+        [
+            ("cut-in-half", "JSONDecodeError: Expecting"),
+            ("no-metrics", "KeyError: 'metrics'"),
+            ([1, 2], r"ValueError: metrics must map metric names to finite numbers, got \[1, 2\]"),
+            ({"accuracy": "high"}, "ValueError: metrics must map metric names to finite numbers"),
+            ({"accuracy": math.nan}, "ValueError: metrics must map .* got {'accuracy': nan}"),
+        ],
+        ids=["cut-in-half", "no-metrics", "metrics-a-list", "metric-a-string", "metric-nan"],
     )
     def test_malformed_round_record_names_its_path_and_round(
         self, mini_bundle, tmp_path, damage, reason
@@ -536,7 +545,10 @@ class TestCheckpoints:
             record.write_text(text[: len(text) // 2])
         else:
             raw = json.loads(text)
-            del raw["metrics"]
+            if damage == "no-metrics":
+                del raw["metrics"]
+            else:
+                raw["metrics"] = damage
             record.write_text(json.dumps(raw))
         match = rf"round_001[/\\]round\.json: round 1 record is malformed, {reason}"
         with pytest.raises(ValueError, match=match):

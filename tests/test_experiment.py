@@ -584,6 +584,22 @@ def _empty_classes(root):
         (root / name).mkdir(parents=True)
 
 
+def _corpus_and(extra):
+    """A corpus whose directory also holds extra: 'checkpoints' for a
+    subdirectory with no .wav file, 'loose' for a .wav file beside the
+    class subdirectories."""
+
+    def make(root):
+        _corpus(root)
+        if extra == "checkpoints":
+            (root / ".ipynb_checkpoints").mkdir()
+            (root / ".ipynb_checkpoints" / "notes-checkpoint.ipynb").write_text("{}")
+        else:
+            write_wav(root / "loose.wav", Signal(np.zeros(800), 4000))
+
+    return make
+
+
 def _build_data_on(make_source, make_target, old="", new=""):
     """build_data on the source and target directories that make_source and
     make_target lay out, with old replaced by new in the config text."""
@@ -623,6 +639,12 @@ _FRACTIONS = "unlabeled_fraction = 0.6"
         (_build_data_on(_corpus, lambda root: _corpus(root, ("low", "top"))), ConfigError,
          r"^{target}: class subdirectories \['low', 'top'\] do not match the source classes "
          r"\['low', 'mid'\]$"),
+        (_build_data_on(_corpus_and("checkpoints"), _corpus), ConfigError,
+         r"^{source}[/\\]\.ipynb_checkpoints: a class subdirectory with no \.wav file$"),
+        (_build_data_on(_corpus, _corpus_and("checkpoints")), ConfigError,
+         r"^{target}[/\\]\.ipynb_checkpoints: a class subdirectory with no \.wav file$"),
+        (_build_data_on(_corpus_and("loose"), _corpus), ConfigError,
+         r"^{source}[/\\]loose\.wav: a \.wav file beside the class subdirectories of {source}$"),
         (_build_data_on(_corpus, _corpus, _FRACTIONS, f"{_FRACTIONS}\ntrain_fraction = 0"),
          ConfigError, r"^train fraction leaves no source training samples$"),
         (_build_data_on(_corpus, _corpus, _FRACTIONS, "unlabeled_fraction = 0.01"),
@@ -634,6 +656,8 @@ _FRACTIONS = "unlabeled_fraction = 0.6"
         (_window_under_one_sample, ValueError, r"^window must cover at least one sample$"),
     ],
     ids=["no-class-subdirectories", "classes-without-wavs", "other-target-classes",
+         "source-subdirectory-without-wavs", "target-subdirectory-without-wavs",
+         "wav-beside-class-subdirectories",
          "no-training-clip", "no-pool-clip", "no-labeled-test-data", "sweep-without-output-dir",
          "window-under-one-sample"],
 )
