@@ -16,11 +16,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import ConfigError, load_config
+from .config import load_config
 from .dsp import preprocess
 from .experiment import run_experiment, sweep
 from .metrics import TASK_METRICS, mcnemar, score
-from .wavio import WavFormatError, load_wav
+from .wavio import load_wav
 
 __all__ = ["main"]
 
@@ -193,7 +193,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, WavFormatError, FileNotFoundError, ValueError) as exc:
+    except (OSError, ValueError) as exc:  # a config or WAV error is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -10,10 +10,13 @@ Stage 3 averages the final members over the test inputs. With zero
 rounds the result falls back to the plain pre-trained ensemble.
 
 Both data sources, synthetic and WAV directories, build one
-``ExperimentData`` and the run takes it whole: the labeled source,
-optional validation and test splits (each a ``LabeledSet``), the
-label-free ``UnlabeledSet`` pool and, where the source knows it, the
-pool truth. Training reads neither the test targets nor the pool truth.
+``ExperimentData`` through its constructor, and the run takes it whole:
+one float32 image store, the targets of the labeled source and of the
+optional validation and the test splits, the pool size and, where the
+source knows it, the pool truth. The splits are derived: consecutive
+row blocks of the store, viewed as ``LabeledSet``s and the label-free
+``UnlabeledSet`` pool, whose ids are its row positions. Training reads
+neither the test targets nor the pool truth.
 
 All randomness is derived from the run seed, member index, and round
 index, so runs are bitwise reproducible and a resumed run matches an
@@ -57,7 +60,7 @@ import signal
 import tempfile
 import traceback
 from collections.abc import Mapping
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import zip_longest
 from pathlib import Path
 from types import MappingProxyType
@@ -119,8 +122,8 @@ class SpelConfig:
             raise ValueError("round count must be >= 0")
         if self.per_step < 1:
             raise ValueError("per-step sample count must be >= 1")
-        if not self.learning_rate > 0:
-            raise ValueError("learning_rate must be positive")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ValueError(f"learning_rate must be positive and finite, got {self.learning_rate}")
         if self.pretrain_epochs < 1:
             raise ValueError("pretrain_epochs must be >= 1")
         if self.spel_epochs < 1:
@@ -152,43 +155,57 @@ class UnlabeledSet:
 
 @dataclass(frozen=True)
 class ExperimentData:
-    """A run's inputs from either data source. Each split's inputs are the
-    slice of images, one read-only float32 store, that rows maps its name
-    to; the float32 members read it as it is. The
-    test targets and the pool truth are for evaluation only and training
-    reads neither; unlabeled_truth is None where the pool's labels are unknown."""
+    """A run's inputs from either data source. images, the float32 store,
+    made read-only here, holds the labeled, validation, unlabeled and test
+    splits in that order as consecutive row blocks, each of as many rows
+    as it has targets (none for validation_targets None; the pool has
+    n_unlabeled).
+    rows maps each name to its block and each split is a view of it; the
+    pool's ids are its row positions. The test targets and the pool truth
+    (None where unknown) are for evaluation only and training reads
+    neither. A store of another row count than the splits', or a pool
+    truth of another length than the pool, raises ValueError."""
 
     images: np.ndarray
-    rows: Mapping[str, slice]
-    labeled: LabeledSet
-    validation: LabeledSet | None
-    unlabeled: UnlabeledSet
-    test: LabeledSet
+    labeled_targets: np.ndarray
+    validation_targets: np.ndarray | None
+    n_unlabeled: int
+    test_targets: np.ndarray
     n_classes: int
     unlabeled_truth: np.ndarray | None = None
+    rows: Mapping[str, slice] = field(init=False)
 
-    @classmethod
-    def from_store(cls, images, labeled_targets, validation_targets, n_unlabeled, test_targets,
-                   n_classes, unlabeled_truth=None) -> ExperimentData:
-        """Data whose labeled, validation, unlabeled and test splits are, in
-        that order, consecutive row blocks of images: as many rows as each
-        split has targets, none for validation_targets None, and n_unlabeled
-        for the pool. images is the float32 store both sources render into,
-        in anonymous shared memory that fill_store's processes write in
-        place; it is made read-only before any split views it."""
-        n_validation = 0 if validation_targets is None else len(validation_targets)
-        sizes = (len(labeled_targets), n_validation, n_unlabeled, len(test_targets))
-        images.flags.writeable = False
+    def __post_init__(self):
+        n_validation = 0 if self.validation_targets is None else len(self.validation_targets)
+        sizes = (len(self.labeled_targets), n_validation, self.n_unlabeled, len(self.test_targets))
+        if len(self.images) != sum(sizes):
+            raise ValueError(f"the store has {len(self.images)} rows, the splits {sum(sizes)}")
+        if self.unlabeled_truth is not None and len(self.unlabeled_truth) != self.n_unlabeled:
+            raise ValueError(f"the pool truth has {len(self.unlabeled_truth)} rows, "
+                             f"the pool {self.n_unlabeled}")
+        self.images.flags.writeable = False
         ends = np.cumsum(sizes).tolist()
         names = ("labeled", "validation", "unlabeled", "test")
         rows = {name: slice(end - size, end) for name, size, end in zip(names, sizes, ends)}
-        labeled, validation, unlabeled, test = (images[r] for r in rows.values())
-        return cls(
-            images, MappingProxyType(rows), LabeledSet(labeled, labeled_targets),
-            None if validation_targets is None else LabeledSet(validation, validation_targets),
-            UnlabeledSet(unlabeled, np.arange(n_unlabeled)), LabeledSet(test, test_targets),
-            n_classes, unlabeled_truth,
-        )
+        object.__setattr__(self, "rows", MappingProxyType(rows))
+
+    @property
+    def labeled(self) -> LabeledSet:
+        return LabeledSet(self.images[self.rows["labeled"]], self.labeled_targets)
+
+    @property
+    def validation(self) -> LabeledSet | None:
+        if self.validation_targets is None:
+            return None
+        return LabeledSet(self.images[self.rows["validation"]], self.validation_targets)
+
+    @property
+    def unlabeled(self) -> UnlabeledSet:
+        return UnlabeledSet(self.images[self.rows["unlabeled"]], np.arange(self.n_unlabeled))
+
+    @property
+    def test(self) -> LabeledSet:
+        return LabeledSet(self.images[self.rows["test"]], self.test_targets)
 
 
 # A pseudo set's arrays, with the dtypes a round record restores them to.
@@ -384,7 +401,7 @@ def _read_next(data: ExperimentData, config: SpelConfig, j: int) -> list[str]:
     validation, where there is one; the pool while a round follows; test
     after pretraining, for the baseline, and after the last round."""
     reads = (
-        ("validation", data.validation is not None),
+        ("validation", data.validation_targets is not None),
         ("unlabeled", j < config.n_steps),
         ("test", j in (0, config.n_steps)),
     )
@@ -408,7 +425,7 @@ def _members_predict(ensemble, step, data, names, round_index):
     of this process's own share propagates at once, after the workers are
     killed.
     """
-    splits = [getattr(data, name).inputs for name in names]
+    splits = [data.images[data.rows[name]] for name in names]
     n = ensemble.n
     k = min(n, _usable_cpus())
 
@@ -454,10 +471,10 @@ def _train_members(ensemble, state_of, targets, rows, epochs, config, data, j, p
     pairs, predictions = _members_predict(ensemble, fit, data, _read_next(data, config, j), j)
     trained = Ensemble(tuple(params for params, _ in pairs))
     metrics = {}
-    if data.validation is not None:
+    if data.validation_targets is not None:
         pred = predictions["validation"]
         metrics = task_metrics(trained.task, pred.labels, pred.probabilities,
-                               data.validation.targets, trained.n_outputs)
+                               data.validation_targets, trained.n_outputs)
     return trained, [state for _, state in pairs], RoundReport(j, metrics, pseudo), predictions
 
 
@@ -480,7 +497,7 @@ def pretrain(config: SpelConfig, data: ExperimentData, specs: list[LearnerSpec])
 
     labeled = data.rows["labeled"]
     return _train_members(
-        Ensemble(tuple(members)), fresh_state, data.labeled.targets,
+        Ensemble(tuple(members)), fresh_state, data.labeled_targets,
         np.arange(labeled.start, labeled.stop), config.pretrain_epochs, config, data, 0, None,
     )
 
@@ -516,19 +533,18 @@ def spel_round(
     The pseudo set is rebuilt from scratch with the current ensemble (size
     min(per_step * j, pool size)); the source-labeled data is never relabeled.
     Members train on the store rows of the labeled split followed by those
-    of the fresh pseudo samples, so no pool is copied out of the store.
+    of the fresh pseudo samples, a pool id being its row's position in
+    the pool, so no pool is copied out of the store.
     The report holds the data's validation metrics.
     """
     if j < 1:
         raise ValueError("round index starts at 1")
-    unlabeled = data.unlabeled
-    count = min(config.per_step * j, len(unlabeled))
-    pseudo = select_pseudo(pool, unlabeled, count)
-    sorter = np.argsort(unlabeled.ids)
-    picked = sorter[np.searchsorted(unlabeled.ids, pseudo.ids, sorter=sorter)]
-    labeled, rows_of_pool = data.rows["labeled"], data.rows["unlabeled"]
-    rows = np.concatenate([np.arange(labeled.start, labeled.stop), rows_of_pool.start + picked])
-    targets = np.concatenate([data.labeled.targets, pseudo.labels], axis=0)
+    pseudo = select_pseudo(pool, data.unlabeled, min(config.per_step * j, data.n_unlabeled))
+    labeled = data.rows["labeled"]
+    rows = np.concatenate(
+        [np.arange(labeled.start, labeled.stop), data.rows["unlabeled"].start + pseudo.ids]
+    )
+    targets = np.concatenate([data.labeled_targets, pseudo.labels], axis=0)
     return _train_members(
         ensemble, lambda i: states[i], targets, rows, config.spel_epochs, config, data, j, pseudo
     )
@@ -547,19 +563,19 @@ def run_spel(
     with validation metrics whenever the data has a validation split. Each
     stage's members predict, where they train, the splits the run reads
     after it; no prediction is persisted, so a resume forwards its loaded
-    members again. Every split the run reads is a view of the data's one
-    read-only image store, and each round trains on rows of that store, so
-    the run copies no split. With a checkpoint directory, every computed
-    round is persisted; `resume=True` loads the rounds up to the latest
-    complete one instead, reproducing the uninterrupted run exactly, and
-    refuses no checkpoint directory, or a round of other member specs or
-    stamped with other values of the settings its stage reads (round 0
-    stamps neither per_step nor spel_epochs). No round reads the round
-    count, so the resumed run may have fewer or more rounds than the
-    checkpointed one. Nothing checks that a resume runs on the data of its
-    checkpoint.
+    members again. Every split the run reads is a row block of the data's
+    one read-only image store, and each round trains on rows of that
+    store, so the run copies no split. With a checkpoint directory, every
+    computed round is persisted; `resume=True` loads the rounds up to the
+    latest complete one instead, reproducing the uninterrupted run
+    exactly, and refuses no checkpoint directory, or a round of other
+    member specs or stamped with other values of the settings its stage
+    reads (round 0 stamps neither per_step nor spel_epochs). No round
+    reads the round count, so the resumed run may have fewer or more
+    rounds than the checkpointed one. Nothing checks that a resume runs on
+    the data of its checkpoint.
     """
-    if config.n_steps > 0 and len(data.unlabeled) == 0:
+    if config.n_steps > 0 and data.n_unlabeled == 0:
         raise ValueError("self-paced rounds need a nonempty unlabeled set")
     if resume and checkpoint_dir is None:
         raise ValueError("resume needs a checkpoint_dir")
@@ -661,8 +677,9 @@ def load_round(
     With members=False only the record is read and the first two entries
     are None. A malformed record raises ValueError naming its path and
     round, and so does one that names another round, has a pseudo set in
-    round 0 and none (or an empty one) later, or metrics other than a map
-    of metric names to finite numbers (empty without a validation split).
+    round 0 and none (or an empty one) later, metrics other than a map of
+    metric names to finite numbers (empty without a validation split), or a
+    config stamp that is not a map.
     A record whose stamp differs from config in a setting its stage reads
     (an unstamped record records None), or config.n_members members of
     other specs, raise ValueError naming the round and the first
@@ -688,6 +705,8 @@ def load_round(
             raise ValueError(f"metrics must map metric names to finite numbers, got {metrics!r}")
         report = RoundReport(j, metrics, pseudo)
         stamp = record.get("config", {})
+        if not isinstance(stamp, dict):
+            raise ValueError(f"its config stamp must map settings to values, got {stamp!r}")
     except (KeyError, TypeError, ValueError) as err:
         raise ValueError(
             f"{path}: round {j} record is malformed, {type(err).__name__}: {err}"

@@ -155,7 +155,7 @@ def _build_wav_data(config: ExperimentConfig) -> ExperimentData:
     images = fill_store(shape, render, paths.__getitem__)
     val_targets = src_labels[val_rows] if len(val_rows) else None
     truth = None if tgt_labels is None else tgt_labels[unl_rows]
-    return ExperimentData.from_store(
+    return ExperimentData(
         images, src_labels[train_rows], val_targets, len(unl_rows), test_targets, len(classes), truth
     )
 
@@ -180,7 +180,7 @@ def build_data(config: ExperimentConfig) -> ExperimentData:
 
 def build_learner_specs(config: ExperimentConfig, data: ExperimentData) -> list[LearnerSpec]:
     """Per-member architectures for the data's input geometry and classes."""
-    return config.learner_specs(tuple(data.labeled.inputs.shape[1:]), data.n_classes)
+    return config.learner_specs(tuple(data.images.shape[1:]), data.n_classes)
 
 
 def _fmt(value) -> str:
@@ -256,7 +256,7 @@ def run_experiment(config: ExperimentConfig | str | Path) -> ResultsRecord:
     result = run_spel(data, config.spel, specs, checkpoint_dir=checkpoint_dir)
     timings["train_seconds"] = time.perf_counter() - t1
 
-    truth = data.test.targets
+    truth = data.test_targets
     final_metrics, baseline_metrics = (
         task_metrics(config.task, p.labels, p.probabilities, truth, data.n_classes)
         for p in (result.prediction, result.baseline_prediction)

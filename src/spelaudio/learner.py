@@ -259,8 +259,8 @@ class OptimizerState:
     scratch: np.ndarray | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ValueError(f"learning_rate must be positive and finite, got {self.learning_rate}")
         if _layout(self.m) != _layout(self.v):
             raise ValueError("m and v differ in tensor names or shapes")
         moments = [*self.m.values(), *self.v.values()]

@@ -4,10 +4,10 @@ Each class is a harmonic tone at its own base frequency; target-domain
 clips shift every class frequency by a fixed offset and carry heavier
 additive noise. This exercises the full audio frontend and produces a
 genuine adaptation gap between the domains. ``gen_synthetic`` returns
-the splits as one ``ExperimentData``, the type the WAV-directory source
-builds too; the unlabeled pool's ground truth rides in its
-``unlabeled_truth`` field, beside the pool rather than in it, so the
-training path never sees it.
+the splits as one ``ExperimentData``, built, as the WAV-directory source
+builds it, from the store and each split's targets; the unlabeled pool's
+ground truth rides in its ``unlabeled_truth`` field, beside the pool
+rather than in it, so the training path never sees it.
 
 Each clip's random draws (``_draw_tone``) are kept apart from its
 synthesis (``_synthesize``), so that a process rendering a block of the
@@ -192,6 +192,6 @@ def gen_synthetic(
     shape = (sum(n for n, _ in splits), frame_count(spec.clip_samples, stft_config), fb.n_mels)
     images = fill_store(shape, render, lambda row: f"synthetic clip {row}")
     src_y, val_y, unl_y, test_y = targets
-    return ExperimentData.from_store(
+    return ExperimentData(
         images, src_y, val_y, spec.n_unlabeled, test_y, spec.n_classes, unlabeled_truth=unl_y
     )

@@ -53,6 +53,14 @@ class TestPreprocess:
         assert err == f"error: {run.value}\n"  # as the run's header pass says it
         assert not out.exists()
 
+    def test_a_directory_for_out_exits_1_naming_it(self, tmp_path, capsys):
+        cfg = _wav_dir_config_file(tmp_path)
+        wav, out = tmp_path / "source" / "low" / "clip_00.wav", tmp_path / "image.npy"
+        out.mkdir()
+        assert main(["preprocess", str(cfg), str(wav), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"'{out}'" in err
+
     def test_takes_a_config_a_wav_and_an_output_path_only(self):
         sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
         options = {a.dest for a in sub.choices["preprocess"]._actions} - {"help"}
@@ -94,6 +102,11 @@ class TestRunAndSweep:
         cfg.write_text("[experiment]\nbogus = 1\n")
         assert main(["run", str(cfg)]) == 1
         assert "line 2" in capsys.readouterr().err
+
+    def test_a_directory_for_config_exits_1_naming_it(self, tmp_path, capsys):
+        assert main(["run", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"'{tmp_path}'" in err
 
 
 def write_csv(path, rows):

@@ -64,7 +64,7 @@ class TestSpelConfig:
         with pytest.raises(ValueError):
             SpelConfig(seed=-1)
 
-    @pytest.mark.parametrize("rate", [0.0, -1.0, float("nan")])
+    @pytest.mark.parametrize("rate", [0.0, -1.0, float("nan"), float("inf")])
     def test_non_positive_learning_rate_rejected(self, rate):
         with pytest.raises(ValueError, match="learning_rate must be positive"):
             SpelConfig(learning_rate=rate)
@@ -82,6 +82,31 @@ class TestDatasets:
     def test_labeled_set_rejects_empty(self):
         with pytest.raises(ValueError):
             LabeledSet(inputs=np.zeros((0, 4)), targets=np.zeros(0, dtype=int))
+
+    def test_each_split_views_its_rows_of_the_store(self, mini_bundle):
+        data = mini_bundle
+        for name in ("labeled", "validation", "unlabeled", "test"):
+            inputs = getattr(data, name).inputs
+            assert np.shares_memory(inputs, data.images), name
+            assert np.array_equal(inputs, data.images[data.rows[name]]), name
+        assert np.array_equal(data.unlabeled.ids, np.arange(data.n_unlabeled))
+        assert data.rows["test"].stop == len(data.images)
+
+    @pytest.mark.parametrize("rows", [-1, 1])
+    def test_a_store_at_odds_with_its_targets_is_refused(self, mini_bundle, rows):
+        n = len(mini_bundle.images)
+        with pytest.raises(ValueError, match=rf"^the store has {n + rows} rows, the splits {n}$"):
+            dataclasses.replace(mini_bundle, images=np.zeros((n + rows, 1, 1), np.float32))
+
+    def test_a_pool_truth_of_another_length_is_refused(self, mini_bundle):
+        n = mini_bundle.n_unlabeled
+        with pytest.raises(ValueError, match=rf"^the pool truth has {n - 1} rows, the pool {n}$"):
+            dataclasses.replace(mini_bundle, unlabeled_truth=mini_bundle.unlabeled_truth[1:])
+
+    def test_a_split_cannot_be_replaced_beside_its_store(self, mini_bundle):
+        labeled = mini_bundle.labeled
+        with pytest.raises(TypeError, match="labeled"):
+            dataclasses.replace(mini_bundle, labeled=LabeledSet(labeled.inputs * 2, labeled.targets))
 
     def test_pseudo_set_requires_sorted_confidences(self):
         with pytest.raises(ValueError):
@@ -133,9 +158,9 @@ class TestPretrain:
         # Pretraining reads the labeled rows of the store, the first of them here.
         images = mini_bundle.images.copy()
         images[0, 0, 0] = np.nan
-        data = ExperimentData.from_store(
-            images, mini_bundle.labeled.targets, mini_bundle.validation.targets,
-            len(mini_bundle.unlabeled), mini_bundle.test.targets, mini_bundle.n_classes,
+        data = ExperimentData(
+            images, mini_bundle.labeled_targets, mini_bundle.validation_targets,
+            mini_bundle.n_unlabeled, mini_bundle.test_targets, mini_bundle.n_classes,
         )
         spec = mini_learner_spec(mini_bundle)
         with pytest.raises(DivergenceError, match=r"^member 0, round 0: dense0_w .* by step 6$"):
@@ -327,9 +352,7 @@ class TestRunSpel:
         spec = mini_learner_spec(mini_bundle)
         config = mini_spel_config(n_steps=2)
         blind = dataclasses.replace(
-            mini_bundle,
-            test=LabeledSet(mini_bundle.test.inputs, mini_bundle.test.targets[::-1].copy()),
-            unlabeled_truth=None,
+            mini_bundle, test_targets=mini_bundle.test_targets[::-1].copy(), unlabeled_truth=None
         )
         assert not np.array_equal(blind.test.targets, mini_bundle.test.targets)
         TestCheckpoints._assert_same_run(
@@ -341,12 +364,12 @@ class TestRunSpel:
 
     @pytest.mark.parametrize("stem", [(), ((3, 3, 1),)], ids=["dense", "conv"])
     def test_float32_store_runs_as_its_float64_copy(self, mini_bundle, stem):
-        """The store holds float32 and the learner computes in float64, so
-        a run on the store equals, bitwise, a run on the store widened."""
+        """Members cast the rows they read to their own dtype, float32, so a
+        run on a float64 copy of the store equals, bitwise, a run on the store."""
         data = mini_bundle
-        wide = ExperimentData.from_store(
-            data.images.astype(np.float64), data.labeled.targets, data.validation.targets,
-            len(data.unlabeled), data.test.targets, data.n_classes, data.unlabeled_truth,
+        wide = ExperimentData(
+            data.images.astype(np.float64), data.labeled_targets, data.validation_targets,
+            data.n_unlabeled, data.test_targets, data.n_classes, data.unlabeled_truth,
         )
         spec = LearnerSpec(data.images.shape[1:], 3, hidden_layers=(12,), conv_stem=stem)
         config = mini_spel_config(n_steps=2)
@@ -526,11 +549,26 @@ class TestCheckpoints:
         [
             ("cut-in-half", "JSONDecodeError: Expecting"),
             ("no-metrics", "KeyError: 'metrics'"),
-            ([1, 2], r"ValueError: metrics must map metric names to finite numbers, got \[1, 2\]"),
-            ({"accuracy": "high"}, "ValueError: metrics must map metric names to finite numbers"),
-            ({"accuracy": math.nan}, "ValueError: metrics must map .* got {'accuracy': nan}"),
+            (
+                {"metrics": [1, 2]},
+                r"ValueError: metrics must map metric names to finite numbers, got \[1, 2\]",
+            ),
+            (
+                {"metrics": {"accuracy": "high"}},
+                "ValueError: metrics must map metric names to finite numbers",
+            ),
+            (
+                {"metrics": {"accuracy": math.nan}},
+                "ValueError: metrics must map .* got {'accuracy': nan}",
+            ),
+            (
+                {"config": ["seed", 7]},
+                r"ValueError: its config stamp must map settings to values, got \['seed', 7\]",
+            ),
+            ({"config": None}, "ValueError: its config stamp must map settings to values, got None"),
         ],
-        ids=["cut-in-half", "no-metrics", "metrics-a-list", "metric-a-string", "metric-nan"],
+        ids=["cut-in-half", "no-metrics", "metrics-a-list", "metric-a-string", "metric-nan",
+             "config-a-list", "config-null"],
     )
     def test_malformed_round_record_names_its_path_and_round(
         self, mini_bundle, tmp_path, damage, reason
@@ -548,7 +586,7 @@ class TestCheckpoints:
             if damage == "no-metrics":
                 del raw["metrics"]
             else:
-                raw["metrics"] = damage
+                raw.update(damage)
             record.write_text(json.dumps(raw))
         match = rf"round_001[/\\]round\.json: round 1 record is malformed, {reason}"
         with pytest.raises(ValueError, match=match):
@@ -749,7 +787,11 @@ class TestWorkerProcesses:
         config = mini_spel_config(n_members=3, n_steps=0 if case == "no-rounds" else 2, per_step=20)
         data, head = mini_bundle, "multiclass"
         if case == "no-validation":
-            data = dataclasses.replace(mini_bundle, validation=None)
+            validation_rows = np.r_[mini_bundle.rows["validation"]]
+            data = dataclasses.replace(
+                mini_bundle, images=np.delete(mini_bundle.images, validation_rows, axis=0),
+                validation_targets=None,
+            )
         elif case == "multilabel":
             spec = mini_synthetic_spec(task="multilabel")
             data = gen_synthetic(spec, MINI_STFT, MINI_MELS, seed=1234)

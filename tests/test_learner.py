@@ -10,6 +10,8 @@ import pytest
 import spelaudio
 import spelaudio.learner
 from spelaudio.learner import (
+    BETA1,
+    BETA2,
     EPS,
     DivergenceError,
     LabeledSet,
@@ -325,6 +327,12 @@ class TestAdam:
         params = init_params(spec, seed=0)
         state = init_adam(params, learning_rate=0.01)
         return spec, params, state
+
+    @pytest.mark.parametrize("rate", [0.0, -1e-3, math.nan, math.inf])
+    def test_a_rate_not_positive_and_finite_is_refused(self, rate):
+        _, params, _ = self._scalar_setup()
+        with pytest.raises(ValueError, match=f"^learning_rate must be .* finite, got {rate}$"):
+            init_adam(params, learning_rate=rate)
 
     def test_zero_gradient_is_noop(self):
         _, params, state = self._scalar_setup()
@@ -978,6 +986,16 @@ class TestSerialization:
         assert load_params(path)[1].learning_rate == 1e-3
         _rewrite_checkpoint(path, **{"adam/hyper": np.array([1e-3, 0.8, 0.999, 1e-8])})
         with pytest.raises(ValueError, match="member.npz.*beta1"):
+            load_params(path)
+
+    @pytest.mark.parametrize("rate", [math.nan, math.inf, 0.0])
+    def test_stored_learning_rate_must_be_positive_and_finite(self, tmp_path, rate):
+        spec = LearnerSpec(input_shape=(1, 4), n_outputs=2, hidden_layers=(3,))
+        params = init_params(spec, seed=1)
+        path = tmp_path / "member.npz"
+        save_params(path, params, init_adam(params, learning_rate=1e-3))
+        _rewrite_checkpoint(path, **{"adam/hyper": np.array([rate, BETA1, BETA2, EPS])})
+        with pytest.raises(ValueError, match=f"member.npz: learning_rate must be .*, got {rate}$"):
             load_params(path)
 
     def test_stored_activation_must_be_relu(self, tmp_path):
