@@ -94,6 +94,8 @@ class ExperimentConfig:
             raise ValueError(f"sweep budget and k_max must be >= 1, got {budget} and {k_max}")
         if not grid or not all(1 <= m <= budget for m in grid):
             raise ValueError(f"sweep m_grid entries must lie in [1, budget = {budget}], got {grid}")
+        if len(set(grid)) != len(grid):  # a repeated entry would run its pairs twice
+            raise ValueError(f"sweep m_grid entries must be distinct, got {grid}")
 
     @property
     def source(self) -> str:
@@ -197,8 +199,9 @@ _NON_NEGATIVE = (_in_range(float, lambda v: 0 <= v < math.inf), "a non-negative 
 _POSITIVE = (_in_range(float, lambda v: 0 < v < math.inf), "a positive number")
 _FRACTION = (_in_range(float, lambda v: 0 <= v <= 1), "a number in [0, 1]")
 _GRID = (
-    _in_range(lambda t: tuple(_positive_int(p) for p in t.split(",") if p.strip()), len),
-    "comma-separated positive integers",
+    _in_range(lambda t: tuple(_positive_int(p) for p in t.split(",") if p.strip()),
+              lambda v: 0 < len(v) == len(set(v))),
+    "distinct comma-separated positive integers",
 )
 
 # Every key: (section, key, field it fills, parser, kind). A field is an

@@ -54,6 +54,7 @@ from __future__ import annotations
 import json
 import math
 import mmap
+import operator
 import os
 import pickle
 import signal
@@ -163,8 +164,9 @@ class ExperimentData:
     rows maps each name to its block and each split is a view of it; the
     pool's ids are its row positions. The test targets and the pool truth
     (None where unknown) are for evaluation only and training reads
-    neither. A store of another row count than the splits', or a pool
-    truth of another length than the pool, raises ValueError."""
+    neither. An n_unlabeled that is not a non-negative integer, a store of
+    another row count than the splits', or a pool truth of another length
+    than the pool raises ValueError."""
 
     images: np.ndarray
     labeled_targets: np.ndarray
@@ -176,6 +178,12 @@ class ExperimentData:
     rows: Mapping[str, slice] = field(init=False)
 
     def __post_init__(self):
+        try:
+            valid = operator.index(self.n_unlabeled) >= 0
+        except TypeError:  # not an integer, such as 2.5
+            valid = False
+        if not valid:
+            raise ValueError(f"n_unlabeled must be a non-negative integer, got {self.n_unlabeled!r}")
         n_validation = 0 if self.validation_targets is None else len(self.validation_targets)
         sizes = (len(self.labeled_targets), n_validation, self.n_unlabeled, len(self.test_targets))
         if len(self.images) != sum(sizes):

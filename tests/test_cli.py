@@ -23,6 +23,16 @@ def _wav_dir_config_file(tmp_path, old="", new=""):
     return path
 
 
+def _subcommands():
+    """The parser's subcommand parsers, by name."""
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return sub.choices
+
+
+def test_offers_preprocess_run_and_sweep_only():
+    assert set(_subcommands()) == {"preprocess", "run", "sweep"}
+
+
 class TestPreprocess:
     def test_emits_mel_image(self, tmp_path, capsys):
         """The saved image is the float32 row a run of the config stores
@@ -61,9 +71,19 @@ class TestPreprocess:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and f"'{out}'" in err
 
+    def test_a_suffix_less_out_is_written_as_given(self, tmp_path, capsys):
+        """np.save appends .npy to a path without it; the command writes
+        and prints exactly the path it was given."""
+        cfg = _wav_dir_config_file(tmp_path)
+        wav, out = tmp_path / "target" / "mid" / "clip_02.wav", tmp_path / "image"
+        assert main(["preprocess", str(cfg), str(wav), "--out", str(out)]) == 0
+        assert out.is_file() and not out.with_suffix(".npy").exists()
+        assert capsys.readouterr().out.startswith(f"{out}: mel image ")
+        stored = {row.tobytes() for row in build_data(load_config(cfg)).images}
+        assert np.load(out).tobytes() in stored
+
     def test_takes_a_config_a_wav_and_an_output_path_only(self):
-        sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
-        options = {a.dest for a in sub.choices["preprocess"]._actions} - {"help"}
+        options = {a.dest for a in _subcommands()["preprocess"]._actions} - {"help"}
         assert options == {"config", "wav", "out"}
 
     def test_bad_wav_reports_error(self, tmp_path, capsys):
@@ -107,165 +127,3 @@ class TestRunAndSweep:
         assert main(["run", str(tmp_path)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and f"'{tmp_path}'" in err
-
-
-def write_csv(path, rows):
-    path.write_text("\n".join(",".join(str(v) for v in row) for row in rows) + "\n")
-
-
-class TestEvaluate:
-    def test_accuracy_from_label_columns(self, tmp_path, capsys):
-        write_csv(tmp_path / "pred.csv", [[0], [1], [2], [2]])
-        write_csv(tmp_path / "truth.csv", [[0], [1], [2], [1]])
-        assert main(
-            ["evaluate", str(tmp_path / "pred.csv"), str(tmp_path / "truth.csv"), "--metric", "accuracy"]
-        ) == 0
-        assert "accuracy 0.750000" in capsys.readouterr().out
-
-    def test_accuracy_from_score_matrix_argmax(self, tmp_path, capsys):
-        write_csv(tmp_path / "pred.csv", [[0.9, 0.1], [0.2, 0.8]])
-        write_csv(tmp_path / "truth.csv", [[0], [1]])
-        main(["evaluate", str(tmp_path / "pred.csv"), str(tmp_path / "truth.csv"), "--metric", "accuracy"])
-        assert "accuracy 1.000000" in capsys.readouterr().out
-
-    def test_uar(self, tmp_path, capsys):
-        write_csv(tmp_path / "pred.csv", [[0], [1], [1], [1]])
-        write_csv(tmp_path / "truth.csv", [[0], [0], [1], [1]])
-        main(["evaluate", str(tmp_path / "pred.csv"), str(tmp_path / "truth.csv"), "--metric", "uar"])
-        assert "uar 0.750000" in capsys.readouterr().out
-
-    def test_wlrap_perfect_ranking(self, tmp_path, capsys):
-        write_csv(tmp_path / "scores.csv", [[0.9, 0.2, 0.1], [0.1, 0.8, 0.7]])
-        write_csv(tmp_path / "truth.csv", [[1, 0, 0], [0, 1, 1]])
-        main(["evaluate", str(tmp_path / "scores.csv"), str(tmp_path / "truth.csv"), "--metric", "wlrap"])
-        assert "wlrap 1.000000" in capsys.readouterr().out
-
-    @pytest.mark.parametrize("bad, shown", [(1.7, "1.7"), (-1, "-1.0"), ("nan", "nan")])
-    def test_label_that_is_not_a_class_index_rejected(self, tmp_path, capsys, bad, shown):
-        (tmp_path / "pred.csv").write_text(f"label\n0\n{bad}\n2\n")
-        write_csv(tmp_path / "truth.csv", [[0], [1], [2]])
-        code = main(
-            ["evaluate", str(tmp_path / "pred.csv"), str(tmp_path / "truth.csv"), "--metric", "accuracy"]
-        )
-        assert code == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert f"pred.csv:3: {shown} is not a class index" in captured.err
-
-    @pytest.mark.parametrize("bad", ["0.6", "2", "-1", "nan"])
-    def test_multilabel_truth_cell_that_is_not_0_or_1_rejected(self, tmp_path, capsys, bad):
-        write_csv(tmp_path / "scores.csv", [[0.9, 0.2, 0.1], [0.1, 0.8, 0.7]])
-        (tmp_path / "truth.csv").write_text(f"a,b,c\n1,0,0\n0,{bad},1\n")
-        code = main(
-            ["evaluate", str(tmp_path / "scores.csv"), str(tmp_path / "truth.csv"), "--metric", "wlrap"]
-        )
-        assert code == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert f"truth.csv:3: {float(bad)} is not 0 or 1" in captured.err
-
-    @pytest.mark.parametrize("metric", ["accuracy", "uar"])
-    def test_multi_column_truth_rejected_for_a_multiclass_metric(self, tmp_path, capsys, metric):
-        write_csv(tmp_path / "pred.csv", [[0], [1]])
-        write_csv(tmp_path / "truth.csv", [[1, 0, 0], [0, 1, 1]])
-        code = main(
-            ["evaluate", str(tmp_path / "pred.csv"), str(tmp_path / "truth.csv"), "--metric", metric]
-        )
-        assert code == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert "truth.csv: truth must be one column of class indices, got 3 columns" in captured.err
-
-    @pytest.mark.parametrize("classes", ["0", "-2"])
-    def test_classes_below_one_rejected(self, tmp_path, capsys, classes):
-        write_csv(tmp_path / "pred.csv", [[0], [1]])
-        write_csv(tmp_path / "truth.csv", [[0], [1]])
-        code = main(
-            ["evaluate", str(tmp_path / "pred.csv"), str(tmp_path / "truth.csv"),
-             "--metric", "uar", "--classes", classes]
-        )
-        assert code == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert f"--classes must be at least 1, got {classes}" in captured.err
-
-    def test_classes_below_a_label_rejected_for_accuracy(self, tmp_path, capsys):
-        write_csv(tmp_path / "pred.csv", [[0], [1], [2]])
-        write_csv(tmp_path / "truth.csv", [[0], [1], [2]])
-        code = main(
-            ["evaluate", str(tmp_path / "pred.csv"), str(tmp_path / "truth.csv"),
-             "--metric", "accuracy", "--classes", "1"]
-        )
-        assert code == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert "--classes 1, but the labels or truth hold class 2" in captured.err
-
-    def test_classes_other_than_the_truth_columns_rejected_for_wlrap(self, tmp_path, capsys):
-        write_csv(tmp_path / "scores.csv", [[0.9, 0.2, 0.1], [0.1, 0.8, 0.7]])
-        write_csv(tmp_path / "truth.csv", [[1, 0, 0], [0, 1, 1]])
-        code = main(
-            ["evaluate", str(tmp_path / "scores.csv"), str(tmp_path / "truth.csv"),
-             "--metric", "wlrap", "--classes", "7"]
-        )
-        assert code == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert "--classes 7, but the truth has 3 columns" in captured.err
-
-    def test_classes_that_cover_the_labels_accepted(self, tmp_path, capsys):
-        write_csv(tmp_path / "pred.csv", [[0], [1], [1], [1]])
-        write_csv(tmp_path / "truth.csv", [[0], [0], [1], [1]])
-        main(["evaluate", str(tmp_path / "pred.csv"), str(tmp_path / "truth.csv"),
-              "--metric", "uar", "--classes", "4"])
-        assert "uar 0.750000" in capsys.readouterr().out
-
-    def test_header_row_tolerated(self, tmp_path, capsys):
-        (tmp_path / "pred.csv").write_text("label\n0\n1\n")
-        (tmp_path / "truth.csv").write_text("label\n0\n1\n")
-        main(["evaluate", str(tmp_path / "pred.csv"), str(tmp_path / "truth.csv"), "--metric", "accuracy"])
-        assert "accuracy 1.000000" in capsys.readouterr().out
-
-
-class TestMcnemarCommand:
-    def test_hand_case(self, tmp_path, capsys):
-        n = 30
-        truth = [[0]] * n
-        pred_a = [[0]] * n
-        pred_b = [[0]] * n
-        for i in range(15):
-            pred_b[i] = [1]  # A right, B wrong
-        for i in range(15, 20):
-            pred_a[i] = [1]  # A wrong, B right
-        write_csv(tmp_path / "a.csv", pred_a)
-        write_csv(tmp_path / "b.csv", pred_b)
-        write_csv(tmp_path / "t.csv", truth)
-        assert main(["mcnemar", str(tmp_path / "a.csv"), str(tmp_path / "b.csv"), str(tmp_path / "t.csv")]) == 0
-        out = capsys.readouterr().out
-        assert "statistic 4.050000" in out
-        assert "b 15" in out and "c 5" in out
-        assert "not significant" in out
-
-    def test_fractional_truth_rejected(self, tmp_path, capsys):
-        write_csv(tmp_path / "a.csv", [[0], [1], [2]])
-        write_csv(tmp_path / "t.csv", [[0], [1.5], [2]])
-        code = main(["mcnemar", str(tmp_path / "a.csv"), str(tmp_path / "a.csv"), str(tmp_path / "t.csv")])
-        assert code == 1
-        assert "t.csv:2: 1.5 is not a class index" in capsys.readouterr().err
-
-    def test_multi_column_truth_rejected(self, tmp_path, capsys):
-        write_csv(tmp_path / "a.csv", [[0.9, 0.1], [0.2, 0.8]])
-        write_csv(tmp_path / "t.csv", [[1, 0], [0, 1]])
-        code = main(["mcnemar", str(tmp_path / "a.csv"), str(tmp_path / "a.csv"), str(tmp_path / "t.csv")])
-        assert code == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert "t.csv: truth must be one column of class indices, got 2 columns" in captured.err
-
-    def test_score_row_predictions_read_by_argmax(self, tmp_path, capsys):
-        write_csv(tmp_path / "a.csv", [[0.9, 0.1], [0.2, 0.8], [0.6, 0.4]])
-        write_csv(tmp_path / "b.csv", [[0], [1], [1]])
-        write_csv(tmp_path / "t.csv", [[0], [1], [1]])
-        assert main(["mcnemar", str(tmp_path / "a.csv"), str(tmp_path / "b.csv"), str(tmp_path / "t.csv")]) == 0
-        out = capsys.readouterr().out
-        assert "b 0" in out and "c 1" in out

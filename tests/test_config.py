@@ -270,6 +270,7 @@ class TestErrors:
             "[sweep] budget = 0",
             "[sweep] k_max = 0",
             "[sweep] m_grid = 10,0",
+            "[sweep] m_grid = 10,10",
             "[synthetic] label_density = 0.5",
             "[data] source_dir = nowhere",
         ],
@@ -370,14 +371,19 @@ class TestDataclassErrors:
             ({"sweep_m_grid": ()}, rf"^{_GRID_RANGE}, got \(\)$"),
             ({"sweep_m_grid": (0,)}, rf"^{_GRID_RANGE}, got \(0,\)$"),
             ({"sweep_m_grid": (5000,)}, rf"^{_GRID_RANGE}, got \(5000,\)$"),
+            ({"sweep_m_grid": (10, 10)}, r"^sweep m_grid entries must be distinct, got \(10, 10\)$"),
             ({"sweep_budget": 0}, r"^sweep budget and k_max must be >= 1, got 0 and None$"),
             ({"sweep_k_max": 0}, r"^sweep budget and k_max must be >= 1, got 1000 and 0$"),
         ],
-        ids=["empty-grid", "zero-entry", "entry-above-budget", "zero-budget", "zero-k_max"],
+        ids=[
+            "empty-grid", "zero-entry", "entry-above-budget", "duplicate-entry", "zero-budget",
+            "zero-k_max",
+        ],
     )
     def test_sweep_fields_that_make_no_run_are_refused_at_construction(self, fields, message):
         """Each m_grid entry makes at least one (per_step, steps) pair, so
-        enumerate_grid neither divides by zero nor skips an entry."""
+        enumerate_grid neither divides by zero nor skips an entry, and no
+        entry repeats, so no pair runs twice."""
         with pytest.raises(ValueError, match=message):
             dataclasses.replace(benchmark_config(0), **fields)
 

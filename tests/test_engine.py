@@ -98,6 +98,20 @@ class TestDatasets:
         with pytest.raises(ValueError, match=rf"^the store has {n + rows} rows, the splits {n}$"):
             dataclasses.replace(mini_bundle, images=np.zeros((n + rows, 1, 1), np.float32))
 
+    @pytest.mark.parametrize("n_unlabeled", [-1, 2.5])
+    def test_a_pool_size_that_is_not_a_count_is_refused(self, n_unlabeled):
+        """-1 used to pass when the store's rows still summed, and the test
+        split then took labeled row 9; 2.5 failed inside slice unnamed."""
+        store = np.zeros((14, 1, 1), np.float32)
+        message = rf"^n_unlabeled must be a non-negative integer, got {n_unlabeled}$"
+        with pytest.raises(ValueError, match=message):
+            ExperimentData(store, np.zeros(10, int), None, n_unlabeled, np.zeros(5, int), 2)
+
+    def test_a_numpy_integer_pool_size_is_accepted(self):
+        data = ExperimentData(np.zeros((17, 1, 1), np.float32), np.zeros(10, int), None,
+                              np.int64(2), np.zeros(5, int), 2)
+        assert data.rows["test"] == slice(12, 17)
+
     def test_a_pool_truth_of_another_length_is_refused(self, mini_bundle):
         n = mini_bundle.n_unlabeled
         with pytest.raises(ValueError, match=rf"^the pool truth has {n - 1} rows, the pool {n}$"):
