@@ -24,13 +24,13 @@ __all__ = ["main"]
 def _cmd_preprocess(args) -> int:
     """The WAV's image as a run of the config stores it: its [dsp] geometry,
     checked at the file's rate as the run's header pass checks it, clipped
-    to clip_seconds and rounded once to float32."""
+    to clip_seconds; preprocess returns the float32 row a store holds."""
     config, signal = load_config(args.config), load_wav(args.wav)
     rate = signal.sample_rate
     fb = config.filterbank_at(rate, f"{args.wav} (sample rate {rate})")
     image = preprocess(signal, config.stft, fb, config.clip_samples(rate)).values
     with open(args.out, "wb") as f:  # np.save given a path would append .npy
-        np.save(f, image.astype(np.float32))
+        np.save(f, image)
     print(f"{args.out}: mel image {image.shape[0]}x{image.shape[1]}")
     return 0
 
@@ -66,7 +66,10 @@ def _cmd_sweep(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="spelaudio", description=__doc__)
+    parser = argparse.ArgumentParser(
+        prog="spelaudio", description=__doc__,
+        formatter_class=argparse.RawDescriptionHelpFormatter,  # keep the subcommand table
+    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("preprocess", help="emit the mel image a config's run stores for one WAV")

@@ -2,8 +2,10 @@
 
 Pipeline: fix the clip length, short-time Fourier transform, squared
 magnitude, projection onto triangular mel filters, decibel scaling, and
-min-max normalization onto [-1, 1]. Everything here is a pure function of
-its inputs, so the whole chain is deterministic and thread-safe.
+min-max normalization onto [-1, 1]. The chain computes in float64; its
+last step rounds the image once to IMAGE_DTYPE, the dtype every image
+store holds. Everything here is a pure function of its inputs, so the
+whole chain is deterministic and thread-safe.
 
 The transform's clip-independent constants (the Hann window and the
 absolute-time phase rotation) depend only on the geometry and the frame
@@ -28,6 +30,7 @@ __all__ = [
     "StftConfig",
     "MelFilterbank",
     "MelImage",
+    "IMAGE_DTYPE",
     "fix_length",
     "frame_count",
     "stft",
@@ -44,6 +47,8 @@ __all__ = [
 _BLOCK_MELS = 16
 # power_to_db floors power at DB_EPS, then dB at TOP_DB below the image's peak.
 DB_EPS, TOP_DB = 1e-10, 80.0
+# The dtype of the images preprocess returns and every store holds.
+IMAGE_DTYPE = np.float32
 
 
 @dataclass(frozen=True)
@@ -157,8 +162,9 @@ class MelFilterbank:
 
 @dataclass(frozen=True)
 class MelImage:
-    """Normalized (frames, n_mels) matrix in [-1, 1], as preprocess makes it:
-    normalize_minmax refuses non-finite dB and maps the rest into [-1, 1]."""
+    """Normalized (frames, n_mels) IMAGE_DTYPE matrix in [-1, 1], as
+    preprocess makes it: normalize_minmax refuses non-finite dB and maps the
+    rest into [-1, 1], rounding once to IMAGE_DTYPE."""
 
     values: np.ndarray
 
@@ -294,15 +300,18 @@ def mel_filterbank(
 
 
 def normalize_minmax(matrix: np.ndarray) -> np.ndarray:
-    """Affinely map [min, max] onto [-1, 1]; a constant matrix maps to zeros."""
+    """Affinely map [min, max] onto [-1, 1] in float64, rounded once to an
+    IMAGE_DTYPE array as the last subtraction writes it; a constant matrix
+    maps to zeros."""
     m = np.asarray(matrix, dtype=np.float64)
     if not np.all(np.isfinite(m)):
         raise ValueError("matrix contains non-finite entries")
     lo = m.min()
     hi = m.max()
     if hi == lo:
-        return np.zeros_like(m)
-    return 2.0 * (m - lo) / (hi - lo) - 1.0
+        return np.zeros(m.shape, IMAGE_DTYPE)
+    out = np.empty(m.shape, IMAGE_DTYPE)
+    return np.subtract(2.0 * (m - lo) / (hi - lo), 1.0, out=out, casting="same_kind")
 
 
 def preprocess(
@@ -311,7 +320,9 @@ def preprocess(
     fb: MelFilterbank,
     target_samples: int,
 ) -> MelImage:
-    """Full frontend: fixed-length clip to normalized mel image of shape (L, n_mels).
+    """Full frontend: fixed-length clip to normalized mel image of shape
+    (L, n_mels), computed in float64 and rounded once to IMAGE_DTYPE, so
+    its values are exactly the row a store holds.
 
     Raises ValueError when the signal's rate or the config's bin count
     differs from the filterbank's, and when the power overflows (Signal

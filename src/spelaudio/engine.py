@@ -69,6 +69,7 @@ from types import MappingProxyType
 import numpy as np
 
 from . import learner
+from .dsp import IMAGE_DTYPE
 from .ensemble import Ensemble, EnsemblePrediction, mean_prediction
 from .learner import (
     DivergenceError,
@@ -379,8 +380,9 @@ def _fan_out(shares, run, sent):
 
 
 def fill_store(shape, render, name):
-    """A float32 store of shape, filled by render(store, rows), which
-    writes each of the rows in turn and yields after each.
+    """An IMAGE_DTYPE store of shape, the dtype preprocess returns, filled
+    by render(store, rows), which writes each of the rows in turn and
+    yields after each.
 
     The rows fall into k = min(rows, usable CPUs) contiguous blocks. This
     process renders the first; each other is rendered in a process forked
@@ -390,8 +392,8 @@ def fill_store(shape, render, name):
     worker killed or failing otherwise as RuntimeError naming name(row).
     """
     n = shape[0]
-    memory = mmap.mmap(-1, math.prod(shape) * np.dtype(np.float32).itemsize)
-    store = np.ndarray(shape, np.float32, memory)
+    memory = mmap.mmap(-1, math.prod(shape) * np.dtype(IMAGE_DTYPE).itemsize)
+    store = np.ndarray(shape, IMAGE_DTYPE, memory)
     k = min(n, _usable_cpus())
     edges = [n * w // k for w in range(k + 1)]
     blocks = [range(a, b) for a, b in zip(edges, edges[1:])]

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import ConfigError, ExperimentConfig, canonical, load_config
-from .dsp import MelFilterbank, Signal, StftConfig, frame_count, preprocess
+from .dsp import IMAGE_DTYPE, MelFilterbank, Signal, StftConfig, frame_count, preprocess
 from .engine import ExperimentData, RoundReport, fill_store, run_spel, write_text_atomic
 from .ensemble import Ensemble, avg_predict
 from .learner import LearnerSpec
@@ -323,11 +323,10 @@ def sliding_window_predict(
     fb: MelFilterbank,
 ) -> np.ndarray:
     """Per-class scores for a long clip: run the frontend on each window into
-    one float32 buffer, as the store holds images (each computed in float64
-    and rounded once), and the averaged ensemble on all of them, then keep
-    the per-class maximum. A recording whose rate, or a geometry whose
-    n_fft, differs from the filterbank's is rejected before any frontend
-    work."""
+    one buffer of the IMAGE_DTYPE images it returns, as a store holds them,
+    and the averaged ensemble on all of them, then keep the per-class
+    maximum. A recording whose rate, or a geometry whose n_fft, differs
+    from the filterbank's is rejected before any frontend work."""
     rate = long_signal.sample_rate
     fb.check_input(rate, stft_config.n_fft)
     window_n = int(round(window_seconds * rate))
@@ -342,7 +341,7 @@ def sliding_window_predict(
             f"{window_n}-sample window"
         )
     starts = range(0, len(long_signal) - window_n + 1, hop_n)
-    images = np.empty((len(starts), frame_count(window_n, stft_config), fb.n_mels), np.float32)
+    images = np.empty((len(starts), frame_count(window_n, stft_config), fb.n_mels), IMAGE_DTYPE)
     for i, s in enumerate(starts):
         window = Signal(long_signal.samples[s : s + window_n], rate)
         images[i] = preprocess(window, stft_config, fb, window_n).values

@@ -165,7 +165,7 @@ def gen_synthetic(
 ) -> ExperimentData:
     """Deterministically generate all splits as preprocessed mel images,
     rendered in the order source, validation, unlabeled, test into one
-    float32 store; each image is computed in float64 and rounded once.
+    store of the float32 images preprocess returns.
 
     The store is filled in contiguous blocks of rows, one process each
     (``engine.fill_store``). Every clip draws from one generator in store

@@ -33,6 +33,14 @@ def test_offers_preprocess_run_and_sweep_only():
     assert set(_subcommands()) == {"preprocess", "run", "sweep"}
 
 
+def test_help_keeps_the_subcommand_table(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["--help"])
+    assert exit_info.value.code == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert "  preprocess  save the float32 mel image a config's run stores for one WAV file" in lines
+
+
 class TestPreprocess:
     def test_emits_mel_image(self, tmp_path, capsys):
         """The saved image is the float32 row a run of the config stores

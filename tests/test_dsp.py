@@ -18,6 +18,8 @@ from spelaudio.dsp import (
     stft,
 )
 
+from test_frontend_golden import PREPROCESS_CASES
+
 
 def stft_direct(x, config):
     """Brute-force transform oracle: per frame and bin, sum the windowed
@@ -311,6 +313,23 @@ class TestPreprocess:
         a = preprocess(Signal(x, 16000), cfg, fb, 12000)
         b = preprocess(Signal(x.copy(), 16000), cfg, fb, 12000)
         assert np.array_equal(a.values, b.values)
+
+    @pytest.mark.parametrize("name", sorted(PREPROCESS_CASES))
+    def test_values_are_the_float64_chain_rounded_once_to_float32(self, name):
+        config, n_mels, rate, target = PREPROCESS_CASES[name]
+        fb = mel_filterbank(n_mels, config.n_fft, rate)
+        signal = Signal(np.random.default_rng(11).normal(size=target), rate)
+        power = np.abs(stft(signal, config))
+        power *= power
+        db = power_to_db(fb.project(power))
+        lo, hi = db.min(), db.max()
+        want = (2.0 * (db - lo) / (hi - lo) - 1.0).astype(np.float32)
+        image = preprocess(signal, config, fb, target).values
+        assert image.dtype == np.float32
+        assert np.array_equal(image, want)
+        zeros = preprocess(Signal(np.zeros(target), rate), config, fb, target).values
+        assert zeros.dtype == np.float32
+        assert np.array_equal(zeros, np.zeros_like(want))
 
     def test_calls_stft_once_per_clip(self, monkeypatch):
         # perfbench counts frames through dsp.stft, so preprocess must reach it.
