@@ -51,13 +51,13 @@ def _print_record(record) -> None:
 
 
 def _cmd_run(args) -> int:
-    record = run_experiment(args.config)
+    record = run_experiment(load_config(args.config))
     _print_record(record)
     return 0
 
 
 def _cmd_sweep(args) -> int:
-    results = sweep(args.config)
+    results = sweep(load_config(args.config))
     for m, k, record in results:
         metric = record.config.metric
         print(f"per_step {m:4d}  steps {k:2d}  final {metric} {record.final_metrics[metric]:.4f}")

@@ -22,31 +22,31 @@ All randomness is derived from the run seed, member index, and round
 index, so runs are bitwise reproducible and a resumed run matches an
 uninterrupted one.
 
-Inside a stage (pretraining, or one round) each member's training is a
-pure function of its own parameters, Adam state, rows and seed, so the
-members train at once: member i in process i mod k, where k is the
-smaller of the member count and the CPUs this process may run on. The
-count is derived, not set: it is the affinity mask (``sched_getaffinity``),
-not a cgroup CPU quota, and with one usable CPU or one member nothing is
-forked. Process 0 is the calling process, which trains its own share and
-writes every checkpoint; each other process is forked once per stage and
-reads the store and the members by fork. Each process also predicts
-with the members it trained: it forwards each on the splits the run
-reads next (validation, the pool while a round follows, test after
-pretraining and the last round), each split in its own call, and sends
-back each member's buffers and posteriors as soon as it has them. The
-calling process then forms each split's ensemble mean in member order,
-so no member is forwarded twice and none serially after its stage. The
-run is bitwise the same at any k. Each process has its own BLAS
-threads, so on a small host pin BLAS to one thread
-(``OPENBLAS_NUM_THREADS=1``).
+Work that forks is split by one rule, in one helper (``_fan_out``): its
+n items fall into k contiguous blocks in index order, k the smaller of n
+and the CPUs this process may run on. The count is derived, not set: it
+is the affinity mask (``sched_getaffinity``), not a cgroup CPU quota,
+and with one usable CPU or one item nothing is forked. The calling
+process runs the first block; each other block runs in a process forked
+for it, which reads its inputs by fork and sends back each item as soon
+as it has it. Since the blocks are in index order, the lowest failing
+item raises, as in a serial loop, and the result is bitwise the same at
+any k. Every worker is waited for.
 
-Both data sources fill their image store the same way (``fill_store``):
-in k = min(rows, usable CPUs) contiguous blocks of rows, the first in
-the calling process and each other in a process forked for it. The
-store is anonymous shared memory, so each process writes its rows in
-place and sends nothing back. Training and the store fill fork, join and
-reap their processes through one helper, ``_fan_out``.
+Two kinds of work fork. Both data sources fill their image store
+(``fill_store``) a block of rows per process; the store is anonymous
+shared memory, so each process writes its rows in place and sends
+nothing back. Inside a stage (pretraining, or one round) each member's
+training is a pure function of its own parameters, Adam state, rows and
+seed, so the members train a block per process; the calling process
+writes every checkpoint. Each process also forwards the members it
+trained on the splits the run reads next (validation, the pool while a
+round follows, test after pretraining and the last round), each split in
+its own call, and sends back each member's buffers and posteriors; the
+calling process forms each split's ensemble mean in member order, so no
+member is forwarded twice and none serially after its stage. Each
+process has its own BLAS threads, so on a small host pin BLAS to one
+thread (``OPENBLAS_NUM_THREADS=1``).
 """
 
 from __future__ import annotations
@@ -165,9 +165,10 @@ class ExperimentData:
     rows maps each name to its block and each split is a view of it; the
     pool's ids are its row positions. The test targets and the pool truth
     (None where unknown) are for evaluation only and training reads
-    neither. An n_unlabeled that is not a non-negative integer, a store of
-    another row count than the splits', or a pool truth of another length
-    than the pool raises ValueError."""
+    neither. An n_unlabeled that is not a non-negative integer, an empty
+    labeled, validation or test split (validation_targets None is no
+    validation split), a store of another row count than the splits', or
+    a pool truth of another length than the pool raises ValueError."""
 
     images: np.ndarray
     labeled_targets: np.ndarray
@@ -185,6 +186,10 @@ class ExperimentData:
             valid = False
         if not valid:
             raise ValueError(f"n_unlabeled must be a non-negative integer, got {self.n_unlabeled!r}")
+        for name in ("labeled", "validation", "test"):
+            targets = getattr(self, f"{name}_targets")
+            if targets is not None and len(targets) == 0:
+                raise ValueError(f"the {name} split is empty")
         n_validation = 0 if self.validation_targets is None else len(self.validation_targets)
         sizes = (len(self.labeled_targets), n_validation, self.n_unlabeled, len(self.test_targets))
         if len(self.images) != sum(sizes):
@@ -347,23 +352,26 @@ def _join(pid, out):
     return done, f"the worker process running it {how}"
 
 
-def _fan_out(shares, run, sent):
-    """Run run(share), which yields one item per index of share, for every
-    share: the first in this process, each other in a process forked for
-    it, which reads its inputs by fork and sends back each item it yields
-    as it goes. Returns the items by index, and the lowest index that
-    failed with its failure, or None: the exception of a sent class, or the
-    text of any other failure of a worker, which is killed or exits, at the
-    index after the worker's last item. Any other error of this process's
-    own share propagates at once, after the workers are killed. Every
-    worker is waited for.
+def _fan_out(n, run, sent, name):
+    """Run run(block), which yields one item per index of block, over the
+    blocks of range(n) that the module docstring sets out. Returns the
+    items in index order and None or, where an index raised an exception
+    of a sent class, (i, exc) for the lowest such index i. A worker that
+    fails otherwise (raises another class, is killed or exits) raises
+    RuntimeError naming name(i), i the index after its last item sent;
+    the first block that failed holds the lowest failing index. Any other
+    error of this process's own block propagates at once, after the
+    workers are killed.
     """
+    k = min(n, _usable_cpus())
+    edges = [n * w // k for w in range(k + 1)]
+    blocks = [range(a, b) for a, b in zip(edges, edges[1:])]
     forked = []  # the workers not yet joined
     try:
-        for share in shares[1:]:
-            forked.append(_fork(run(share), sent))
+        for block in blocks[1:]:
+            forked.append(_fork(run(block), sent))
         own = []
-        outcomes = [(own, _collect(run(shares[0]), own.append, sent))]
+        outcomes = [(own, _collect(run(blocks[0]), own.append, sent))]
         while forked:
             outcomes.append(_join(*forked[0]))
             del forked[0]
@@ -372,37 +380,32 @@ def _fan_out(shares, run, sent):
             out.close()
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
-    # A failure after a share's last item counts at that item's index.
-    failed = [(share[min(len(done), len(share) - 1)], failure)
-              for share, (done, failure) in zip(shares, outcomes) if failure is not None]
-    items = {i: item for share, (done, _) in zip(shares, outcomes) for i, item in zip(share, done)}
-    return items, min(failed, key=lambda pair: pair[0], default=None)
+    items = []
+    for block, (done, failure) in zip(blocks, outcomes):
+        items += done
+        if failure is not None:
+            # A failure after a block's last item counts at that item's index.
+            i = block[min(len(done), len(block) - 1)]
+            if not isinstance(failure, sent):
+                raise RuntimeError(f"{name(i)}: {failure}")
+            return items, (i, failure)
+    return items, None
 
 
 def fill_store(shape, render, name):
     """An IMAGE_DTYPE store of shape, the dtype preprocess returns, filled
     by render(store, rows), which writes each of the rows in turn and
-    yields after each.
-
-    The rows fall into k = min(rows, usable CPUs) contiguous blocks. This
-    process renders the first; each other is rendered in a process forked
-    for it, which writes its rows in place: the store is anonymous shared
-    memory, so nothing is sent back. Of the rows that fail, the lowest
-    raises, as in a serial loop: a row's exception as it was raised, a
-    worker killed or failing otherwise as RuntimeError naming name(row).
+    yields after each, over the rows as _fan_out splits them. The store is
+    anonymous shared memory, so each process writes its rows in place and
+    nothing is sent back. Of the rows that fail, the lowest raises, as in a
+    serial loop: a row's exception as it was raised, a worker killed or
+    failing otherwise as RuntimeError naming name(row).
     """
-    n = shape[0]
     memory = mmap.mmap(-1, math.prod(shape) * np.dtype(IMAGE_DTYPE).itemsize)
     store = np.ndarray(shape, IMAGE_DTYPE, memory)
-    k = min(n, _usable_cpus())
-    edges = [n * w // k for w in range(k + 1)]
-    blocks = [range(a, b) for a, b in zip(edges, edges[1:])]
-    _, failed = _fan_out(blocks, lambda rows: render(store, rows), Exception)
+    _, failed = _fan_out(shape[0], lambda rows: render(store, rows), Exception, name)
     if failed:
-        row, failure = failed
-        if isinstance(failure, Exception):
-            raise failure
-        raise RuntimeError(f"{name(row)}: {failure}")
+        raise failed[1]
     return store
 
 
@@ -425,56 +428,62 @@ def _members_predict(ensemble, step, data, names, round_index):
     by member, and the prediction of each split, by name: the mean of the
     member posteriors in member order (mean_prediction).
 
-    Member i runs in process i mod k, k = min(members, usable CPUs), as
-    _fan_out runs them: process 0 is this one, and each other is forked
-    for the stage and sends back what it keeps and the posteriors, so the
-    result is bitwise that of running the members one after another. Of
-    the members that fail, the lowest raises, as in that serial loop: a
-    divergence as DivergenceError, a worker's other failure as
-    RuntimeError, both naming the member and round_index. Any other error
-    of this process's own share propagates at once, after the workers are
-    killed.
+    The members run as _fan_out splits them, each forwarded in the process
+    that ran it, so the result is bitwise that of running them one after
+    another. Of the members that fail, the lowest raises, as in that
+    serial loop: a divergence as DivergenceError, a worker's other failure
+    as RuntimeError, both naming the member and round_index.
     """
     splits = [data.images[data.rows[name]] for name in names]
-    n = ensemble.n
-    k = min(n, _usable_cpus())
 
-    def run(share):
-        for i in share:
+    def run(block):
+        for i in block:
             member, kept = step(i)
             # Each split is its own call on its own view, so BLAS sees the
             # shapes that a serial avg_predict of that split would.
             yield kept, [learner.forward(member, inputs) for inputs in splits]
 
-    done, failed = _fan_out([range(w, n, k) for w in range(k)], run, DivergenceError)
+    done, failed = _fan_out(ensemble.n, run, DivergenceError,
+                            lambda i: f"member {i}, round {round_index}")
     if failed:
         i, failure = failed
-        if isinstance(failure, DivergenceError):
-            raise DivergenceError(failure.tensor, failure.step, i, round_index) from failure
-        raise RuntimeError(f"member {i}, round {round_index}: {failure}")
+        raise DivergenceError(failure.tensor, failure.step, i, round_index) from failure
     predictions = {
-        name: mean_prediction(ensemble.task, (done[i][1][s] for i in range(n)))
+        name: mean_prediction(ensemble.task, (posteriors[s] for _, posteriors in done))
         for s, name in enumerate(names)
     }
-    return [done[i][0] for i in range(n)], predictions
+    return [kept for kept, _ in done], predictions
 
 
-def _train_members(ensemble, state_of, targets, rows, epochs, config, data, j, pseudo):
-    """Stage j (0 is pretraining): continue every member of ensemble from
-    its Adam state state_of(i) on the rows of the data's store that rows
-    lists, member i shuffling from the seed of (run seed, 1, i) in
-    pretraining and (run seed, 2, i, j) in round j, and forward it on
-    the splits of data the run reads next (_read_next). Returns (ensemble,
-    states, report, predictions): the report holds the validation metrics
-    and pseudo, the set the round trained on, and predictions the
-    ensemble's prediction of each split read next, by name. The members run
-    as _members_predict runs them.
+def _train_members(ensemble, states, data, config, j, pseudo):
+    """Stage j (0 is pretraining, pseudo None): continue every member i of
+    ensemble from states[i], or from a fresh Adam state when states is
+    None, on the store rows of the labeled split followed by those of the
+    pseudo set (a pool id being its row's position in the pool), with the
+    labeled targets followed by the pseudo labels, for pretrain_epochs in
+    pretraining and spel_epochs in a round. Member i shuffles from the seed
+    of (run seed, 1, i) in pretraining and (run seed, 2, i, j) in round j,
+    and is forwarded on the splits of data the run reads next
+    (_read_next). Returns (ensemble, states, report, predictions): the
+    report holds the validation metrics and pseudo, and predictions the
+    ensemble's prediction of each split read next, by name. The members
+    run as _members_predict runs them.
     """
+    labeled = data.rows["labeled"]
+    rows, targets = np.arange(labeled.start, labeled.stop), data.labeled_targets
+    if pseudo is not None:
+        rows = np.concatenate([rows, data.rows["unlabeled"].start + pseudo.ids])
+        targets = np.concatenate([targets, pseudo.labels], axis=0)
+    epochs = config.pretrain_epochs if j == 0 else config.spel_epochs
 
     def fit(i):
+        member = ensemble.members[i]
+        # Without states a fresh one is made as member i starts, so the process
+        # forwarding its members does not hold every member's initial state.
+        state = states[i] if states else init_adam(member, learning_rate=config.learning_rate)
         key = (1, i) if j == 0 else (2, i, j)
-        params, state = train(ensemble.members[i], data.images, targets, epochs=epochs,
-                              batch_size=config.batch_size, state=state_of(i),
+        params, state = train(member, data.images, targets, epochs=epochs,
+                              batch_size=config.batch_size, state=state,
                               seed=_derive_seed(config.seed, *key), rows=rows)
         return params, (params, state)
 
@@ -490,8 +499,8 @@ def _train_members(ensemble, state_of, targets, rows, epochs, config, data, j, p
 
 def pretrain(config: SpelConfig, data: ExperimentData, specs: list[LearnerSpec]):
     """Stage 1: train each member independently from its own derived seed
-    on the store rows of the labeled split, as each round reads them;
-    returns (ensemble, states, report, predictions) as _train_members does."""
+    on the labeled split; returns (ensemble, states, report, predictions)
+    as _train_members does."""
     if len(specs) != config.n_members:
         raise ValueError(
             f"got {len(specs)} specs for an ensemble of {config.n_members} members"
@@ -499,17 +508,7 @@ def pretrain(config: SpelConfig, data: ExperimentData, specs: list[LearnerSpec])
     members = [
         init_params(spec, seed=_derive_seed(config.seed, 0, i)) for i, spec in enumerate(specs)
     ]
-
-    def fresh_state(i):
-        # Made as member i starts, so the process forwarding its members
-        # does not hold every member's initial state.
-        return init_adam(members[i], learning_rate=config.learning_rate)
-
-    labeled = data.rows["labeled"]
-    return _train_members(
-        Ensemble(tuple(members)), fresh_state, data.labeled_targets,
-        np.arange(labeled.start, labeled.stop), config.pretrain_epochs, config, data, 0, None,
-    )
+    return _train_members(Ensemble(tuple(members)), None, data, config, 0, None)
 
 
 def select_pseudo(pred: EnsemblePrediction, unlabeled: UnlabeledSet, count: int) -> PseudoSet:
@@ -542,22 +541,14 @@ def spel_round(
 
     The pseudo set is rebuilt from scratch with the current ensemble (size
     min(per_step * j, pool size)); the source-labeled data is never relabeled.
-    Members train on the store rows of the labeled split followed by those
-    of the fresh pseudo samples, a pool id being its row's position in
-    the pool, so no pool is copied out of the store.
-    The report holds the data's validation metrics.
+    Members train on the labeled split followed by the fresh pseudo
+    samples, as _train_members lays them out, so no pool is copied out of
+    the store. The report holds the data's validation metrics.
     """
     if j < 1:
         raise ValueError("round index starts at 1")
-    pseudo = select_pseudo(pool, data.unlabeled, min(config.per_step * j, data.n_unlabeled))
-    labeled = data.rows["labeled"]
-    rows = np.concatenate(
-        [np.arange(labeled.start, labeled.stop), data.rows["unlabeled"].start + pseudo.ids]
-    )
-    targets = np.concatenate([data.labeled_targets, pseudo.labels], axis=0)
-    return _train_members(
-        ensemble, lambda i: states[i], targets, rows, config.spel_epochs, config, data, j, pseudo
-    )
+    pseudo = select_pseudo(pool, data.unlabeled, config.per_step * j)
+    return _train_members(ensemble, states, data, config, j, pseudo)
 
 
 def run_spel(
@@ -595,15 +586,14 @@ def run_spel(
     reports: list[RoundReport] = []
     for j in range(config.n_steps + 1):
         if j <= last:
-            # Members are read only where the run needs them: the baseline
-            # and the round the run continues from. They predict the test
-            # split where the run reads it and, to continue, the pool, in
-            # the processes a stage would use.
-            ensemble, states, report = load_round(
-                checkpoint_dir, j, config, specs, members=j in (0, last)
-            )
+            # A loaded round's members predict the test split where the run
+            # reads it and, to continue from it, the pool, in the processes
+            # a stage would use; they are read only where they predict.
             names = [name for name in _read_next(data, config, j)
                      if name == "test" or (name == "unlabeled" and j == last)]
+            ensemble, states, report = load_round(
+                checkpoint_dir, j, config, specs, members=bool(names)
+            )
             if names:
                 _, predictions = _members_predict(
                     ensemble, lambda i: (ensemble.members[i], None), data, names, j

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import ConfigError, ExperimentConfig, canonical, load_config
+from .config import ConfigError, ExperimentConfig, canonical
 from .dsp import IMAGE_DTYPE, MelFilterbank, Signal, StftConfig, frame_count, preprocess
 from .engine import ExperimentData, RoundReport, fill_store, run_spel, write_text_atomic
 from .ensemble import Ensemble, avg_predict
@@ -236,15 +236,13 @@ def write_results(record: ResultsRecord, output_dir: Path) -> None:
     )
 
 
-def run_experiment(config: ExperimentConfig | str | Path) -> ResultsRecord:
+def run_experiment(config: ExperimentConfig) -> ResultsRecord:
     """Build the datasets, run the full self-paced pipeline, evaluate, persist.
 
     Round reports are computed on the validation split; final and baseline
     metrics on the test split, with a paired McNemar test between them on
     identical test samples.
     """
-    if not isinstance(config, ExperimentConfig):
-        config = load_config(config)
     timings: dict[str, float] = {}
     t0 = time.perf_counter()
     data = build_data(config)
@@ -289,11 +287,9 @@ def enumerate_grid(m_grid, budget: int, k_max: int | None = None) -> list[tuple[
     return pairs
 
 
-def sweep(config: ExperimentConfig | str | Path) -> list[tuple[int, int, ResultsRecord]]:
+def sweep(config: ExperimentConfig) -> list[tuple[int, int, ResultsRecord]]:
     """Run one experiment per legal (per-step, steps) pair under output_dir,
     plus a sweep.csv summarizing final metric and improvement per pair."""
-    if not isinstance(config, ExperimentConfig):
-        config = load_config(config)
     if config.output_dir is None:
         raise ConfigError("sweep needs an output_dir")
     pairs = enumerate_grid(config.sweep_m_grid, config.sweep_budget, config.sweep_k_max)

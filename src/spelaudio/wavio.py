@@ -126,5 +126,3 @@ def write_wav(path, signal: Signal) -> None:
         fh.write(b"WAVE")
         fh.write(b"fmt " + struct.pack("<I", len(fmt)) + fmt)
         fh.write(b"data" + struct.pack("<I", len(data)) + data)
-        if len(data) % 2:
-            fh.write(b"\x00")

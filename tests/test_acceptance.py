@@ -10,6 +10,7 @@ import time
 
 import numpy as np
 
+from spelaudio import learner
 from spelaudio.config import config_from_text
 from spelaudio.dsp import Signal, StftConfig, mel_filterbank, preprocess, stft
 from spelaudio.engine import run_spel, load_round, select_pseudo
@@ -254,6 +255,8 @@ def benchmark_results():
         result = run_spel(data, cfg.spel, specs)
         base_acc = accuracy(result.baseline_prediction.labels, data.test.targets)
         spel_acc = accuracy(result.prediction.labels, data.test.targets)
+        member0 = learner.forward(result.ensemble.members[0], data.test.inputs).argmax(1)
+        member0_acc = accuracy(member0, data.test.targets)
         pooled_spel.append(result.prediction.labels)
         pooled_base.append(result.baseline_prediction.labels)
         pooled_truth.append(data.test.targets)
@@ -261,7 +264,7 @@ def benchmark_results():
         single = run_spel(data, dataclasses.replace(cfg.spel, n_members=1), specs[:1])
         single_base = accuracy(single.baseline_prediction.labels, data.test.targets)
         single_spel = accuracy(single.prediction.labels, data.test.targets)
-        rows.append((seed, base_acc, spel_acc, single_base, single_spel))
+        rows.append((seed, base_acc, spel_acc, single_base, single_spel, member0_acc))
 
     pooled = mcnemar(
         np.concatenate(pooled_spel), np.concatenate(pooled_base), np.concatenate(pooled_truth)
@@ -275,7 +278,7 @@ def test_criterion_5_behavioral_reproduction():
     rows, pooled, elapsed = benchmark_results()
     base_accs = np.array([r[1] for r in rows])
     spel_accs = np.array([r[2] for r in rows])
-    for seed, base_acc, spel_acc, _, _ in rows:
+    for seed, base_acc, spel_acc, *_ in rows:
         print(
             f"  seed {seed}: baseline {base_acc:.4f} -> spel {spel_acc:.4f} "
             f"({spel_acc - base_acc:+.4f})"
@@ -318,6 +321,13 @@ def test_criterion_6_ensemble_beats_single_model_spl():
         + " ".join(f"{g:+.3f}" for g in single_gains)
     )
     print(f"  ensemble minus single gain: {paired_summary(ens_gains, single_gains)}")
+    # Member 0 has bitwise the same pretrained weights in both arms, so its
+    # gain inside the ensemble is taken against the single run's baseline.
+    member0_gains = np.array([r[5] - r[3] for r in rows])
+    print(
+        "  member 0 in the ensemble minus member 0 alone: "
+        f"{paired_summary(member0_gains, single_gains)}"
+    )
     report(
         "criterion 6: ensemble self-pacing gains >= single-model self-pacing",
         float(ens_gains.mean()) >= float(single_gains.mean()),

@@ -112,6 +112,19 @@ class TestDatasets:
                               np.int64(2), np.zeros(5, int), 2)
         assert data.rows["test"] == slice(12, 17)
 
+    @pytest.mark.parametrize("split", ["labeled", "validation", "test"])
+    def test_an_empty_split_is_refused(self, split):
+        """An empty validation array is refused too: None says there is no
+        validation split. Accepted, each empty split failed only in
+        training or in the first forward."""
+        targets = {"labeled": np.zeros(10, int), "validation": np.zeros(3, int),
+                   "test": np.zeros(5, int)}
+        targets[split] = np.zeros(0, int)
+        store = np.zeros((sum(map(len, targets.values())) + 2, 1, 1), np.float32)
+        with pytest.raises(ValueError, match=rf"^the {split} split is empty$"):
+            ExperimentData(store, targets["labeled"], targets["validation"], 2,
+                           targets["test"], 2)
+
     def test_a_pool_truth_of_another_length_is_refused(self, mini_bundle):
         n = mini_bundle.n_unlabeled
         with pytest.raises(ValueError, match=rf"^the pool truth has {n - 1} rows, the pool {n}$"):
@@ -722,8 +735,8 @@ def assert_no_child_left():
 
 
 class TestWorkerProcesses:
-    """Member i of a stage trains in process i mod k, k = min(members,
-    usable CPUs); process 0 is the caller's own."""
+    """A stage's members train in k = min(members, usable CPUs) contiguous
+    blocks; the caller's own process trains the first."""
 
     @staticmethod
     def _cpus(monkeypatch, n):
@@ -835,6 +848,27 @@ class TestWorkerProcesses:
         assert checkpoint_contents(ckpt) == checkpoint_contents(tmp_path / "full")
         assert_no_child_left()
 
+    def test_members_train_in_contiguous_blocks(self, mini_bundle, monkeypatch, tmp_path):
+        """With 5 members on 2 CPUs this process trains members 0 and 1, one
+        worker members 2, 3 and 4."""
+        ensemble, states, config, pool = self._stage(mini_bundle, n_members=5)
+        log, real = tmp_path / "pids", engine.train
+
+        def fake(params, *args, **kwargs):
+            member = next(i for i, m in enumerate(ensemble.members) if m is params)
+            with open(log, "a") as fh:
+                fh.write(f"{member} {os.getpid()}\n")
+            return real(params, *args, **kwargs)
+
+        monkeypatch.setattr(engine, "train", fake)
+        self._cpus(monkeypatch, 2)
+        spel_round(ensemble, states, mini_bundle, config, 2, pool)
+        pids = dict(map(int, line.split()) for line in log.read_text().splitlines())
+        assert sorted(pids) == [0, 1, 2, 3, 4]
+        assert pids[0] == pids[1] == os.getpid()
+        assert pids[2] == pids[3] == pids[4] != os.getpid()
+        assert_no_child_left()
+
     def test_a_single_member_never_forks(self, mini_bundle, monkeypatch):
         self._cpus(monkeypatch, 3)
 
@@ -849,7 +883,7 @@ class TestWorkerProcesses:
     def test_the_lowest_diverged_member_is_reported_across_processes(
         self, mini_bundle, monkeypatch, poisoned, reported
     ):
-        """With 2 CPUs this process trains members 0 and 2, a worker member 1."""
+        """With 2 CPUs this process trains member 0, a worker members 1 and 2."""
         ensemble, states, config, pool = self._stage(mini_bundle)
         for i in poisoned:
             states[i].m["out_b"][0] = np.nan
@@ -892,8 +926,8 @@ class TestWorkerProcesses:
         assert_no_child_left()
 
     def test_a_worker_killed_on_its_second_member_names_that_member(self, mini_bundle, monkeypatch):
-        """With 4 members on 2 CPUs a worker runs members 1 and 3, and it
-        has sent member 1 back when it is killed training member 3."""
+        """With 4 members on 2 CPUs a worker runs members 2 and 3, and it
+        has sent member 2 back when it is killed training member 3."""
         ensemble, states, config, pool = self._stage(mini_bundle, n_members=4)
         parent = os.getpid()
 
@@ -911,7 +945,7 @@ class TestWorkerProcesses:
         assert_no_child_left()
 
     def test_a_worker_killed_while_predicting_names_the_member(self, mini_bundle, monkeypatch):
-        """The worker's first forward is member 1's, after training it."""
+        """The worker's first forward is member 2's, after training it."""
         ensemble, states, config, pool = self._stage(mini_bundle, n_members=4)
         parent, real = os.getpid(), engine.learner.forward
 
@@ -924,7 +958,7 @@ class TestWorkerProcesses:
         self._cpus(monkeypatch, 2)
         with pytest.raises(
             RuntimeError,
-            match=rf"^member 1, round 2: the worker process running it was killed by signal {signal.SIGKILL.value}$",
+            match=rf"^member 2, round 2: the worker process running it was killed by signal {signal.SIGKILL.value}$",
         ):
             spel_round(ensemble, states, mini_bundle, config, 2, pool)
         assert_no_child_left()
@@ -949,3 +983,74 @@ class TestWorkerProcesses:
             spel_round(ensemble, states, mini_bundle, config, 2, pool)
         assert time.perf_counter() - start < 30
         assert_no_child_left()
+
+
+class TestFanOut:
+    """_fan_out over n = 1..7 items at 1, 2 and 3 usable CPUs: k = min(n,
+    CPUs) contiguous blocks, the first run in this process."""
+
+    CASES = [(n, cpus) for n in range(1, 8) for cpus in (1, 2, 3)]
+
+    @staticmethod
+    def _blocks(n, cpus):
+        k = min(n, cpus)
+        return [range(n * w // k, n * (w + 1) // k) for w in range(k)]
+
+    @staticmethod
+    def _run(fail=()):
+        def run(block):
+            for i in block:
+                if i in fail:
+                    raise KeyError(i)
+                yield i, os.getpid()
+        return run
+
+    @staticmethod
+    def _name(i):
+        return f"item {i}"
+
+    @pytest.mark.parametrize("n, cpus", CASES)
+    def test_items_come_back_in_index_order(self, monkeypatch, n, cpus):
+        monkeypatch.setattr(engine, "_usable_cpus", lambda: cpus)
+        items, failed = engine._fan_out(n, self._run(), KeyError, self._name)
+        assert failed is None
+        assert [i for i, _ in items] == list(range(n))
+        pids = [pid for _, pid in items]
+        blocks = self._blocks(n, cpus)
+        per_block = [{pids[i] for i in block} for block in blocks]
+        assert per_block[0] == {os.getpid()}
+        assert all(len(p) == 1 for p in per_block) and len(set(pids)) == len(blocks)
+        assert_no_child_left()
+
+    def _assert_fails_at(self, n, fail, i):
+        """A KeyError at each index of fail comes back as (i, exc) when it
+        is sent; when it is not, it propagates from this process's own
+        block and is a RuntimeError naming item i from a worker's."""
+        failed = engine._fan_out(n, self._run(fail), KeyError, self._name)[1]
+        assert failed[0] == i and failed[1].args == (i,)
+        own = i < self._blocks(n, engine._usable_cpus())[0].stop
+        with pytest.raises(KeyError if own else RuntimeError) as info:
+            engine._fan_out(n, self._run(fail), ValueError, self._name)
+        if own:
+            assert info.value.args == (i,)
+        else:
+            assert str(info.value).startswith(f"item {i}: it failed in its worker process:")
+            assert f"KeyError: {i}" in str(info.value)
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("n, cpus", CASES)
+    def test_a_failure_is_named_by_its_index(self, monkeypatch, n, cpus):
+        monkeypatch.setattr(engine, "_usable_cpus", lambda: cpus)
+        for i in range(n):
+            self._assert_fails_at(n, {i}, i)
+
+    @pytest.mark.parametrize("n, cpus", CASES)
+    def test_of_failures_in_two_blocks_the_earlier_is_named(self, monkeypatch, n, cpus):
+        """The earlier block fails at its last index and the later one at
+        its first, so the later failure is likely the first in time; the
+        earlier block's index is still the one named."""
+        monkeypatch.setattr(engine, "_usable_cpus", lambda: cpus)
+        blocks = self._blocks(n, cpus)
+        for a, early in enumerate(blocks):
+            for late in blocks[a + 1:]:
+                self._assert_fails_at(n, {early[-1], late[0]}, early[-1])
